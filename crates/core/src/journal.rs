@@ -21,7 +21,7 @@
 //! checkpointed graph reproduces the original vertex/edge ids exactly.
 
 use crate::pipeline::IngestReport;
-use nous_graph::codec::{self, DecodeError, Reader};
+use nous_graph::codec::{DecodeError, Reader};
 use nous_text::bow::BagOfWords;
 use nous_text::ner::EntityType;
 
@@ -49,17 +49,8 @@ pub fn entity_type_from_tag(tag: u8) -> Option<EntityType> {
     })
 }
 
-/// Encode a bag-of-words as `(term, count)` pairs (BTreeMap iteration
-/// order, so the encoding is deterministic).
-pub fn put_bow(buf: &mut Vec<u8>, bow: &BagOfWords) {
-    codec::put_u32(buf, bow.distinct() as u32);
-    for (term, n) in bow.iter() {
-        codec::put_str(buf, term);
-        codec::put_u32(buf, n);
-    }
-}
-
-/// Inverse of [`put_bow`].
+/// Decode a bag-of-words stored as `(term, count)` pairs — how `NOUSKG01`
+/// checkpoints spelled out entity text.
 pub fn read_bow(r: &mut Reader<'_>) -> Result<BagOfWords, DecodeError> {
     let n = r.count(8, "bag-of-words length")?;
     let mut bow = BagOfWords::new();

@@ -2,17 +2,18 @@
 //!
 //! [`KnowledgeGraph`] owns the property graph plus the per-entity state the
 //! mapping and QA layers need: alias tables (gazetteer + disambiguator),
-//! per-entity bag-of-words text (for context similarity and LDA), the
-//! predicate mapper and the link predictor. It is the object Figure 2's
-//! drone graph is an instance of: curated facts (red) loaded from a
-//! [`nous_corpus::CuratedKb`] and extracted facts (blue) appended by the
-//! ingestion pipeline, each with a confidence.
+//! per-entity bag-of-words text (for context similarity and LDA — one bag
+//! per entity, held by the disambiguator), the predicate mapper with its
+//! incrementally maintained expansion state, and the link predictor. It is
+//! the object Figure 2's drone graph is an instance of: curated facts (red)
+//! loaded from a [`nous_corpus::CuratedKb`] and extracted facts (blue)
+//! appended by the ingestion pipeline, each with a confidence.
 
 use crate::revision::{self, RevisionCounters, RevisionPolicy};
 use nous_corpus::{CuratedKb, World};
 use nous_embed::{BprConfig, LinkPredictor, PredictorMode};
-use nous_graph::{Adj, DynamicGraph, GraphView, Provenance, Timestamp, VertexId};
-use nous_link::{Disambiguator, EntityRecord, PredicateMapper};
+use nous_graph::{Adj, DeltaWatermark, DynamicGraph, GraphView, Provenance, Timestamp, VertexId};
+use nous_link::{AliasResolver, Disambiguator, EntityRecord, MapperExpansion, PredicateMapper};
 use nous_qa::TopicIndex;
 use nous_text::bow::BagOfWords;
 use nous_text::ner::{EntityType, Gazetteer};
@@ -24,7 +25,7 @@ use nous_topics::{LdaConfig, LdaModel};
 /// **gazetteer is the only field the extraction stage reads** (NER typing
 /// of candidate mentions), and [`KnowledgeGraph::create_entity`] is its
 /// only ingestion-time writer. Everything else (disambiguator, mapper,
-/// predictor, entity text, the graph itself) is touched exclusively by
+/// predictor, expansion state, the graph itself) is touched exclusively by
 /// the sequential merge stage. This is what lets
 /// `IngestPipeline::ingest_batch` fan extraction out over an immutable
 /// borrow while keeping graph updates deterministic.
@@ -35,11 +36,15 @@ pub struct KnowledgeGraph {
     pub disambiguator: Disambiguator,
     pub mapper: PredicateMapper,
     pub predictor: LinkPredictor,
-    /// Per-vertex accumulated text (descriptions + neighbourhood terms).
-    entity_text: Vec<BagOfWords>,
-    /// Raw triples retained for semi-supervised mapper expansion:
-    /// `(subject vertex, raw predicate, object vertex)`.
-    pending_raw: Vec<(u32, String, u32)>,
+    /// Raw triples retained for semi-supervised mapper expansion, with the
+    /// votes they cast against the graph's edges.
+    expansion: MapperExpansion,
+    /// How much of `graph`'s history `expansion` has observed. In-process
+    /// state, not persisted: a restored graph starts from the default
+    /// (nothing observed), so the next expansion observes its whole edge
+    /// log, each edge with the live flag it has by then.
+    #[serde(skip)]
+    expansion_seen: DeltaWatermark,
     /// Revision behaviour at the admit point (NOUS §3.4). Disabled by
     /// default; lives on the graph (not the pipeline) so WAL replay
     /// re-derives the same tombstones from a restored checkpoint.
@@ -49,6 +54,11 @@ pub struct KnowledgeGraph {
     #[serde(default)]
     revision_counters: RevisionCounters,
 }
+
+/// Checkpoint layouts [`KnowledgeGraph::decode_checkpoint`] reads; the
+/// second is what [`KnowledgeGraph::encode_checkpoint`] writes.
+const MAGIC_V1: &[u8; 8] = b"NOUSKG01";
+const MAGIC_V2: &[u8; 8] = b"NOUSKG02";
 
 fn entity_type_of(kind: nous_corpus::world::Kind) -> EntityType {
     match kind {
@@ -72,8 +82,8 @@ impl KnowledgeGraph {
             disambiguator: Disambiguator::new(Vec::new()).with_context_weight(0.95),
             mapper: crate::seeds::seeded_mapper(),
             predictor: LinkPredictor::new(PredictorMode::PerPredicate, BprConfig::default()),
-            entity_text: Vec::new(),
-            pending_raw: Vec::new(),
+            expansion: MapperExpansion::default(),
+            expansion_seen: DeltaWatermark::default(),
             revision: RevisionPolicy::default(),
             revision_counters: RevisionCounters::default(),
         }
@@ -105,13 +115,13 @@ impl KnowledgeGraph {
         for e in &world.entities {
             let v = kg.graph.ensure_vertex(&e.name);
             kg.graph.set_label(v, e.kind.label());
-            kg.ensure_text_slot(v);
             // The description is the highest-precision context an entity
             // has (its "Wikipedia page" in AIDA terms); weight it above the
             // name terms that curated neighbours will merge in later.
             let desc = BagOfWords::from_text(&e.description);
+            let mut context = BagOfWords::new();
             for _ in 0..3 {
-                kg.entity_text[v.index()].merge(&desc);
+                context.merge(&desc);
             }
             let ty = entity_type_of(e.kind);
             for a in &e.aliases {
@@ -121,7 +131,7 @@ impl KnowledgeGraph {
                 id: v.0,
                 name: e.name.clone(),
                 aliases: e.aliases.clone(),
-                context: kg.entity_text[v.index()].clone(),
+                context,
                 popularity: 0.0,
             });
             vertex_of.push(v);
@@ -136,22 +146,12 @@ impl KnowledgeGraph {
         kg
     }
 
-    fn ensure_text_slot(&mut self, v: VertexId) {
-        if v.index() >= self.entity_text.len() {
-            self.entity_text.resize_with(v.index() + 1, BagOfWords::new);
-        }
-    }
-
     /// Record mutual context between two newly-linked entities: each
     /// gains the other's name terms (the "entity neighborhood in the
     /// knowledge graph" context of §3.3) and a popularity bump.
     fn bump_entity(&mut self, s: VertexId, o: VertexId) {
-        self.ensure_text_slot(s);
-        self.ensure_text_slot(o);
         let s_name = BagOfWords::from_text(self.graph.vertex_name(s));
         let o_name = BagOfWords::from_text(self.graph.vertex_name(o));
-        self.entity_text[s.index()].merge(&o_name);
-        self.entity_text[o.index()].merge(&s_name);
         self.disambiguator.update_context(s.0, &o_name, 1.0);
         self.disambiguator.update_context(o.0, &s_name, 1.0);
     }
@@ -160,7 +160,6 @@ impl KnowledgeGraph {
     pub fn create_entity(&mut self, name: &str, ty: EntityType) -> VertexId {
         let v = self.graph.ensure_vertex(name);
         self.graph.set_label(v, ty.name());
-        self.ensure_text_slot(v);
         self.gazetteer.insert(name, ty);
         self.disambiguator.insert(EntityRecord {
             id: v.0,
@@ -282,62 +281,100 @@ impl KnowledgeGraph {
         admitted
     }
 
-    /// Accumulate additional text evidence for an entity.
+    /// Accumulate additional text evidence for an entity registered with
+    /// the disambiguator (every curated and every minted entity is).
     pub fn add_entity_text(&mut self, v: VertexId, text: &BagOfWords) {
-        self.ensure_text_slot(v);
-        self.entity_text[v.index()].merge(text);
+        debug_assert!(
+            self.disambiguator.context_of(v.0).is_some(),
+            "vertex {} has no disambiguator record to keep its text",
+            v.0
+        );
         self.disambiguator.update_context(v.0, text, 0.0);
     }
 
-    /// The entity's accumulated bag-of-words.
-    pub fn entity_text(&self, v: VertexId) -> &BagOfWords {
-        static EMPTY: std::sync::OnceLock<BagOfWords> = std::sync::OnceLock::new();
-        self.entity_text
-            .get(v.index())
-            .unwrap_or_else(|| EMPTY.get_or_init(BagOfWords::new))
+    /// The entity's accumulated bag-of-words: the disambiguator's context
+    /// for it, the one place entity text is kept (spelled out — a copy).
+    pub fn entity_text(&self, v: VertexId) -> BagOfWords {
+        self.disambiguator.context_of(v.0).unwrap_or_default()
     }
 
     /// Stash a mapped-entity raw triple for later mapper expansion.
     pub fn stash_raw_triple(&mut self, s: VertexId, raw_pred: &str, o: VertexId) {
-        self.pending_raw.push((s.0, raw_pred.to_owned(), o.0));
+        self.expansion.stash(s.0, raw_pred, o.0);
     }
 
     pub fn pending_raw_count(&self) -> usize {
-        self.pending_raw.len()
+        self.expansion.stashed()
+    }
+
+    /// The stashed raw triples, one per occurrence.
+    pub fn pending_raw_triples(&self) -> Vec<nous_link::predicate_map::RawTripleIds> {
+        self.expansion.triples()
+    }
+
+    /// Edges, stashed triples and tallies mapper expansion has looked at
+    /// since construction (see [`MapperExpansion::visited`]).
+    pub fn expansion_visited(&self) -> u64 {
+        self.expansion.visited()
+    }
+
+    /// Show `expansion` what happened to the graph's edges since it last
+    /// looked: the edges of the log suffix that are live now as
+    /// appearances, removals of edges it had seen as tombstones. O(that
+    /// delta) — after a history rewrite (log compaction) the delta is the
+    /// whole log.
+    fn observe_graph_delta(&mut self) {
+        let g = &self.graph;
+        let mut seen = self.expansion_seen;
+        if seen.structure_version != g.structure_version() {
+            self.expansion.forget_edges();
+            seen = DeltaWatermark::default();
+        }
+        let mut observe = |id: nous_graph::EdgeId, live| {
+            let e = g.edge(id);
+            self.expansion
+                .observe_edge(e.src.0, g.predicate_name(e.pred), e.dst.0, live)
+        };
+        for id in (seen.log_len..g.log_len()).map(|i| nous_graph::EdgeId(i as u32)) {
+            if g.is_live(id) {
+                observe(id, true);
+            }
+        }
+        for &id in g.removals_since(seen.removal_log_len) {
+            if id.index() < seen.log_len {
+                observe(id, false);
+            }
+        }
+        self.expansion_seen = g.watermark();
     }
 
     /// Run the semi-supervised mapper expansion (§3.3) against the current
-    /// graph state. Returns the number of new rules learned.
+    /// graph state. Returns the number of new rules learned. Costs the
+    /// edges admitted or tombstoned since the last call plus one look at
+    /// each raw predicate's tally; stashed triples are walked only when a
+    /// tally has crossed the mapper's thresholds.
     pub fn expand_mapper(&mut self) -> usize {
-        let mut known: nous_link::predicate_map::KnownPairs = Default::default();
-        for (_, e) in self.graph.iter_edges() {
-            known
-                .entry((e.src.0, e.dst.0))
-                .or_default()
-                .push(self.graph.predicate_name(e.pred).to_owned());
-        }
-        self.mapper.expand_to_fixpoint(&self.pending_raw, &known, 5)
+        self.observe_graph_delta();
+        self.expansion.expand(&mut self.mapper, 5)
     }
 
     /// (Re)train the per-predicate link predictor from the current graph.
     pub fn train_predictor(&mut self) {
-        let triples: Vec<(String, u32, u32)> = self
+        let triples: Vec<(&str, u32, u32)> = self
             .graph
             .iter_edges()
-            .map(|(_, e)| {
-                (
-                    self.graph.predicate_name(e.pred).to_owned(),
-                    e.src.0,
-                    e.dst.0,
-                )
-            })
+            .map(|(_, e)| (self.graph.predicate_name(e.pred), e.src.0, e.dst.0))
             .collect();
         self.predictor.fit(self.graph.vertex_count(), &triples);
     }
 
     /// Train LDA over per-entity text and build the QA topic index (§3.6).
     pub fn build_topic_index(&self, cfg: &LdaConfig) -> TopicIndex {
-        let docs: Vec<BagOfWords> = self.entity_text.clone();
+        let docs: Vec<BagOfWords> = self
+            .graph
+            .iter_vertices()
+            .map(|v| self.entity_text(v))
+            .collect();
         let model = LdaModel::fit(&docs, cfg);
         let mut idx = TopicIndex::new(cfg.topics);
         for (i, doc) in docs.iter().enumerate() {
@@ -364,69 +401,102 @@ impl KnowledgeGraph {
     }
 
     /// Serialise the complete system state serde-free: the graph (via
-    /// the lossless compact snapshot), per-entity text, pending raw
-    /// triples, gazetteer, disambiguator records and all mapper rules
-    /// (seeds *and* learned). This is the checkpoint payload of the
+    /// the lossless compact snapshot), stashed raw triples (raw predicates
+    /// interned, occurrences counted), gazetteer, disambiguator records —
+    /// whose contexts are the per-entity text, as `(term id, count)` over
+    /// one term table — and all mapper rules (seeds *and* learned). This is the checkpoint payload of the
     /// durability stack (`nous-persist`).
+    ///
+    /// Layout `NOUSKG02`. `NOUSKG01` wrote the per-entity text twice (its
+    /// own section and again inside each record), every term spelled out
+    /// per entity, and the raw predicate spelled out per stashed triple;
+    /// [`KnowledgeGraph::decode_checkpoint`] still reads it.
     ///
     /// Not encoded: the trained predictor weights —
     /// [`KnowledgeGraph::decode_checkpoint`] retrains from the restored
     /// graph, which is deterministic given the same edges, and the
     /// predictor's `BprConfig` resets to its default.
     pub fn encode_checkpoint(&self) -> Vec<u8> {
-        use crate::journal::{entity_type_tag, put_bow};
+        let mut buf = Vec::with_capacity(self.checkpoint_size_hint());
+        self.encode_checkpoint_into(&mut buf);
+        buf
+    }
+
+    /// A generous bound on the bytes [`KnowledgeGraph::encode_checkpoint`]
+    /// produces — what to reserve so a checkpoint buffer is not regrown
+    /// (doubled, and recopied) on the way to a few megabytes. Reserved
+    /// pages the encoding never reaches are never touched.
+    pub fn checkpoint_size_hint(&self) -> usize {
+        (1 << 16) + self.graph.log_len() * 128
+    }
+
+    /// [`KnowledgeGraph::encode_checkpoint`] appended to `buf`.
+    pub fn encode_checkpoint_into(&self, buf: &mut Vec<u8>) {
+        use crate::journal::entity_type_tag;
         use nous_graph::codec;
-        let mut buf = Vec::with_capacity(1 << 16);
-        buf.extend_from_slice(b"NOUSKG01");
-        codec::put_bytes(&mut buf, &nous_graph::snapshot::to_compact(&self.graph));
+        buf.extend_from_slice(MAGIC_V2);
+        codec::put_bytes_with(buf, |blob| {
+            nous_graph::snapshot::to_compact_into(&self.graph, blob)
+        });
 
-        codec::put_u32(&mut buf, self.entity_text.len() as u32);
-        for bow in &self.entity_text {
-            put_bow(&mut buf, bow);
+        let raws = self.expansion.raw_predicates();
+        codec::put_u32(buf, raws.len() as u32);
+        for raw in raws {
+            codec::put_str(buf, raw);
         }
-
-        codec::put_u32(&mut buf, self.pending_raw.len() as u32);
-        for (s, raw, o) in &self.pending_raw {
-            codec::put_u32(&mut buf, *s);
-            codec::put_str(&mut buf, raw);
-            codec::put_u32(&mut buf, *o);
+        let entries = self.expansion.entries();
+        codec::put_u32(buf, entries.len() as u32);
+        for (s, raw, o, occurrences) in entries {
+            for field in [s, raw, o, occurrences] {
+                codec::put_u32(buf, field);
+            }
         }
 
         // Gazetteer entries sorted for a deterministic encoding (the
         // backing map iterates in arbitrary order).
         let mut entries: Vec<(&str, EntityType)> = self.gazetteer.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
-        codec::put_u32(&mut buf, entries.len() as u32);
+        codec::put_u32(buf, entries.len() as u32);
         for (surface, ty) in entries {
-            codec::put_str(&mut buf, surface);
-            codec::put_u8(&mut buf, entity_type_tag(ty));
+            codec::put_str(buf, surface);
+            codec::put_u8(buf, entity_type_tag(ty));
         }
 
-        codec::put_f64(&mut buf, self.disambiguator.context_weight());
-        codec::put_u32(&mut buf, self.disambiguator.len() as u32);
-        for i in 0..self.disambiguator.len() {
-            let rec = self.disambiguator.record(i);
-            codec::put_u32(&mut buf, rec.id);
-            codec::put_str(&mut buf, &rec.name);
-            codec::put_u32(&mut buf, rec.aliases.len() as u32);
-            for a in &rec.aliases {
-                codec::put_str(&mut buf, a);
+        codec::put_f64(buf, self.disambiguator.context_weight());
+        let terms = self.disambiguator.context_terms();
+        codec::put_u32(buf, terms.len() as u32);
+        for term in terms {
+            codec::put_str(buf, term);
+        }
+        codec::put_u32(buf, self.disambiguator.len() as u32);
+        let served = self.disambiguator.served();
+        for i in 0..served.len() {
+            codec::put_u32(buf, served.id(i));
+            codec::put_str(buf, served.name(i));
+            codec::put_u32(buf, served.aliases(i).len() as u32);
+            for a in served.aliases(i) {
+                codec::put_str(buf, a);
             }
-            put_bow(&mut buf, &rec.context);
-            codec::put_f64(&mut buf, rec.popularity);
+            let context = self.disambiguator.context_entries(i);
+            codec::put_u32(buf, context.len() as u32);
+            for &(term, count) in context {
+                codec::put_u32(buf, term);
+                codec::put_u32(buf, count);
+            }
+            codec::put_f64(buf, served.popularity(i));
         }
 
         let (min_support, min_precision) = self.mapper.thresholds();
-        codec::put_u64(&mut buf, min_support as u64);
-        codec::put_f64(&mut buf, min_precision);
+        codec::put_u64(buf, min_support as u64);
+        codec::put_f64(buf, min_precision);
         let rules = self.mapper.rules();
-        codec::put_u32(&mut buf, rules.len() as u32);
+        codec::put_u32(buf, rules.len() as u32);
         for (raw, rule) in rules {
-            codec::put_str(&mut buf, raw);
-            codec::put_str(&mut buf, &rule.ontology);
-            codec::put_u8(&mut buf, rule.inverted as u8);
-            codec::put_f64(&mut buf, rule.confidence);
-            codec::put_u8(&mut buf, rule.seed as u8);
+            codec::put_str(buf, raw);
+            codec::put_str(buf, &rule.ontology);
+            codec::put_u8(buf, rule.inverted as u8);
+            codec::put_f64(buf, rule.confidence);
+            codec::put_u8(buf, rule.seed as u8);
         }
 
         // Revision policy + lifetime counters. The policy must ride in
@@ -434,18 +504,17 @@ impl KnowledgeGraph {
         // `add_extracted_fact_with_args`, so tombstones and decays are
         // re-derived only if the restored graph revises the same way the
         // live one did.
-        codec::put_u8(&mut buf, self.revision.enabled as u8);
-        codec::put_f64(&mut buf, self.revision.reinforce_alpha as f64);
-        codec::put_f64(&mut buf, self.revision.decay_factor as f64);
-        codec::put_f64(&mut buf, self.revision.decay_floor as f64);
-        codec::put_u32(&mut buf, self.revision.functional.len() as u32);
+        codec::put_u8(buf, self.revision.enabled as u8);
+        codec::put_f64(buf, self.revision.reinforce_alpha as f64);
+        codec::put_f64(buf, self.revision.decay_factor as f64);
+        codec::put_f64(buf, self.revision.decay_floor as f64);
+        codec::put_u32(buf, self.revision.functional.len() as u32);
         for p in &self.revision.functional {
-            codec::put_str(&mut buf, p);
+            codec::put_str(buf, p);
         }
-        codec::put_u64(&mut buf, self.revision_counters.superseded);
-        codec::put_u64(&mut buf, self.revision_counters.decayed);
-        codec::put_u64(&mut buf, self.revision_counters.reinforced);
-        buf
+        codec::put_u64(buf, self.revision_counters.superseded);
+        codec::put_u64(buf, self.revision_counters.decayed);
+        codec::put_u64(buf, self.revision_counters.reinforced);
     }
 
     /// Restore a knowledge graph from [`KnowledgeGraph::encode_checkpoint`]
@@ -456,34 +525,54 @@ impl KnowledgeGraph {
         use nous_graph::codec::Reader;
         use nous_graph::snapshot::SnapshotError;
         let corrupt = |what: &'static str| move |_| SnapshotError::Corrupt(what);
-        if bytes.len() < 8 || &bytes[..8] != b"NOUSKG01" {
-            return Err(SnapshotError::Corrupt("bad checkpoint magic"));
-        }
+        let v1 = match bytes.get(..8) {
+            Some(magic) if magic == MAGIC_V1 => true,
+            Some(magic) if magic == MAGIC_V2 => false,
+            _ => return Err(SnapshotError::Corrupt("bad checkpoint magic")),
+        };
         let mut r = Reader::new(&bytes[8..]);
         let graph =
             nous_graph::snapshot::from_compact(r.bytes().map_err(corrupt("graph section"))?)?;
 
-        let n = r
-            .count(4, "entity text count")
-            .map_err(corrupt("entity text count"))?;
-        let mut entity_text = Vec::with_capacity(n);
-        for _ in 0..n {
-            entity_text.push(read_bow(&mut r).map_err(corrupt("entity text bag"))?);
-        }
-
-        let n = r
-            .count(12, "pending raw count")
-            .map_err(corrupt("pending raw count"))?;
-        let mut pending_raw = Vec::with_capacity(n);
-        for _ in 0..n {
-            let s = r.u32().map_err(corrupt("pending raw subject"))?;
-            let raw = r
-                .str()
-                .map_err(corrupt("pending raw predicate"))?
-                .to_owned();
-            let o = r.u32().map_err(corrupt("pending raw object"))?;
-            pending_raw.push((s, raw, o));
-        }
+        let expansion = if v1 {
+            // The per-vertex text section: the same bags the records
+            // below carry as their contexts, which are the ones kept.
+            let n = r
+                .count(4, "entity text count")
+                .map_err(corrupt("entity text count"))?;
+            for _ in 0..n {
+                read_bow(&mut r).map_err(corrupt("entity text bag"))?;
+            }
+            let n = r
+                .count(12, "pending raw count")
+                .map_err(corrupt("pending raw count"))?;
+            let mut expansion = MapperExpansion::default();
+            for _ in 0..n {
+                let s = r.u32().map_err(corrupt("pending raw subject"))?;
+                let raw = r.str().map_err(corrupt("pending raw predicate"))?;
+                let o = r.u32().map_err(corrupt("pending raw object"))?;
+                expansion.stash(s, raw, o);
+            }
+            expansion
+        } else {
+            let n = r
+                .count(4, "raw predicate count")
+                .map_err(corrupt("raw predicate count"))?;
+            let mut raws = Vec::with_capacity(n);
+            for _ in 0..n {
+                raws.push(r.str().map_err(corrupt("raw predicate"))?.to_owned());
+            }
+            let n = r
+                .count(16, "pending raw count")
+                .map_err(corrupt("pending raw count"))?;
+            let mut entries = Vec::with_capacity(n);
+            for _ in 0..n {
+                let mut field = || r.u32().map_err(corrupt("pending raw entry"));
+                entries.push((field()?, field()?, field()?, field()?));
+            }
+            MapperExpansion::restore(&raws, &entries)
+                .ok_or(SnapshotError::Corrupt("pending raw predicate id"))?
+        };
 
         let n = r
             .count(5, "gazetteer count")
@@ -498,6 +587,16 @@ impl KnowledgeGraph {
         }
 
         let weight = r.f64().map_err(corrupt("context weight"))?;
+        let mut terms = Vec::new();
+        if !v1 {
+            let n = r
+                .count(4, "context term count")
+                .map_err(corrupt("context term count"))?;
+            terms.reserve(n);
+            for _ in 0..n {
+                terms.push(r.str().map_err(corrupt("context term"))?.to_owned());
+            }
+        }
         let n = r
             .count(20, "disambiguator count")
             .map_err(corrupt("disambiguator count"))?;
@@ -510,17 +609,36 @@ impl KnowledgeGraph {
             for _ in 0..na {
                 aliases.push(r.str().map_err(corrupt("record alias"))?.to_owned());
             }
-            let context = read_bow(&mut r).map_err(corrupt("record context"))?;
+            let (mut context, mut entries) = (BagOfWords::new(), Vec::new());
+            if v1 {
+                context = read_bow(&mut r).map_err(corrupt("record context"))?;
+            } else {
+                let nc = r
+                    .count(8, "context length")
+                    .map_err(corrupt("context length"))?;
+                entries.reserve(nc);
+                for _ in 0..nc {
+                    let mut field = || r.u32().map_err(corrupt("context entry"));
+                    entries.push((field()?, field()?));
+                }
+            }
             let popularity = r.f64().map_err(corrupt("record popularity"))?;
-            records.push(EntityRecord {
+            let record = EntityRecord {
                 id,
                 name,
                 aliases,
                 context,
                 popularity,
-            });
+            };
+            records.push((record, entries));
         }
-        let disambiguator = Disambiguator::new(records).with_context_weight(weight);
+        let disambiguator = if v1 {
+            Disambiguator::new(records.into_iter().map(|(record, _)| record).collect())
+                .with_context_weight(weight)
+        } else {
+            Disambiguator::restore(weight, terms, records)
+                .ok_or(SnapshotError::Corrupt("record context entries"))?
+        };
 
         let min_support = r.u64().map_err(corrupt("mapper support"))? as usize;
         let min_precision = r.f64().map_err(corrupt("mapper precision"))?;
@@ -578,8 +696,8 @@ impl KnowledgeGraph {
             disambiguator,
             mapper,
             predictor: LinkPredictor::new(PredictorMode::PerPredicate, BprConfig::default()),
-            entity_text,
-            pending_raw,
+            expansion,
+            expansion_seen: DeltaWatermark::default(),
             revision,
             revision_counters,
         };
@@ -590,26 +708,24 @@ impl KnowledgeGraph {
     /// Entity summary for "tell me about X" queries (Figure 6): type,
     /// highest-confidence facts, most recent facts, top neighbours.
     pub fn entity_summary(&self, name: &str) -> Option<EntitySummary> {
-        entity_summary_view(&self.graph, &self.disambiguator, name)
+        entity_summary_view(&self.graph, self.disambiguator.served(), name)
     }
 }
 
 /// [`KnowledgeGraph::entity_summary`] against any [`GraphView`] — the form
 /// the lock-free query path calls with a [`nous_graph::FrozenView`] and
-/// the snapshot's cloned resolver. Byte-identical to the locked path: each
+/// the snapshot's published resolver. Byte-identical to the locked path: each
 /// direction's adjacency is normalised to edge-log order before the stable
 /// confidence sort, so tie order does not depend on the view's layout.
 pub fn entity_summary_view<G: GraphView>(
     g: &G,
-    disambiguator: &Disambiguator,
+    resolver: &AliasResolver,
     name: &str,
 ) -> Option<EntitySummary> {
-    let v = g.vertex_id(name).or_else(|| {
-        // Fall back to alias resolution with empty context.
-        disambiguator
-            .resolve(name, &BagOfWords::new(), nous_link::LinkMode::Full)
-            .map(|r| VertexId(r.id))
-    })?;
+    // Fall back to alias resolution (no mention context to weigh).
+    let v = g
+        .vertex_id(name)
+        .or_else(|| resolver.resolve(name).map(|r| VertexId(r.id)))?;
     let mut out_adj: Vec<Adj> = Vec::new();
     g.for_each_out(v, |a| out_adj.push(a));
     out_adj.sort_unstable_by_key(|a| a.edge.0);
@@ -854,10 +970,8 @@ mod tests {
         assert_eq!(back.disambiguator.len(), kg.disambiguator.len());
         assert_eq!(back.pending_raw_count(), 1);
         assert_eq!(back.mapper.rules().len(), kg.mapper.rules().len());
-        assert_eq!(
-            back.entity_text(s).iter().count(),
-            kg.entity_text(s).iter().count()
-        );
+        assert_eq!(back.entity_text(s), kg.entity_text(s));
+        assert!(!kg.entity_text(s).is_empty());
         // Predictor was retrained on the same edges: the same predicates
         // clear min-support, so the same models exist.
         kg.train_predictor();
@@ -872,6 +986,60 @@ mod tests {
         // The encoding is deterministic, so a second trip is
         // byte-identical — what makes checkpoint files comparable.
         assert_eq!(back.encode_checkpoint(), bytes);
+    }
+
+    /// `fixtures/nouskg01.bin` is what the last `NOUSKG01` writer produced
+    /// for exactly the history replayed here (two copies of the entity
+    /// text, raw predicates spelled out per stashed triple): it decodes to
+    /// the state this code builds, and re-encodes as `NOUSKG02`.
+    #[test]
+    fn nouskg01_checkpoints_still_decode() {
+        let mut kg = KnowledgeGraph::new();
+        let a = kg.create_entity("Acme Robotics", EntityType::Organization);
+        let b = kg.create_entity("Beta Labs", EntityType::Organization);
+        let c = kg.create_entity("Shenzhen", EntityType::Location);
+        kg.set_revision_policy(RevisionPolicy::enabled());
+        let args = [("in".to_owned(), "March".to_owned())];
+        kg.add_extracted_fact_with_args(a, "acquired", b, 5, 0.8, 1, &args);
+        kg.add_extracted_fact(a, "isLocatedIn", c, 6, 0.9, 2);
+        kg.add_extracted_fact(a, "isLocatedIn", b, 7, 0.9, 3);
+        kg.add_entity_text(
+            a,
+            &BagOfWords::from_text("autonomous drone delivery robotics"),
+        );
+        kg.add_entity_text(c, &BagOfWords::from_text("harbour city drone festival"));
+        kg.stash_raw_triple(a, "buy", b);
+        kg.stash_raw_triple(a, "buy", b);
+        kg.stash_raw_triple(b, "base_in", c);
+
+        let v1: &[u8] = include_bytes!("../fixtures/nouskg01.bin");
+        assert_eq!(&v1[..8], b"NOUSKG01");
+        let old = KnowledgeGraph::decode_checkpoint(v1).unwrap();
+        assert_eq!(old.graph.log_len(), kg.graph.log_len());
+        assert_eq!(old.graph.stats(), kg.graph.stats());
+        assert_eq!(old.pending_raw_triples(), kg.pending_raw_triples());
+        assert_eq!(old.mapper.rules(), kg.mapper.rules());
+        assert_eq!(old.revision_policy(), kg.revision_policy());
+        assert_eq!(old.revision_counters(), kg.revision_counters());
+        for v in kg.graph.iter_vertices() {
+            assert_eq!(old.entity_text(v), kg.entity_text(v));
+            assert!(!kg.entity_text(v).is_empty());
+        }
+        let ctx = BagOfWords::from_text("drone festival");
+        for name in ["Acme Robotics", "the Beta Labs'", "Shenzhen", "Nobody"] {
+            let resolve = |kg: &KnowledgeGraph| {
+                kg.disambiguator
+                    .resolve(name, &ctx, nous_link::LinkMode::Full)
+                    .map(|r| (r.id, r.score.to_bits()))
+            };
+            assert_eq!(resolve(&old), resolve(&kg), "{name}");
+        }
+        // Written back, it is the current layout — and stable from there.
+        let v2 = old.encode_checkpoint();
+        assert_eq!(&v2[..8], b"NOUSKG02");
+        assert!(v2.len() < v1.len(), "one context section, interned terms");
+        let again = KnowledgeGraph::decode_checkpoint(&v2).unwrap();
+        assert_eq!(again.encode_checkpoint(), v2);
     }
 
     #[test]

@@ -214,6 +214,7 @@ struct PipelineMetrics {
     revision_superseded: Counter,
     revision_decayed: Counter,
     revision_reinforced: Counter,
+    expansion_visited: Counter,
     workers_used: Gauge,
     stage_extract: Histogram,
     stage_map: Histogram,
@@ -297,6 +298,10 @@ impl PipelineMetrics {
             revision_reinforced: c(
                 "nous_revision_reinforced_total",
                 "Re-asserted facts folded into a single reinforced edge",
+            ),
+            expansion_visited: c(
+                "nous_mapper_expansion_visited_total",
+                "Edges, stashed raw triples and vote tallies mapper expansion looked at",
             ),
             workers_used: registry.gauge(
                 "nous_ingest_extract_workers_used",
@@ -819,7 +824,11 @@ impl IngestPipeline {
         if self.cfg.expand_mapper_every > 0
             && self.docs_since_expand >= self.cfg.expand_mapper_every
         {
+            let visited = kg.expansion_visited();
             kg.expand_mapper();
+            self.metrics
+                .expansion_visited
+                .add(kg.expansion_visited() - visited);
             self.docs_since_expand = 0;
         }
         if self.cfg.retrain_every > 0 && self.admitted_since_retrain >= self.cfg.retrain_every {

@@ -12,8 +12,10 @@
 //! the graph plus shared handles to the topic index and alias resolver,
 //! published after every mutation. Publication is **incremental**: each
 //! epoch freezes only the facts admitted since the previous one into a
-//! [`nous_graph::DeltaOverlay`] chained onto the published stack, so
-//! publish cost is O(delta), independent of graph size. A background
+//! [`nous_graph::DeltaOverlay`] chained onto the published stack, so the
+//! graph's share of publish cost is O(delta), independent of graph size;
+//! the alias resolver is copied whole (names, aliases, popularity — no
+//! context bags), O(entities) when it changed. A background
 //! compactor folds the overlay stack back into a single base
 //! [`nous_graph::FrozenView`] when it grows past the configured
 //! thresholds ([`CompactionConfig`]), and doubles as the durability
@@ -32,7 +34,7 @@ use nous_corpus::Article;
 use nous_extract::{extract_documents_quarantined, Document};
 use nous_fault::Faults;
 use nous_graph::LayeredSnapshot;
-use nous_link::Disambiguator;
+use nous_link::AliasResolver;
 use nous_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use nous_qa::TopicIndex;
 use parking_lot::{Mutex, RwLock};
@@ -51,11 +53,11 @@ pub struct FrozenSnapshot {
     /// Topic distributions at publish time (coherence scoring). Shared:
     /// epochs between LDA refreshes all point at the same index.
     pub topics: Arc<TopicIndex>,
-    /// Alias resolver at publish time (entity-name → vertex fallback).
-    /// Shared across epochs whose resolver state is identical.
-    pub disambiguator: Arc<Disambiguator>,
-    /// Resolver mutation counter backing the Arc-reuse check.
-    disambiguator_version: u64,
+    /// Alias resolver at publish time (entity-name → vertex fallback):
+    /// a copy of what serving reads of the linker — alias table, names,
+    /// popularity, no contexts. The same `Arc` across epochs whose
+    /// resolver state is identical.
+    pub disambiguator: Arc<AliasResolver>,
     /// Registry-clock time of publication, for the staleness gauge.
     pub published_at_nanos: u64,
     /// Composite per-shard view pinned at the same watermark as `view`,
@@ -115,6 +117,7 @@ struct SessionMetrics {
     snapshot_layers: Gauge,
     snapshot_delta_permille: Gauge,
     snapshot_full_rebuilds: Counter,
+    resolver_copied: Counter,
     compaction_seconds: Histogram,
     compactions: Counter,
     compactions_failed: Counter,
@@ -186,6 +189,11 @@ impl SessionMetrics {
             snapshot_full_rebuilds: registry.counter(
                 "nous_snapshot_full_rebuilds_total",
                 "Publishes that fell back to a full freeze (graph history rewritten)",
+            ),
+            resolver_copied: registry.counter(
+                "nous_resolver_copied_elements_total",
+                "Resolver records, alias-table keys and popularity values copied into \
+                 published snapshots",
             ),
             compaction_seconds: registry.latency_with(
                 "nous_compaction_seconds",
@@ -264,8 +272,7 @@ impl SharedSession {
             epoch: 0,
             view: LayeredSnapshot::freeze(&kg.graph),
             topics: topics.clone(),
-            disambiguator: Arc::new(kg.disambiguator.clone()),
-            disambiguator_version: kg.disambiguator.version(),
+            disambiguator: Arc::new(kg.disambiguator.served().clone()),
             published_at_nanos: metrics.registry.now_nanos(),
             sharded: None,
         };
@@ -354,13 +361,20 @@ impl SharedSession {
     /// callers that mutate through other channels. Returns the epoch now
     /// visible to readers.
     ///
-    /// Cost is O(facts since the previous epoch), not O(graph): the new
-    /// epoch freezes only the delta into an overlay chained onto the
-    /// published stack. A full rebuild happens only when the graph's
-    /// history was rewritten underneath the stack (structure-version
-    /// bump, e.g. an explicit log compaction) — counted on
-    /// `nous_snapshot_full_rebuilds_total`. When nothing changed at all
-    /// the current epoch is returned with no new snapshot installed.
+    /// Cost is O(facts since the previous epoch + entities), not O(graph).
+    /// The graph: the new epoch freezes only the delta into an overlay
+    /// chained onto the published stack; a full rebuild happens only when
+    /// the graph's history was rewritten underneath the stack
+    /// (structure-version bump, e.g. an explicit log compaction) — counted
+    /// on `nous_snapshot_full_rebuilds_total`. The resolver: when its
+    /// version moved (any admitted fact moves it) the epoch gets a deep
+    /// copy of [`nous_link::Disambiguator::served`] — every entity's name
+    /// and aliases, the alias table and the popularity values, counted on
+    /// `nous_resolver_copied_elements_total` — which is O(entities + alias
+    /// keys) but carries no context bag and no term; nothing of it is
+    /// shared with the live engine. Topics are one shared `Arc`. When
+    /// nothing changed at all the current epoch is returned with no new
+    /// snapshot installed.
     pub fn publish_snapshot(&self) -> u64 {
         let m = &self.metrics;
         let t0 = m.registry.now_nanos();
@@ -369,10 +383,10 @@ impl SharedSession {
         let mut slot = self.snapshot.lock();
         let prev = slot.clone();
         let wm = kg.graph.watermark();
-        let dv = kg.disambiguator.version();
+        let resolver = kg.disambiguator.served();
         let mut fabric = self.fabric.lock();
         if wm == prev.view.watermark()
-            && dv == prev.disambiguator_version
+            && resolver.version() == prev.disambiguator.version()
             && Arc::ptr_eq(&topics, &prev.topics)
             && prev.sharded.is_some() == fabric.is_some()
         {
@@ -409,10 +423,11 @@ impl SharedSession {
                 }
             }
         };
-        let disambiguator = if dv == prev.disambiguator_version {
+        let disambiguator = if resolver.version() == prev.disambiguator.version() {
             prev.disambiguator.clone()
         } else {
-            Arc::new(kg.disambiguator.clone())
+            m.resolver_copied.add(resolver.elements() as u64);
+            Arc::new(resolver.clone())
         };
         drop(kg);
         let epoch = prev.epoch + 1;
@@ -421,7 +436,6 @@ impl SharedSession {
             view,
             topics,
             disambiguator,
-            disambiguator_version: dv,
             published_at_nanos: m.registry.now_nanos(),
             sharded,
         });
@@ -527,15 +541,18 @@ impl SharedSession {
             view,
             topics: slot.topics.clone(),
             disambiguator: slot.disambiguator.clone(),
-            disambiguator_version: slot.disambiguator_version,
             published_at_nanos: m.registry.now_nanos(),
             // Same watermark as the fold (checked above), so the published
             // composite still describes exactly this graph state.
             sharded: slot.sharded.clone(),
         });
-        *slot = snap;
+        // The replaced stack may die here (no reader pinning it): free its
+        // base — O(graph) — only after the slot is unlocked, or the next
+        // publish waits on the lock for as long as that takes.
+        let replaced = std::mem::replace(&mut *slot, snap);
         drop(slot);
         drop(kg);
+        drop(replaced);
         m.snapshot_epoch.set(epoch as i64);
         m.snapshot_layers.set(1);
         m.snapshot_delta_permille.set(0);

@@ -54,7 +54,7 @@ impl LinkPredictor {
 
     /// Train from the current graph state: `(predicate name, subject id,
     /// object id)` triples over `n_entities` entities.
-    pub fn fit(&mut self, n_entities: usize, triples: &[(String, u32, u32)]) {
+    pub fn fit<S: AsRef<str>>(&mut self, n_entities: usize, triples: &[(S, u32, u32)]) {
         self.n_entities = n_entities;
         self.models.clear();
         self.global = None;
@@ -68,7 +68,7 @@ impl LinkPredictor {
             PredictorMode::PerPredicate => {
                 let mut by_pred: HashMap<&str, Vec<(u32, u32)>> = HashMap::new();
                 for (p, s, o) in triples {
-                    by_pred.entry(p.as_str()).or_default().push((*s, *o));
+                    by_pred.entry(p.as_ref()).or_default().push((*s, *o));
                 }
                 // Deterministic training order (HashMap iteration is not).
                 let mut preds: Vec<&str> = by_pred.keys().copied().collect();
@@ -194,7 +194,7 @@ mod tests {
         let mut lp = LinkPredictor::new(PredictorMode::PerPredicate, BprConfig::default());
         lp.fit(10, &corpus(10));
         assert!(lp.has_model("likes"));
-        lp.fit(10, &[]);
+        lp.fit::<&str>(10, &[]);
         assert!(!lp.has_model("likes"), "refit on empty data clears models");
     }
 

@@ -55,6 +55,35 @@ pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     buf.extend_from_slice(b);
 }
 
+/// What [`put_bytes`] writes for the bytes `fill` appends, written in
+/// place: the length prefix is patched once `fill` returns, so a nested
+/// section never exists as a buffer of its own.
+pub fn put_bytes_with(buf: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    let prefix = buf.len();
+    put_u32(buf, 0);
+    fill(buf);
+    let len = (buf.len() - prefix - 4) as u32;
+    buf[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// A checksummed section written in place: `magic`, `version`, the
+/// FNV-1a 64 of everything `fill` appends (patched once it returns), then
+/// those bytes.
+pub fn put_checksummed(
+    buf: &mut Vec<u8>,
+    magic: &[u8; 8],
+    version: u32,
+    fill: impl FnOnce(&mut Vec<u8>),
+) {
+    buf.extend_from_slice(magic);
+    put_u32(buf, version);
+    let sum = buf.len();
+    put_u64(buf, 0);
+    fill(buf);
+    let checksum = fnv1a64(&buf[sum + 8..]);
+    buf[sum..sum + 8].copy_from_slice(&checksum.to_le_bytes());
+}
+
 // ---- reader ---------------------------------------------------------------
 
 /// Decode failure: the buffer was truncated or structurally invalid.

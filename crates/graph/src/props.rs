@@ -127,6 +127,11 @@ impl PropMap {
         match self.entries.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
             Err(i) => {
+                // Maps are small and written once (an edge's `args`): grow
+                // by the entry, not by `Vec`'s four-slot first allocation —
+                // three unused 56-byte slots on every edge that has one
+                // property.
+                self.entries.reserve_exact(1);
                 self.entries.insert(i, (key.to_owned(), value));
                 None
             }

@@ -228,46 +228,48 @@ pub(crate) fn read_prop_map(r: &mut Reader<'_>) -> Result<PropMap, SnapshotError
 /// dense ids (creation order is preserved), identical `log_len`, and the
 /// same live/dead partition.
 pub fn to_compact(g: &DynamicGraph) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64 + g.log_len() * (Edge::HEAD_BYTES + 8));
-    codec::put_u32(&mut body, g.vertex_count() as u32);
-    for v in g.iter_vertices() {
-        codec::put_str(&mut body, g.vertex_name(v));
-        let data = g.vertex_data(v);
-        match &data.label {
-            Some(l) => {
-                codec::put_u8(&mut body, 1);
-                codec::put_str(&mut body, l);
-            }
-            None => codec::put_u8(&mut body, 0),
-        }
-        put_prop_map(&mut body, &data.props);
-    }
-    codec::put_u32(&mut body, g.predicate_count() as u32);
-    for (_, name) in g.iter_predicates() {
-        codec::put_str(&mut body, name);
-    }
-    codec::put_u32(&mut body, g.log_len() as u32);
-    for (idx, e) in g.edge_log().iter().enumerate() {
-        codec::put_u32(&mut body, e.src.0);
-        codec::put_u32(&mut body, e.pred.0);
-        codec::put_u32(&mut body, e.dst.0);
-        codec::put_u64(&mut body, e.at);
-        codec::put_f32(&mut body, e.confidence);
-        match &e.provenance {
-            Provenance::Curated => codec::put_u64(&mut body, u64::MAX),
-            Provenance::Extracted { doc_id } => codec::put_u64(&mut body, *doc_id),
-        }
-        let live = g.is_live(crate::ids::EdgeId(idx as u32));
-        codec::put_u8(&mut body, !live as u8);
-        put_prop_map(&mut body, &e.props);
-    }
-
-    let mut out = Vec::with_capacity(body.len() + 20);
-    out.extend_from_slice(COMPACT_MAGIC);
-    codec::put_u32(&mut out, COMPACT_VERSION);
-    codec::put_u64(&mut out, codec::fnv1a64(&body));
-    out.extend_from_slice(&body);
+    let mut out = Vec::with_capacity(84 + g.log_len() * (Edge::HEAD_BYTES + 8));
+    to_compact_into(g, &mut out);
     out
+}
+
+/// [`to_compact`] appended to `out` — a checkpoint nests the blob in a
+/// larger buffer without materialising it first.
+pub fn to_compact_into(g: &DynamicGraph, out: &mut Vec<u8>) {
+    codec::put_checksummed(out, COMPACT_MAGIC, COMPACT_VERSION, |body| {
+        codec::put_u32(body, g.vertex_count() as u32);
+        for v in g.iter_vertices() {
+            codec::put_str(body, g.vertex_name(v));
+            let data = g.vertex_data(v);
+            match &data.label {
+                Some(l) => {
+                    codec::put_u8(body, 1);
+                    codec::put_str(body, l);
+                }
+                None => codec::put_u8(body, 0),
+            }
+            put_prop_map(body, &data.props);
+        }
+        codec::put_u32(body, g.predicate_count() as u32);
+        for (_, name) in g.iter_predicates() {
+            codec::put_str(body, name);
+        }
+        codec::put_u32(body, g.log_len() as u32);
+        for (idx, e) in g.edge_log().iter().enumerate() {
+            codec::put_u32(body, e.src.0);
+            codec::put_u32(body, e.pred.0);
+            codec::put_u32(body, e.dst.0);
+            codec::put_u64(body, e.at);
+            codec::put_f32(body, e.confidence);
+            match &e.provenance {
+                Provenance::Curated => codec::put_u64(body, u64::MAX),
+                Provenance::Extracted { doc_id } => codec::put_u64(body, *doc_id),
+            }
+            let live = g.is_live(crate::ids::EdgeId(idx as u32));
+            codec::put_u8(body, !live as u8);
+            put_prop_map(body, &e.props);
+        }
+    });
 }
 
 /// Decode a [`to_compact`] blob, verifying magic, version and checksum.

@@ -18,10 +18,12 @@
 //!   and expand the set of training examples for each predicate in a
 //!   semi-supervised fashion" (after Freedman et al.'s Extreme Extraction).
 
+mod context;
 pub mod disambiguate;
+mod names;
 pub mod normalize;
 pub mod predicate_map;
 
-pub use disambiguate::{Disambiguator, EntityRecord, LinkMode, Resolution};
+pub use disambiguate::{AliasResolver, Disambiguator, EntityRecord, LinkMode, Resolution};
 pub use normalize::normalize_mention;
-pub use predicate_map::{MappingRule, PredicateMapper};
+pub use predicate_map::{MapperExpansion, MappingRule, PredicateMapper};

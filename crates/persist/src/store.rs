@@ -267,15 +267,15 @@ pub(crate) fn encode_checkpoint_file(
     kg: &KnowledgeGraph,
     report: &IngestReport,
 ) -> Vec<u8> {
-    let mut body = Vec::new();
-    codec::put_u64(&mut body, generation);
-    put_report(&mut body, report);
-    codec::put_bytes(&mut body, &kg.encode_checkpoint());
-    let mut file = Vec::with_capacity(20 + body.len());
-    file.extend_from_slice(CHECKPOINT_MAGIC);
-    codec::put_u32(&mut file, CHECKPOINT_VERSION);
-    codec::put_u64(&mut file, codec::fnv1a64(&body));
-    file.extend_from_slice(&body);
+    // One buffer for the whole file: the nested sections (state bytes,
+    // graph blob) are written in place and their length prefixes and
+    // checksums patched, never copied from buffers of their own.
+    let mut file = Vec::with_capacity(kg.checkpoint_size_hint());
+    codec::put_checksummed(&mut file, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |body| {
+        codec::put_u64(body, generation);
+        put_report(body, report);
+        codec::put_bytes_with(body, |state| kg.encode_checkpoint_into(state));
+    });
     file
 }
 

@@ -18,20 +18,16 @@ use crate::ast::{Endpoint, Query, QueryResponse, QueryResult};
 use nous_core::{entity_summary_view, KnowledgeGraph, SharedSession, TrendMonitor};
 use nous_fault::Deadline;
 use nous_graph::{GraphView, VertexId};
-use nous_link::Disambiguator;
+use nous_link::AliasResolver;
 use nous_obs::{ActiveSpan, MetricsRegistry, TraceContext};
 use nous_qa::{
     coherent_paths_deadline_instrumented, coherent_paths_deadline_with_stats, record_search,
     PathConstraint, QaConfig, TopicIndex,
 };
-use nous_text::bow::BagOfWords;
 
-fn resolve<G: GraphView>(g: &G, disamb: &Disambiguator, name: &str) -> Option<VertexId> {
-    g.vertex_id(name).or_else(|| {
-        disamb
-            .resolve(name, &BagOfWords::new(), nous_link::LinkMode::Full)
-            .map(|r| VertexId(r.id))
-    })
+fn resolve<G: GraphView>(g: &G, disamb: &AliasResolver, name: &str) -> Option<VertexId> {
+    g.vertex_id(name)
+        .or_else(|| disamb.resolve(name).map(|r| VertexId(r.id)))
 }
 
 fn endpoint_matches<G: GraphView>(g: &G, ep: &Endpoint, v: VertexId) -> bool {
@@ -76,7 +72,7 @@ pub fn execute(
     execute_view(
         query,
         &kg.graph,
-        &kg.disambiguator,
+        kg.disambiguator.served(),
         topics,
         Some(trends),
         None,
@@ -96,7 +92,7 @@ pub fn execute_instrumented(
     execute_view_instrumented(
         query,
         &kg.graph,
-        &kg.disambiguator,
+        kg.disambiguator.served(),
         topics,
         Some(trends),
         registry,
@@ -107,7 +103,7 @@ pub fn execute_instrumented(
 pub fn execute_view_instrumented<G: GraphView>(
     query: &Query,
     g: &G,
-    disamb: &Disambiguator,
+    disamb: &AliasResolver,
     topics: &TopicIndex,
     trends: Option<&mut TrendMonitor>,
     registry: &MetricsRegistry,
@@ -129,7 +125,7 @@ pub fn execute_view_instrumented<G: GraphView>(
 pub fn execute_view_instrumented_deadline<G: GraphView>(
     query: &Query,
     g: &G,
-    disamb: &Disambiguator,
+    disamb: &AliasResolver,
     topics: &TopicIndex,
     trends: Option<&mut TrendMonitor>,
     registry: &MetricsRegistry,
@@ -155,7 +151,7 @@ pub fn execute_view_instrumented_deadline<G: GraphView>(
 pub fn execute_view_instrumented_deadline_traced<G: GraphView>(
     query: &Query,
     g: &G,
-    disamb: &Disambiguator,
+    disamb: &AliasResolver,
     topics: &TopicIndex,
     trends: Option<&mut TrendMonitor>,
     registry: &MetricsRegistry,
@@ -326,7 +322,7 @@ pub fn execute_shared_locked(session: &SharedSession, query: &Query) -> QueryRes
 pub fn execute_view<G: GraphView>(
     query: &Query,
     g: &G,
-    disamb: &Disambiguator,
+    disamb: &AliasResolver,
     topics: &TopicIndex,
     trends: Option<&mut TrendMonitor>,
     registry: Option<&MetricsRegistry>,
@@ -361,7 +357,7 @@ pub fn execute_view<G: GraphView>(
 pub fn execute_view_deadline<G: GraphView>(
     query: &Query,
     g: &G,
-    disamb: &Disambiguator,
+    disamb: &AliasResolver,
     topics: &TopicIndex,
     trends: Option<&mut TrendMonitor>,
     registry: Option<&MetricsRegistry>,
@@ -384,7 +380,7 @@ pub fn execute_view_deadline<G: GraphView>(
 pub fn execute_view_deadline_traced<G: GraphView>(
     query: &Query,
     g: &G,
-    disamb: &Disambiguator,
+    disamb: &AliasResolver,
     topics: &TopicIndex,
     trends: Option<&mut TrendMonitor>,
     registry: Option<&MetricsRegistry>,
@@ -410,7 +406,7 @@ pub fn execute_view_deadline_traced<G: GraphView>(
 fn execute_view_inner<G: GraphView>(
     query: &Query,
     g: &G,
-    disamb: &Disambiguator,
+    disamb: &AliasResolver,
     topics: &TopicIndex,
     trends: Option<&mut TrendMonitor>,
     registry: Option<&MetricsRegistry>,
@@ -895,7 +891,7 @@ mod tests {
             let resp = execute_view_deadline(
                 &parsed,
                 &kg.graph,
-                &kg.disambiguator,
+                kg.disambiguator.served(),
                 &topics,
                 Some(&mut trends),
                 None,
@@ -921,7 +917,7 @@ mod tests {
             let resp = execute_view_instrumented_deadline(
                 &parsed,
                 &kg.graph,
-                &kg.disambiguator,
+                kg.disambiguator.served(),
                 &topics,
                 Some(&mut trends),
                 &registry,
@@ -953,7 +949,7 @@ mod tests {
             let resp = execute_view_deadline(
                 &parsed,
                 &kg.graph,
-                &kg.disambiguator,
+                kg.disambiguator.served(),
                 &topics,
                 None,
                 Some(&registry),
@@ -971,7 +967,7 @@ mod tests {
         let resp = execute_view_deadline(
             &parsed,
             &kg.graph,
-            &kg.disambiguator,
+            kg.disambiguator.served(),
             &topics,
             None,
             None,
@@ -1005,7 +1001,7 @@ mod tests {
         let resp = execute_view_deadline_traced(
             &parsed,
             &kg.graph,
-            &kg.disambiguator,
+            kg.disambiguator.served(),
             &topics,
             None,
             Some(&registry),

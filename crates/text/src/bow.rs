@@ -8,17 +8,40 @@
 
 use crate::lexicon;
 use crate::token::{tokenize, TokenKind};
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Sparse term-frequency vector over lower-cased content words.
 ///
 /// Backed by a `BTreeMap` so iteration order is deterministic (important
-/// for reproducible LDA initialisation and stable test output).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// for reproducible LDA initialisation and stable test output). The
+/// squared L2 norm is maintained on every [`BagOfWords::add`], so
+/// [`BagOfWords::cosine`] costs one pass over the smaller bag however
+/// large the other one has grown.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct BagOfWords {
     counts: BTreeMap<String, u32>,
     total: u32,
+    /// Σ count² over `counts`. Derived state: not serialized, rebuilt by
+    /// [`Deserialize`].
+    #[serde(skip)]
+    norm_sq: u64,
+}
+
+/// The serialized fields [`BagOfWords`] is rebuilt from.
+#[derive(Deserialize)]
+struct StoredCounts {
+    counts: BTreeMap<String, u32>,
+}
+
+impl Deserialize for BagOfWords {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let mut bow = BagOfWords::new();
+        for (term, n) in StoredCounts::from_content(c)?.counts {
+            bow.add(&term, n);
+        }
+        Ok(bow)
+    }
 }
 
 impl BagOfWords {
@@ -47,8 +70,22 @@ impl BagOfWords {
         bow
     }
 
+    /// Add `n` occurrences of `term`. Allocates only when the term is new
+    /// to the bag — merges into an entity's long-lived context mostly hit
+    /// terms it already holds.
     pub fn add(&mut self, term: &str, n: u32) {
-        *self.counts.entry(term.to_owned()).or_default() += n;
+        let (old, new) = match self.counts.get_mut(term) {
+            Some(count) => {
+                let old = *count;
+                *count += n;
+                (old, *count)
+            }
+            None => {
+                self.counts.insert(term.to_owned(), n);
+                (0, n)
+            }
+        };
+        self.norm_sq += u64::from(new).pow(2) - u64::from(old).pow(2);
         self.total += n;
     }
 
@@ -66,6 +103,11 @@ impl BagOfWords {
     /// Total token count (with multiplicity).
     pub fn total(&self) -> u32 {
         self.total
+    }
+
+    /// Squared L2 norm of the term-frequency vector, Σ count².
+    pub fn norm_sq(&self) -> u64 {
+        self.norm_sq
     }
 
     /// Number of distinct terms.
@@ -91,26 +133,20 @@ impl BagOfWords {
         } else {
             (other, self)
         };
-        let dot: f64 = small
+        // Integer arithmetic: the dot product and both squared norms are
+        // exact whatever order the terms are visited in, so the result is
+        // the same bits as summing the squares afresh (as long as the sums
+        // stay below 2^53, where f64 stops representing every integer).
+        let dot: u64 = small
             .iter()
-            .map(|(t, n)| n as f64 * large.count(t) as f64)
+            .map(|(t, n)| u64::from(n) * u64::from(large.count(t)))
             .sum();
-        if dot == 0.0 {
+        if dot == 0 {
             return 0.0;
         }
-        let na: f64 = self
-            .counts
-            .values()
-            .map(|&n| (n as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        let nb: f64 = other
-            .counts
-            .values()
-            .map(|&n| (n as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        dot / (na * nb)
+        let na = (self.norm_sq as f64).sqrt();
+        let nb = (other.norm_sq as f64).sqrt();
+        dot as f64 / (na * nb)
     }
 
     /// Jaccard similarity over distinct term sets, in `[0, 1]`.
@@ -168,6 +204,47 @@ mod tests {
         let c = BagOfWords::from_text("banana apple");
         assert_eq!(a.cosine(&c), 0.0);
         assert_eq!(a.cosine(&BagOfWords::new()), 0.0);
+    }
+
+    /// The reference the incremental norm replaced: both norms summed
+    /// afresh from the counts on every call.
+    fn cosine_from_scratch(a: &BagOfWords, b: &BagOfWords) -> f64 {
+        let dot: f64 = a.iter().map(|(t, n)| n as f64 * b.count(t) as f64).sum();
+        if dot == 0.0 {
+            return 0.0;
+        }
+        let norm = |x: &BagOfWords| {
+            x.iter()
+                .map(|(_, n)| (n as f64).powi(2))
+                .sum::<f64>()
+                .sqrt()
+        };
+        dot / (norm(a) * norm(b))
+    }
+
+    #[test]
+    fn incremental_norm_gives_the_same_bits_as_recomputing() {
+        let mut ctx = BagOfWords::new();
+        let doc = BagOfWords::from_text("drone camera flight battery drone pilot");
+        for round in 0..40u32 {
+            ctx.merge(&BagOfWords::from_text(
+                "drone flight regulator waiver airspace",
+            ));
+            ctx.add("camera", round);
+            assert_eq!(
+                doc.cosine(&ctx).to_bits(),
+                cosine_from_scratch(&doc, &ctx).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn deserialized_bag_equals_the_original() {
+        let mut a = BagOfWords::from_text("drone drone camera");
+        a.add("pilot", 0);
+        let back = BagOfWords::from_content(&a.to_content()).unwrap();
+        assert_eq!(back, a);
+        assert_eq!(back.cosine(&a).to_bits(), a.cosine(&a).to_bits());
     }
 
     #[test]

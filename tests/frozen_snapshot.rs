@@ -15,7 +15,7 @@
 use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig, SharedSession, TrendMonitor};
 use nous_corpus::{ArticleStream, CuratedKb, Preset, World};
 use nous_graph::{FrozenView, GraphView};
-use nous_link::Disambiguator;
+use nous_link::{AliasResolver, EntityRecord, LinkMode, Resolution};
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_qa::TopicIndex;
 use nous_query::{execute_view, parse, Query};
@@ -73,7 +73,7 @@ fn queries(world: &World) -> Vec<Query> {
 fn answers<G: GraphView>(
     queries: &[Query],
     view: &G,
-    disamb: &Disambiguator,
+    disamb: &AliasResolver,
     topics: &TopicIndex,
 ) -> Vec<String> {
     queries
@@ -98,14 +98,14 @@ fn concurrent_readers_see_reference_answers_at_every_epoch() {
         let snap = FrozenView::freeze(&ref_kg.graph);
         reference.insert(
             snap.source_log_len(),
-            answers(&qs, &snap, &ref_kg.disambiguator, &topics),
+            answers(&qs, &snap, ref_kg.disambiguator.served(), &topics),
         );
         for chunk in articles.chunks(BATCH) {
             pipe.ingest_batch(&mut ref_kg, chunk);
             let snap = FrozenView::freeze(&ref_kg.graph);
             reference.insert(
                 snap.source_log_len(),
-                answers(&qs, &snap, &ref_kg.disambiguator, &topics),
+                answers(&qs, &snap, ref_kg.disambiguator.served(), &topics),
             );
         }
     }
@@ -186,14 +186,14 @@ fn compaction_under_query_stress_preserves_reference_answers() {
         let snap = FrozenView::freeze(&ref_kg.graph);
         reference.insert(
             snap.source_log_len(),
-            answers(&qs, &snap, &ref_kg.disambiguator, &topics),
+            answers(&qs, &snap, ref_kg.disambiguator.served(), &topics),
         );
         for chunk in articles.chunks(BATCH) {
             pipe.ingest_batch(&mut ref_kg, chunk);
             let snap = FrozenView::freeze(&ref_kg.graph);
             reference.insert(
                 snap.source_log_len(),
-                answers(&qs, &snap, &ref_kg.disambiguator, &topics),
+                answers(&qs, &snap, ref_kg.disambiguator.served(), &topics),
             );
         }
     }
@@ -304,4 +304,124 @@ fn pinned_snapshot_survives_later_ingestion_unchanged() {
     let current = session.frozen();
     assert!(current.epoch > pinned.epoch);
     assert!(GraphView::live_edge_count(&current.view) > edges_before);
+}
+
+/// One resolution, down to the bits of its scores.
+type Resolved = Option<(u32, String, u64, u64, usize)>;
+
+fn resolved(r: Option<Resolution>) -> Resolved {
+    r.map(|r| {
+        (
+            r.id,
+            r.name,
+            r.score.to_bits(),
+            r.margin.to_bits(),
+            r.candidates,
+        )
+    })
+}
+
+/// Every alias and canonical name `resolver` knows, resolved through
+/// `resolve`.
+fn resolve_everything(
+    resolver: &AliasResolver,
+    resolve: impl Fn(&str) -> Option<Resolution>,
+) -> Vec<Resolved> {
+    (0..resolver.len())
+        .flat_map(|i| {
+            let surfaces = resolver.aliases(i).iter().map(String::as_str);
+            surfaces.chain([resolver.name(i)])
+        })
+        .map(|surface| resolved(resolve(surface)))
+        .collect()
+}
+
+/// The published resolver is the live one minus the contexts: after every
+/// step of a history that mints entities (through the pipeline, through
+/// `create_entity`, and under an alias three of them share), merges
+/// context, bumps popularity and compacts, every alias and every name
+/// resolves through `session.frozen()` exactly as through the live
+/// `kg.disambiguator` with an empty context — and every snapshot held
+/// since keeps answering from its own epoch, whatever the writer has
+/// changed in the meantime.
+#[test]
+fn served_resolver_matches_live_at_every_epoch_and_held_epochs_never_move() {
+    use nous_text::bow::BagOfWords;
+    use nous_text::ner::EntityType;
+
+    for shards in [1, 4] {
+        let (_, kg, articles) = world_kg();
+        let session = SharedSession::new(kg, TopicIndex::new(2), trend_monitor());
+        session.enable_sharding(shards);
+        session.set_compaction_config(nous_core::CompactionConfig {
+            max_layers: 3,
+            background: false,
+            ..Default::default()
+        });
+        let mut pipe = pipeline();
+        let mut held = Vec::new();
+        let mut versions = std::collections::BTreeSet::new();
+        for (step, chunk) in articles.chunks(BATCH).enumerate() {
+            session.ingest_batch(&mut pipe, chunk);
+            if step % 4 == 0 {
+                // Mints, a popularity bump and a context merge outside the
+                // pipeline, plus a record under an alias that grows more
+                // ambiguous each time: popularity decides it.
+                session.write(|kg| {
+                    let a =
+                        kg.create_entity(&format!("Minted {step} Corp"), EntityType::Organization);
+                    let b =
+                        kg.create_entity(&format!("Minted {step} Labs"), EntityType::Organization);
+                    for _ in 0..=step % 3 {
+                        kg.add_extracted_fact(a, "partneredWith", b, step as u64, 0.9, step as u64);
+                    }
+                    kg.add_entity_text(a, &BagOfWords::from_text("autonomous drone delivery"));
+                    kg.disambiguator.insert(EntityRecord {
+                        id: a.0,
+                        name: format!("Minted {step} Holdings"),
+                        aliases: vec!["Minted".into(), format!("Minted {step} Holdings")],
+                        context: BagOfWords::new(),
+                        popularity: (step % 5) as f64,
+                    });
+                });
+            }
+            if step % 6 == 5 {
+                assert!(session.compact_now());
+            }
+
+            let snap = session.frozen();
+            let live = session.read(|kg, _| {
+                assert_eq!(snap.disambiguator.len(), kg.disambiguator.len());
+                resolve_everything(kg.disambiguator.served(), |surface| {
+                    kg.disambiguator
+                        .resolve(surface, &BagOfWords::new(), LinkMode::Full)
+                })
+            });
+            let served = resolve_everything(&snap.disambiguator, |s| snap.disambiguator.resolve(s));
+            assert_eq!(
+                served, live,
+                "shards {shards} step {step} epoch {}",
+                snap.epoch
+            );
+            versions.insert(snap.disambiguator.version());
+            held.push((snap, served));
+        }
+        assert!(versions.len() > held.len() / 2, "the resolver kept moving");
+        let shared = resolved(held.last().unwrap().0.disambiguator.resolve("Minted"));
+        assert!(shared.unwrap().4 > 3, "the shared alias grew ambiguous");
+
+        for (snap, at_its_epoch) in &held {
+            let now = resolve_everything(&snap.disambiguator, |s| snap.disambiguator.resolve(s));
+            assert_eq!(
+                &now, at_its_epoch,
+                "shards {shards} epoch {} moved",
+                snap.epoch
+            );
+        }
+        let copied = session
+            .metrics()
+            .counter_value("nous_resolver_copied_elements_total", &[])
+            .unwrap();
+        assert!(copied > 0, "every moved resolver version was copied out");
+    }
 }

@@ -101,6 +101,10 @@ fn exposition_covers_every_instrumented_subsystem() {
         "nous_qa_path_seconds",
         "nous_miner_window_advance_seconds",
         "nous_session_lock_hold_seconds",
+        // The two work counters of the ingest path: what publication
+        // copied of the resolver, what mapper expansion looked at.
+        "nous_resolver_copied_elements_total",
+        "nous_mapper_expansion_visited_total",
     ] {
         assert!(prom.contains(series), "missing {series} in exposition");
         assert!(snap.contains(series), "missing {series} in snapshot");
