@@ -17,7 +17,7 @@ use nous_link::{AliasResolver, Disambiguator, EntityRecord, MapperExpansion, Pre
 use nous_qa::TopicIndex;
 use nous_text::bow::BagOfWords;
 use nous_text::ner::{EntityType, Gazetteer};
-use nous_topics::{LdaConfig, LdaModel};
+use nous_topics::{fit_doc_topics, LdaConfig};
 
 /// The NOUS knowledge graph with all per-entity side state.
 ///
@@ -369,19 +369,45 @@ impl KnowledgeGraph {
     }
 
     /// Train LDA over per-entity text and build the QA topic index (§3.6).
+    ///
+    /// The documents come straight off the disambiguator's context store:
+    /// each entity's `(term id, count)` entries, put in the lexicographic
+    /// term order an [`BagOfWords`] iterates and renumbered by first
+    /// appearance, which is the token order and vocabulary
+    /// [`nous_topics::LdaModel::fit`] would see for the spelled-out bags. The sampler
+    /// draws the same numbers, so the distributions are bit-identical,
+    /// and no term string is copied.
     pub fn build_topic_index(&self, cfg: &LdaConfig) -> TopicIndex {
-        let docs: Vec<BagOfWords> = self
+        let terms = self.disambiguator.context_terms();
+        let mut dense = vec![u32::MAX; terms.len()];
+        let mut vocab = 0u32;
+        let docs: Vec<Vec<(u32, u32)>> = self
             .graph
             .iter_vertices()
-            .map(|v| self.entity_text(v))
+            .map(|v| {
+                let mut doc = self
+                    .disambiguator
+                    .context_entries_of(v.0)
+                    .unwrap_or_default()
+                    .to_vec();
+                doc.sort_unstable_by(|a, b| terms[a.0 as usize].cmp(&terms[b.0 as usize]));
+                for (term, _) in &mut doc {
+                    let id = &mut dense[*term as usize];
+                    if *id == u32::MAX {
+                        *id = vocab;
+                        vocab += 1;
+                    }
+                    *term = *id;
+                }
+                doc
+            })
             .collect();
-        let model = LdaModel::fit(&docs, cfg);
+        let dists = fit_doc_topics(&docs, vocab as usize, cfg);
         let mut idx = TopicIndex::new(cfg.topics);
-        for (i, doc) in docs.iter().enumerate() {
-            if doc.is_empty() {
-                continue;
+        for (i, (doc, dist)) in docs.iter().zip(dists).enumerate() {
+            if !doc.is_empty() {
+                idx.set(VertexId(i as u32), dist);
             }
-            idx.set(VertexId(i as u32), model.doc_distribution(i).to_vec());
         }
         idx
     }
@@ -929,6 +955,35 @@ mod tests {
         assert!(idx.is_assigned(v), "companies have descriptions, so topics");
         let d = idx.get(v);
         assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn topic_index_bits_are_pinned() {
+        // The sampler's RNG draws and every count decide the served WHY
+        // scores, so a change to how `build_topic_index` feeds or stores
+        // the Gibbs state must leave each distribution bit-identical.
+        let (world, _, mut kg) = smoke_kg();
+        for i in 0..6 {
+            let s = kg
+                .graph
+                .vertex_id(&world.entities[world.companies[i]].name)
+                .unwrap();
+            let o = kg
+                .graph
+                .vertex_id(&world.entities[world.companies[i + 1]].name)
+                .unwrap();
+            kg.add_extracted_fact(s, "partneredWith", o, 10, 0.9, i as u64);
+        }
+        let idx = kg.build_topic_index(&LdaConfig::default());
+        let mut bits = Vec::new();
+        for v in kg.graph.iter_vertices() {
+            bits.push(u8::from(idx.is_assigned(v)));
+            for x in idx.get(v) {
+                bits.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+        // Recorded from the string-keyed `Vec<Vec<usize>>` sampler.
+        assert_eq!(nous_graph::codec::fnv1a64(&bits), 0x909f_9cbd_4361_a4c9);
     }
 
     #[test]

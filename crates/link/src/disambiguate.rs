@@ -315,6 +315,13 @@ impl Disambiguator {
         self.contexts.entries(idx)
     }
 
+    /// Entity `id`'s context (its first record's) as `(term id, count)`,
+    /// ascending by id, if registered: [`Disambiguator::context_of`]
+    /// without spelling the terms out.
+    pub fn context_entries_of(&self, id: u32) -> Option<&[(u32, u32)]> {
+        self.id_index.get(&id).map(|&idx| self.context_entries(idx))
+    }
+
     /// Fold additional context into an entity's bag (dynamic updates as
     /// the KG gains neighbours) and bump its popularity. O(1) in the
     /// number of records — this runs four times per admitted fact.

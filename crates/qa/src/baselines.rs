@@ -5,17 +5,23 @@
 //! candidate set:
 //!
 //! - [`shortest_paths`] — hop count, ties broken lexicographically (what a
-//!   plain BFS gives you: blind between same-length explanations).
+//!   plain BFS gives you: blind between same-length explanations). It also
+//!   serves `PATHS`, so it searches by length and stops at `k` instead of
+//!   enumerating every candidate.
 //! - [`degree_salience_paths`] — prefer paths through high-degree
 //!   ("salient") intermediates, the centrality heuristic used by
 //!   relatedness-explanation systems; systematically drawn to hubs.
 //! - [`random_walk_paths`] — PRA-style: rank by random-walk probability,
 //!   the product of `1/degree` along the path.
 
-use crate::path::{enumerate_paths_deadline_with_stats, PathConstraint, RankedPath, SearchStats};
+use crate::path::{
+    append_neighbor_steps, enumerate_paths_deadline_with_stats, Hop, PathConstraint, RankedPath,
+    SearchStats, DEADLINE_POLL,
+};
 use crate::QaConfig;
 use nous_fault::Deadline;
-use nous_graph::{GraphView, VertexId};
+use nous_graph::{FxHashMap, GraphView, VertexId};
+use std::ops::Range;
 
 fn candidates<G: GraphView>(
     g: &G,
@@ -40,7 +46,9 @@ fn candidates<G: GraphView>(
     )
 }
 
-/// Rank by length ascending; ties lexicographic on vertex ids.
+/// Rank by length ascending; ties by vertex sequence, then by edge-id
+/// sequence *descending* — the order an exhaustive DFS emitting
+/// higher-numbered parallel edges first gives, stated as a key.
 pub fn shortest_paths<G: GraphView>(
     g: &G,
     src: VertexId,
@@ -64,8 +72,19 @@ pub fn shortest_paths_with_stats<G: GraphView>(
 }
 
 /// [`shortest_paths_with_stats`] under a wall-clock [`Deadline`]: on
-/// expiry the enumeration stops and the paths found so far are ranked
-/// normally, with `stats.truncated` set.
+/// expiry the search stops and the paths found so far — a prefix of the
+/// complete ranking — are returned with `stats.truncated` set.
+///
+/// The search works up by length: the direct edges, then the 2-hop paths
+/// through the common neighbours of `src` and `dst`, then longer levels
+/// only while fewer than `cfg.k` paths are found. Within a level it walks
+/// distinct neighbours in ascending id order and expands parallel edges
+/// only when emitting, so paths come out in ranked order and the search
+/// stops at the `k`-th. Each vertex's adjacency is fetched once per search
+/// and counts as one expansion against `cfg.budget` (the source's is
+/// free); past the budget the search stops, again with a ranked prefix.
+/// Whenever the exhaustive enumeration would finish within the budget,
+/// the result equals its top `k` under the same key.
 pub fn shortest_paths_deadline_with_stats<G: GraphView>(
     g: &G,
     src: VertexId,
@@ -74,18 +93,200 @@ pub fn shortest_paths_deadline_with_stats<G: GraphView>(
     cfg: &QaConfig,
     deadline: &Deadline,
 ) -> (Vec<RankedPath>, SearchStats) {
-    let mut stats = SearchStats::default();
-    let mut paths = candidates(g, src, dst, constraint, cfg, deadline, &mut stats);
-    for p in &mut paths {
-        p.score = p.len() as f64;
+    let mut search = ByLength {
+        g,
+        src,
+        dst,
+        constraint,
+        k: cfg.k,
+        budget: cfg.budget,
+        deadline,
+        steps: Vec::new(),
+        fetched: FxHashMap::default(),
+        stats: SearchStats::default(),
+        path: Vec::new(),
+        groups: Vec::new(),
+        odometer: Vec::new(),
+        frontier: 0,
+        stopped: false,
+        out: Vec::new(),
+    };
+    search.run(cfg.max_hops);
+    search.stats.paths_emitted = search.out.len();
+    (search.out, search.stats)
+}
+
+/// State of one length-ordered `PATHS` search.
+struct ByLength<'a, G> {
+    g: &'a G,
+    src: VertexId,
+    dst: VertexId,
+    constraint: &'a PathConstraint,
+    k: usize,
+    budget: usize,
+    deadline: &'a Deadline,
+    /// Every fetched vertex's undirected steps, each run sorted by
+    /// (neighbour, edge id) as [`append_neighbor_steps`] leaves them.
+    steps: Vec<(VertexId, Hop)>,
+    /// Where each fetched vertex's run sits in `steps`.
+    fetched: FxHashMap<VertexId, Range<usize>>,
+    stats: SearchStats,
+    /// Vertices of the path being extended, `src` first.
+    path: Vec<VertexId>,
+    /// For each hop of `path`, its parallel edges: a range of `steps`.
+    groups: Vec<Range<usize>>,
+    /// Per-hop cursor into `groups` while emitting.
+    odometer: Vec<usize>,
+    /// Steps held by the adjacency runs open along `path`.
+    frontier: usize,
+    /// Budget spent or deadline expired.
+    stopped: bool,
+    out: Vec<RankedPath>,
+}
+
+impl<G: GraphView> ByLength<'_, G> {
+    fn done(&self) -> bool {
+        self.stopped || self.out.len() >= self.k
     }
-    paths.sort_by(|a, b| {
-        a.len()
-            .cmp(&b.len())
-            .then_with(|| a.vertices.cmp(&b.vertices))
-    });
-    paths.truncate(cfg.k);
-    (paths, stats)
+
+    fn run(&mut self, max_hops: usize) {
+        if self.src == self.dst || max_hops == 0 || self.k == 0 {
+            return;
+        }
+        let Some(from_src) = self.adjacency(self.src) else {
+            return;
+        };
+        // Length 1: the direct edges, read off the source's own run.
+        let direct = self.group(&from_src, self.dst);
+        self.path.push(self.src);
+        self.emit(direct, false);
+        for len in 2..=max_hops {
+            if self.done() {
+                break;
+            }
+            // The last hop of every longer path is read off the target's
+            // run, so the vertex before it needs no fetch of its own.
+            let Some(into_dst) = self.adjacency(self.dst) else {
+                break;
+            };
+            self.extend(len, &into_dst);
+        }
+    }
+
+    /// `v`'s steps, fetched on first use. Every fetch but the source's is
+    /// an expansion: checked against the budget, polled for the deadline.
+    fn adjacency(&mut self, v: VertexId) -> Option<Range<usize>> {
+        if let Some(run) = self.fetched.get(&v) {
+            return Some(run.clone());
+        }
+        if v != self.src {
+            let spent = self.stats.nodes_expanded;
+            if spent >= self.budget {
+                self.stopped = true;
+                return None;
+            }
+            if spent.is_multiple_of(DEADLINE_POLL) && self.deadline.expired() {
+                self.stats.truncated = true;
+                self.stopped = true;
+                return None;
+            }
+            self.stats.nodes_expanded += 1;
+        }
+        let start = self.steps.len();
+        append_neighbor_steps(self.g, v, &mut self.steps);
+        let run = start..self.steps.len();
+        self.fetched.insert(v, run.clone());
+        Some(run)
+    }
+
+    /// The steps of `run` that lead to `n` (its parallel edges to `n`).
+    fn group(&self, run: &Range<usize>, n: VertexId) -> Range<usize> {
+        let steps = &self.steps[run.clone()];
+        let lo = steps.partition_point(|s| s.0 < n);
+        let hi = lo + steps[lo..].partition_point(|s| s.0 == n);
+        run.start + lo..run.start + hi
+    }
+
+    /// Extend `path` to paths of exactly `len` hops ending at `dst`,
+    /// through distinct neighbours in ascending id order.
+    fn extend(&mut self, len: usize, into_dst: &Range<usize>) {
+        let v = *self.path.last().expect("path starts at the source");
+        let Some(run) = self.adjacency(v) else {
+            return;
+        };
+        self.frontier += run.len();
+        self.stats.max_frontier = self.stats.max_frontier.max(self.frontier);
+        let mut at = run.start;
+        while at < run.end && !self.done() {
+            let n = self.steps[at].0;
+            let hops = self.group(&(at..run.end), n);
+            at = hops.end;
+            if n == self.dst || self.path.contains(&n) {
+                continue; // simple paths; the target only at the end
+            }
+            self.path.push(n);
+            self.groups.push(hops);
+            if self.path.len() == len {
+                // `n` is the last interior vertex: it must neighbour `dst`.
+                let last = self.group(into_dst, n);
+                self.emit(last, true);
+            } else {
+                self.extend(len, into_dst);
+            }
+            self.groups.pop();
+            self.path.pop();
+        }
+        self.frontier -= run.len();
+    }
+
+    /// Emit the paths along `path` then one of the `last` edges into
+    /// `dst` (read from `dst`'s side when `flip`), in descending edge-id
+    /// order, until `k` are found.
+    fn emit(&mut self, last: Range<usize>, flip: bool) {
+        if last.is_empty() {
+            return;
+        }
+        self.groups.push(last);
+        self.odometer.clear();
+        self.odometer.extend(self.groups.iter().map(|g| g.end - 1));
+        let hop = |this: &Self, i: usize| {
+            let h = this.steps[this.odometer[i]].1;
+            let flip = flip && i + 1 == this.groups.len();
+            Hop {
+                forward: h.forward != flip,
+                ..h
+            }
+        };
+        while !self.done() {
+            let admissible = match self.constraint.require_predicate {
+                Some(p) => (0..self.groups.len()).any(|i| hop(self, i).pred == p),
+                None => true,
+            };
+            if admissible {
+                let mut vertices = Vec::with_capacity(self.path.len() + 1);
+                vertices.extend_from_slice(&self.path);
+                vertices.push(self.dst);
+                let hops: Vec<Hop> = (0..self.groups.len()).map(|i| hop(self, i)).collect();
+                self.out.push(RankedPath {
+                    score: hops.len() as f64,
+                    vertices,
+                    hops,
+                });
+            }
+            // Next edge tuple, last hop fastest.
+            let Some(i) = (0..self.groups.len())
+                .rev()
+                .find(|&i| self.odometer[i] > self.groups[i].start)
+            else {
+                break;
+            };
+            self.odometer[i] -= 1;
+            for j in i + 1..self.groups.len() {
+                self.odometer[j] = self.groups[j].end - 1;
+            }
+        }
+        self.groups.pop();
+    }
 }
 
 /// Rank by mean degree of intermediate vertices, descending (salience).

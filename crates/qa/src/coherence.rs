@@ -7,15 +7,31 @@
 //! vertices' topic distributions — and "the path with least amount of
 //! divergence is chosen" (paths are returned ascending by divergence).
 //!
-//! For `max_hops ≥ 2` the search is **bidirectional**: two budgeted,
-//! beam-pruned sweeps collect simple half-paths of up to `⌈H/2⌉` hops from
-//! the source and `⌊H/2⌋` hops from the target, then meet in the middle —
-//! every full path of length `L` decomposes uniquely into a forward half
-//! of `⌈L/2⌉` hops and a backward half of `⌊L/2⌋` hops, so each candidate
-//! is assembled exactly once. Against a hub of degree `d` this explores
-//! `O(d^{H/2})` vertices per side instead of `O(d^H)`. The unidirectional
-//! DFS remains available as [`coherent_paths_dfs_with_stats`] and is used
-//! automatically when `max_hops < 2`.
+//! The search is **bidirectional**: two budgeted, beam-pruned sweeps
+//! collect simple half-paths of up to `⌈H/2⌉` hops from the source and
+//! `⌊H/2⌋` hops from the target, then meet in the middle — every full path
+//! of length `L` decomposes uniquely into a forward half of `⌈L/2⌉` hops
+//! and a backward half of `⌊L/2⌋` hops, so each candidate is assembled
+//! exactly once. Against a hub of degree `d` this explores `O(d^{H/2})`
+//! vertices per side instead of `O(d^H)`. The unidirectional DFS remains
+//! available as [`coherent_paths_dfs_with_stats`], the beam-ablation
+//! reference.
+//!
+//! What a search costs follows the distinct vertices it touches, not the
+//! parallel edges or candidates between them:
+//!
+//! - every divergence is memoised per unordered vertex pair for the
+//!   search (JS is symmetric to the bit), so a look-ahead key, a sweep's
+//!   repeat visit and a scoring hop between the same two vertices cost one
+//!   evaluation;
+//! - the look-ahead keeps its `beam` steps by selection, not by sorting
+//!   every step, and checks each neighbour's cheap lower bound on its
+//!   divergence first, so a neighbour that cannot enter the beam is never
+//!   evaluated;
+//! - each sweep stores its halves as a parent-pointer tree — one node per
+//!   half, however long — and a candidate is a pair of node indices, read
+//!   off the two trees only for scoring and, for the top `k` alone,
+//!   materialised as a [`RankedPath`].
 //!
 //! All entry points are generic over [`GraphView`], so the same search
 //! runs against the live locked graph and against a lock-free
@@ -25,12 +41,15 @@ use crate::path::{
     enumerate_paths_deadline_with_stats, neighbor_steps_into, Hop, PathConstraint, RankedPath,
     SearchStats, DEADLINE_POLL,
 };
-use crate::topic_index::{TopicIndex, TopicRows};
+use crate::topic_index::TopicIndex;
 use nous_fault::Deadline;
 use nous_graph::{FxHashMap, GraphView, VertexId};
 use nous_obs::MetricsRegistry;
 use nous_topics::js_divergence;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Search parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -70,49 +89,156 @@ pub fn path_coherence(topics: &TopicIndex, path: &[VertexId]) -> f64 {
     total / (path.len() - 1) as f64
 }
 
-/// [`path_coherence`] over a borrowed row cache — the form every scoring
-/// pass inside the search uses.
-fn coherence_over(rows: &TopicRows, path: &[VertexId]) -> f64 {
-    if path.len() < 2 {
-        return 0.0;
-    }
-    let total: f64 = path
-        .windows(2)
-        .map(|w| js_divergence(rows.get(w[0]), rows.get(w[1])))
-        .sum();
-    total / (path.len() - 1) as f64
+/// One search's divergences, memoised per unordered vertex pair.
+struct Divergences<'a> {
+    topics: &'a TopicIndex,
+    memo: FxHashMap<u64, f64>,
+    /// Divergences actually computed (memo misses).
+    computed: usize,
 }
 
-/// Score every candidate, then rank ascending by (divergence, length,
-/// vertex sequence, edge sequence) and keep the top `k`. The edge-id
-/// tiebreak makes the order total even between parallel-edge paths, so
-/// the result is identical on every [`GraphView`] implementation.
-fn rank(
-    rows: &TopicRows,
-    mut paths: Vec<RankedPath>,
-    k: usize,
-    stats: &mut SearchStats,
-) -> Vec<RankedPath> {
-    for p in &mut paths {
-        p.score = coherence_over(rows, &p.vertices);
-        // Scoring evaluates one divergence per consecutive vertex pair.
-        stats.coherence_evals += p.len();
+impl<'a> Divergences<'a> {
+    fn new(topics: &'a TopicIndex) -> Self {
+        Self {
+            topics,
+            memo: FxHashMap::default(),
+            computed: 0,
+        }
     }
-    paths.sort_by(|a, b| {
-        a.score
-            .partial_cmp(&b.score)
-            .expect("finite scores")
-            .then_with(|| a.len().cmp(&b.len()))
-            .then_with(|| a.vertices.cmp(&b.vertices))
-            .then_with(|| {
-                a.hops
-                    .iter()
-                    .map(|h| h.edge.0)
-                    .cmp(b.hops.iter().map(|h| h.edge.0))
+
+    fn between(&mut self, a: VertexId, b: VertexId) -> f64 {
+        let (lo, hi) = if a.0 <= b.0 { (a, b) } else { (b, a) };
+        let topics = self.topics;
+        let computed = &mut self.computed;
+        *self
+            .memo
+            .entry(u64::from(lo.0) << 32 | u64::from(hi.0))
+            .or_insert_with(|| {
+                *computed += 1;
+                js_divergence(topics.get(a), topics.get(b))
             })
-    });
-    paths.truncate(k);
-    paths
+    }
+
+    /// [`path_coherence`], bit for bit, through the memo.
+    fn coherence(&mut self, path: &[VertexId]) -> f64 {
+        if path.len() < 2 {
+            return 0.0;
+        }
+        let total: f64 = path.windows(2).map(|w| self.between(w[0], w[1])).sum();
+        total / (path.len() - 1) as f64
+    }
+}
+
+/// The look-ahead: keeps the `beam` steps least divergent from a guide
+/// vertex, in the frame order the DFS pops them — least divergent last,
+/// so explored first.
+struct Lookahead {
+    beam: usize,
+    /// Per distinct neighbour: a lower bound on its divergence to the
+    /// guide, and its run of parallel steps.
+    bounded: Vec<(f64, Range<usize>)>,
+    /// The best `beam` steps seen so far, worst on top.
+    best: BinaryHeap<Keyed>,
+    kept: Vec<(VertexId, Hop)>,
+}
+
+/// A step's look-ahead key, ordered by (divergence ascending, position
+/// descending): the order in which a stable sort descending by divergence
+/// leaves steps *last*, i.e. popped first.
+#[derive(Clone, Copy, PartialEq)]
+struct Keyed(f64, usize);
+
+impl Eq for Keyed {}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0
+            .partial_cmp(&other.0)
+            .expect("divergence is finite")
+            .then(other.1.cmp(&self.1))
+    }
+}
+
+/// Pinsker's inequality bounds each half of the Jensen–Shannon sum,
+/// `KL(p ‖ m) ≥ ½‖p − m‖₁² = ⅛‖p − q‖₁²`, so `JS(p, q) ≥ ⅛‖p − q‖₁²` —
+/// six subtractions instead of twelve logarithms. The slack covers what
+/// [`TopicIndex::set`] lets through unnormalised (non-negative rows
+/// summing to within 1e-6 of one, ≤ 5e-6 of the bound) and rounding.
+fn divergence_floor(p: &[f64], q: &[f64]) -> f64 {
+    let l1: f64 = p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum();
+    l1 * l1 / 8.0 - 1e-5
+}
+
+impl Lookahead {
+    fn new(beam: usize) -> Self {
+        Self {
+            beam,
+            bounded: Vec::new(),
+            best: BinaryHeap::new(),
+            kept: Vec::new(),
+        }
+    }
+
+    /// Prune `steps` (sorted by neighbour, as [`neighbor_steps_into`]
+    /// leaves them) in place. The kept steps and their order are those of
+    /// a stable sort descending by divergence cut to its last `beam`: the
+    /// `beam` smallest [`Keyed`], reversed.
+    ///
+    /// Parallel steps share their neighbour's divergence. The `beam`
+    /// neighbours with the lowest [`divergence_floor`] (selected, not
+    /// sorted) are evaluated first and fill the beam, since each has at
+    /// least one step; after that a neighbour is evaluated only if its
+    /// floor does not exceed the beam's worst divergence, so one that
+    /// cannot enter the beam never costs a divergence.
+    fn prune(&mut self, steps: &mut Vec<(VertexId, Hop)>, guide: VertexId, div: &mut Divergences) {
+        if self.beam == usize::MAX || steps.len() <= self.beam {
+            return;
+        }
+        let target = div.topics.get(guide);
+        self.bounded.clear();
+        let mut at = 0;
+        while at < steps.len() {
+            let n = steps[at].0;
+            let end = at + steps[at..].partition_point(|s| s.0 == n);
+            self.bounded
+                .push((divergence_floor(div.topics.get(n), target), at..end));
+            at = end;
+        }
+        if self.bounded.len() > self.beam {
+            self.bounded.select_nth_unstable_by(self.beam - 1, |a, b| {
+                a.0.partial_cmp(&b.0).expect("divergence is finite")
+            });
+        }
+        self.best.clear();
+        for (i, (floor, run)) in self.bounded.iter().enumerate() {
+            if i >= self.beam && self.best.peek().is_some_and(|worst| *floor > worst.0) {
+                continue;
+            }
+            let key = div.between(steps[run.start].0, guide);
+            for i in run.clone() {
+                let step = Keyed(key, i);
+                if self.best.len() < self.beam {
+                    self.best.push(step);
+                } else if let Some(mut worst) = self.best.peek_mut() {
+                    if step < *worst {
+                        *worst = step;
+                    }
+                }
+            }
+        }
+        self.kept.clear();
+        let mut best = std::mem::take(&mut self.best).into_sorted_vec();
+        self.kept.extend(best.iter().rev().map(|k| steps[k.1]));
+        best.clear();
+        self.best = BinaryHeap::from(best);
+        std::mem::swap(steps, &mut self.kept);
+    }
 }
 
 /// Top-K coherent paths from `src` to `dst` (ascending divergence).
@@ -128,12 +254,7 @@ pub fn coherent_paths<G: GraphView>(
 }
 
 /// [`coherent_paths`] plus search-effort accounting: nodes expanded, peak
-/// frontier, paths found before truncation, and divergence evaluations
-/// (look-ahead comparisons + final scoring).
-///
-/// Dispatches to the bidirectional meet-in-the-middle search; paths of
-/// fewer than 2 hops cannot be split, so `max_hops < 2` falls back to the
-/// unidirectional DFS.
+/// frontier, candidate paths found, and divergences computed.
 pub fn coherent_paths_with_stats<G: GraphView>(
     g: &G,
     topics: &TopicIndex,
@@ -152,6 +273,9 @@ pub fn coherent_paths_with_stats<G: GraphView>(
 /// whatever was found so far — a *valid but possibly incomplete* top-K,
 /// flagged via `stats.truncated`. An unbounded deadline is behaviourally
 /// identical to the plain search (same paths, same accounting).
+///
+/// For `max_hops < 2` the backward sweep is empty and the forward sweep's
+/// direct hops are the whole answer — what the unidirectional DFS finds.
 pub fn coherent_paths_deadline_with_stats<G: GraphView>(
     g: &G,
     topics: &TopicIndex,
@@ -161,110 +285,40 @@ pub fn coherent_paths_deadline_with_stats<G: GraphView>(
     cfg: &QaConfig,
     deadline: &Deadline,
 ) -> (Vec<RankedPath>, SearchStats) {
-    if cfg.max_hops < 2 {
-        return coherent_paths_dfs_deadline_with_stats(
-            g, topics, src, dst, constraint, cfg, deadline,
-        );
-    }
-    let rows = topics.rows(g.vertex_count());
     let mut stats = SearchStats::default();
-    let mut paths = Vec::new();
-    if src != dst {
-        let f_max = cfg.max_hops.div_ceil(2);
-        let b_max = cfg.max_hops / 2;
-        let mut expansions = 0usize;
-        let mut lookahead_evals = 0usize;
-        let fwd = collect_halves(
-            g,
-            src,
-            HalfRule::Forward { dst },
-            f_max,
-            cfg,
-            rows.get(dst),
-            &rows,
-            deadline,
-            &mut expansions,
-            &mut stats,
-            &mut lookahead_evals,
-        );
-        // The trivial 0-hop half at `dst` joins a ⌈L/2⌉ = L forward half,
-        // i.e. the direct src→dst edges.
-        let mut bwd = vec![Half {
-            vertices: vec![dst],
-            hops: Vec::new(),
-        }];
-        bwd.extend(collect_halves(
-            g,
-            dst,
-            HalfRule::Backward { src },
-            b_max,
-            cfg,
-            rows.get(src),
-            &rows,
-            deadline,
-            &mut expansions,
-            &mut stats,
-            &mut lookahead_evals,
-        ));
-        stats.nodes_expanded += expansions;
-        stats.coherence_evals += lookahead_evals;
-
-        // Meet in the middle: join a forward half of i hops ending at
-        // `meet` with every backward half of i or i-1 hops ending there.
-        // L = i + j with i = ⌈L/2⌉ forces j ∈ {i, i-1}, and the split of
-        // any given path is unique, so no candidate is assembled twice.
-        let mut by_meet: FxHashMap<VertexId, Vec<usize>> = FxHashMap::default();
-        for (idx, h) in bwd.iter().enumerate() {
-            by_meet
-                .entry(*h.vertices.last().expect("halves are non-empty"))
-                .or_default()
-                .push(idx);
-        }
-        for f in &fwd {
-            let i = f.hops.len();
-            let meet = *f.vertices.last().expect("halves are non-empty");
-            let Some(list) = by_meet.get(&meet) else {
-                continue;
-            };
-            for &bi in list {
-                let b = &bwd[bi];
-                let j = b.hops.len();
-                if j != i && j + 1 != i {
-                    continue;
-                }
-                // Simple paths only: halves may share nothing but `meet`
-                // (b.vertices runs dst..meet; drop the meet itself).
-                if b.vertices[..j].iter().any(|v| f.vertices.contains(v)) {
-                    continue;
-                }
-                let mut vertices = f.vertices.clone();
-                vertices.extend(b.vertices[..j].iter().rev());
-                let mut hops = f.hops.clone();
-                // Backward hops were traversed dst→meet; in path direction
-                // they run meet→dst, so reverse and flip the orientation.
-                hops.extend(b.hops.iter().rev().map(|h| Hop {
-                    pred: h.pred,
-                    edge: h.edge,
-                    forward: !h.forward,
-                }));
-                if constraint.satisfied_by(&hops) {
-                    paths.push(RankedPath {
-                        vertices,
-                        hops,
-                        score: 0.0,
-                    });
-                }
-            }
-        }
-        stats.paths_emitted += paths.len();
+    if src == dst {
+        return (Vec::new(), stats);
     }
-    let paths = rank(&rows, paths, cfg.k, &mut stats);
+    let mut div = Divergences::new(topics);
+    let mut look = Lookahead::new(cfg.beam);
+    let mut sweep = Sweep {
+        g,
+        cfg,
+        deadline,
+        expansions: 0,
+        div: &mut div,
+        look: &mut look,
+        stats: &mut stats,
+    };
+    let fwd = sweep.collect(
+        src,
+        HalfRule::Forward { dst },
+        cfg.max_hops.div_ceil(2),
+        dst,
+    );
+    let bwd = sweep.collect(dst, HalfRule::Backward { src }, cfg.max_hops / 2, src);
+    stats.nodes_expanded += sweep.expansions;
+    let joined = Joined { fwd, bwd };
+    let candidates = joined.candidates(constraint, &mut div);
+    stats.paths_emitted += candidates.len();
+    let paths = joined.top_k(candidates, cfg.k);
+    stats.coherence_evals += div.computed;
     (paths, stats)
 }
 
 /// The unidirectional look-ahead DFS (the pre-bidirectional algorithm):
-/// the `max_hops < 2` fallback, and the beam-ablation reference — it
-/// charges exactly one look-ahead evaluation per candidate neighbour.
+/// the beam-ablation reference, with the same memoised look-ahead and the
+/// same ranking as the bidirectional search.
 pub fn coherent_paths_dfs_with_stats<G: GraphView>(
     g: &G,
     topics: &TopicIndex,
@@ -276,8 +330,7 @@ pub fn coherent_paths_dfs_with_stats<G: GraphView>(
     coherent_paths_dfs_deadline_with_stats(g, topics, src, dst, constraint, cfg, &Deadline::none())
 }
 
-/// [`coherent_paths_dfs_with_stats`] under a wall-clock [`Deadline`]
-/// (the `max_hops < 2` serving path of the deadline-aware search).
+/// [`coherent_paths_dfs_with_stats`] under a wall-clock [`Deadline`].
 pub fn coherent_paths_dfs_deadline_with_stats<G: GraphView>(
     g: &G,
     topics: &TopicIndex,
@@ -287,54 +340,46 @@ pub fn coherent_paths_dfs_deadline_with_stats<G: GraphView>(
     cfg: &QaConfig,
     deadline: &Deadline,
 ) -> (Vec<RankedPath>, SearchStats) {
-    let rows = topics.rows(g.vertex_count());
-    let target_dist = rows.get(dst).to_vec();
+    let mut div = Divergences::new(topics);
+    let mut look = Lookahead::new(cfg.beam);
     let mut stats = SearchStats::default();
-    // The expander closure cannot borrow `stats` mutably alongside the
-    // enumeration's own use, so look-ahead evaluations accumulate locally
-    // and merge after the walk.
-    let mut lookahead_evals = 0usize;
-    let paths = enumerate_paths_deadline_with_stats(
+    let mut paths = enumerate_paths_deadline_with_stats(
         g,
         src,
         dst,
         cfg.max_hops,
         cfg.budget,
         constraint,
-        |_, steps| {
-            if cfg.beam == usize::MAX || steps.len() <= cfg.beam {
-                return steps;
-            }
-            // Look-ahead: keep the `beam` neighbours with least divergence
-            // to the target. The DFS pops from the back, so sort
-            // descending — the least divergent neighbour is explored first.
-            // The divergence key is computed once per step (not once per
-            // comparison), so the accounting below is exact: one
-            // evaluation per candidate neighbour.
-            lookahead_evals += steps.len();
-            let mut keyed: Vec<(f64, (VertexId, Hop))> = steps
-                .into_iter()
-                .map(|s| (js_divergence(rows.get(s.0), &target_dist), s))
-                .collect();
-            keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("divergence is finite"));
-            let cut = keyed.len() - cfg.beam;
-            keyed.split_off(cut).into_iter().map(|(_, s)| s).collect()
+        |_, mut steps| {
+            look.prune(&mut steps, dst, &mut div);
+            steps
         },
         deadline,
         &mut stats,
     );
-    stats.coherence_evals += lookahead_evals;
-    let paths = rank(&rows, paths, cfg.k, &mut stats);
+    for p in &mut paths {
+        p.score = div.coherence(&p.vertices);
+    }
+    paths.sort_by(|a, b| {
+        a.score
+            .partial_cmp(&b.score)
+            .expect("finite scores")
+            .then_with(|| a.len().cmp(&b.len()))
+            .then_with(|| a.vertices.cmp(&b.vertices))
+            .then_with(|| {
+                a.hops
+                    .iter()
+                    .map(|h| h.edge.0)
+                    .cmp(b.hops.iter().map(|h| h.edge.0))
+            })
+    });
+    paths.truncate(cfg.k);
+    stats.coherence_evals += div.computed;
     (paths, stats)
 }
 
-/// One simple half-path rooted at a sweep origin.
-struct Half {
-    vertices: Vec<VertexId>,
-    hops: Vec<Hop>,
-}
-
 /// Endpoint handling for one sweep of the bidirectional search.
+#[derive(Clone, Copy)]
 enum HalfRule {
     /// Sweep from the source. A step onto `dst` is recorded only as the
     /// depth-1 direct hop (longer src→dst paths are assembled from a
@@ -345,100 +390,284 @@ enum HalfRule {
     Backward { src: VertexId },
 }
 
-/// Collect every simple half-path of 1..=`depth_max` hops from `root`,
-/// beam-pruned by topic divergence to `guide` (the far endpoint's row)
-/// exactly like the unidirectional look-ahead. `expansions` is the budget
-/// counter shared between the two sweeps.
-#[allow(clippy::too_many_arguments)] // one shared accounting bundle across both sweeps
-fn collect_halves<G: GraphView>(
-    g: &G,
+/// Stands for a sweep's root in [`HalfNode::parent`], and for the 0-hop
+/// half at the target in a [`Candidate`].
+const ROOT: u32 = u32::MAX;
+
+/// One half-path: the chain from this node up to the sweep's root.
+#[derive(Clone, Copy)]
+struct HalfNode {
+    /// The half this one extends by `hop`, or [`ROOT`].
+    parent: u32,
+    /// The vertex `hop` reaches, farthest from the root.
+    vertex: VertexId,
+    /// Oriented as traversed from the root outwards.
+    hop: Hop,
+    depth: u32,
+}
+
+/// Every half one sweep collected, as a parent-pointer tree.
+struct Halves {
     root: VertexId,
-    rule: HalfRule,
-    depth_max: usize,
-    cfg: &QaConfig,
-    guide: &[f64],
-    rows: &TopicRows,
-    deadline: &Deadline,
-    expansions: &mut usize,
-    stats: &mut SearchStats,
-    lookahead_evals: &mut usize,
-) -> Vec<Half> {
-    let mut out = Vec::new();
-    if depth_max == 0 {
-        return out;
-    }
-    let mut prune = |steps: Vec<(VertexId, Hop)>| -> Vec<(VertexId, Hop)> {
-        if cfg.beam == usize::MAX || steps.len() <= cfg.beam {
-            return steps;
+    nodes: Vec<HalfNode>,
+}
+
+impl Halves {
+    fn vertex(&self, h: u32) -> VertexId {
+        if h == ROOT {
+            self.root
+        } else {
+            self.nodes[h as usize].vertex
         }
-        *lookahead_evals += steps.len();
-        let mut keyed: Vec<(f64, (VertexId, Hop))> = steps
-            .into_iter()
-            .map(|s| (js_divergence(rows.get(s.0), guide), s))
-            .collect();
-        keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("divergence is finite"));
-        let cut = keyed.len() - cfg.beam;
-        keyed.split_off(cut).into_iter().map(|(_, s)| s).collect()
-    };
-    let mut vstack = vec![root];
-    let mut hstack: Vec<Hop> = Vec::new();
-    let mut free: Vec<Vec<(VertexId, Hop)>> = Vec::new();
-    let mut buf = Vec::new();
-    neighbor_steps_into(g, root, &mut buf);
-    let first = prune(buf);
-    let mut frontier = first.len();
-    stats.max_frontier = stats.max_frontier.max(frontier);
-    let mut frames = vec![first];
-    while let Some(frame) = frames.last_mut() {
-        let Some((next, hop)) = frame.pop() else {
-            free.push(frames.pop().expect("frame stack is non-empty"));
-            vstack.pop();
-            hstack.pop();
-            continue;
+    }
+
+    fn depth(&self, h: u32) -> u32 {
+        if h == ROOT {
+            0
+        } else {
+            self.nodes[h as usize].depth
+        }
+    }
+
+    /// The nodes from `h` up to, not including, the root.
+    fn up(&self, h: u32) -> impl Iterator<Item = &HalfNode> + '_ {
+        let node = |i: u32| (i != ROOT).then(|| &self.nodes[i as usize]);
+        std::iter::successors(node(h), move |n| node(n.parent))
+    }
+
+    /// The node `depth` hops from the root on `h`'s chain (`depth ≥ 1`).
+    fn at_depth(&self, h: u32, depth: u32) -> &HalfNode {
+        let up = (self.depth(h) - depth) as usize;
+        self.up(h).nth(up).expect("depth within the half")
+    }
+}
+
+/// One sweep's borrowed search state; `expansions` is the budget counter
+/// the two sweeps share.
+struct Sweep<'s, 'a, G> {
+    g: &'s G,
+    cfg: &'s QaConfig,
+    deadline: &'s Deadline,
+    expansions: usize,
+    div: &'s mut Divergences<'a>,
+    look: &'s mut Lookahead,
+    stats: &'s mut SearchStats,
+}
+
+impl<G: GraphView> Sweep<'_, '_, G> {
+    /// Collect every simple half-path of 1..=`depth_max` hops from `root`,
+    /// beam-pruned by topic divergence to `guide` (the far endpoint)
+    /// exactly like the unidirectional look-ahead.
+    fn collect(
+        &mut self,
+        root: VertexId,
+        rule: HalfRule,
+        depth_max: usize,
+        guide: VertexId,
+    ) -> Halves {
+        let mut halves = Halves {
+            root,
+            nodes: Vec::new(),
         };
-        frontier -= 1;
-        match rule {
-            HalfRule::Forward { dst } if next == dst => {
-                if hstack.is_empty() {
-                    out.push(Half {
-                        vertices: vec![root, dst],
-                        hops: vec![hop],
-                    });
+        if depth_max == 0 {
+            return halves;
+        }
+        // The open chain: its vertices (root first) and, past the root,
+        // its nodes.
+        let mut vstack = vec![root];
+        let mut open: Vec<u32> = Vec::new();
+        let mut free: Vec<Vec<(VertexId, Hop)>> = Vec::new();
+        let mut first = Vec::new();
+        neighbor_steps_into(self.g, root, &mut first);
+        self.look.prune(&mut first, guide, self.div);
+        let mut frontier = first.len();
+        self.stats.max_frontier = self.stats.max_frontier.max(frontier);
+        let mut frames = vec![first];
+        while let Some(frame) = frames.last_mut() {
+            let Some((next, hop)) = frame.pop() else {
+                free.push(frames.pop().expect("frame stack is non-empty"));
+                vstack.pop();
+                open.pop();
+                continue;
+            };
+            frontier -= 1;
+            match rule {
+                HalfRule::Forward { dst } if next == dst => {
+                    if open.is_empty() {
+                        halves.nodes.push(HalfNode {
+                            parent: ROOT,
+                            vertex: dst,
+                            hop,
+                            depth: 1,
+                        });
+                    }
+                    continue;
                 }
+                HalfRule::Backward { src } if next == src => continue,
+                _ => {}
+            }
+            if vstack.contains(&next) {
+                continue; // simple halves only
+            }
+            let node = u32::try_from(halves.nodes.len()).expect("half count fits in u32");
+            halves.nodes.push(HalfNode {
+                parent: open.last().copied().unwrap_or(ROOT),
+                vertex: next,
+                hop,
+                depth: vstack.len() as u32,
+            });
+            if vstack.len() >= depth_max || self.expansions >= self.cfg.budget {
                 continue;
             }
-            HalfRule::Backward { src } if next == src => continue,
-            _ => {}
+            if self.expansions.is_multiple_of(DEADLINE_POLL) && self.deadline.expired() {
+                // Best-so-far: the halves collected up to here still join
+                // into valid (possibly incomplete) candidate paths.
+                self.stats.truncated = true;
+                break;
+            }
+            self.expansions += 1;
+            vstack.push(next);
+            open.push(node);
+            let mut buf = free.pop().unwrap_or_default();
+            neighbor_steps_into(self.g, next, &mut buf);
+            self.look.prune(&mut buf, guide, self.div);
+            frontier += buf.len();
+            self.stats.max_frontier = self.stats.max_frontier.max(frontier);
+            frames.push(buf);
         }
-        if vstack.contains(&next) {
-            continue; // simple halves only
-        }
-        let mut vertices = vstack.clone();
-        vertices.push(next);
-        let mut hops = hstack.clone();
-        hops.push(hop);
-        let depth = hops.len();
-        out.push(Half { vertices, hops });
-        if depth >= depth_max || *expansions >= cfg.budget {
-            continue;
-        }
-        if expansions.is_multiple_of(DEADLINE_POLL) && deadline.expired() {
-            // Best-so-far: the halves collected up to here still join
-            // into valid (possibly incomplete) candidate paths.
-            stats.truncated = true;
-            break;
-        }
-        *expansions += 1;
-        vstack.push(next);
-        hstack.push(hop);
-        let mut buf = free.pop().unwrap_or_default();
-        neighbor_steps_into(g, next, &mut buf);
-        let steps = prune(buf);
-        frontier += steps.len();
-        stats.max_frontier = stats.max_frontier.max(frontier);
-        frames.push(steps);
+        halves
     }
-    out
+}
+
+/// A joined, scored candidate: forward half `f` then backward half `b`
+/// ([`ROOT`] for the 0-hop half at the target) — two indices, not a path.
+struct Candidate {
+    score: f64,
+    len: u32,
+    f: u32,
+    b: u32,
+}
+
+/// Both sweeps' halves: what a [`Candidate`]'s path is read off.
+struct Joined {
+    fwd: Halves,
+    bwd: Halves,
+}
+
+impl Joined {
+    /// Meet in the middle: join each forward half of `i` hops ending at
+    /// `meet` with every backward half of `i` or `i - 1` hops ending
+    /// there. `L = i + j` with `i = ⌈L/2⌉` forces `j ∈ {i, i - 1}`, and
+    /// the split of any given path is unique, so no candidate is
+    /// assembled twice. Each candidate is scored as it is found.
+    fn candidates(&self, constraint: &PathConstraint, div: &mut Divergences) -> Vec<Candidate> {
+        let mut by_meet: Vec<(VertexId, u32)> = (0..self.bwd.nodes.len() as u32)
+            .map(|b| (self.bwd.vertex(b), b))
+            .chain(std::iter::once((self.bwd.root, ROOT)))
+            .collect();
+        by_meet.sort_unstable_by_key(|&(meet, _)| meet);
+        let mut out = Vec::new();
+        let mut path = Vec::new();
+        for f in 0..self.fwd.nodes.len() as u32 {
+            let (i, meet) = (self.fwd.depth(f), self.fwd.vertex(f));
+            let at = by_meet.partition_point(|&(v, _)| v < meet);
+            // The forward half's vertices, source first.
+            path.clear();
+            path.extend(self.fwd.up(f).map(|n| n.vertex));
+            path.push(self.fwd.root);
+            path.reverse();
+            for &(_, b) in by_meet[at..].iter().take_while(|&&(v, _)| v == meet) {
+                let j = self.bwd.depth(b);
+                if j != i && j + 1 != i {
+                    continue;
+                }
+                // Simple paths only: past `meet` the backward half must
+                // avoid every forward vertex.
+                if self
+                    .bwd
+                    .up(b)
+                    .any(|n| path.contains(&self.bwd.vertex(n.parent)))
+                {
+                    continue;
+                }
+                if let Some(p) = constraint.require_predicate {
+                    if !self
+                        .fwd
+                        .up(f)
+                        .chain(self.bwd.up(b))
+                        .any(|n| n.hop.pred == p)
+                    {
+                        continue;
+                    }
+                }
+                path.extend(self.bwd.up(b).map(|n| self.bwd.vertex(n.parent)));
+                let score = div.coherence(&path);
+                path.truncate(i as usize + 1);
+                out.push(Candidate {
+                    score,
+                    len: i + j,
+                    f,
+                    b,
+                });
+            }
+        }
+        out
+    }
+
+    /// `c`'s vertices, source first.
+    fn vertices<'s>(&'s self, c: &Candidate) -> impl Iterator<Item = VertexId> + 's {
+        let (f, b) = (c.f, c.b);
+        let forward = (0..=self.fwd.depth(f)).map(move |d| match d {
+            0 => self.fwd.root,
+            d => self.fwd.at_depth(f, d).vertex,
+        });
+        forward.chain(self.bwd.up(b).map(|n| self.bwd.vertex(n.parent)))
+    }
+
+    /// `c`'s hops in path order. Backward hops were traversed dst→meet;
+    /// in path direction they run meet→dst, so their orientation flips.
+    fn hops<'s>(&'s self, c: &Candidate) -> impl Iterator<Item = Hop> + 's {
+        let f = c.f;
+        let forward = (1..=self.fwd.depth(f)).map(move |d| self.fwd.at_depth(f, d).hop);
+        forward.chain(self.bwd.up(c.b).map(|n| Hop {
+            forward: !n.hop.forward,
+            ..n.hop
+        }))
+    }
+
+    /// Ascending by (divergence, length, vertex sequence, edge sequence).
+    /// The edge-id tiebreak makes the order total even between
+    /// parallel-edge paths, so the result is identical on every
+    /// [`GraphView`] implementation.
+    fn order(&self, a: &Candidate, b: &Candidate) -> Ordering {
+        a.score
+            .partial_cmp(&b.score)
+            .expect("finite scores")
+            .then_with(|| a.len.cmp(&b.len))
+            .then_with(|| self.vertices(a).cmp(self.vertices(b)))
+            .then_with(|| {
+                self.hops(a)
+                    .map(|h| h.edge.0)
+                    .cmp(self.hops(b).map(|h| h.edge.0))
+            })
+    }
+
+    /// The first `k` candidates in [`Joined::order`], materialised.
+    fn top_k(&self, mut candidates: Vec<Candidate>, k: usize) -> Vec<RankedPath> {
+        if k > 0 && candidates.len() > k {
+            candidates.select_nth_unstable_by(k - 1, |a, b| self.order(a, b));
+        }
+        candidates.truncate(k);
+        candidates.sort_unstable_by(|a, b| self.order(a, b));
+        candidates
+            .iter()
+            .map(|c| RankedPath {
+                vertices: self.vertices(c).collect(),
+                hops: self.hops(c).collect(),
+                score: c.score,
+            })
+            .collect()
+    }
 }
 
 /// [`coherent_paths_with_stats`] with the accounting recorded into
@@ -658,58 +887,72 @@ mod tests {
     fn lookahead_evaluates_divergence_once_per_candidate() {
         // Star: a → m0..m4 → d. With beam 2 each sweep of the
         // bidirectional search over-expands exactly once (5 candidates at
-        // `a`, 5 at `d`), so the look-ahead must charge exactly 10
-        // divergence evaluations — one per candidate per frontier, not
-        // one per comparison as a naive sort-by-recomputed-key would.
-        let mut g = DynamicGraph::new();
-        let a = g.ensure_vertex("a");
-        let d = g.ensure_vertex("d");
-        let p = g.intern_predicate("rel");
-        let mut t = TopicIndex::new(2);
-        t.set(a, vec![0.5, 0.5]);
-        t.set(d, vec![0.9, 0.1]);
-        for i in 0..5 {
-            let m = g.ensure_vertex(&format!("m{i}"));
-            g.add_edge_at(a, p, m, 0, 1.0, Provenance::Curated);
-            g.add_edge_at(m, p, d, 0, 1.0, Provenance::Curated);
-            // m0/m1 near the target's topic, the rest far away.
-            t.set(
-                m,
-                if i < 2 {
-                    vec![0.85, 0.15]
-                } else {
-                    vec![0.1, 0.9]
-                },
-            );
-        }
+        // `a`, 5 at `d`). The look-ahead computes a divergence at most
+        // once per distinct candidate per frontier — never once per
+        // comparison, as a naive sort-by-recomputed-key would — and not at
+        // all for a candidate whose Pinsker floor already exceeds the
+        // beam's worst.
+        let star = |far: [f64; 2]| {
+            let mut g = DynamicGraph::new();
+            let a = g.ensure_vertex("a");
+            let d = g.ensure_vertex("d");
+            let p = g.intern_predicate("rel");
+            let mut t = TopicIndex::new(2);
+            t.set(a, vec![0.5, 0.5]);
+            t.set(d, vec![0.9, 0.1]);
+            for i in 0..5 {
+                let m = g.ensure_vertex(&format!("m{i}"));
+                g.add_edge_at(a, p, m, 0, 1.0, Provenance::Curated);
+                g.add_edge_at(m, p, d, 0, 1.0, Provenance::Curated);
+                // m0/m1 near the target's topic, the rest at `far`.
+                t.set(
+                    m,
+                    if i < 2 {
+                        vec![0.85, 0.15]
+                    } else {
+                        far.to_vec()
+                    },
+                );
+            }
+            (g, t, a, d)
+        };
         let cfg = QaConfig {
             max_hops: 2,
             beam: 2,
             budget: 20_000,
             k: 10,
         };
+
+        // Far middles: their floors rule them out on both sides, so only
+        // m0 and m1 are evaluated — toward d, then toward a.
+        let (g, t, a, d) = star([0.1, 0.9]);
         let (paths, stats) =
             coherent_paths_with_stats(&g, &t, a, d, &PathConstraint::default(), &cfg);
         assert_eq!(paths.len(), 2, "beam 2 keeps two middle vertices");
         assert_eq!(stats.paths_emitted, 2);
-        // Scoring charges one evaluation per hop of every surviving path.
-        let scoring: usize = paths.iter().map(|p| p.len()).sum();
-        assert_eq!(scoring, 4);
-        assert_eq!(
-            stats.coherence_evals,
-            10 + scoring,
-            "look-ahead charges one evaluation per candidate per frontier: {stats:?}"
-        );
+        // Scoring is free: every hop of a surviving path a-mi-d is a pair
+        // the look-ahead already computed — (mi, d) for the forward
+        // sweep, (a, mi) for the backward one.
+        assert_eq!(stats.coherence_evals, 4, "{stats:?}");
         // The survivors are the two topic-coherent middles.
         let names: Vec<&str> = paths.iter().map(|p| g.vertex_name(p.vertices[1])).collect();
         assert!(names.contains(&"m0") && names.contains(&"m1"), "{names:?}");
 
-        // The unidirectional DFS still charges once per candidate: only
-        // the source frontier is over-wide.
+        // The unidirectional DFS prunes only the source frontier (m0 and
+        // m1 toward d); scoring then computes (a, m0) and (a, m1).
         let (dfs_paths, dfs_stats) =
             coherent_paths_dfs_with_stats(&g, &t, a, d, &PathConstraint::default(), &cfg);
         assert_eq!(dfs_paths, paths);
-        assert_eq!(dfs_stats.coherence_evals, 5 + scoring, "{dfs_stats:?}");
+        assert_eq!(dfs_stats.coherence_evals, 2 + 2, "{dfs_stats:?}");
+
+        // Middles on the near topic too: no floor separates them, so every
+        // distinct candidate is evaluated once per frontier — 5 + 5 — and
+        // scoring is again free.
+        let (g, t, a, d) = star([0.85, 0.15]);
+        let (paths, stats) =
+            coherent_paths_with_stats(&g, &t, a, d, &PathConstraint::default(), &cfg);
+        assert_eq!(paths.len(), 2);
+        assert_eq!(stats.coherence_evals, 10, "{stats:?}");
     }
 
     #[test]

@@ -36,4 +36,4 @@ pub use coherence::{
     coherent_paths_instrumented, coherent_paths_with_stats, record_search, QaConfig,
 };
 pub use path::{PathConstraint, RankedPath, SearchStats};
-pub use topic_index::{TopicIndex, TopicRows};
+pub use topic_index::TopicIndex;

@@ -50,12 +50,14 @@ impl RankedPath {
     pub fn render<G: GraphView>(&self, g: &G) -> String {
         let mut s = g.vertex_name(self.vertices[0]).to_owned();
         for (i, h) in self.hops.iter().enumerate() {
-            let pred = g.predicate_name(h.pred);
-            if h.forward {
-                s.push_str(&format!(" -[{pred}]-> "));
+            let (open, close) = if h.forward {
+                (" -[", "]-> ")
             } else {
-                s.push_str(&format!(" <-[{pred}]- "));
-            }
+                (" <-[", "]- ")
+            };
+            s.push_str(open);
+            s.push_str(g.predicate_name(h.pred));
+            s.push_str(close);
             s.push_str(g.vertex_name(self.vertices[i + 1]));
         }
         s
@@ -85,14 +87,20 @@ impl PathConstraint {
 /// `nous_qa_*` size histograms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Interior nodes expanded (frames pushed), bounded by the budget.
+    /// Interior nodes expanded (frames pushed; for `PATHS`, adjacency
+    /// lists fetched), bounded by the budget.
     pub nodes_expanded: usize,
     /// Peak number of pending steps across all open DFS frames.
     pub max_frontier: usize,
-    /// Paths emitted (after the constraint filter).
+    /// Paths emitted (after the constraint filter): every candidate for
+    /// an enumeration or a coherence search, at most `k` for the
+    /// length-ordered `PATHS` search, which stops there.
     pub paths_emitted: usize,
-    /// Coherence-ranker divergence evaluations (look-ahead + scoring);
-    /// zero for un-ranked enumeration.
+    /// Topic divergences the coherence ranker actually computed
+    /// (look-ahead keys and scoring hops). A search memoises them per
+    /// vertex pair, so a repeat — a parallel edge, a vertex revisited, a
+    /// scoring hop the look-ahead already keyed — is free and not
+    /// counted. Zero for un-ranked enumeration.
     pub coherence_evals: usize,
     /// `true` when a [`Deadline`] expired mid-search: the emitted paths
     /// are best-so-far, not the complete candidate set.
@@ -132,6 +140,17 @@ pub(crate) fn neighbor_steps_into<G: GraphView>(
     out: &mut Vec<(VertexId, Hop)>,
 ) {
     out.clear();
+    append_neighbor_steps(g, v, out);
+}
+
+/// [`neighbor_steps_into`] without the clear: `v`'s steps are appended
+/// after whatever `out` already holds, and only they are sorted.
+pub(crate) fn append_neighbor_steps<G: GraphView>(
+    g: &G,
+    v: VertexId,
+    out: &mut Vec<(VertexId, Hop)>,
+) {
+    let start = out.len();
     g.for_each_out(v, |a| {
         out.push((
             a.other,
@@ -154,7 +173,7 @@ pub(crate) fn neighbor_steps_into<G: GraphView>(
     });
     // Deterministic order regardless of the view's adjacency layout: by
     // neighbour id then edge id.
-    out.sort_unstable_by_key(|(n, h)| (n.0, h.edge.0));
+    out[start..].sort_unstable_by_key(|(n, h)| (n.0, h.edge.0));
 }
 
 /// Enumerate simple paths from `src` to `dst` of at most `max_hops` hops.

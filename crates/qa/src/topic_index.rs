@@ -9,11 +9,16 @@
 use nous_graph::VertexId;
 use serde::{Deserialize, Serialize};
 
-/// Dense per-vertex topic distributions.
+/// Dense per-vertex topic distributions: one flat `k`-wide row per vertex
+/// up to the highest one assigned, so [`TopicIndex::get`] — called for
+/// every divergence a path search evaluates — is one slice index.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TopicIndex {
     k: usize,
-    dists: Vec<Option<Vec<f64>>>,
+    /// Row `v` is `rows[v * k..(v + 1) * k]`; unassigned rows hold the
+    /// uniform distribution.
+    rows: Vec<f64>,
+    assigned: Vec<bool>,
     uniform: Vec<f64>,
 }
 
@@ -23,7 +28,8 @@ impl TopicIndex {
         assert!(k > 0, "need at least one topic");
         Self {
             k,
-            dists: Vec::new(),
+            rows: Vec::new(),
+            assigned: Vec::new(),
             uniform: vec![1.0 / k as f64; k],
         }
     }
@@ -32,67 +38,45 @@ impl TopicIndex {
         self.k
     }
 
-    /// Set the distribution of a vertex (must have `k` components summing
-    /// to ~1; normalised defensively).
+    /// Set the distribution of a vertex (must have `k` non-negative
+    /// components summing to ~1; a sum off by more than 1e-6 is
+    /// normalised defensively).
     pub fn set(&mut self, v: VertexId, dist: Vec<f64>) {
         assert_eq!(dist.len(), self.k, "distribution dimensionality mismatch");
+        assert!(
+            dist.iter().all(|x| x.is_finite() && *x >= 0.0),
+            "a distribution has finite non-negative components"
+        );
         let sum: f64 = dist.iter().sum();
         let dist = if (sum - 1.0).abs() > 1e-6 && sum > 0.0 {
             dist.iter().map(|x| x / sum).collect()
         } else {
             dist
         };
-        if v.index() >= self.dists.len() {
-            self.dists.resize(v.index() + 1, None);
+        let i = v.index();
+        while self.assigned.len() <= i {
+            self.assigned.push(false);
+            self.rows.extend_from_slice(&self.uniform);
         }
-        self.dists[v.index()] = Some(dist);
+        self.assigned[i] = true;
+        self.rows[i * self.k..(i + 1) * self.k].copy_from_slice(&dist);
     }
 
     /// Distribution of `v` (uniform when unknown).
+    #[inline]
     pub fn get(&self, v: VertexId) -> &[f64] {
-        self.dists
-            .get(v.index())
-            .and_then(|d| d.as_deref())
-            .unwrap_or(&self.uniform)
+        let at = v.index() * self.k;
+        self.rows.get(at..at + self.k).unwrap_or(&self.uniform)
     }
 
     /// Does `v` have an assigned (non-fallback) distribution?
     pub fn is_assigned(&self, v: VertexId) -> bool {
-        self.dists.get(v.index()).is_some_and(|d| d.is_some())
+        self.assigned.get(v.index()).copied().unwrap_or(false)
     }
 
     /// Number of vertices with assigned distributions.
     pub fn assigned_count(&self) -> usize {
-        self.dists.iter().filter(|d| d.is_some()).count()
-    }
-
-    /// Borrow the distributions of the first `n` vertices as a dense row
-    /// cache. A coherence search evaluates thousands of divergences over
-    /// the same few rows; [`TopicRows::get`] is a single slice index
-    /// instead of the `Option` chase in [`TopicIndex::get`].
-    pub fn rows(&self, n: usize) -> TopicRows<'_> {
-        TopicRows {
-            rows: (0..n).map(|i| self.get(VertexId(i as u32))).collect(),
-            fallback: &self.uniform,
-        }
-    }
-}
-
-/// Borrowed per-vertex topic rows, built once per search by
-/// [`TopicIndex::rows`]. Vertices beyond the cached range (e.g. minted
-/// after the cache was built) fall back to the uniform distribution,
-/// exactly like [`TopicIndex::get`].
-#[derive(Debug, Clone)]
-pub struct TopicRows<'a> {
-    rows: Vec<&'a [f64]>,
-    fallback: &'a [f64],
-}
-
-impl TopicRows<'_> {
-    /// Distribution of `v` (uniform when unknown or out of range).
-    #[inline]
-    pub fn get(&self, v: VertexId) -> &[f64] {
-        self.rows.get(v.index()).copied().unwrap_or(self.fallback)
+        self.assigned.iter().filter(|&&a| a).count()
     }
 }
 
@@ -115,8 +99,16 @@ mod tests {
         assert_eq!(idx.get(VertexId(3)), &[0.9, 0.1]);
         assert!(idx.is_assigned(VertexId(3)));
         assert_eq!(idx.assigned_count(), 1);
-        // Vertices below 3 still uniform.
+        // Vertices below 3 still uniform, and so is everything past it.
         assert_eq!(idx.get(VertexId(0)), &[0.5, 0.5]);
+        assert!(!idx.is_assigned(VertexId(0)));
+        assert_eq!(idx.get(VertexId(7)), &[0.5, 0.5]);
+        // Re-assigning overwrites in place.
+        idx.set(VertexId(0), vec![0.2, 0.8]);
+        idx.set(VertexId(3), vec![0.6, 0.4]);
+        assert_eq!(idx.get(VertexId(0)), &[0.2, 0.8]);
+        assert_eq!(idx.get(VertexId(3)), &[0.6, 0.4]);
+        assert_eq!(idx.assigned_count(), 2);
     }
 
     #[test]
@@ -128,20 +120,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_component_panics() {
+        let mut idx = TopicIndex::new(2);
+        idx.set(VertexId(0), vec![1.5, -0.5]);
+    }
+
+    #[test]
     #[should_panic(expected = "dimensionality mismatch")]
     fn wrong_dimension_panics() {
         let mut idx = TopicIndex::new(3);
         idx.set(VertexId(0), vec![1.0]);
-    }
-
-    #[test]
-    fn rows_cache_matches_index() {
-        let mut idx = TopicIndex::new(2);
-        idx.set(VertexId(1), vec![0.9, 0.1]);
-        let rows = idx.rows(2);
-        assert_eq!(rows.get(VertexId(0)), idx.get(VertexId(0)));
-        assert_eq!(rows.get(VertexId(1)), &[0.9, 0.1]);
-        // Vertices beyond the cached range fall back to uniform.
-        assert_eq!(rows.get(VertexId(7)), &[0.5, 0.5]);
     }
 }

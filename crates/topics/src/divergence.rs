@@ -19,11 +19,25 @@ pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
 ///
 /// This is the "coherence"-friendly divergence used for path scoring: the
 /// paper asks for "least amount of divergence" along the path, and JS keeps
-/// that comparable in both directions.
+/// that comparable in both directions — bit for bit: the midpoint and
+/// the two halves are sums, so `js_divergence(p, q)` and
+/// `js_divergence(q, p)` return the same bits.
+///
+/// Allocation-free: the midpoint `m = (p + q) / 2` is recomputed per cell
+/// inside each KL term rather than collected, with the operations of
+/// `0.5 * KL(p || m) + 0.5 * KL(q || m)` in the same order, so the result
+/// is bit-identical to materialising `m`.
 pub fn js_divergence(p: &[f64], q: &[f64]) -> f64 {
     assert_eq!(p.len(), q.len(), "distribution dimensionality mismatch");
-    let m: Vec<f64> = p.iter().zip(q).map(|(a, b)| 0.5 * (a + b)).collect();
-    0.5 * kl_divergence(p, &m) + 0.5 * kl_divergence(q, &m)
+    let eps = 1e-12;
+    let kl_to_mid = |x: &[f64], y: &[f64]| -> f64 {
+        x.iter()
+            .zip(y)
+            .filter(|(xi, _)| **xi > 0.0)
+            .map(|(xi, yi)| xi * (xi / (0.5 * (xi + yi)).max(eps)).ln())
+            .sum()
+    };
+    0.5 * kl_to_mid(p, q) + 0.5 * kl_to_mid(q, p)
 }
 
 #[cfg(test)]
@@ -63,6 +77,26 @@ mod tests {
         assert!((a - b).abs() < 1e-12);
         assert!(a > 0.0);
         assert!(a <= std::f64::consts::LN_2 + 1e-9);
+    }
+
+    #[test]
+    fn js_matches_the_materialised_midpoint_bit_for_bit() {
+        let rows = [
+            [0.7, 0.2, 0.1, 0.0],
+            [0.1, 0.1, 0.8, 0.0],
+            [0.25, 0.25, 0.25, 0.25],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.3, 0.3, 0.2, 0.2],
+        ];
+        for p in &rows {
+            for q in &rows {
+                let m: Vec<f64> = p.iter().zip(q).map(|(a, b)| 0.5 * (a + b)).collect();
+                let reference = 0.5 * kl_divergence(p, &m) + 0.5 * kl_divergence(q, &m);
+                assert_eq!(js_divergence(p, q).to_bits(), reference.to_bits());
+                // Symmetric to the bit, so a memo may key on the unordered pair.
+                assert_eq!(js_divergence(p, q).to_bits(), js_divergence(q, p).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -49,82 +49,84 @@ pub struct LdaModel {
     cfg: LdaConfig,
     vocab: Vec<String>,
     term_index: HashMap<String, usize>,
-    /// `K × V` topic-term counts.
-    topic_term: Vec<Vec<u32>>,
-    /// Per-topic totals (`Σ_w topic_term[k][w]`).
+    /// Topic-term counts, word-major: `topic_term[w * K + k]`.
+    topic_term: Vec<u32>,
+    /// Per-topic totals (`Σ_w topic_term[w * K + k]`).
     topic_totals: Vec<u32>,
     /// Per-training-document topic distributions.
     doc_topics: Vec<Vec<f64>>,
 }
 
-impl LdaModel {
-    /// Train on `docs` (one bag per document/entity).
-    pub fn fit(docs: &[BagOfWords], cfg: &LdaConfig) -> LdaModel {
-        assert!(cfg.topics > 0, "need at least one topic");
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+/// The sampler's state after the last sweep.
+struct Fitted {
+    topic_term: Vec<u32>,
+    topic_totals: Vec<u32>,
+    doc_topics: Vec<Vec<f64>>,
+}
 
-        // Build vocabulary.
-        let mut term_index: HashMap<String, usize> = HashMap::new();
-        let mut vocab: Vec<String> = Vec::new();
-        for d in docs {
-            for (t, _) in d.iter() {
-                if !term_index.contains_key(t) {
-                    term_index.insert(t.to_owned(), vocab.len());
-                    vocab.push(t.to_owned());
-                }
+/// Topic distributions of `docs` without keeping a model: each document
+/// is a list of `(word id, count)` runs over the dense vocabulary
+/// `0..vocab_size`, sampled token by token in run order. Fed the runs a
+/// [`BagOfWords`] iterates (lexicographic terms, ids by first appearance)
+/// it draws what [`LdaModel::fit`] draws and returns the same bits as
+/// [`LdaModel::doc_distribution`], without a string or a per-token word id.
+pub fn fit_doc_topics(
+    docs: &[Vec<(u32, u32)>],
+    vocab_size: usize,
+    cfg: &LdaConfig,
+) -> Vec<Vec<f64>> {
+    gibbs(docs, vocab_size, cfg).doc_topics
+}
+
+/// Collapsed Gibbs sampling over run-length documents. Tokens are never
+/// expanded into a word-id list: the runs are walked in place, and the
+/// per-token topic assignment is one `u16`.
+fn gibbs(docs: &[Vec<(u32, u32)>], vocab_size: usize, cfg: &LdaConfig) -> Fitted {
+    assert!(cfg.topics > 0, "need at least one topic");
+    assert!(
+        cfg.topics <= usize::from(u16::MAX) + 1,
+        "topic assignments are stored as u16"
+    );
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let v = vocab_size.max(1);
+    let k = cfg.topics;
+
+    // Random init.
+    let mut topic_term = vec![0u32; v * k];
+    let mut topic_totals = vec![0u32; k];
+    let mut doc_topic = vec![0u32; docs.len() * k];
+    let tokens: usize = docs.iter().flatten().map(|&(_, n)| n as usize).sum();
+    let mut z: Vec<u16> = Vec::with_capacity(tokens);
+    for (d, doc) in docs.iter().enumerate() {
+        for &(w, n) in doc {
+            for _ in 0..n {
+                let t = rng.gen_range(0..k);
+                topic_term[w as usize * k + t] += 1;
+                topic_totals[t] += 1;
+                doc_topic[d * k + t] += 1;
+                z.push(t as u16);
             }
         }
-        let v = vocab.len().max(1);
-        let k = cfg.topics;
+    }
 
-        // Expand documents into token instances.
-        let tokens: Vec<Vec<usize>> = docs
-            .iter()
-            .map(|d| {
-                let mut ts = Vec::with_capacity(d.total() as usize);
-                for (t, n) in d.iter() {
-                    let w = term_index[t];
-                    ts.extend(std::iter::repeat_n(w, n as usize));
-                }
-                ts
-            })
-            .collect();
-
-        // Random init.
-        let mut topic_term = vec![vec![0u32; v]; k];
-        let mut topic_totals = vec![0u32; k];
-        let mut doc_topic = vec![vec![0u32; k]; docs.len()];
-        let mut z: Vec<Vec<usize>> = tokens
-            .iter()
-            .enumerate()
-            .map(|(d, ts)| {
-                ts.iter()
-                    .map(|&w| {
-                        let t = rng.gen_range(0..k);
-                        topic_term[t][w] += 1;
-                        topic_totals[t] += 1;
-                        doc_topic[d][t] += 1;
-                        t
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Gibbs sweeps.
-        let vbeta = v as f64 * cfg.beta;
-        let mut probs = vec![0.0f64; k];
-        for _ in 0..cfg.iterations {
-            for d in 0..tokens.len() {
-                for (i, &w) in tokens[d].iter().enumerate() {
-                    let old = z[d][i];
-                    topic_term[old][w] -= 1;
+    // Gibbs sweeps.
+    let vbeta = v as f64 * cfg.beta;
+    let mut probs = vec![0.0f64; k];
+    for _ in 0..cfg.iterations {
+        let mut slots = z.iter_mut();
+        for (doc, dt) in docs.iter().zip(doc_topic.chunks_exact_mut(k)) {
+            for &(w, n) in doc {
+                let tw = &mut topic_term[w as usize * k..][..k];
+                for _ in 0..n {
+                    let slot = slots.next().expect("one assignment per token");
+                    let old = usize::from(*slot);
+                    tw[old] -= 1;
                     topic_totals[old] -= 1;
-                    doc_topic[d][old] -= 1;
+                    dt[old] -= 1;
 
                     let mut total = 0.0;
                     for (t, p) in probs.iter_mut().enumerate() {
-                        *p = (doc_topic[d][t] as f64 + cfg.alpha)
-                            * (topic_term[t][w] as f64 + cfg.beta)
+                        *p = (dt[t] as f64 + cfg.alpha) * (tw[t] as f64 + cfg.beta)
                             / (topic_totals[t] as f64 + vbeta);
                         total += *p;
                     }
@@ -137,26 +139,52 @@ impl LdaModel {
                         }
                         x -= p;
                     }
-                    z[d][i] = new;
-                    topic_term[new][w] += 1;
+                    *slot = new as u16;
+                    tw[new] += 1;
                     topic_totals[new] += 1;
-                    doc_topic[d][new] += 1;
+                    dt[new] += 1;
                 }
             }
         }
+    }
 
-        let doc_topics = doc_topic
+    let doc_topics = doc_topic
+        .chunks_exact(k)
+        .map(|counts| normalise(counts, cfg.alpha))
+        .collect();
+    Fitted {
+        topic_term,
+        topic_totals,
+        doc_topics,
+    }
+}
+
+impl LdaModel {
+    /// Train on `docs` (one bag per document/entity).
+    pub fn fit(docs: &[BagOfWords], cfg: &LdaConfig) -> LdaModel {
+        // Build vocabulary.
+        let mut term_index: HashMap<String, usize> = HashMap::new();
+        let mut vocab: Vec<String> = Vec::new();
+        for d in docs {
+            for (t, _) in d.iter() {
+                if !term_index.contains_key(t) {
+                    term_index.insert(t.to_owned(), vocab.len());
+                    vocab.push(t.to_owned());
+                }
+            }
+        }
+        let runs: Vec<Vec<(u32, u32)>> = docs
             .iter()
-            .map(|counts| normalise(counts, cfg.alpha))
+            .map(|d| d.iter().map(|(t, n)| (term_index[t] as u32, n)).collect())
             .collect();
-
+        let fitted = gibbs(&runs, vocab.len(), cfg);
         LdaModel {
             cfg: cfg.clone(),
             vocab,
             term_index,
-            topic_term,
-            topic_totals,
-            doc_topics,
+            topic_term: fitted.topic_term,
+            topic_totals: fitted.topic_totals,
+            doc_topics: fitted.doc_topics,
         }
     }
 
@@ -208,7 +236,7 @@ impl LdaModel {
                 let mut total = 0.0;
                 for (t, p) in probs.iter_mut().enumerate() {
                     *p = (counts[t] as f64 + self.cfg.alpha)
-                        * (self.topic_term[t][w] as f64 + self.cfg.beta)
+                        * (self.topic_term[w * k + t] as f64 + self.cfg.beta)
                         / (self.topic_totals[t] as f64 + vbeta);
                     total += *p;
                 }
@@ -231,10 +259,14 @@ impl LdaModel {
     /// The `n` highest-probability terms of topic `k`.
     pub fn topic_terms(&self, k: usize, n: usize) -> Vec<(&str, f64)> {
         let total = self.topic_totals[k] as f64 + self.vocab.len() as f64 * self.cfg.beta;
-        let mut terms: Vec<(&str, f64)> = self.topic_term[k]
+        let mut terms: Vec<(&str, f64)> = self
+            .vocab
             .iter()
             .enumerate()
-            .map(|(w, &c)| (self.vocab[w].as_str(), (c as f64 + self.cfg.beta) / total))
+            .map(|(w, term)| {
+                let c = self.topic_term[w * self.cfg.topics + k];
+                (term.as_str(), (c as f64 + self.cfg.beta) / total)
+            })
             .collect();
         terms.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite probs"));
         terms.truncate(n);

@@ -18,4 +18,4 @@ pub mod divergence;
 pub mod lda;
 
 pub use divergence::{js_divergence, kl_divergence};
-pub use lda::{LdaConfig, LdaModel};
+pub use lda::{fit_doc_topics, LdaConfig, LdaModel};
