@@ -370,43 +370,27 @@ impl KnowledgeGraph {
 
     /// Train LDA over per-entity text and build the QA topic index (§3.6).
     ///
-    /// The documents come straight off the disambiguator's context store:
-    /// each entity's `(term id, count)` entries, put in the lexicographic
-    /// term order an [`BagOfWords`] iterates and renumbered by first
-    /// appearance, which is the token order and vocabulary
-    /// [`nous_topics::LdaModel::fit`] would see for the spelled-out bags. The sampler
-    /// draws the same numbers, so the distributions are bit-identical,
-    /// and no term string is copied.
+    /// The documents come straight off the disambiguator's context store
+    /// as `(term id, count)` entries; [`fit_doc_topics`] puts them in the
+    /// sampler's token order, so the distributions are bit-identical to
+    /// [`nous_topics::LdaModel::fit`] over the spelled-out bags, and no
+    /// term string is copied.
     pub fn build_topic_index(&self, cfg: &LdaConfig) -> TopicIndex {
-        let terms = self.disambiguator.context_terms();
-        let mut dense = vec![u32::MAX; terms.len()];
-        let mut vocab = 0u32;
+        let entries = |v: VertexId| {
+            self.disambiguator
+                .context_entries_of(v.0)
+                .unwrap_or_default()
+        };
         let docs: Vec<Vec<(u32, u32)>> = self
             .graph
             .iter_vertices()
-            .map(|v| {
-                let mut doc = self
-                    .disambiguator
-                    .context_entries_of(v.0)
-                    .unwrap_or_default()
-                    .to_vec();
-                doc.sort_unstable_by(|a, b| terms[a.0 as usize].cmp(&terms[b.0 as usize]));
-                for (term, _) in &mut doc {
-                    let id = &mut dense[*term as usize];
-                    if *id == u32::MAX {
-                        *id = vocab;
-                        vocab += 1;
-                    }
-                    *term = *id;
-                }
-                doc
-            })
+            .map(|v| entries(v).to_vec())
             .collect();
-        let dists = fit_doc_topics(&docs, vocab as usize, cfg);
+        let dists = fit_doc_topics(docs, self.disambiguator.context_terms(), cfg);
         let mut idx = TopicIndex::new(cfg.topics);
-        for (i, (doc, dist)) in docs.iter().zip(dists).enumerate() {
-            if !doc.is_empty() {
-                idx.set(VertexId(i as u32), dist);
+        for (v, dist) in self.graph.iter_vertices().zip(dists) {
+            if !entries(v).is_empty() {
+                idx.set(v, dist);
             }
         }
         idx

@@ -13,9 +13,7 @@
 //! of length `L` decomposes uniquely into a forward half of `⌈L/2⌉` hops
 //! and a backward half of `⌊L/2⌋` hops, so each candidate is assembled
 //! exactly once. Against a hub of degree `d` this explores `O(d^{H/2})`
-//! vertices per side instead of `O(d^H)`. The unidirectional DFS remains
-//! available as [`coherent_paths_dfs_with_stats`], the beam-ablation
-//! reference.
+//! vertices per side instead of `O(d^H)`.
 //!
 //! What a search costs follows the distinct vertices it touches, not the
 //! parallel edges or candidates between them:
@@ -38,8 +36,7 @@
 //! [`nous_graph::FrozenView`] snapshot with identical results.
 
 use crate::path::{
-    enumerate_paths_deadline_with_stats, neighbor_steps_into, Hop, PathConstraint, RankedPath,
-    SearchStats, DEADLINE_POLL,
+    neighbor_steps_into, Hop, PathConstraint, RankedPath, SearchStats, DEADLINE_POLL,
 };
 use crate::topic_index::TopicIndex;
 use nous_fault::Deadline;
@@ -312,68 +309,6 @@ pub fn coherent_paths_deadline_with_stats<G: GraphView>(
     let candidates = joined.candidates(constraint, &mut div);
     stats.paths_emitted += candidates.len();
     let paths = joined.top_k(candidates, cfg.k);
-    stats.coherence_evals += div.computed;
-    (paths, stats)
-}
-
-/// The unidirectional look-ahead DFS (the pre-bidirectional algorithm):
-/// the beam-ablation reference, with the same memoised look-ahead and the
-/// same ranking as the bidirectional search.
-pub fn coherent_paths_dfs_with_stats<G: GraphView>(
-    g: &G,
-    topics: &TopicIndex,
-    src: VertexId,
-    dst: VertexId,
-    constraint: &PathConstraint,
-    cfg: &QaConfig,
-) -> (Vec<RankedPath>, SearchStats) {
-    coherent_paths_dfs_deadline_with_stats(g, topics, src, dst, constraint, cfg, &Deadline::none())
-}
-
-/// [`coherent_paths_dfs_with_stats`] under a wall-clock [`Deadline`].
-pub fn coherent_paths_dfs_deadline_with_stats<G: GraphView>(
-    g: &G,
-    topics: &TopicIndex,
-    src: VertexId,
-    dst: VertexId,
-    constraint: &PathConstraint,
-    cfg: &QaConfig,
-    deadline: &Deadline,
-) -> (Vec<RankedPath>, SearchStats) {
-    let mut div = Divergences::new(topics);
-    let mut look = Lookahead::new(cfg.beam);
-    let mut stats = SearchStats::default();
-    let mut paths = enumerate_paths_deadline_with_stats(
-        g,
-        src,
-        dst,
-        cfg.max_hops,
-        cfg.budget,
-        constraint,
-        |_, mut steps| {
-            look.prune(&mut steps, dst, &mut div);
-            steps
-        },
-        deadline,
-        &mut stats,
-    );
-    for p in &mut paths {
-        p.score = div.coherence(&p.vertices);
-    }
-    paths.sort_by(|a, b| {
-        a.score
-            .partial_cmp(&b.score)
-            .expect("finite scores")
-            .then_with(|| a.len().cmp(&b.len()))
-            .then_with(|| a.vertices.cmp(&b.vertices))
-            .then_with(|| {
-                a.hops
-                    .iter()
-                    .map(|h| h.edge.0)
-                    .cmp(b.hops.iter().map(|h| h.edge.0))
-            })
-    });
-    paths.truncate(cfg.k);
     stats.coherence_evals += div.computed;
     (paths, stats)
 }
@@ -755,6 +690,7 @@ pub fn record_search(registry: &MetricsRegistry, stats: &SearchStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::enumerate_paths;
     use nous_graph::{DynamicGraph, FrozenView, Provenance};
 
     /// Two same-length paths a→b→d (coherent: same topic) and a→h→d
@@ -938,13 +874,6 @@ mod tests {
         let names: Vec<&str> = paths.iter().map(|p| g.vertex_name(p.vertices[1])).collect();
         assert!(names.contains(&"m0") && names.contains(&"m1"), "{names:?}");
 
-        // The unidirectional DFS prunes only the source frontier (m0 and
-        // m1 toward d); scoring then computes (a, m0) and (a, m1).
-        let (dfs_paths, dfs_stats) =
-            coherent_paths_dfs_with_stats(&g, &t, a, d, &PathConstraint::default(), &cfg);
-        assert_eq!(dfs_paths, paths);
-        assert_eq!(dfs_stats.coherence_evals, 2 + 2, "{dfs_stats:?}");
-
         // Middles on the near topic too: no floor separates them, so every
         // distinct candidate is evaluated once per frontier — 5 + 5 — and
         // scoring is again free.
@@ -977,8 +906,24 @@ mod tests {
             };
             let (bidi, _) =
                 coherent_paths_with_stats(&g, &t, a, d, &PathConstraint::default(), &cfg);
-            let (dfs, _) =
-                coherent_paths_dfs_with_stats(&g, &t, a, d, &PathConstraint::default(), &cfg);
+            let mut dfs = enumerate_paths(
+                &g,
+                a,
+                d,
+                max_hops,
+                cfg.budget,
+                &PathConstraint::default(),
+                |_, steps| steps,
+            );
+            for p in &mut dfs {
+                p.score = path_coherence(&t, &p.vertices);
+            }
+            dfs.sort_by(|x, y| {
+                x.score
+                    .total_cmp(&y.score)
+                    .then_with(|| x.len().cmp(&y.len()))
+                    .then_with(|| x.vertices.cmp(&y.vertices))
+            });
             assert_eq!(bidi, dfs, "max_hops={max_hops}");
             let (on_frozen, _) =
                 coherent_paths_with_stats(&frozen, &t, a, d, &PathConstraint::default(), &cfg);
@@ -1020,7 +965,7 @@ mod tests {
         let (g, t, a, d) = planted();
         let cfg = QaConfig::default();
         let expired = Deadline::expired_now();
-        let bidi = coherent_paths_deadline_with_stats(
+        let (paths, stats) = coherent_paths_deadline_with_stats(
             &g,
             &t,
             a,
@@ -1029,24 +974,13 @@ mod tests {
             &cfg,
             &expired,
         );
-        let dfs = coherent_paths_dfs_deadline_with_stats(
-            &g,
-            &t,
-            a,
-            d,
-            &PathConstraint::default(),
-            &cfg,
-            &expired,
-        );
-        for (paths, stats) in [bidi, dfs] {
-            assert!(stats.truncated, "{stats:?}");
-            // Whatever survived is still well-formed and ranked.
-            assert!(paths.windows(2).all(|w| w[0].score <= w[1].score));
-            for p in &paths {
-                assert_eq!(p.vertices.first(), Some(&a), "{p:?}");
-                assert_eq!(p.vertices.last(), Some(&d), "{p:?}");
-                assert_eq!(p.hops.len() + 1, p.vertices.len(), "{p:?}");
-            }
+        assert!(stats.truncated, "{stats:?}");
+        // Whatever survived is still well-formed and ranked.
+        assert!(paths.windows(2).all(|w| w[0].score <= w[1].score));
+        for p in &paths {
+            assert_eq!(p.vertices.first(), Some(&a), "{p:?}");
+            assert_eq!(p.vertices.last(), Some(&d), "{p:?}");
+            assert_eq!(p.hops.len() + 1, p.vertices.len(), "{p:?}");
         }
     }
 

@@ -32,7 +32,6 @@ pub mod topic_index;
 
 pub use coherence::{
     coherent_paths, coherent_paths_deadline_instrumented, coherent_paths_deadline_with_stats,
-    coherent_paths_dfs_deadline_with_stats, coherent_paths_dfs_with_stats,
     coherent_paths_instrumented, coherent_paths_with_stats, record_search, QaConfig,
 };
 pub use path::{PathConstraint, RankedPath, SearchStats};

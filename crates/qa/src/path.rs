@@ -87,8 +87,9 @@ impl PathConstraint {
 /// `nous_qa_*` size histograms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Interior nodes expanded (frames pushed; for `PATHS`, adjacency
-    /// lists fetched), bounded by the budget.
+    /// Interior nodes expanded (frames pushed), bounded by the budget. For
+    /// `PATHS`, the prefixes charged plus the adjacency lists its distance
+    /// search fetched, each bounded by the budget.
     pub nodes_expanded: usize,
     /// Peak number of pending steps across all open DFS frames.
     pub max_frontier: usize,

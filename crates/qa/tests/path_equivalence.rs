@@ -8,8 +8,9 @@
 //!   `k`, hop bound, budget and constraint.
 //! - PATHS (`shortest_paths_deadline_with_stats`) must equal exhaustive
 //!   enumeration plus the stable length sort (`support::paths`) whenever
-//!   that enumeration finished inside the budget, and otherwise be a
-//!   prefix of the unbounded ranking.
+//!   that enumeration finished inside the budget — down to the tightest
+//!   budget it finishes in — and otherwise be a prefix of the unbounded
+//!   ranking.
 //!
 //! The graphs carry parallel edges under the same and under different
 //! predicates, reversed edges, self-loops and tombstones; topic rows are
@@ -232,6 +233,15 @@ fn paths_equal_exhaustive_enumeration_within_budget_on_every_view() {
         if want_stats.nodes_expanded < cfg.budget {
             assert_eq!(got, want, "DynamicGraph {}", ctx());
             compared += 1;
+            // The tightest budget the enumeration finishes in: the search
+            // must never charge more than the enumeration expands.
+            let tight = QaConfig {
+                budget: want_stats.nodes_expanded + 1,
+                ..cfg.clone()
+            };
+            let (at_tight, _) =
+                shortest_paths_deadline_with_stats(&c.live, src, dst, constraint, &tight, &none);
+            assert_eq!(at_tight, want, "tight budget {}", ctx());
         } else {
             // The enumeration was cut; the length-ordered search must
             // still return a prefix of the complete ranking.

@@ -64,18 +64,43 @@ struct Fitted {
     doc_topics: Vec<Vec<f64>>,
 }
 
-/// Topic distributions of `docs` without keeping a model: each document
-/// is a list of `(word id, count)` runs over the dense vocabulary
-/// `0..vocab_size`, sampled token by token in run order. Fed the runs a
-/// [`BagOfWords`] iterates (lexicographic terms, ids by first appearance)
-/// it draws what [`LdaModel::fit`] draws and returns the same bits as
-/// [`LdaModel::doc_distribution`], without a string or a per-token word id.
-pub fn fit_doc_topics(
-    docs: &[Vec<(u32, u32)>],
-    vocab_size: usize,
+/// Topic distributions of `docs` without keeping a model. Each document
+/// is a list of `(term id, count)` entries into `terms`, in any order;
+/// the sampler sees them in [`token_order`], so the same bags give the
+/// same bits as [`LdaModel::fit`] and [`LdaModel::doc_distribution`],
+/// without a copied term string or a per-token word id.
+pub fn fit_doc_topics<S: AsRef<str>>(
+    mut docs: Vec<Vec<(u32, u32)>>,
+    terms: &[S],
     cfg: &LdaConfig,
 ) -> Vec<Vec<f64>> {
-    gibbs(docs, vocab_size, cfg).doc_topics
+    let vocab = token_order(&mut docs, terms);
+    gibbs(&docs, vocab.len(), cfg).doc_topics
+}
+
+/// The order the sampler's random draws follow: each document's terms
+/// lexicographically (as a [`BagOfWords`] iterates), and words numbered by
+/// first appearance in that walk. Rewrites `docs`' term ids into word ids
+/// in place and returns each word's term id.
+fn token_order<S: AsRef<str>>(docs: &mut [Vec<(u32, u32)>], terms: &[S]) -> Vec<u32> {
+    let mut word = vec![u32::MAX; terms.len()];
+    let mut vocab = Vec::new();
+    for doc in docs {
+        doc.sort_unstable_by(|a, b| {
+            terms[a.0 as usize]
+                .as_ref()
+                .cmp(terms[b.0 as usize].as_ref())
+        });
+        for (id, _) in doc {
+            let w = &mut word[*id as usize];
+            if *w == u32::MAX {
+                *w = vocab.len() as u32;
+                vocab.push(*id);
+            }
+            *id = *w;
+        }
+    }
+    vocab
 }
 
 /// Collapsed Gibbs sampling over run-length documents. Tokens are never
@@ -162,20 +187,30 @@ fn gibbs(docs: &[Vec<(u32, u32)>], vocab_size: usize, cfg: &LdaConfig) -> Fitted
 impl LdaModel {
     /// Train on `docs` (one bag per document/entity).
     pub fn fit(docs: &[BagOfWords], cfg: &LdaConfig) -> LdaModel {
-        // Build vocabulary.
-        let mut term_index: HashMap<String, usize> = HashMap::new();
-        let mut vocab: Vec<String> = Vec::new();
-        for d in docs {
-            for (t, _) in d.iter() {
-                if !term_index.contains_key(t) {
-                    term_index.insert(t.to_owned(), vocab.len());
-                    vocab.push(t.to_owned());
-                }
-            }
-        }
-        let runs: Vec<Vec<(u32, u32)>> = docs
+        let mut ids: HashMap<&str, u32> = HashMap::new();
+        let mut terms: Vec<&str> = Vec::new();
+        let mut runs: Vec<Vec<(u32, u32)>> = docs
             .iter()
-            .map(|d| d.iter().map(|(t, n)| (term_index[t] as u32, n)).collect())
+            .map(|d| {
+                d.iter()
+                    .map(|(t, n)| {
+                        let id = *ids.entry(t).or_insert_with(|| {
+                            terms.push(t);
+                            terms.len() as u32 - 1
+                        });
+                        (id, n)
+                    })
+                    .collect()
+            })
+            .collect();
+        let vocab: Vec<String> = token_order(&mut runs, &terms)
+            .into_iter()
+            .map(|id| terms[id as usize].to_owned())
+            .collect();
+        let term_index = vocab
+            .iter()
+            .enumerate()
+            .map(|(w, t)| (t.clone(), w))
             .collect();
         let fitted = gibbs(&runs, vocab.len(), cfg);
         LdaModel {
