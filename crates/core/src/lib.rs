@@ -28,7 +28,6 @@
 //! - [`seeds`] — the bootstrap seed rules for predicate mapping (§3.3's
 //!   "5-10 seed examples" per predicate).
 
-pub mod fabric;
 pub mod journal;
 pub mod kg;
 pub mod pipeline;
@@ -38,14 +37,11 @@ pub mod seeds;
 pub mod session;
 pub mod trends;
 
-pub use fabric::ShardFabric;
 pub use journal::{AdmittedFact, IngestJournal};
 pub use kg::{entity_summary_view, KnowledgeGraph};
 pub use nous_extract::QuarantinedDoc;
 pub use pipeline::{DeadLetterStore, IngestPipeline, IngestReport, PipelineConfig};
 pub use quality::{CandidateFact, NoSelfLoopGate, QualityGate, TypeSignatureGate};
 pub use revision::{RevisionCounters, RevisionPolicy};
-pub use session::{
-    CompactionConfig, FrozenSnapshot, ShardedSession, SharedSession, FP_SESSION_COMPACT,
-};
+pub use session::{CompactionConfig, FrozenSnapshot, SharedSession, FP_SESSION_COMPACT};
 pub use trends::TrendMonitor;

@@ -9,8 +9,7 @@
 //! a revised fact is tombstoned via [`nous_graph::DynamicGraph::remove_edge`]
 //! and, when it survives decay, re-appended at its reduced confidence.
 //! Removals flow to published [`nous_graph::LayeredSnapshot`]s through the
-//! existing removal log and to shard replicas through `plan_shard_sync`,
-//! so revision needs no new propagation machinery.
+//! existing removal log, so revision needs no new propagation machinery.
 //!
 //! Placement matters for durability: revision runs *inside*
 //! [`crate::KnowledgeGraph::add_extracted_fact_with_args`], the same call

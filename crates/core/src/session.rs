@@ -26,7 +26,6 @@
 //! immutable state, never touching the KG lock, with staleness bounded
 //! by one ingest micro-batch and surfaced as `nous_snapshot_age_nanos`.
 
-use crate::fabric::ShardFabric;
 use crate::kg::KnowledgeGraph;
 use crate::pipeline::{IngestPipeline, IngestReport};
 use crate::trends::TrendMonitor;
@@ -60,11 +59,6 @@ pub struct FrozenSnapshot {
     pub disambiguator: Arc<AliasResolver>,
     /// Registry-clock time of publication, for the staleness gauge.
     pub published_at_nanos: u64,
-    /// Composite per-shard view pinned at the same watermark as `view`,
-    /// present only when sharding is enabled
-    /// ([`SharedSession::enable_sharding`]). `None` is the plain
-    /// single-graph session — the byte-identical pre-sharding path.
-    pub sharded: Option<Arc<nous_graph::ShardedSnapshot>>,
 }
 
 /// When the background compactor folds the published overlay stack back
@@ -243,10 +237,6 @@ pub struct SharedSession {
     compacting: Arc<AtomicBool>,
     checkpoint_sink: Arc<Mutex<Option<CheckpointSink>>>,
     faults: Arc<Mutex<Faults>>,
-    /// Entity-shard admission fabric; `None` until
-    /// [`SharedSession::enable_sharding`] turns it on. Innermost lock:
-    /// taken only under the publish path's existing lock stack or alone.
-    fabric: Arc<Mutex<Option<ShardFabric>>>,
     metrics: SessionMetrics,
 }
 
@@ -274,11 +264,10 @@ impl SharedSession {
             topics: topics.clone(),
             disambiguator: Arc::new(kg.disambiguator.served().clone()),
             published_at_nanos: metrics.registry.now_nanos(),
-            sharded: None,
         };
         metrics.snapshot_epoch.set(0);
         metrics.snapshot_layers.set(1);
-        let session = Self {
+        Self {
             kg: Arc::new(RwLock::new(kg)),
             topics: Arc::new(RwLock::new(topics)),
             trends: Arc::new(Mutex::new(trends)),
@@ -287,48 +276,8 @@ impl SharedSession {
             compacting: Arc::new(AtomicBool::new(false)),
             checkpoint_sink: Arc::new(Mutex::new(None)),
             faults: Arc::new(Mutex::new(Faults::disabled())),
-            fabric: Arc::new(Mutex::new(None)),
             metrics,
-        };
-        // Explicit `NOUS_SHARDS=n` (n >= 2) shards every session in the
-        // process — this is how the CI sharded leg runs the whole existing
-        // suite through the fan-out/merge path. Absent or `1`, nothing
-        // here runs and the session is the literal pre-sharding code.
-        if let Some(n) = std::env::var("NOUS_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            if n >= 2 {
-                session.enable_sharding(n);
-            }
         }
-        session
-    }
-
-    /// Partition admission across `shards` entity-hash shards, each with
-    /// its own admission thread and independently-published epoch. Every
-    /// snapshot from here on carries a composite
-    /// [`nous_graph::ShardedSnapshot`] pinned at the same watermark as
-    /// the layered view. `shards <= 1` disables sharding again (the next
-    /// publish drops the composite). Idempotent for an unchanged count.
-    pub fn enable_sharding(&self, shards: usize) {
-        {
-            let mut fabric = self.fabric.lock();
-            if shards <= 1 {
-                *fabric = None;
-            } else {
-                match fabric.as_ref() {
-                    Some(f) if f.shard_count() == shards => return,
-                    _ => *fabric = Some(ShardFabric::new(shards, &self.metrics.registry)),
-                }
-            }
-        }
-        self.publish_snapshot();
-    }
-
-    /// Configured shard count: `1` when sharding is off.
-    pub fn shard_count(&self) -> usize {
-        self.fabric.lock().as_ref().map_or(1, |f| f.shard_count())
     }
 
     /// Replace the compaction thresholds (defaults: 8 overlay layers or
@@ -384,29 +333,12 @@ impl SharedSession {
         let prev = slot.clone();
         let wm = kg.graph.watermark();
         let resolver = kg.disambiguator.served();
-        let mut fabric = self.fabric.lock();
         if wm == prev.view.watermark()
             && resolver.version() == prev.disambiguator.version()
             && Arc::ptr_eq(&topics, &prev.topics)
-            && prev.sharded.is_some() == fabric.is_some()
         {
             return prev.epoch;
         }
-        // Fan the delta out to the shard admission threads while we still
-        // hold the graph read lock: the composite and the layered view
-        // below are pinned at the same watermark. Unchanged graph (topics
-        // or resolver-only publish) reuses the previous composite as-is.
-        let sharded = match fabric.as_mut() {
-            Some(f) => {
-                if wm == prev.view.watermark() && prev.sharded.is_some() {
-                    prev.sharded.clone()
-                } else {
-                    Some(Arc::new(f.sync(&kg.graph)))
-                }
-            }
-            None => None,
-        };
-        drop(fabric);
         let view = if wm == prev.view.watermark() {
             // Only topics/resolver moved; keep the graph layers as-is.
             prev.view.clone()
@@ -437,7 +369,6 @@ impl SharedSession {
             topics,
             disambiguator,
             published_at_nanos: m.registry.now_nanos(),
-            sharded,
         });
         *slot = snap.clone();
         drop(slot);
@@ -542,9 +473,6 @@ impl SharedSession {
             topics: slot.topics.clone(),
             disambiguator: slot.disambiguator.clone(),
             published_at_nanos: m.registry.now_nanos(),
-            // Same watermark as the fold (checked above), so the published
-            // composite still describes exactly this graph state.
-            sharded: slot.sharded.clone(),
         });
         // The replaced stack may die here (no reader pinning it): free its
         // base — O(graph) — only after the slot is unlocked, or the next
@@ -784,56 +712,6 @@ impl SharedSession {
             publish_span.attr("epoch", epoch);
         }
         pipeline.report()
-    }
-}
-
-/// A [`SharedSession`] constructed with entity-shard admission enabled:
-/// the KG is partitioned by stable entity hash into `N` shards, each with
-/// its own admission thread and independently-published epoch, and every
-/// published [`FrozenSnapshot`] carries the composite fan-out/merge view.
-/// Derefs to [`SharedSession`] — the entire session API (ingestion,
-/// publication, compaction, stats) is unchanged.
-pub struct ShardedSession(SharedSession);
-
-impl ShardedSession {
-    /// Shard count from the environment: `NOUS_SHARDS` if set, else
-    /// `min(host_cpus, 8)` (see [`nous_graph::shard_count_from_env`]).
-    pub fn new(kg: KnowledgeGraph, topics: TopicIndex, trends: TrendMonitor) -> Self {
-        Self::with_shards(
-            kg,
-            topics,
-            trends,
-            MetricsRegistry::new(),
-            nous_graph::shard_count_from_env(),
-        )
-    }
-
-    /// Explicit shard count. `shards <= 1` yields a plain unsharded
-    /// session — the byte-identical correctness oracle.
-    pub fn with_shards(
-        kg: KnowledgeGraph,
-        topics: TopicIndex,
-        trends: TrendMonitor,
-        registry: MetricsRegistry,
-        shards: usize,
-    ) -> Self {
-        let session = SharedSession::with_registry(kg, topics, trends, registry);
-        session.enable_sharding(shards);
-        Self(session)
-    }
-
-    /// The underlying shared session, by value (it is a cheap `Clone`
-    /// handle).
-    pub fn shared(&self) -> SharedSession {
-        self.0.clone()
-    }
-}
-
-impl std::ops::Deref for ShardedSession {
-    type Target = SharedSession;
-
-    fn deref(&self) -> &SharedSession {
-        &self.0
     }
 }
 

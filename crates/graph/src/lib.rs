@@ -42,7 +42,6 @@ pub mod ids;
 pub mod layered;
 pub mod parallel;
 pub mod props;
-pub mod shard;
 pub mod snapshot;
 pub mod view;
 pub mod window;
@@ -55,9 +54,5 @@ pub use hash::{FxHashMap, FxHashSet};
 pub use ids::{EdgeId, PredicateId, Timestamp, VertexId};
 pub use layered::{LayeredSnapshot, MergeStats};
 pub use props::{PropMap, PropValue};
-pub use shard::{
-    plan_shard_sync, shard_count_from_env, shard_of_name, GlobalMap, ShardDelta, ShardReplica,
-    ShardView, ShardedSnapshot, SyncPlan,
-};
 pub use view::GraphView;
 pub use window::SlidingWindow;

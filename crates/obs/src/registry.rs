@@ -302,18 +302,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Read a histogram's running sum back (in its native unit — nanos
-    /// for latency series), if registered. Benches divide stage sums by
-    /// wall-time to report honest serial/parallel fractions.
-    pub fn histogram_sum(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let key = MetricKey::new(name, labels);
-        let metrics = self.inner.metrics.lock().expect("metrics lock");
-        match metrics.get(&key).map(|e| e.instrument.clone()) {
-            Some(Instrument::Histogram(h)) => Some(h.sum()),
-            _ => None,
-        }
-    }
-
     /// Every series of a counter family: `(label pairs, value)`, sorted by
     /// labels. Used e.g. to count how many fan-out workers reported.
     pub fn counter_family(&self, name: &str) -> Vec<(Vec<(String, String)>, u64)> {

@@ -68,13 +68,11 @@
 
 pub mod compaction;
 pub mod record;
-pub mod sharded;
 pub mod store;
 pub mod wal;
 
 pub use compaction::wire_compaction_checkpoints;
 pub use record::DocRecord;
-pub use sharded::{shard_wal_path, ShardFrame, ShardedDurableStore, ShardedRecovered};
 pub use store::{
     AckHook, DegradedMode, DurabilityConfig, DurableStore, Recovered, RetryPolicy,
     FP_CHECKPOINT_WRITE,

@@ -142,27 +142,27 @@ pub struct Recovered {
 }
 
 #[derive(Clone)]
-pub(crate) struct StoreMetrics {
-    pub(crate) wal_appends: Counter,
-    pub(crate) wal_bytes: Counter,
-    pub(crate) wal_fsyncs: Counter,
-    pub(crate) wal_errors: Counter,
-    pub(crate) wal_retries: Counter,
-    pub(crate) wal_degraded: Gauge,
-    pub(crate) wal_dropped_records: Counter,
-    pub(crate) wal_rearmed: Counter,
-    pub(crate) wal_torn_frames: Gauge,
-    pub(crate) checkpoints: Counter,
-    pub(crate) checkpoint_errors: Counter,
-    pub(crate) checkpoint_seconds: nous_obs::Histogram,
-    pub(crate) recovery_replayed: Counter,
-    pub(crate) recovery_truncated_bytes: Counter,
-    pub(crate) recovery_truncated_bytes_gauge: Gauge,
-    pub(crate) recovery_chained_generations: Counter,
+struct StoreMetrics {
+    wal_appends: Counter,
+    wal_bytes: Counter,
+    wal_fsyncs: Counter,
+    wal_errors: Counter,
+    wal_retries: Counter,
+    wal_degraded: Gauge,
+    wal_dropped_records: Counter,
+    wal_rearmed: Counter,
+    wal_torn_frames: Gauge,
+    checkpoints: Counter,
+    checkpoint_errors: Counter,
+    checkpoint_seconds: nous_obs::Histogram,
+    recovery_replayed: Counter,
+    recovery_truncated_bytes: Counter,
+    recovery_truncated_bytes_gauge: Gauge,
+    recovery_chained_generations: Counter,
 }
 
 impl StoreMetrics {
-    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
+    fn new(registry: &MetricsRegistry) -> Self {
         Self {
             wal_appends: registry.counter(
                 "nous_wal_appends_total",
@@ -250,23 +250,19 @@ pub struct DurableStore {
 /// records survive a process crash.
 pub type AckHook = Arc<dyn Fn(&DocRecord) + Send + Sync>;
 
-pub(crate) fn checkpoint_path(dir: &Path, generation: u64) -> PathBuf {
+fn checkpoint_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("checkpoint-{generation:08}.bin"))
 }
 
-pub(crate) fn wal_path(dir: &Path, generation: u64) -> PathBuf {
+fn wal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("wal-{generation:08}.log"))
 }
 
-pub(crate) fn invalid(msg: String) -> io::Error {
+fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-pub(crate) fn encode_checkpoint_file(
-    generation: u64,
-    kg: &KnowledgeGraph,
-    report: &IngestReport,
-) -> Vec<u8> {
+fn encode_checkpoint_file(generation: u64, kg: &KnowledgeGraph, report: &IngestReport) -> Vec<u8> {
     // One buffer for the whole file: the nested sections (state bytes,
     // graph blob) are written in place and their length prefixes and
     // checksums patched, never copied from buffers of their own.
@@ -279,9 +275,7 @@ pub(crate) fn encode_checkpoint_file(
     file
 }
 
-pub(crate) fn decode_checkpoint_file(
-    bytes: &[u8],
-) -> io::Result<(u64, IngestReport, KnowledgeGraph)> {
+fn decode_checkpoint_file(bytes: &[u8]) -> io::Result<(u64, IngestReport, KnowledgeGraph)> {
     if bytes.len() < 20 || &bytes[..8] != CHECKPOINT_MAGIC {
         return Err(invalid("bad checkpoint magic".into()));
     }
@@ -310,7 +304,7 @@ pub(crate) fn decode_checkpoint_file(
 /// fsync, rename over the target. The failpoint fires after part of the
 /// tmp file is written — the rename never happens, so the target is
 /// untouched and a retry starts from a truncating create.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8], faults: &Faults) -> io::Result<()> {
+fn write_atomic(path: &Path, bytes: &[u8], faults: &Faults) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = File::create(&tmp)?;
@@ -326,7 +320,7 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8], faults: &Faults) -> io::Re
 
 /// Run `op` under a bounded retry-with-backoff budget, counting each
 /// retry in `retries`.
-pub(crate) fn with_retries<T>(
+fn with_retries<T>(
     policy: RetryPolicy,
     retries: &Counter,
     mut op: impl FnMut() -> io::Result<T>,
@@ -347,7 +341,19 @@ pub(crate) fn with_retries<T>(
     }
 }
 
-pub(crate) fn list_generations(dir: &Path) -> io::Result<Vec<u64>> {
+/// Whether `name` is a per-shard WAL lane (`wal-<gen>-s<k>.log`): a log
+/// this store never writes and cannot replay.
+fn is_lane_wal(name: &str) -> bool {
+    name.strip_prefix("wal-")
+        .and_then(|rest| rest.strip_suffix(".log"))
+        .and_then(|rest| rest.split_once("-s"))
+        .is_some_and(|(g, k)| g.parse::<u64>().is_ok() && k.parse::<u64>().is_ok())
+}
+
+/// Checkpoint generations in `dir`, oldest first. A lane WAL in the same
+/// directory is refused with `InvalidData`: this store replays only
+/// `wal-<gen>.log`, so opening past a lane would drop its acked records.
+fn list_generations(dir: &Path) -> io::Result<Vec<u64>> {
     let mut gens = Vec::new();
     for entry in fs::read_dir(dir)? {
         let name = entry?.file_name();
@@ -359,6 +365,11 @@ pub(crate) fn list_generations(dir: &Path) -> io::Result<Vec<u64>> {
             if let Ok(g) = num.parse::<u64>() {
                 gens.push(g);
             }
+        } else if is_lane_wal(&name) {
+            return Err(invalid(format!(
+                "{} is a per-shard WAL lane; this store cannot replay it",
+                dir.join(&*name).display()
+            )));
         }
     }
     gens.sort_unstable();
@@ -691,7 +702,7 @@ impl DurableStore {
     }
 }
 
-pub(crate) fn add_reports(a: &IngestReport, b: &IngestReport) -> IngestReport {
+fn add_reports(a: &IngestReport, b: &IngestReport) -> IngestReport {
     IngestReport {
         documents: a.documents + b.documents,
         sentences: a.sentences + b.sentences,
@@ -707,7 +718,7 @@ pub(crate) fn add_reports(a: &IngestReport, b: &IngestReport) -> IngestReport {
     }
 }
 
-pub(crate) fn replay_record(kg: &mut KnowledgeGraph, rec: &DocRecord) {
+fn replay_record(kg: &mut KnowledgeGraph, rec: &DocRecord) {
     for (name, ty) in &rec.minted {
         if kg.graph.vertex_id(name).is_none() {
             kg.create_entity(name, *ty);
@@ -1187,6 +1198,28 @@ mod tests {
             assert_eq!(rec.generation, 0);
             assert_eq!(rec.kg.graph.edge_count(), kg.graph.edge_count());
         }
+    }
+
+    #[test]
+    fn open_refuses_a_directory_with_a_lane_wal() {
+        let dir = scratch("lane");
+        let registry = MetricsRegistry::new();
+        let (kg, _) = smoke_world();
+        let store = DurableStore::create(
+            &dir,
+            DurabilityConfig::default(),
+            &kg,
+            &IngestReport::default(),
+            &registry,
+        )
+        .unwrap();
+        drop(store);
+        fs::write(dir.join("wal-00000000-s0.log"), b"").unwrap();
+        let err = DurableStore::open(&dir, DurabilityConfig::default(), &registry)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("wal-00000000-s0.log"), "{err}");
     }
 
     #[test]

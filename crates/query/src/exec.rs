@@ -236,38 +236,15 @@ pub fn execute_shared_deadline_in(
     root.attr("class", query_class(query));
     root.attr("epoch", snap.epoch);
     if root.is_enabled() {
-        // A sharded session serves from the composite fan-out/merge view;
-        // aggregate its per-shard merge accounting into the same attrs.
-        let ms = match &snap.sharded {
-            Some(sharded) => sharded.merge_stats(),
-            None => snap.view.merge_stats(),
-        };
-        if let Some(sharded) = &snap.sharded {
-            root.attr("shards", sharded.shard_count());
-        }
+        let ms = snap.view.merge_stats();
         root.attr("nous_snapshot_layers", ms.layers);
         root.attr("overlay_edges", ms.overlay_edges);
         root.attr("tombstones", ms.tombstones);
         root.attr("delta_permille", ms.delta_permille());
     }
     let ctx = root.context();
-    // The executor is generic over `GraphView`; a sharded snapshot routes
-    // every class through the composite (k-way merged in `FrozenView`
-    // order, so results are byte-identical to the single-graph path).
-    let resp = match (query, &snap.sharded) {
-        (Query::Trending { .. }, Some(sharded)) => session.with_trends_only(|trends| {
-            execute_view_instrumented_deadline_traced(
-                query,
-                &**sharded,
-                &snap.disambiguator,
-                &snap.topics,
-                Some(trends),
-                &registry,
-                deadline,
-                &ctx,
-            )
-        }),
-        (Query::Trending { .. }, None) => session.with_trends_only(|trends| {
+    let resp = match query {
+        Query::Trending { .. } => session.with_trends_only(|trends| {
             execute_view_instrumented_deadline_traced(
                 query,
                 &snap.view,
@@ -279,17 +256,7 @@ pub fn execute_shared_deadline_in(
                 &ctx,
             )
         }),
-        (_, Some(sharded)) => execute_view_instrumented_deadline_traced(
-            query,
-            &**sharded,
-            &snap.disambiguator,
-            &snap.topics,
-            None,
-            &registry,
-            deadline,
-            &ctx,
-        ),
-        (_, None) => execute_view_instrumented_deadline_traced(
+        _ => execute_view_instrumented_deadline_traced(
             query,
             &snap.view,
             &snap.disambiguator,

@@ -155,65 +155,6 @@ fn five_query_classes_over_real_sockets() {
     let (status, _, stats) = http(addr, "GET", "/stats", &[], b"");
     assert_eq!(status, 200);
     assert!(stats.contains("nous_"), "stats snapshot is populated");
-    // Unsharded session: no per-shard series pollute the snapshot (the
-    // 1-shard /stats surface is byte-compatible with the pre-sharding one).
-    assert!(!stats.contains("nous_shard_facts"), "{stats}");
-    server.shutdown();
-}
-
-#[test]
-fn sharded_session_serves_identically_and_exposes_per_shard_stats() {
-    let registry = MetricsRegistry::new();
-    registry.enable_tracing(42, 64, 0);
-    let (kg, topics, trends) = fixture();
-    let session = SharedSession::with_registry(kg, topics, trends, registry.clone());
-    session.enable_sharding(3);
-    let pipeline = IngestPipeline::with_registry(PipelineConfig::default(), registry.clone());
-    let server = Server::start(
-        Arc::new(session),
-        pipeline,
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .expect("bind");
-    let addr = server.local_addr();
-
-    // Same five classes as the unsharded test: results are served off the
-    // composite fan-out/merge view, not the single-graph snapshot.
-    for (query, marker) in [
-        ("TRENDING LIMIT 5", "acquired"),
-        ("tell me about Apex Robotics", "Apex Robotics"),
-        ("WHY Apex Robotics -> Falcon Systems LIMIT 3", "investedIn"),
-        ("MATCH (*)-[acquired]->(*) LIMIT 5", "acquired"),
-        ("PATHS Apex Robotics TO Falcon Systems MAX 3", "Condor"),
-        ("TIMELINE Apex Robotics LIMIT 5", "partneredWith"),
-    ] {
-        let (status, _, body) = post_query(addr, query, &[]);
-        assert_eq!(status, 200, "{query}: {body}");
-        let v: serde_json::Value = serde_json::from_str(&body).expect("json body");
-        let rendered = json_field(&v, "rendered").as_str().unwrap();
-        assert!(rendered.contains(marker), "{query}: {rendered}");
-    }
-
-    // /stats aggregates the per-shard gauges the fabric publishes.
-    let (status, _, stats) = http(addr, "GET", "/stats", &[], b"");
-    assert_eq!(status, 200);
-    assert!(stats.contains("\"nous_shards\""), "{stats}");
-    // Label quotes are JSON-escaped inside the snapshot's metric keys.
-    for k in 0..3 {
-        assert!(
-            stats.contains(&format!("nous_shard_facts{{shard=\\\"{k}\\\"}}")),
-            "missing shard {k} facts series in {stats}"
-        );
-        assert!(
-            stats.contains(&format!("nous_shard_snapshot_epoch{{shard=\\\"{k}\\\"}}")),
-            "missing shard {k} epoch series in {stats}"
-        );
-    }
-    // Prometheus exposition carries the same labeled families.
-    let (status, _, prom) = http(addr, "GET", "/metrics", &[], b"");
-    assert_eq!(status, 200);
-    assert!(prom.contains("nous_shard_facts{shard=\"0\"}"), "{prom}");
     server.shutdown();
 }
 

@@ -349,79 +349,66 @@ fn served_resolver_matches_live_at_every_epoch_and_held_epochs_never_move() {
     use nous_text::bow::BagOfWords;
     use nous_text::ner::EntityType;
 
-    for shards in [1, 4] {
-        let (_, kg, articles) = world_kg();
-        let session = SharedSession::new(kg, TopicIndex::new(2), trend_monitor());
-        session.enable_sharding(shards);
-        session.set_compaction_config(nous_core::CompactionConfig {
-            max_layers: 3,
-            background: false,
-            ..Default::default()
-        });
-        let mut pipe = pipeline();
-        let mut held = Vec::new();
-        let mut versions = std::collections::BTreeSet::new();
-        for (step, chunk) in articles.chunks(BATCH).enumerate() {
-            session.ingest_batch(&mut pipe, chunk);
-            if step % 4 == 0 {
-                // Mints, a popularity bump and a context merge outside the
-                // pipeline, plus a record under an alias that grows more
-                // ambiguous each time: popularity decides it.
-                session.write(|kg| {
-                    let a =
-                        kg.create_entity(&format!("Minted {step} Corp"), EntityType::Organization);
-                    let b =
-                        kg.create_entity(&format!("Minted {step} Labs"), EntityType::Organization);
-                    for _ in 0..=step % 3 {
-                        kg.add_extracted_fact(a, "partneredWith", b, step as u64, 0.9, step as u64);
-                    }
-                    kg.add_entity_text(a, &BagOfWords::from_text("autonomous drone delivery"));
-                    kg.disambiguator.insert(EntityRecord {
-                        id: a.0,
-                        name: format!("Minted {step} Holdings"),
-                        aliases: vec!["Minted".into(), format!("Minted {step} Holdings")],
-                        context: BagOfWords::new(),
-                        popularity: (step % 5) as f64,
-                    });
+    let (_, kg, articles) = world_kg();
+    let session = SharedSession::new(kg, TopicIndex::new(2), trend_monitor());
+    session.set_compaction_config(nous_core::CompactionConfig {
+        max_layers: 3,
+        background: false,
+        ..Default::default()
+    });
+    let mut pipe = pipeline();
+    let mut held = Vec::new();
+    let mut versions = std::collections::BTreeSet::new();
+    for (step, chunk) in articles.chunks(BATCH).enumerate() {
+        session.ingest_batch(&mut pipe, chunk);
+        if step % 4 == 0 {
+            // Mints, a popularity bump and a context merge outside the
+            // pipeline, plus a record under an alias that grows more
+            // ambiguous each time: popularity decides it.
+            session.write(|kg| {
+                let a = kg.create_entity(&format!("Minted {step} Corp"), EntityType::Organization);
+                let b = kg.create_entity(&format!("Minted {step} Labs"), EntityType::Organization);
+                for _ in 0..=step % 3 {
+                    kg.add_extracted_fact(a, "partneredWith", b, step as u64, 0.9, step as u64);
+                }
+                kg.add_entity_text(a, &BagOfWords::from_text("autonomous drone delivery"));
+                kg.disambiguator.insert(EntityRecord {
+                    id: a.0,
+                    name: format!("Minted {step} Holdings"),
+                    aliases: vec!["Minted".into(), format!("Minted {step} Holdings")],
+                    context: BagOfWords::new(),
+                    popularity: (step % 5) as f64,
                 });
-            }
-            if step % 6 == 5 {
-                assert!(session.compact_now());
-            }
-
-            let snap = session.frozen();
-            let live = session.read(|kg, _| {
-                assert_eq!(snap.disambiguator.len(), kg.disambiguator.len());
-                resolve_everything(kg.disambiguator.served(), |surface| {
-                    kg.disambiguator
-                        .resolve(surface, &BagOfWords::new(), LinkMode::Full)
-                })
             });
-            let served = resolve_everything(&snap.disambiguator, |s| snap.disambiguator.resolve(s));
-            assert_eq!(
-                served, live,
-                "shards {shards} step {step} epoch {}",
-                snap.epoch
-            );
-            versions.insert(snap.disambiguator.version());
-            held.push((snap, served));
         }
-        assert!(versions.len() > held.len() / 2, "the resolver kept moving");
-        let shared = resolved(held.last().unwrap().0.disambiguator.resolve("Minted"));
-        assert!(shared.unwrap().4 > 3, "the shared alias grew ambiguous");
+        if step % 6 == 5 {
+            assert!(session.compact_now());
+        }
 
-        for (snap, at_its_epoch) in &held {
-            let now = resolve_everything(&snap.disambiguator, |s| snap.disambiguator.resolve(s));
-            assert_eq!(
-                &now, at_its_epoch,
-                "shards {shards} epoch {} moved",
-                snap.epoch
-            );
-        }
-        let copied = session
-            .metrics()
-            .counter_value("nous_resolver_copied_elements_total", &[])
-            .unwrap();
-        assert!(copied > 0, "every moved resolver version was copied out");
+        let snap = session.frozen();
+        let live = session.read(|kg, _| {
+            assert_eq!(snap.disambiguator.len(), kg.disambiguator.len());
+            resolve_everything(kg.disambiguator.served(), |surface| {
+                kg.disambiguator
+                    .resolve(surface, &BagOfWords::new(), LinkMode::Full)
+            })
+        });
+        let served = resolve_everything(&snap.disambiguator, |s| snap.disambiguator.resolve(s));
+        assert_eq!(served, live, "step {step} epoch {}", snap.epoch);
+        versions.insert(snap.disambiguator.version());
+        held.push((snap, served));
     }
+    assert!(versions.len() > held.len() / 2, "the resolver kept moving");
+    let shared = resolved(held.last().unwrap().0.disambiguator.resolve("Minted"));
+    assert!(shared.unwrap().4 > 3, "the shared alias grew ambiguous");
+
+    for (snap, at_its_epoch) in &held {
+        let now = resolve_everything(&snap.disambiguator, |s| snap.disambiguator.resolve(s));
+        assert_eq!(&now, at_its_epoch, "epoch {} moved", snap.epoch);
+    }
+    let copied = session
+        .metrics()
+        .counter_value("nous_resolver_copied_elements_total", &[])
+        .unwrap();
+    assert!(copied > 0, "every moved resolver version was copied out");
 }

@@ -2,9 +2,9 @@
 //! crash and WAL replay. Revision runs *inside* the admit call that
 //! replay re-issues per journaled document, so recovery re-derives every
 //! tombstone and decay from the admission log — the WAL records no
-//! revision events. Verified at one WAL lane (`DurableStore`) and four
-//! sharded lanes (`ShardedDurableStore`), and — with `fault-injection` —
-//! under a seeded fault plan with the zero-acked-fact-loss criterion.
+//! revision events. Verified on `DurableStore`, across checkpoint
+//! rotation, and — with `fault-injection` — under a seeded fault plan
+//! with the zero-acked-fact-loss criterion.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -13,7 +13,7 @@ use nous_core::{IngestPipeline, IngestReport, KnowledgeGraph, PipelineConfig, Re
 use nous_corpus::scenarios::{generate, Regime, Scenario, ScenarioConfig};
 use nous_corpus::OntologyPredicate;
 use nous_obs::MetricsRegistry;
-use nous_persist::{DurabilityConfig, DurableStore, FsyncPolicy, RetryPolicy, ShardedDurableStore};
+use nous_persist::{DurabilityConfig, DurableStore, FsyncPolicy, RetryPolicy};
 
 fn scratch(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -111,36 +111,6 @@ fn superseded_facts_stay_superseded_after_replay_one_lane() {
 
     let reg = MetricsRegistry::new();
     let (_store, rec) = DurableStore::open(&dir, DurabilityConfig::default(), &reg).unwrap();
-    assert!(rec.replayed_docs > 0, "nothing replayed");
-    assert_revision_state(&scenario, &kg, &rec.kg);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn superseded_facts_stay_superseded_after_replay_four_lanes() {
-    const SHARDS: usize = 4;
-    let scenario = contradiction_scenario();
-    let mut kg = fresh_kg(&scenario);
-    let registry = MetricsRegistry::new();
-    let dir = scratch("lane4");
-    let store = ShardedDurableStore::create(
-        &dir,
-        durability(),
-        SHARDS,
-        &kg,
-        &IngestReport::default(),
-        &registry,
-    )
-    .unwrap();
-    let mut pipe = IngestPipeline::with_registry(PipelineConfig::default(), registry.clone());
-    pipe.set_journal(store.journal());
-    pipe.ingest_all(&mut kg, &scenario.articles);
-    drop(pipe);
-    drop(store); // crash
-
-    let reg = MetricsRegistry::new();
-    let (_store, rec) =
-        ShardedDurableStore::open(&dir, DurabilityConfig::default(), SHARDS, &reg).unwrap();
     assert!(rec.replayed_docs > 0, "nothing replayed");
     assert_revision_state(&scenario, &kg, &rec.kg);
     std::fs::remove_dir_all(&dir).ok();

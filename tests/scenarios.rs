@@ -28,8 +28,7 @@ fn trends() -> TrendMonitor {
 }
 
 /// Same seed → byte-identical article stream, no matter which thread
-/// generates it. Generation reads no environment and no global state
-/// (`NOUS_SHARDS` only affects sessions, never the corpus).
+/// generates it. Generation reads no environment and no global state.
 #[test]
 fn article_streams_are_byte_identical_per_seed_across_threads() {
     for regime in Regime::ALL {
@@ -129,33 +128,25 @@ fn harness_scores_are_deterministic_per_seed() {
 
 /// Build a session pre-loaded with a scenario's curated KB (revision on)
 /// and ingest its full stream.
-fn ingest_scenario(
-    scenario: &nous_corpus::Scenario,
-    shards: usize,
-) -> (SharedSession, IngestPipeline) {
+fn ingest_scenario(scenario: &nous_corpus::Scenario) -> (SharedSession, IngestPipeline) {
     let mut kg = KnowledgeGraph::from_curated(&scenario.world, &scenario.kb);
     kg.set_revision_policy(RevisionPolicy::enabled());
     kg.train_predictor();
     let registry = MetricsRegistry::new();
     let session = SharedSession::with_registry(kg, TopicIndex::new(2), trends(), registry.clone());
-    // Pin the serving topology regardless of the ambient `NOUS_SHARDS`
-    // (the CI sharded leg sets it for the whole process): `1` is the
-    // literal unsharded path, `>= 2` the fan-out/merge composite.
-    session.enable_sharding(shards);
     let mut pipeline = IngestPipeline::with_registry(PipelineConfig::default(), registry);
     session.ingest_batch(&mut pipeline, &scenario.articles);
     (session, pipeline)
 }
 
 /// The acceptance criterion for the contradiction regime: a superseded
-/// fact disappears from MATCH *and* WHY answers after revision, the
-/// superseding fact serves in its place, and the 1-shard unsharded path
-/// renders byte-identically to the sharded fan-out/merge path.
+/// fact disappears from MATCH *and* WHY answers after revision, and the
+/// superseding fact serves in its place.
 #[test]
 fn contradiction_changes_served_answers() {
     let cfg = ScenarioConfig::smoke(Regime::Contradiction);
     let scenario = generate(&cfg);
-    let (session, _pipeline) = ingest_scenario(&scenario, 1);
+    let (session, _pipeline) = ingest_scenario(&scenario);
 
     // From the oracle, pick every mover with its first (superseded) and
     // final (current) home.
@@ -226,24 +217,6 @@ fn contradiction_changes_served_answers() {
         }
         other => panic!("unexpected WHY result: {other:?}"),
     }
-
-    // Sharded serving equivalence: the fan-out/merge composite renders
-    // byte-identical answers to the unsharded path for the same stream.
-    let (sharded, _p2) = ingest_scenario(&scenario, 4);
-    let mover_name = mover.clone();
-    let queries = [
-        "MATCH (*)-[isLocatedIn]->(*) LIMIT 1000".to_owned(),
-        "MATCH (*)-[partneredWith]->(*) LIMIT 1000".to_owned(),
-        format!("tell me about {mover_name}"),
-        format!("WHY {mover_name} -> {new_home} VIA isLocatedIn LIMIT 3"),
-        format!("TIMELINE {mover_name} LIMIT 10"),
-    ];
-    for q in &queries {
-        let parsed = parse(q).expect("query parses");
-        let a = format!("{:?}", execute_shared(&session, &parsed));
-        let b = format!("{:?}", execute_shared(&sharded, &parsed));
-        assert_eq!(a, b, "{q}: sharded and unsharded answers diverge");
-    }
 }
 
 /// Emerging entities — unseen at bootstrap — are minted mid-stream and
@@ -252,7 +225,7 @@ fn contradiction_changes_served_answers() {
 fn emerging_entities_become_queryable_mid_stream() {
     let cfg = ScenarioConfig::smoke(Regime::Emerging);
     let scenario = generate(&cfg);
-    let (session, _pipeline) = ingest_scenario(&scenario, 1);
+    let (session, _pipeline) = ingest_scenario(&scenario);
     let mut served = served_extracted(&session, "acquired");
     served.extend(served_extracted(&session, "partneredWith"));
     for name in &scenario.emerging {
@@ -270,7 +243,7 @@ fn emerging_entities_become_queryable_mid_stream() {
 fn noisy_stream_admits_clean_facts_only() {
     let cfg = ScenarioConfig::smoke(Regime::Noisy);
     let scenario = generate(&cfg);
-    let (session, pipeline) = ingest_scenario(&scenario, 1);
+    let (session, pipeline) = ingest_scenario(&scenario);
     let truth = scenario.oracle.truth_at(cfg.days);
     let mut served = std::collections::BTreeSet::new();
     for p in scenario.oracle.predicates() {

@@ -17,13 +17,6 @@ use nous_query::{execute_shared, parse};
 /// through the micro-batched path, feed the miner, run one query per
 /// class, and return the JSON snapshot plus the Prometheus exposition.
 fn run_once() -> (String, String) {
-    run_once_with(None)
-}
-
-/// [`run_once`] with an explicit shard count: `Some(1)` forces the
-/// single-graph path even under a `NOUS_SHARDS` CI leg, `Some(n)` fans
-/// admission out across `n` shard replicas.
-fn run_once_with(shards: Option<usize>) -> (String, String) {
     let world = World::generate(&Preset::Smoke.world_config());
     let kb = CuratedKb::generate(&world, 7);
     let mut kg = KnowledgeGraph::from_curated(&world, &kb);
@@ -48,9 +41,6 @@ fn run_once_with(shards: Option<usize>) -> (String, String) {
         ),
         registry.clone(),
     );
-    if let Some(n) = shards {
-        session.enable_sharding(n);
-    }
     let mut pipeline = IngestPipeline::with_registry(
         PipelineConfig {
             batch_size: 8,
@@ -115,48 +105,20 @@ fn exposition_covers_every_instrumented_subsystem() {
     assert!(prom.contains("nous_query_total{class=\"paths\"} 1"));
 }
 
+/// One graph, one surface: no per-shard series, byte-identical between
+/// runs.
 #[test]
 fn one_shard_mode_is_byte_identical_to_the_unsharded_surface() {
-    let (snap, prom) = run_once_with(Some(1));
-    if std::env::var("NOUS_SHARDS").is_err() {
-        // 1-shard mode emits no per-shard series and is a strict no-op
-        // against a session that never heard of sharding.
-        assert!(
-            !snap.contains("nous_shard"),
-            "1-shard snapshot must carry no per-shard series: {snap}"
-        );
-        assert!(
-            !prom.contains("nous_shard"),
-            "1-shard exposition must carry no per-shard series"
-        );
-        let (snap0, prom0) = run_once();
-        assert_eq!(snap, snap0, "enable_sharding(1) must be a strict no-op");
-        assert_eq!(prom, prom0, "enable_sharding(1) must be a strict no-op");
-    } else {
-        // Under a NOUS_SHARDS>=2 CI leg the session is born sharded and
-        // registry series never unregister, so the shard gauges linger
-        // after enable_sharding(1); pin determinism instead.
-        let (snap2, prom2) = run_once_with(Some(1));
-        assert_eq!(snap, snap2, "forced 1-shard runs must be deterministic");
-        assert_eq!(prom, prom2, "forced 1-shard runs must be deterministic");
-    }
-}
-
-#[test]
-fn sharded_stats_are_deterministic_and_expose_per_shard_gauges() {
-    let (snap1, prom1) = run_once_with(Some(4));
-    let (snap2, prom2) = run_once_with(Some(4));
-    assert_eq!(snap1, snap2, "sharded JSON snapshot must be deterministic");
-    assert_eq!(prom1, prom2, "sharded exposition must be deterministic");
-    assert!(prom1.contains("nous_shards 4"), "{prom1}");
-    for k in 0..4 {
-        assert!(
-            prom1.contains(&format!("nous_shard_facts{{shard=\"{k}\"}}")),
-            "missing shard {k} facts series"
-        );
-        assert!(
-            prom1.contains(&format!("nous_shard_snapshot_epoch{{shard=\"{k}\"}}")),
-            "missing shard {k} epoch series"
-        );
-    }
+    let (snap, prom) = run_once();
+    assert!(
+        !snap.contains("nous_shard"),
+        "snapshot must carry no per-shard series: {snap}"
+    );
+    assert!(
+        !prom.contains("nous_shard"),
+        "exposition must carry no per-shard series"
+    );
+    let (snap0, prom0) = run_once();
+    assert_eq!(snap, snap0, "JSON snapshot must be deterministic");
+    assert_eq!(prom, prom0, "Prometheus exposition must be deterministic");
 }
