@@ -360,12 +360,14 @@ impl KnowledgeGraph {
 
     /// (Re)train the per-predicate link predictor from the current graph.
     pub fn train_predictor(&mut self) {
-        let triples: Vec<(&str, u32, u32)> = self
+        let names: Vec<&str> = self.graph.iter_predicates().map(|(_, n)| n).collect();
+        let triples: Vec<(u32, u32, u32)> = self
             .graph
             .iter_edges()
-            .map(|(_, e)| (self.graph.predicate_name(e.pred), e.src.0, e.dst.0))
+            .map(|(_, e)| (e.pred.0, e.src.0, e.dst.0))
             .collect();
-        self.predictor.fit(self.graph.vertex_count(), &triples);
+        self.predictor
+            .fit_interned(self.graph.vertex_count(), &names, &triples);
     }
 
     /// Train LDA over per-entity text and build the QA topic index (§3.6).
@@ -422,10 +424,11 @@ impl KnowledgeGraph {
     /// per entity, and the raw predicate spelled out per stashed triple;
     /// [`KnowledgeGraph::decode_checkpoint`] still reads it.
     ///
-    /// Not encoded: the trained predictor weights —
-    /// [`KnowledgeGraph::decode_checkpoint`] retrains from the restored
-    /// graph, which is deterministic given the same edges, and the
-    /// predictor's `BprConfig` resets to its default.
+    /// Not encoded: the trained predictor weights. A decoded graph's
+    /// predictor is untrained, with the default `BprConfig`; call
+    /// [`KnowledgeGraph::train_predictor`] once the graph is complete, as
+    /// `DurableStore::open` does after WAL replay. Training is
+    /// deterministic given the same edges.
     pub fn encode_checkpoint(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.checkpoint_size_hint());
         self.encode_checkpoint_into(&mut buf);
@@ -528,8 +531,8 @@ impl KnowledgeGraph {
     }
 
     /// Restore a knowledge graph from [`KnowledgeGraph::encode_checkpoint`]
-    /// bytes, rebuilding the derived state (predictor retrained from the
-    /// restored edges).
+    /// bytes, rebuilding the derived indexes. The predictor comes back
+    /// untrained: train it once the graph is complete.
     pub fn decode_checkpoint(bytes: &[u8]) -> Result<Self, nous_graph::snapshot::SnapshotError> {
         use crate::journal::{entity_type_from_tag, read_bow};
         use nous_graph::codec::Reader;
@@ -700,7 +703,7 @@ impl KnowledgeGraph {
             return Err(SnapshotError::Corrupt("trailing checkpoint bytes"));
         }
 
-        let mut kg = KnowledgeGraph {
+        Ok(KnowledgeGraph {
             graph,
             gazetteer,
             disambiguator,
@@ -710,9 +713,7 @@ impl KnowledgeGraph {
             expansion_seen: DeltaWatermark::default(),
             revision,
             revision_counters,
-        };
-        kg.train_predictor();
-        Ok(kg)
+        })
     }
 
     /// Entity summary for "tell me about X" queries (Figure 6): type,
@@ -971,6 +972,44 @@ mod tests {
     }
 
     #[test]
+    fn predictor_bits_are_pinned() {
+        // Every admitted fact's confidence reads these models, so a change
+        // to how `train_predictor` groups edges, tests observed pairs or
+        // schedules the per-predicate fits must leave each score
+        // bit-identical.
+        let (world, _, mut kg) = smoke_kg();
+        for i in 0..6 {
+            let s = kg
+                .graph
+                .vertex_id(&world.entities[world.companies[i]].name)
+                .unwrap();
+            let o = kg
+                .graph
+                .vertex_id(&world.entities[world.companies[i + 1]].name)
+                .unwrap();
+            kg.add_extracted_fact(s, "partneredWith", o, 10, 0.9, i as u64);
+            kg.add_extracted_fact(o, "acquired", s, 20, 0.8, 10 + i as u64);
+        }
+        kg.train_predictor();
+        let n = kg.graph.vertex_count() as u32;
+        let mut bits = Vec::new();
+        for (_, p) in kg.graph.iter_predicates() {
+            bits.push(u8::from(kg.predictor.has_model(p)));
+            if !kg.predictor.has_model(p) {
+                continue;
+            }
+            for s in 0..n {
+                for o in 0..n {
+                    let x = kg.predictor.score(p, s, o);
+                    bits.extend_from_slice(&x.to_bits().to_le_bytes());
+                }
+            }
+        }
+        // Recorded from the `HashSet`-probing, one-model-at-a-time fit.
+        assert_eq!(nous_graph::codec::fnv1a64(&bits), 0x7529_0488_2eae_e772);
+    }
+
+    #[test]
     fn checkpoint_roundtrips_full_state() {
         let (world, _, mut kg) = smoke_kg();
         kg.train_predictor();
@@ -997,7 +1036,7 @@ mod tests {
         kg.create_entity("Checkpoint Test Corp", EntityType::Organization);
         kg.stash_raw_triple(s, "buy", o);
         let bytes = kg.encode_checkpoint();
-        let back = KnowledgeGraph::decode_checkpoint(&bytes).unwrap();
+        let mut back = KnowledgeGraph::decode_checkpoint(&bytes).unwrap();
         assert_eq!(back.graph.vertex_count(), kg.graph.vertex_count());
         assert_eq!(back.graph.edge_count(), kg.graph.edge_count());
         assert_eq!(back.graph.log_len(), kg.graph.log_len());
@@ -1011,8 +1050,10 @@ mod tests {
         assert_eq!(back.mapper.rules().len(), kg.mapper.rules().len());
         assert_eq!(back.entity_text(s), kg.entity_text(s));
         assert!(!kg.entity_text(s).is_empty());
-        // Predictor was retrained on the same edges: the same predicates
-        // clear min-support, so the same models exist.
+        // Decode does not train; trained on the same edges, the same
+        // predicates clear min-support, so the same models exist.
+        assert!(back.predictor.trained_predicates().is_empty());
+        back.train_predictor();
         kg.train_predictor();
         assert_eq!(
             back.predictor.trained_predicates(),

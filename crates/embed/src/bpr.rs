@@ -11,7 +11,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -64,52 +63,9 @@ impl BprModel {
     /// Train on observed `(subject, object)` pairs over an entity space of
     /// size `n_entities`. Ids must be `< n_entities`.
     pub fn train(n_entities: usize, positives: &[(u32, u32)], cfg: &BprConfig) -> BprModel {
-        assert!(cfg.dim > 0, "dim must be positive");
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x6a09_e667_f3bc_c909);
-        let d = cfg.dim;
-        let scale = 1.0 / (d as f32).sqrt();
-        let mut subj = vec![0f32; n_entities * d];
-        let mut obj = vec![0f32; n_entities * d];
-        for w in subj.iter_mut().chain(obj.iter_mut()) {
-            *w = (rng.gen::<f32>() - 0.5) * scale;
-        }
-
-        let observed: HashSet<(u32, u32)> = positives.iter().copied().collect();
-        let mut order: Vec<usize> = (0..positives.len()).collect();
-
-        for _ in 0..cfg.epochs {
-            order.shuffle(&mut rng);
-            for &idx in &order {
-                let (s, o_pos) = positives[idx];
-                for _ in 0..cfg.negatives {
-                    // Sample an unobserved object for this subject.
-                    let mut o_neg = rng.gen_range(0..n_entities as u32);
-                    let mut guard = 0;
-                    while observed.contains(&(s, o_neg)) && guard < 10 {
-                        o_neg = rng.gen_range(0..n_entities as u32);
-                        guard += 1;
-                    }
-                    if observed.contains(&(s, o_neg)) {
-                        continue;
-                    }
-                    Self::sgd_step(&mut subj, &mut obj, d, s, o_pos, o_neg, cfg);
-                }
-            }
-        }
-
-        let mut model = BprModel {
-            dim: d,
-            subj,
-            obj,
-            n_entities,
-            train_mean_score: 0.0,
-        };
-        if !positives.is_empty() {
-            let mean: f32 = positives.iter().map(|&(s, o)| model.raw(s, o)).sum::<f32>()
-                / positives.len() as f32;
-            model.train_mean_score = mean;
-        }
-        model
+        let mut fit = BprFit::new(n_entities, positives, cfg.clone());
+        fit.run();
+        fit.finish()
     }
 
     #[inline]
@@ -143,11 +99,7 @@ impl BprModel {
 
     /// Raw (uncalibrated) affinity `S_s · O_o`.
     pub fn raw(&self, s: u32, o: u32) -> f32 {
-        let sb = s as usize * self.dim;
-        let ob = o as usize * self.dim;
-        (0..self.dim)
-            .map(|i| self.subj[sb + i] * self.obj[ob + i])
-            .sum()
+        dot(&self.subj, &self.obj, self.dim, s, o)
     }
 
     /// Calibrated confidence in `(0, 1)`: `σ(raw)` — "the model produces a
@@ -167,6 +119,146 @@ impl BprModel {
     /// Mean raw score the model assigns to its training positives.
     pub fn train_mean_score(&self) -> f32 {
         self.train_mean_score
+    }
+}
+
+/// `S_s · O_o` over row-major `n × d` tables.
+#[inline]
+fn dot(subj: &[f32], obj: &[f32], d: usize, s: u32, o: u32) -> f32 {
+    let sb = s as usize * d;
+    let ob = o as usize * d;
+    (0..d).map(|i| subj[sb + i] * obj[ob + i]).sum()
+}
+
+/// Stable counting sort of `(key, value)` items with keys `< keys`:
+/// `values[starts[k]..starts[k + 1]]` are key `k`'s values, in item order.
+pub(crate) fn group_by_key<T: Copy + Default>(
+    keys: usize,
+    items: impl Iterator<Item = (u32, T)> + Clone,
+) -> (Vec<usize>, Vec<T>) {
+    let mut starts = vec![0usize; keys + 1];
+    for (k, _) in items.clone() {
+        starts[k as usize + 1] += 1;
+    }
+    for k in 0..keys {
+        starts[k + 1] += starts[k];
+    }
+    let mut fill = starts.clone();
+    let mut values = vec![T::default(); starts[keys]];
+    for (k, v) in items {
+        values[fill[k as usize]] = v;
+        fill[k as usize] += 1;
+    }
+    (starts, values)
+}
+
+/// One model's training, split so that [`BprFit::new`] does every
+/// allocation and [`BprFit::run`], the SGD itself, does none.
+/// `LinkPredictor`'s fit builds each predicate's `BprFit` on the calling
+/// thread and runs them on worker threads: a worker that never calls the
+/// allocator never gets a malloc arena of its own.
+pub(crate) struct BprFit<'a> {
+    positives: &'a [(u32, u32)],
+    cfg: BprConfig,
+    n_entities: usize,
+    subj: Vec<f32>,
+    obj: Vec<f32>,
+    /// Observed pairs by subject (CSR): `objects[starts[s]..starts[s + 1]]`
+    /// are the objects observed with `s`, sorted.
+    starts: Vec<usize>,
+    objects: Vec<u32>,
+    /// Visit order over `positives`, reshuffled every epoch.
+    order: Vec<usize>,
+    train_mean_score: f32,
+}
+
+impl<'a> BprFit<'a> {
+    pub(crate) fn new(n_entities: usize, positives: &'a [(u32, u32)], cfg: BprConfig) -> Self {
+        assert!(cfg.dim > 0, "dim must be positive");
+        let (starts, mut objects) = group_by_key(n_entities, positives.iter().copied());
+        for s in 0..n_entities {
+            objects[starts[s]..starts[s + 1]].sort_unstable();
+        }
+        let table = n_entities * cfg.dim;
+        Self {
+            positives,
+            cfg,
+            n_entities,
+            subj: vec![0f32; table],
+            obj: vec![0f32; table],
+            starts,
+            objects,
+            order: (0..positives.len()).collect(),
+            train_mean_score: 0.0,
+        }
+    }
+
+    /// Observed pairs this model trains on.
+    pub(crate) fn positives(&self) -> usize {
+        self.positives.len()
+    }
+
+    /// Initialise the factor tables and run every SGD epoch.
+    pub(crate) fn run(&mut self) {
+        let Self {
+            positives,
+            cfg,
+            n_entities,
+            subj,
+            obj,
+            starts,
+            objects,
+            order,
+            train_mean_score,
+        } = self;
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x6a09_e667_f3bc_c909);
+        let d = cfg.dim;
+        let scale = 1.0 / (d as f32).sqrt();
+        for w in subj.iter_mut().chain(obj.iter_mut()) {
+            *w = (rng.gen::<f32>() - 0.5) * scale;
+        }
+
+        let n = *n_entities as u32;
+        for _ in 0..cfg.epochs {
+            order.shuffle(&mut rng);
+            for &idx in order.iter() {
+                let (s, o_pos) = positives[idx];
+                let seen = &objects[starts[s as usize]..starts[s as usize + 1]];
+                for _ in 0..cfg.negatives {
+                    // Sample an unobserved object for this subject.
+                    let mut o_neg = rng.gen_range(0..n);
+                    let mut observed = seen.binary_search(&o_neg).is_ok();
+                    let mut guard = 0;
+                    while observed && guard < 10 {
+                        o_neg = rng.gen_range(0..n);
+                        observed = seen.binary_search(&o_neg).is_ok();
+                        guard += 1;
+                    }
+                    if observed {
+                        continue;
+                    }
+                    BprModel::sgd_step(subj, obj, d, s, o_pos, o_neg, cfg);
+                }
+            }
+        }
+
+        if !positives.is_empty() {
+            *train_mean_score = positives
+                .iter()
+                .map(|&(s, o)| dot(subj, obj, d, s, o))
+                .sum::<f32>()
+                / positives.len() as f32;
+        }
+    }
+
+    pub(crate) fn finish(self) -> BprModel {
+        BprModel {
+            dim: self.cfg.dim,
+            subj: self.subj,
+            obj: self.obj,
+            n_entities: self.n_entities,
+            train_mean_score: self.train_mean_score,
+        }
     }
 }
 

@@ -7,9 +7,10 @@
 //! than an untrained model. [`PredictorMode::Global`] is the E8 ablation:
 //! a single model pooled across predicates.
 
-use crate::bpr::{BprConfig, BprModel};
+use crate::bpr::{group_by_key, BprConfig, BprFit, BprModel};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Per-predicate vs. pooled training (the paper does per-predicate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,35 +56,83 @@ impl LinkPredictor {
     /// Train from the current graph state: `(predicate name, subject id,
     /// object id)` triples over `n_entities` entities.
     pub fn fit<S: AsRef<str>>(&mut self, n_entities: usize, triples: &[(S, u32, u32)]) {
+        let mut ids: HashMap<&str, u32> = HashMap::new();
+        let mut names: Vec<&str> = Vec::new();
+        let interned: Vec<(u32, u32, u32)> = triples
+            .iter()
+            .map(|(p, s, o)| {
+                let p = p.as_ref();
+                let id = *ids.entry(p).or_insert_with(|| {
+                    names.push(p);
+                    names.len() as u32 - 1
+                });
+                (id, *s, *o)
+            })
+            .collect();
+        self.fit_interned(n_entities, &names, &interned);
+    }
+
+    /// [`LinkPredictor::fit`] over interned predicates: each triple is
+    /// `(predicate id, subject id, object id)`, and `predicates[id]` is
+    /// that predicate's name. Names must be distinct.
+    ///
+    /// The models train in parallel, one lane per available CPU; each
+    /// predicate's seed derives from its name alone, so every model is the
+    /// one [`BprModel::train`] would give it, whatever the lane count.
+    pub fn fit_interned<S: AsRef<str>>(
+        &mut self,
+        n_entities: usize,
+        predicates: &[S],
+        triples: &[(u32, u32, u32)],
+    ) {
+        let lanes = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.fit_in_lanes(n_entities, predicates, triples, lanes);
+    }
+
+    fn fit_in_lanes<S: AsRef<str>>(
+        &mut self,
+        n_entities: usize,
+        predicates: &[S],
+        triples: &[(u32, u32, u32)],
+        lanes: usize,
+    ) {
         self.n_entities = n_entities;
         self.models.clear();
         self.global = None;
         match self.mode {
             PredictorMode::Global => {
-                let pairs: Vec<(u32, u32)> = triples.iter().map(|(_, s, o)| (*s, *o)).collect();
+                let pairs: Vec<(u32, u32)> = triples.iter().map(|&(_, s, o)| (s, o)).collect();
                 if pairs.len() >= self.min_support {
                     self.global = Some(BprModel::train(n_entities, &pairs, &self.cfg));
                 }
             }
             PredictorMode::PerPredicate => {
-                let mut by_pred: HashMap<&str, Vec<(u32, u32)>> = HashMap::new();
-                for (p, s, o) in triples {
-                    by_pred.entry(p.as_ref()).or_default().push((*s, *o));
-                }
-                // Deterministic training order (HashMap iteration is not).
-                let mut preds: Vec<&str> = by_pred.keys().copied().collect();
-                preds.sort_unstable();
-                for p in preds {
-                    let pairs = &by_pred[p];
-                    if pairs.len() >= self.min_support {
-                        // Derive a per-predicate seed so models differ.
-                        let mut cfg = self.cfg.clone();
-                        cfg.seed ^= p
-                            .bytes()
-                            .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-                        self.models
-                            .insert(p.to_owned(), BprModel::train(n_entities, pairs, &cfg));
+                // Stable: each group keeps the triples' order, which the
+                // SGD shuffle starts from.
+                let (starts, pairs) = group_by_key(
+                    predicates.len(),
+                    triples.iter().map(|&(p, s, o)| (p, (s, o))),
+                );
+                // Everything a fit allocates is allocated here, on the
+                // calling thread; the lanes only run SGD.
+                let mut fits: Vec<(&str, BprFit)> = Vec::new();
+                for (p, name) in predicates.iter().enumerate() {
+                    let group = &pairs[starts[p]..starts[p + 1]];
+                    if group.is_empty() || group.len() < self.min_support {
+                        continue;
                     }
+                    let name = name.as_ref();
+                    // Derive a per-predicate seed so models differ.
+                    let mut cfg = self.cfg.clone();
+                    cfg.seed ^= name
+                        .bytes()
+                        .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
+                    fits.push((name, BprFit::new(n_entities, group, cfg)));
+                }
+                fits.sort_by_key(|(_, fit)| std::cmp::Reverse(fit.positives()));
+                run_in_lanes(&mut fits, lanes, |(_, fit)| fit.run());
+                for (name, fit) in fits {
+                    self.models.insert(name.to_owned(), fit.finish());
                 }
             }
         }
@@ -125,6 +174,30 @@ impl LinkPredictor {
     pub fn mode(&self) -> PredictorMode {
         self.mode
     }
+}
+
+/// Run `work` once on every job, in at most `lanes` lanes: the calling
+/// thread plus up to `lanes - 1` scoped threads, each taking the next job
+/// in slice order until none is left. Put the longest jobs first.
+fn run_in_lanes<T: Send>(jobs: &mut [T], lanes: usize, work: impl Fn(&mut T) + Sync) {
+    let lanes = lanes.min(jobs.len());
+    if lanes <= 1 {
+        jobs.iter_mut().for_each(work);
+        return;
+    }
+    let queue = Mutex::new(jobs.iter_mut());
+    let lane = || loop {
+        let Some(job) = queue.lock().unwrap().next() else {
+            break;
+        };
+        work(job);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..lanes {
+            scope.spawn(lane);
+        }
+        lane();
+    });
 }
 
 #[cfg(test)]
@@ -196,6 +269,95 @@ mod tests {
         assert!(lp.has_model("likes"));
         lp.fit::<&str>(10, &[]);
         assert!(!lp.has_model("likes"), "refit on empty data clears models");
+    }
+
+    /// Three trained predicates with duplicate pairs, one below
+    /// `min_support`, interleaved so each predicate's pairs are scattered
+    /// through the triple list. Entity 11 is never a subject.
+    fn mixed_corpus() -> Vec<(String, u32, u32)> {
+        let mut t = corpus(10);
+        for s in 0..10 {
+            t.insert(s as usize * 3, ("owns".to_owned(), s, (s * 7 + 3) % 12));
+            t.push(("owns".to_owned(), s, (s * 7 + 3) % 12));
+        }
+        t.push(("likes".to_owned(), 0, 2));
+        t.push(("follows".to_owned(), 4, 5));
+        t.push(("rare".to_owned(), 1, 11));
+        t.push(("rare".to_owned(), 1, 11));
+        t
+    }
+
+    /// Score bits over every `(s, o)` of every model, plus which models
+    /// exist: equal exactly when the two banks hold the same models.
+    fn bank_bits(lp: &LinkPredictor, preds: &[&str], n: u32) -> Vec<u32> {
+        let mut bits = Vec::new();
+        for p in preds {
+            bits.push(u32::from(lp.has_model(p)));
+            for s in 0..n {
+                for o in 0..n {
+                    bits.push(lp.score(p, s, o).to_bits());
+                }
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn fit_matches_per_predicate_training_at_any_lane_count() {
+        let n = 12;
+        let triples = mixed_corpus();
+        let preds = ["follows", "likes", "owns", "rare", "unseen"];
+        // The oracle: one `BprModel::train` per predicate, over that
+        // predicate's pairs in triple order, seeded by its name.
+        let mut oracle = LinkPredictor::new(PredictorMode::PerPredicate, BprConfig::default());
+        oracle.n_entities = n;
+        for p in preds {
+            let pairs: Vec<(u32, u32)> = triples
+                .iter()
+                .filter(|(q, _, _)| q == p)
+                .map(|&(_, s, o)| (s, o))
+                .collect();
+            if !pairs.is_empty() && pairs.len() >= oracle.min_support {
+                let mut cfg = BprConfig::default();
+                cfg.seed ^= p
+                    .bytes()
+                    .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
+                oracle
+                    .models
+                    .insert(p.to_owned(), BprModel::train(n, &pairs, &cfg));
+            }
+        }
+        assert_eq!(
+            oracle.trained_predicates(),
+            vec!["follows", "likes", "owns"]
+        );
+        let want = bank_bits(&oracle, &preds, n as u32);
+
+        let mut lp = LinkPredictor::new(PredictorMode::PerPredicate, BprConfig::default());
+        lp.fit(n, &triples);
+        assert_eq!(bank_bits(&lp, &preds, n as u32), want, "fit");
+
+        let names = ["rare", "owns", "likes", "follows", "unseen"];
+        let interned: Vec<(u32, u32, u32)> = triples
+            .iter()
+            .map(|(p, s, o)| (names.iter().position(|q| q == p).unwrap() as u32, *s, *o))
+            .collect();
+        for lanes in 1..=3 {
+            let mut lp = LinkPredictor::new(PredictorMode::PerPredicate, BprConfig::default());
+            lp.fit_in_lanes(n, &names, &interned, lanes);
+            assert_eq!(bank_bits(&lp, &preds, n as u32), want, "{lanes} lane(s)");
+        }
+    }
+
+    #[test]
+    fn lanes_run_every_job_exactly_once() {
+        for lanes in 1..=3 {
+            for jobs in [0, 1, 2, 5] {
+                let mut runs = vec![0u32; jobs];
+                run_in_lanes(&mut runs, lanes, |r| *r += 1);
+                assert_eq!(runs, vec![1; jobs], "{lanes} lane(s), {jobs} job(s)");
+            }
+        }
     }
 
     #[test]

@@ -159,6 +159,9 @@ struct StoreMetrics {
     recovery_truncated_bytes: Counter,
     recovery_truncated_bytes_gauge: Gauge,
     recovery_chained_generations: Counter,
+    recovery_decode_seconds: nous_obs::Histogram,
+    recovery_replay_seconds: nous_obs::Histogram,
+    recovery_fit_seconds: nous_obs::Histogram,
 }
 
 impl StoreMetrics {
@@ -227,6 +230,18 @@ impl StoreMetrics {
             recovery_chained_generations: registry.counter(
                 "nous_recovery_chained_generations_total",
                 "Later-generation WALs replayed past a corrupt checkpoint during recovery",
+            ),
+            recovery_decode_seconds: registry.latency(
+                "nous_recovery_decode_seconds",
+                "Wall time recovery spent reading and decoding checkpoint files",
+            ),
+            recovery_replay_seconds: registry.latency(
+                "nous_recovery_replay_seconds",
+                "Wall time recovery spent scanning, repairing and replaying WALs",
+            ),
+            recovery_fit_seconds: registry.latency(
+                "nous_recovery_fit_seconds",
+                "Wall time recovery spent fitting the link predictor on the recovered graph",
             ),
         }
     }
@@ -457,6 +472,7 @@ impl DurableStore {
                 format!("no checkpoint files in {}", dir.display()),
             ));
         }
+        let span = registry.start(&metrics.recovery_decode_seconds);
         let mut restored = None;
         for g in &gens {
             let mut bytes = Vec::new();
@@ -483,6 +499,7 @@ impl DurableStore {
                 dir.display()
             )));
         };
+        span.stop();
 
         // Replay the restored generation's WAL, then chain into later
         // generations' WALs. A later WAL can only exist if a later
@@ -492,6 +509,7 @@ impl DurableStore {
         // recovers past the corrupt checkpoint instead of dropping the
         // longer WAL tail. Chaining stops at the first torn WAL: a tear
         // means the frontier of the crash, nothing after it is ordered.
+        let span = registry.start(&metrics.recovery_replay_seconds);
         let mut replayed_docs = 0u64;
         let mut replayed_facts = 0u64;
         let mut truncated_bytes = 0u64;
@@ -524,9 +542,12 @@ impl DurableStore {
             }
             break;
         }
-        if replayed_docs > 0 {
-            kg.train_predictor();
-        }
+        span.stop();
+        // The decoded predictor is untrained: the one fit of a recovery
+        // happens here, on the complete recovered graph.
+        let span = registry.start(&metrics.recovery_fit_seconds);
+        kg.train_predictor();
+        span.stop();
         metrics.recovery_replayed.add(replayed_facts);
         metrics.recovery_truncated_bytes.add(truncated_bytes);
         metrics
@@ -950,6 +971,67 @@ mod tests {
             registry2.counter_value("nous_recovery_replayed_total", &[]),
             Some(rec.replayed_facts)
         );
+    }
+
+    /// Score bits of every trained model over every `(s, o)`.
+    fn predictor_bits(kg: &KnowledgeGraph) -> Vec<u32> {
+        let n = kg.graph.vertex_count() as u32;
+        let mut bits = Vec::new();
+        for (_, p) in kg.graph.iter_predicates() {
+            bits.push(u32::from(kg.predictor.has_model(p)));
+            for s in 0..n {
+                for o in 0..n {
+                    bits.push(kg.predictor.score(p, s, o).to_bits());
+                }
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn recovery_fits_the_predictor_once_on_the_recovered_graph() {
+        for wal_tail in [true, false] {
+            let dir = scratch("fit-once");
+            let registry = MetricsRegistry::new();
+            let (mut kg, articles) = smoke_world();
+            let mut pipe = pipeline(&registry);
+            let mut store = DurableStore::create(
+                &dir,
+                DurabilityConfig {
+                    fsync: FsyncPolicy::Never,
+                    checkpoint_every_facts: 0,
+                    keep_generations: 2,
+                    retry: RetryPolicy::default(),
+                },
+                &kg,
+                &pipe.report(),
+                &registry,
+            )
+            .unwrap();
+            pipe.set_journal(store.journal());
+            for a in &articles[..4] {
+                pipe.ingest(&mut kg, a);
+            }
+            if !wal_tail {
+                store.checkpoint(&kg, &pipe.report()).unwrap();
+            }
+            drop(store);
+
+            let registry2 = MetricsRegistry::new();
+            let (_store, mut rec) =
+                DurableStore::open(&dir, DurabilityConfig::default(), &registry2).unwrap();
+            assert_eq!(rec.replayed_docs > 0, wal_tail);
+            assert_eq!(rec.kg.graph.edge_count(), kg.graph.edge_count());
+            assert!(!rec.kg.predictor.trained_predicates().is_empty());
+            assert_eq!(
+                StoreMetrics::new(&registry2).recovery_fit_seconds.count(),
+                1,
+                "one fit per open (wal tail: {wal_tail})"
+            );
+            let recovered = predictor_bits(&rec.kg);
+            rec.kg.train_predictor();
+            assert_eq!(recovered, predictor_bits(&rec.kg), "wal tail: {wal_tail}");
+        }
     }
 
     #[test]
