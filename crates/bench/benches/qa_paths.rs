@@ -7,8 +7,8 @@ use nous_bench::{row, table_header};
 use nous_core::KnowledgeGraph;
 use nous_corpus::{plant_explanations, CuratedKb, Explanation, Preset, World, WorldConfig};
 use nous_graph::VertexId;
-use nous_qa::baselines::{degree_salience_paths, random_walk_paths, shortest_paths};
-use nous_qa::{coherent_paths, PathConstraint, QaConfig, RankedPath, TopicIndex};
+use nous_qa::baselines::{degree_salience_paths, random_walk_paths, shortest_paths_with_stats};
+use nous_qa::{coherent_paths_with_stats, PathConstraint, QaConfig, RankedPath, TopicIndex};
 use nous_topics::LdaConfig;
 
 struct Instance {
@@ -74,7 +74,7 @@ fn quality(inst: &Instance) {
         (
             "coherence (paper)",
             Box::new(move |i: &Instance, s, d| {
-                coherent_paths(
+                coherent_paths_with_stats(
                     &i.kg.graph,
                     &i.topics,
                     s,
@@ -82,12 +82,13 @@ fn quality(inst: &Instance) {
                     &PathConstraint::default(),
                     &cfg,
                 )
+                .0
             }),
         ),
         (
             "coherence no-lookahead",
             Box::new(move |i: &Instance, s, d| {
-                coherent_paths(
+                coherent_paths_with_stats(
                     &i.kg.graph,
                     &i.topics,
                     s,
@@ -95,12 +96,13 @@ fn quality(inst: &Instance) {
                     &PathConstraint::default(),
                     &no_beam,
                 )
+                .0
             }),
         ),
         (
             "shortest (BFS ties)",
             Box::new(|i: &Instance, s, d| {
-                shortest_paths(
+                shortest_paths_with_stats(
                     &i.kg.graph,
                     s,
                     d,
@@ -111,6 +113,7 @@ fn quality(inst: &Instance) {
                         ..Default::default()
                     },
                 )
+                .0
             }),
         ),
         (
@@ -190,7 +193,7 @@ fn bench(c: &mut Criterion) {
                     ..Default::default()
                 };
                 b.iter(|| {
-                    coherent_paths(
+                    coherent_paths_with_stats(
                         &inst.kg.graph,
                         &inst.topics,
                         src,
@@ -198,6 +201,7 @@ fn bench(c: &mut Criterion) {
                         &PathConstraint::default(),
                         &cfg,
                     )
+                    .0
                 })
             },
         );
@@ -211,7 +215,14 @@ fn bench(c: &mut Criterion) {
                     ..Default::default()
                 };
                 b.iter(|| {
-                    shortest_paths(&inst.kg.graph, src, dst, &PathConstraint::default(), &cfg)
+                    shortest_paths_with_stats(
+                        &inst.kg.graph,
+                        src,
+                        dst,
+                        &PathConstraint::default(),
+                        &cfg,
+                    )
+                    .0
                 })
             },
         );

@@ -7,7 +7,7 @@ use nous_core::TrendMonitor;
 use nous_corpus::Preset;
 use nous_graph::window::WindowKind;
 use nous_mining::{EvictionStrategy, MinerConfig};
-use nous_query::{execute, parse, QueryResult};
+use nous_query::{execute, parse, QueryOptions, QueryResult};
 use nous_topics::LdaConfig;
 
 fn bench(c: &mut Criterion) {
@@ -23,6 +23,11 @@ fn bench(c: &mut Criterion) {
         },
     );
     trends.observe(&kg);
+    let run = |q: &nous_query::Query, trends: &mut TrendMonitor| {
+        let resolver = kg.disambiguator.served();
+        let opts = QueryOptions::default();
+        execute(q, &kg.graph, resolver, &topics, Some(trends), &opts).result
+    };
 
     let a = system.world.entities[system.world.companies[0]]
         .name
@@ -47,7 +52,7 @@ fn bench(c: &mut Criterion) {
         &[10, 48],
     );
     for (name, q) in &queries {
-        let r = execute(&parse(q).expect("valid query"), &kg, &topics, &mut trends);
+        let r = run(&parse(q).expect("valid query"), &mut trends);
         let summary = match &r {
             QueryResult::Trending(v) => format!("{} patterns", v.len()),
             QueryResult::Entity { facts, .. } => format!("{} facts", facts.len()),
@@ -66,9 +71,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_classes");
     for (name, q) in &queries {
         let parsed = parse(q).expect("valid query");
-        group.bench_function(*name, |bch| {
-            bch.iter(|| execute(&parsed, &kg, &topics, &mut trends))
-        });
+        group.bench_function(*name, |bch| bch.iter(|| run(&parsed, &mut trends)));
     }
     group.bench_function("parse_only", |bch| {
         bch.iter(|| {

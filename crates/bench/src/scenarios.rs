@@ -33,7 +33,7 @@ use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_obs::MetricsRegistry;
 use nous_persist::{DocRecord, DurabilityConfig, DurableStore, FsyncPolicy, RetryPolicy};
 use nous_qa::TopicIndex;
-use nous_query::{execute_shared, execute_shared_deadline, parse, QueryResult};
+use nous_query::{execute_shared, execute_shared_with, parse, QueryOptions, QueryResult};
 use serde::Serialize;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -196,13 +196,20 @@ fn score_checkpoint(
         // Degradation probes through the same query: a tight budget may
         // go partial mid-scan; a zero budget is shed at arrival.
         let q = parse(&format!("MATCH (*)-[{pred}]->(*) LIMIT 1000000")).expect("query parses");
-        let tight =
-            execute_shared_deadline(session, &q, &Deadline::within(Duration::from_micros(50)));
+        let within = |deadline| QueryOptions {
+            deadline,
+            ..Default::default()
+        };
+        let tight = execute_shared_with(
+            session,
+            &q,
+            &within(Deadline::within(Duration::from_micros(50))),
+        );
         degradation.deadline_probes += 1;
         if tight.partial {
             degradation.partial_responses += 1;
         }
-        let shed = execute_shared_deadline(session, &q, &Deadline::expired_now());
+        let shed = execute_shared_with(session, &q, &within(Deadline::expired_now()));
         degradation.deadline_probes += 1;
         if shed.partial {
             degradation.shed_responses += 1;

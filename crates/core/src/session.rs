@@ -609,9 +609,8 @@ impl SharedSession {
 
     /// Run an operation against the full session state — graph, topics and
     /// trend monitor — under one consistent acquisition (kg → topics →
-    /// trends, the same order every other accessor uses). This is what the
-    /// query executor runs under: every query class sees one coherent
-    /// snapshot of the session.
+    /// trends, the same order every other accessor uses): every read in
+    /// `f` sees one coherent state of the session.
     pub fn with_all<T>(
         &self,
         f: impl FnOnce(&KnowledgeGraph, &TopicIndex, &mut TrendMonitor) -> T,

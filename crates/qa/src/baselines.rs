@@ -4,10 +4,10 @@
 //! path-ranking algorithms". Three standard rankers over the same
 //! candidate set:
 //!
-//! - [`shortest_paths`] — hop count, ties broken lexicographically (what a
-//!   plain BFS gives you: blind between same-length explanations). It also
-//!   serves `PATHS`, so it searches by length and stops at `k` instead of
-//!   enumerating every candidate.
+//! - [`shortest_paths_with_stats`] — hop count, ties broken
+//!   lexicographically (what a plain BFS gives you: blind between
+//!   same-length explanations). It also serves `PATHS`, so it searches by
+//!   length and stops at `k` instead of enumerating every candidate.
 //! - [`degree_salience_paths`] — prefer paths through high-degree
 //!   ("salient") intermediates, the centrality heuristic used by
 //!   relatedness-explanation systems; systematically drawn to hubs.
@@ -15,7 +15,7 @@
 //!   the product of `1/degree` along the path.
 
 use crate::path::{
-    append_neighbor_steps, enumerate_paths_deadline_with_stats, Hop, PathConstraint, RankedPath,
+    append_neighbor_steps, enumerate_paths_with_stats, Hop, PathConstraint, RankedPath,
     SearchStats, DEADLINE_POLL,
 };
 use crate::QaConfig;
@@ -30,11 +30,9 @@ fn candidates<G: GraphView>(
     dst: VertexId,
     constraint: &PathConstraint,
     cfg: &QaConfig,
-    deadline: &Deadline,
-    stats: &mut SearchStats,
 ) -> Vec<RankedPath> {
     // Baselines search unguided (no look-ahead pruning).
-    enumerate_paths_deadline_with_stats(
+    enumerate_paths_with_stats(
         g,
         src,
         dst,
@@ -42,39 +40,14 @@ fn candidates<G: GraphView>(
         cfg.budget,
         constraint,
         |_, steps| steps,
-        deadline,
-        stats,
+        &mut SearchStats::default(),
     )
 }
 
 /// Rank by length ascending; ties by vertex sequence, then by edge-id
 /// sequence *descending* — the order an exhaustive DFS emitting
-/// higher-numbered parallel edges first gives, stated as a key.
-pub fn shortest_paths<G: GraphView>(
-    g: &G,
-    src: VertexId,
-    dst: VertexId,
-    constraint: &PathConstraint,
-    cfg: &QaConfig,
-) -> Vec<RankedPath> {
-    shortest_paths_with_stats(g, src, dst, constraint, cfg).0
-}
-
-/// [`shortest_paths`] plus search-effort accounting (the variant the
-/// instrumented query executor calls).
-pub fn shortest_paths_with_stats<G: GraphView>(
-    g: &G,
-    src: VertexId,
-    dst: VertexId,
-    constraint: &PathConstraint,
-    cfg: &QaConfig,
-) -> (Vec<RankedPath>, SearchStats) {
-    shortest_paths_deadline_with_stats(g, src, dst, constraint, cfg, &Deadline::none())
-}
-
-/// [`shortest_paths_with_stats`] under a wall-clock [`Deadline`]: on
-/// expiry the search stops and the paths found so far — a prefix of the
-/// complete ranking — are returned with `stats.truncated` set.
+/// higher-numbered parallel edges first gives, stated as a key. Returns
+/// the top `cfg.k` with search-effort accounting.
 ///
 /// The search works up by length: the direct edges, then the 2-hop paths
 /// through the common neighbours of `src` and `dst`, then longer levels
@@ -94,15 +67,17 @@ pub fn shortest_paths_with_stats<G: GraphView>(
 /// the same key. Past the cap the search stops with a ranked prefix. The
 /// distance search has its own cap of `cfg.budget` fetches (past it the
 /// bounds just stay looser), and both count into `stats.nodes_expanded`.
-/// The deadline is polled every [`DEADLINE_POLL`] steps, including steps
-/// that charge nothing, such as re-walking a prefix on a later level.
-pub fn shortest_paths_deadline_with_stats<G: GraphView>(
+///
+/// `cfg.deadline` is polled every [`DEADLINE_POLL`] steps, including steps
+/// that charge nothing, such as re-walking a prefix on a later level. On
+/// expiry the search stops and the paths found so far — a prefix of the
+/// complete ranking — are returned with `stats.truncated` set.
+pub fn shortest_paths_with_stats<G: GraphView>(
     g: &G,
     src: VertexId,
     dst: VertexId,
     constraint: &PathConstraint,
     cfg: &QaConfig,
-    deadline: &Deadline,
 ) -> (Vec<RankedPath>, SearchStats) {
     let mut search = ByLength {
         g,
@@ -111,7 +86,7 @@ pub fn shortest_paths_deadline_with_stats<G: GraphView>(
         constraint,
         k: cfg.k,
         budget: cfg.budget,
-        deadline,
+        deadline: &cfg.deadline,
         steps: Vec::new(),
         fetched: FxHashMap::default(),
         dist: FxHashMap::default(),
@@ -439,15 +414,7 @@ pub fn degree_salience_paths<G: GraphView>(
     constraint: &PathConstraint,
     cfg: &QaConfig,
 ) -> Vec<RankedPath> {
-    let mut paths = candidates(
-        g,
-        src,
-        dst,
-        constraint,
-        cfg,
-        &Deadline::none(),
-        &mut SearchStats::default(),
-    );
+    let mut paths = candidates(g, src, dst, constraint, cfg);
     for p in &mut paths {
         let inner = &p.vertices[1..p.vertices.len().saturating_sub(1)];
         p.score = if inner.is_empty() {
@@ -476,15 +443,7 @@ pub fn random_walk_paths<G: GraphView>(
     constraint: &PathConstraint,
     cfg: &QaConfig,
 ) -> Vec<RankedPath> {
-    let mut paths = candidates(
-        g,
-        src,
-        dst,
-        constraint,
-        cfg,
-        &Deadline::none(),
-        &mut SearchStats::default(),
-    );
+    let mut paths = candidates(g, src, dst, constraint, cfg);
     for p in &mut paths {
         let mut prob = 1.0f64;
         for &v in &p.vertices[..p.vertices.len() - 1] {
@@ -506,6 +465,17 @@ pub fn random_walk_paths<G: GraphView>(
 mod tests {
     use super::*;
     use nous_graph::{DynamicGraph, Provenance};
+
+    /// The top paths alone.
+    fn shortest_paths(
+        g: &DynamicGraph,
+        src: VertexId,
+        dst: VertexId,
+        constraint: &PathConstraint,
+        cfg: &QaConfig,
+    ) -> Vec<RankedPath> {
+        shortest_paths_with_stats(g, src, dst, constraint, cfg).0
+    }
 
     /// a→b→d (quiet intermediate) and a→h→d (fat hub), same length.
     fn hubbed() -> (DynamicGraph, VertexId, VertexId, VertexId, VertexId) {
@@ -586,14 +556,12 @@ mod tests {
     #[test]
     fn expired_deadline_flags_truncation() {
         let (g, a, _b, _h, d) = hubbed();
-        let (paths, stats) = shortest_paths_deadline_with_stats(
-            &g,
-            a,
-            d,
-            &PathConstraint::default(),
-            &QaConfig::default(),
-            &Deadline::expired_now(),
-        );
+        let expired = QaConfig {
+            deadline: Deadline::expired_now(),
+            ..Default::default()
+        };
+        let (paths, stats) =
+            shortest_paths_with_stats(&g, a, d, &PathConstraint::default(), &expired);
         assert!(stats.truncated);
         // Best-so-far paths are still valid endpoints-to-endpoints.
         assert!(paths.iter().all(|p| p.vertices.first() == Some(&a)));
@@ -684,6 +652,7 @@ mod tests {
             beam: usize::MAX,
             budget: 20_000,
             k: 100,
+            ..Default::default()
         };
         let none = PathConstraint::default();
         let mut dfs = SearchStats::default();
@@ -712,30 +681,31 @@ mod tests {
             beam: usize::MAX,
             budget: 500,
             k: 100_000,
+            ..Default::default()
+        };
+        let expired = QaConfig {
+            deadline: Deadline::expired_now(),
+            ..cfg.clone()
         };
         let none = PathConstraint::default();
         // Different components: the distance search exhausts `b`'s side
         // and rules out every step, so nothing is extended.
         let (g, a, b) = dense_pair(16, false);
-        let (paths, stats) =
-            shortest_paths_deadline_with_stats(&g, a, b, &none, &cfg, &Deadline::none());
+        let (paths, stats) = shortest_paths_with_stats(&g, a, b, &none, &cfg);
         assert!(paths.is_empty());
         assert!(stats.nodes_expanded <= 16, "{stats:?}");
         assert!(!stats.truncated);
-        let (paths, stats) =
-            shortest_paths_deadline_with_stats(&g, a, b, &none, &cfg, &Deadline::expired_now());
+        let (paths, stats) = shortest_paths_with_stats(&g, a, b, &none, &expired);
         assert!(paths.is_empty() && stats.truncated, "{stats:?}");
 
         // One bridge: millions of simple paths up to 8 hops, cut by the
         // budget (and by an expired deadline) to a ranked prefix.
         let (g, a, b) = dense_pair(16, true);
-        let (paths, stats) =
-            shortest_paths_deadline_with_stats(&g, a, b, &none, &cfg, &Deadline::none());
+        let (paths, stats) = shortest_paths_with_stats(&g, a, b, &none, &cfg);
         assert!(stats.nodes_expanded <= 2 * cfg.budget, "{stats:?}");
         assert!(!paths.is_empty() && paths.len() < cfg.k, "{}", paths.len());
         assert!(paths.windows(2).all(|w| w[0].len() <= w[1].len()));
-        let (cut, cut_stats) =
-            shortest_paths_deadline_with_stats(&g, a, b, &none, &cfg, &Deadline::expired_now());
+        let (cut, cut_stats) = shortest_paths_with_stats(&g, a, b, &none, &expired);
         assert!(cut_stats.truncated && cut.is_empty(), "{cut_stats:?}");
         // A predicate no edge carries: still bounded.
         let mut g = g;
@@ -743,8 +713,7 @@ mod tests {
         let only = PathConstraint {
             require_predicate: Some(never),
         };
-        let (paths, stats) =
-            shortest_paths_deadline_with_stats(&g, a, b, &only, &cfg, &Deadline::none());
+        let (paths, stats) = shortest_paths_with_stats(&g, a, b, &only, &cfg);
         assert!(paths.is_empty());
         assert!(stats.nodes_expanded <= 2 * cfg.budget, "{stats:?}");
     }

@@ -31,9 +31,9 @@
 //!   off the two trees only for scoring and, for the top `k` alone,
 //!   materialised as a [`RankedPath`].
 //!
-//! All entry points are generic over [`GraphView`], so the same search
-//! runs against the live locked graph and against a lock-free
-//! [`nous_graph::FrozenView`] snapshot with identical results.
+//! The search is generic over [`GraphView`], so it runs against the live
+//! locked graph and against a lock-free [`nous_graph::FrozenView`]
+//! snapshot with identical results.
 
 use crate::path::{
     neighbor_steps_into, Hop, PathConstraint, RankedPath, SearchStats, DEADLINE_POLL,
@@ -43,13 +43,12 @@ use nous_fault::Deadline;
 use nous_graph::{FxHashMap, GraphView, VertexId};
 use nous_obs::MetricsRegistry;
 use nous_topics::js_divergence;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// Search parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QaConfig {
     /// Maximum path length in hops.
     pub max_hops: usize,
@@ -60,6 +59,10 @@ pub struct QaConfig {
     pub budget: usize,
     /// Number of paths returned.
     pub k: usize,
+    /// Wall-clock budget. Searches poll it at coarse intervals and, on
+    /// expiry, stop expanding and rank what they found so far, flagging
+    /// `SearchStats::truncated`. [`Deadline::none()`] by default.
+    pub deadline: Deadline,
 }
 
 impl Default for QaConfig {
@@ -69,6 +72,7 @@ impl Default for QaConfig {
             beam: 8,
             budget: 20_000,
             k: 5,
+            deadline: Deadline::none(),
         }
     }
 }
@@ -238,20 +242,18 @@ impl Lookahead {
     }
 }
 
-/// Top-K coherent paths from `src` to `dst` (ascending divergence).
-pub fn coherent_paths<G: GraphView>(
-    g: &G,
-    topics: &TopicIndex,
-    src: VertexId,
-    dst: VertexId,
-    constraint: &PathConstraint,
-    cfg: &QaConfig,
-) -> Vec<RankedPath> {
-    coherent_paths_with_stats(g, topics, src, dst, constraint, cfg).0
-}
-
-/// [`coherent_paths`] plus search-effort accounting: nodes expanded, peak
-/// frontier, candidate paths found, and divergences computed.
+/// Top-K coherent paths from `src` to `dst` (ascending divergence), plus
+/// search-effort accounting: nodes expanded, peak frontier, candidate
+/// paths found, and divergences computed.
+///
+/// Both sweeps poll `cfg.deadline` at coarse intervals; on expiry the
+/// search stops collecting halves and assembles, scores and ranks
+/// whatever was found so far — a *valid but possibly incomplete* top-K,
+/// flagged via `stats.truncated`. A deadline that never expires changes
+/// nothing (same paths, same accounting).
+///
+/// For `max_hops < 2` the backward sweep is empty and the forward sweep's
+/// direct hops are the whole answer — what the unidirectional DFS finds.
 pub fn coherent_paths_with_stats<G: GraphView>(
     g: &G,
     topics: &TopicIndex,
@@ -259,28 +261,6 @@ pub fn coherent_paths_with_stats<G: GraphView>(
     dst: VertexId,
     constraint: &PathConstraint,
     cfg: &QaConfig,
-) -> (Vec<RankedPath>, SearchStats) {
-    coherent_paths_deadline_with_stats(g, topics, src, dst, constraint, cfg, &Deadline::none())
-}
-
-/// [`coherent_paths_with_stats`] under a wall-clock [`Deadline`].
-///
-/// Both sweeps poll the deadline at coarse intervals; on expiry the
-/// search stops collecting halves and assembles, scores and ranks
-/// whatever was found so far — a *valid but possibly incomplete* top-K,
-/// flagged via `stats.truncated`. An unbounded deadline is behaviourally
-/// identical to the plain search (same paths, same accounting).
-///
-/// For `max_hops < 2` the backward sweep is empty and the forward sweep's
-/// direct hops are the whole answer — what the unidirectional DFS finds.
-pub fn coherent_paths_deadline_with_stats<G: GraphView>(
-    g: &G,
-    topics: &TopicIndex,
-    src: VertexId,
-    dst: VertexId,
-    constraint: &PathConstraint,
-    cfg: &QaConfig,
-    deadline: &Deadline,
 ) -> (Vec<RankedPath>, SearchStats) {
     let mut stats = SearchStats::default();
     if src == dst {
@@ -291,7 +271,6 @@ pub fn coherent_paths_deadline_with_stats<G: GraphView>(
     let mut sweep = Sweep {
         g,
         cfg,
-        deadline,
         expansions: 0,
         div: &mut div,
         look: &mut look,
@@ -382,7 +361,6 @@ impl Halves {
 struct Sweep<'s, 'a, G> {
     g: &'s G,
     cfg: &'s QaConfig,
-    deadline: &'s Deadline,
     expansions: usize,
     div: &'s mut Divergences<'a>,
     look: &'s mut Lookahead,
@@ -454,7 +432,7 @@ impl<G: GraphView> Sweep<'_, '_, G> {
             if vstack.len() >= depth_max || self.expansions >= self.cfg.budget {
                 continue;
             }
-            if self.expansions.is_multiple_of(DEADLINE_POLL) && self.deadline.expired() {
+            if self.expansions.is_multiple_of(DEADLINE_POLL) && self.cfg.deadline.expired() {
                 // Best-so-far: the halves collected up to here still join
                 // into valid (possibly incomplete) candidate paths.
                 self.stats.truncated = true;
@@ -605,57 +583,6 @@ impl Joined {
     }
 }
 
-/// [`coherent_paths_with_stats`] with the accounting recorded into
-/// `registry`: a `nous_qa_path_seconds` span over the whole search plus
-/// the `nous_qa_*` effort histograms and counters.
-pub fn coherent_paths_instrumented<G: GraphView>(
-    g: &G,
-    topics: &TopicIndex,
-    src: VertexId,
-    dst: VertexId,
-    constraint: &PathConstraint,
-    cfg: &QaConfig,
-    registry: &MetricsRegistry,
-) -> Vec<RankedPath> {
-    coherent_paths_deadline_instrumented(
-        g,
-        topics,
-        src,
-        dst,
-        constraint,
-        cfg,
-        &Deadline::none(),
-        registry,
-    )
-    .0
-}
-
-/// [`coherent_paths_instrumented`] under a wall-clock [`Deadline`],
-/// returning the stats so callers can surface `stats.truncated` as a
-/// partial-result flag.
-#[allow(clippy::too_many_arguments)] // deadline + registry ride on the search signature
-pub fn coherent_paths_deadline_instrumented<G: GraphView>(
-    g: &G,
-    topics: &TopicIndex,
-    src: VertexId,
-    dst: VertexId,
-    constraint: &PathConstraint,
-    cfg: &QaConfig,
-    deadline: &Deadline,
-    registry: &MetricsRegistry,
-) -> (Vec<RankedPath>, SearchStats) {
-    let span = registry.span_with(
-        "nous_qa_path_seconds",
-        "Wall time of one top-K coherent path search",
-        &[],
-    );
-    let (paths, stats) =
-        coherent_paths_deadline_with_stats(g, topics, src, dst, constraint, cfg, deadline);
-    span.stop();
-    record_search(registry, &stats);
-    (paths, stats)
-}
-
 /// Record one search's [`SearchStats`] into the `nous_qa_*` family.
 pub fn record_search(registry: &MetricsRegistry, stats: &SearchStats) {
     registry
@@ -690,7 +617,7 @@ pub fn record_search(registry: &MetricsRegistry, stats: &SearchStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::enumerate_paths;
+    use crate::path::enumerate_paths_with_stats;
     use nous_graph::{DynamicGraph, FrozenView, Provenance};
 
     /// Two same-length paths a→b→d (coherent: same topic) and a→h→d
@@ -722,14 +649,15 @@ mod tests {
     #[test]
     fn coherent_path_wins() {
         let (g, t, a, d) = planted();
-        let paths = coherent_paths(
+        let paths = coherent_paths_with_stats(
             &g,
             &t,
             a,
             d,
             &PathConstraint::default(),
             &QaConfig::default(),
-        );
+        )
+        .0;
         assert!(!paths.is_empty());
         let names: Vec<&str> = paths[0]
             .vertices
@@ -743,14 +671,15 @@ mod tests {
     #[test]
     fn scores_are_ascending() {
         let (g, t, a, d) = planted();
-        let paths = coherent_paths(
+        let paths = coherent_paths_with_stats(
             &g,
             &t,
             a,
             d,
             &PathConstraint::default(),
             &QaConfig::default(),
-        );
+        )
+        .0;
         assert!(paths.windows(2).all(|w| w[0].score <= w[1].score));
     }
 
@@ -761,7 +690,7 @@ mod tests {
             k: 1,
             ..Default::default()
         };
-        let paths = coherent_paths(&g, &t, a, d, &PathConstraint::default(), &cfg);
+        let paths = coherent_paths_with_stats(&g, &t, a, d, &PathConstraint::default(), &cfg).0;
         assert_eq!(paths.len(), 1);
     }
 
@@ -772,7 +701,7 @@ mod tests {
             beam: 1,
             ..Default::default()
         };
-        let paths = coherent_paths(&g, &t, a, d, &PathConstraint::default(), &cfg);
+        let paths = coherent_paths_with_stats(&g, &t, a, d, &PathConstraint::default(), &cfg).0;
         assert!(!paths.is_empty());
         // Beam 1 follows the least-divergent neighbour — which is b.
         let names: Vec<&str> = paths[0]
@@ -807,16 +736,6 @@ mod tests {
         assert_eq!(stats.paths_emitted, 2, "both 2-hop paths found");
         // Scoring alone evaluates len() divergences per path.
         assert!(stats.coherence_evals >= 4, "{stats:?}");
-        // The stats variant returns exactly what the plain call returns.
-        let plain = coherent_paths(
-            &g,
-            &t,
-            a,
-            d,
-            &PathConstraint::default(),
-            &QaConfig::default(),
-        );
-        assert_eq!(paths, plain);
     }
 
     #[test]
@@ -857,6 +776,7 @@ mod tests {
             beam: 2,
             budget: 20_000,
             k: 10,
+            ..Default::default()
         };
 
         // Far middles: their floors rule them out on both sides, so only
@@ -903,10 +823,11 @@ mod tests {
                 beam: usize::MAX,
                 budget: 100_000,
                 k: 50,
+                ..Default::default()
             };
             let (bidi, _) =
                 coherent_paths_with_stats(&g, &t, a, d, &PathConstraint::default(), &cfg);
-            let mut dfs = enumerate_paths(
+            let mut dfs = enumerate_paths_with_stats(
                 &g,
                 a,
                 d,
@@ -914,6 +835,7 @@ mod tests {
                 cfg.budget,
                 &PathConstraint::default(),
                 |_, steps| steps,
+                &mut SearchStats::default(),
             );
             for p in &mut dfs {
                 p.score = path_coherence(&t, &p.vertices);
@@ -932,18 +854,18 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_search_records_registry_series() {
+    fn record_search_fills_the_qa_family() {
         let (g, t, a, d) = planted();
         let registry = MetricsRegistry::new();
-        let paths = coherent_paths_instrumented(
+        let (paths, stats) = coherent_paths_with_stats(
             &g,
             &t,
             a,
             d,
             &PathConstraint::default(),
             &QaConfig::default(),
-            &registry,
         );
+        record_search(&registry, &stats);
         assert!(!paths.is_empty());
         assert_eq!(
             registry.counter_value("nous_qa_searches_total", &[]),
@@ -954,7 +876,6 @@ mod tests {
             Some(2)
         );
         let text = registry.render_prometheus();
-        assert!(text.contains("nous_qa_path_seconds_count 1"), "{text}");
         assert!(text.contains("nous_qa_nodes_expanded_count 1"), "{text}");
         assert!(text.contains("nous_qa_frontier_size_count 1"), "{text}");
         assert!(text.contains("nous_qa_coherence_evals_count 1"), "{text}");
@@ -963,17 +884,12 @@ mod tests {
     #[test]
     fn expired_deadline_returns_best_so_far_and_flags_truncation() {
         let (g, t, a, d) = planted();
-        let cfg = QaConfig::default();
-        let expired = Deadline::expired_now();
-        let (paths, stats) = coherent_paths_deadline_with_stats(
-            &g,
-            &t,
-            a,
-            d,
-            &PathConstraint::default(),
-            &cfg,
-            &expired,
-        );
+        let cfg = QaConfig {
+            deadline: Deadline::expired_now(),
+            ..Default::default()
+        };
+        let (paths, stats) =
+            coherent_paths_with_stats(&g, &t, a, d, &PathConstraint::default(), &cfg);
         assert!(stats.truncated, "{stats:?}");
         // Whatever survived is still well-formed and ranked.
         assert!(paths.windows(2).all(|w| w[0].score <= w[1].score));
@@ -985,20 +901,16 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_deadline_matches_plain_search_exactly() {
+    fn unexpired_deadline_matches_unbounded_search_exactly() {
         let (g, t, a, d) = planted();
-        let cfg = QaConfig::default();
+        let none = PathConstraint::default();
         let (plain, plain_stats) =
-            coherent_paths_with_stats(&g, &t, a, d, &PathConstraint::default(), &cfg);
-        let (timed, timed_stats) = coherent_paths_deadline_with_stats(
-            &g,
-            &t,
-            a,
-            d,
-            &PathConstraint::default(),
-            &cfg,
-            &Deadline::none(),
-        );
+            coherent_paths_with_stats(&g, &t, a, d, &none, &QaConfig::default());
+        let generous = QaConfig {
+            deadline: Deadline::within(std::time::Duration::from_secs(60)),
+            ..Default::default()
+        };
+        let (timed, timed_stats) = coherent_paths_with_stats(&g, &t, a, d, &none, &generous);
         assert_eq!(plain, timed);
         assert_eq!(plain_stats, timed_stats);
         assert!(!timed_stats.truncated);
@@ -1008,14 +920,15 @@ mod tests {
     fn disconnected_returns_empty() {
         let (mut g, t, a, _) = planted();
         let lonely = g.ensure_vertex("lonely");
-        let paths = coherent_paths(
+        let paths = coherent_paths_with_stats(
             &g,
             &t,
             a,
             lonely,
             &PathConstraint::default(),
             &QaConfig::default(),
-        );
+        )
+        .0;
         assert!(paths.is_empty());
     }
 }

@@ -11,28 +11,30 @@
 //!
 //! - [`topic_index::TopicIndex`] — per-vertex topic distributions (from
 //!   `nous-topics` LDA over entity text).
-//! - [`path`] — path types and budgeted simple-path enumeration with a
-//!   pluggable neighbour expander (the look-ahead hook).
-//! - [`coherence`] — the paper's algorithm: divergence-guided look-ahead
-//!   expansion plus coherence-ranked output.
-//! - [`baselines`] — path-ranking baselines for experiment E9: BFS
-//!   shortest-path, degree-salience, and PRA-style random-walk probability.
+//! - [`path`] — path types and the exhaustive simple-path enumeration
+//!   ([`path::enumerate_paths_with_stats`]) with a pluggable neighbour
+//!   expander: the oracle the serving searches are pinned against.
+//! - [`coherence`] — the paper's algorithm ([`coherent_paths_with_stats`],
+//!   serving `WHY`): divergence-guided look-ahead expansion plus
+//!   coherence-ranked output.
+//! - [`baselines`] — path-ranking baselines for experiment E9: shortest
+//!   path ([`baselines::shortest_paths_with_stats`], serving `PATHS`),
+//!   degree-salience, and PRA-style random-walk probability.
 //!
-//! Every search has a `*_deadline_*` variant taking a wall-clock
-//! [`nous_fault::Deadline`]: on expiry the walk stops expanding and the
-//! paths found so far are scored and ranked normally, with
-//! `SearchStats::truncated` flagging the result as best-so-far rather
-//! than complete. An unbounded deadline is behaviourally identical to
-//! the plain search.
+//! One function per algorithm, each taking a [`QaConfig`] and returning
+//! its paths with [`SearchStats`]. The serving searches honour
+//! `QaConfig::deadline` (a wall-clock [`nous_fault::Deadline`], unbounded
+//! by default): on expiry the walk stops expanding and the paths found
+//! so far are scored and ranked normally, with `SearchStats::truncated`
+//! flagging the result as best-so-far rather than complete. A deadline
+//! that never expires changes nothing. [`record_search`] files one
+//! search's accounting under the `nous_qa_*` metrics.
 
 pub mod baselines;
 pub mod coherence;
 pub mod path;
 pub mod topic_index;
 
-pub use coherence::{
-    coherent_paths, coherent_paths_deadline_instrumented, coherent_paths_deadline_with_stats,
-    coherent_paths_instrumented, coherent_paths_with_stats, record_search, QaConfig,
-};
+pub use coherence::{coherent_paths_with_stats, record_search, QaConfig};
 pub use path::{PathConstraint, RankedPath, SearchStats};
 pub use topic_index::TopicIndex;

@@ -7,11 +7,11 @@
 //! neighbour expander — the coherence search plugs its look-ahead in here;
 //! baselines use the identity expander.
 
-use nous_fault::Deadline;
 use nous_graph::{EdgeId, GraphView, PredicateId, VertexId};
 use serde::{Deserialize, Serialize};
 
-/// How many expansions pass between deadline polls. Expiry is detected
+/// How many expansions pass between deadline polls in the serving
+/// searches. Expiry is detected
 /// within one interval, so a deadline bounds latency to roughly the
 /// budget plus the cost of this many expansions.
 pub(crate) const DEADLINE_POLL: usize = 64;
@@ -103,33 +103,9 @@ pub struct SearchStats {
     /// scoring hop the look-ahead already keyed — is free and not
     /// counted. Zero for un-ranked enumeration.
     pub coherence_evals: usize,
-    /// `true` when a [`Deadline`] expired mid-search: the emitted paths
-    /// are best-so-far, not the complete candidate set.
+    /// `true` when a [`nous_fault::Deadline`] expired mid-search: the
+    /// emitted paths are best-so-far, not the complete candidate set.
     pub truncated: bool,
-}
-
-impl SearchStats {
-    /// Merge another enumeration's accounting into this one (a query may
-    /// run several enumerations, e.g. one per candidate target).
-    pub fn absorb(&mut self, other: &SearchStats) {
-        self.nodes_expanded += other.nodes_expanded;
-        self.max_frontier = self.max_frontier.max(other.max_frontier);
-        self.paths_emitted += other.paths_emitted;
-        self.coherence_evals += other.coherence_evals;
-        self.truncated |= other.truncated;
-    }
-
-    /// The accounting as span attributes, for annotating a search's
-    /// trace span (`nous_obs::TraceContext::record_span` and friends).
-    pub fn attrs(&self) -> Vec<(String, String)> {
-        vec![
-            ("nodes_expanded".into(), self.nodes_expanded.to_string()),
-            ("max_frontier".into(), self.max_frontier.to_string()),
-            ("paths_emitted".into(), self.paths_emitted.to_string()),
-            ("coherence_evals".into(), self.coherence_evals.to_string()),
-            ("truncated".into(), self.truncated.to_string()),
-        ]
-    }
 }
 
 /// Undirected neighbour steps of `v` written into `out` (cleared first):
@@ -177,30 +153,18 @@ pub(crate) fn append_neighbor_steps<G: GraphView>(
     out[start..].sort_unstable_by_key(|(n, h)| (n.0, h.edge.0));
 }
 
-/// Enumerate simple paths from `src` to `dst` of at most `max_hops` hops.
+/// Enumerate simple paths from `src` to `dst` of at most `max_hops` hops,
+/// accumulating search-effort accounting into `stats` (expansions, peak
+/// frontier, paths emitted).
 ///
 /// `expand` receives the current vertex and its candidate steps and returns
 /// the (possibly pruned / reordered) steps actually explored — the
 /// look-ahead hook. `budget` bounds the total number of node expansions.
-/// Returned paths carry `score = 0.0`; ranking is a separate pass.
-pub fn enumerate_paths<G: GraphView>(
-    g: &G,
-    src: VertexId,
-    dst: VertexId,
-    max_hops: usize,
-    budget: usize,
-    constraint: &PathConstraint,
-    expand: impl FnMut(VertexId, Vec<(VertexId, Hop)>) -> Vec<(VertexId, Hop)>,
-) -> Vec<RankedPath> {
-    let mut stats = SearchStats::default();
-    enumerate_paths_with_stats(
-        g, src, dst, max_hops, budget, constraint, expand, &mut stats,
-    )
-}
-
-/// [`enumerate_paths`] plus search-effort accounting accumulated into
-/// `stats` (expansions, peak frontier, paths emitted).
-#[allow(clippy::too_many_arguments)] // the stats sink rides on the public enumeration signature
+/// Returned paths carry `score = 0.0`; ranking is a separate pass. This
+/// exhaustive DFS is the oracle the serving searches are pinned against,
+/// and the candidate generator of the E9 ranking baselines; it takes no
+/// deadline.
+#[allow(clippy::too_many_arguments)] // the stats sink rides on the enumeration signature
 pub fn enumerate_paths_with_stats<G: GraphView>(
     g: &G,
     src: VertexId,
@@ -208,37 +172,7 @@ pub fn enumerate_paths_with_stats<G: GraphView>(
     max_hops: usize,
     budget: usize,
     constraint: &PathConstraint,
-    expand: impl FnMut(VertexId, Vec<(VertexId, Hop)>) -> Vec<(VertexId, Hop)>,
-    stats: &mut SearchStats,
-) -> Vec<RankedPath> {
-    enumerate_paths_deadline_with_stats(
-        g,
-        src,
-        dst,
-        max_hops,
-        budget,
-        constraint,
-        expand,
-        &Deadline::none(),
-        stats,
-    )
-}
-
-/// [`enumerate_paths_with_stats`] under a wall-clock [`Deadline`]: the
-/// DFS polls the deadline every [`DEADLINE_POLL`] expansions and, on
-/// expiry, stops expanding and returns the paths found so far with
-/// `stats.truncated` set. An unbounded deadline is behaviourally
-/// identical to the plain enumeration (same paths, same accounting).
-#[allow(clippy::too_many_arguments)] // the stats sink rides on the public enumeration signature
-pub fn enumerate_paths_deadline_with_stats<G: GraphView>(
-    g: &G,
-    src: VertexId,
-    dst: VertexId,
-    max_hops: usize,
-    budget: usize,
-    constraint: &PathConstraint,
     mut expand: impl FnMut(VertexId, Vec<(VertexId, Hop)>) -> Vec<(VertexId, Hop)>,
-    deadline: &Deadline,
     stats: &mut SearchStats,
 ) -> Vec<RankedPath> {
     let mut out = Vec::new();
@@ -288,10 +222,6 @@ pub fn enumerate_paths_deadline_with_stats<G: GraphView>(
         if hstack.len() + 1 >= max_hops || expansions >= budget {
             continue;
         }
-        if expansions.is_multiple_of(DEADLINE_POLL) && deadline.expired() {
-            stats.truncated = true;
-            break;
-        }
         expansions += 1;
         vstack.push(next);
         hstack.push(hop);
@@ -328,8 +258,21 @@ mod tests {
         (g, ids, p)
     }
 
+    fn enumerate(
+        g: &DynamicGraph,
+        s: VertexId,
+        t: VertexId,
+        h: usize,
+        budget: usize,
+        constraint: &PathConstraint,
+        expand: impl FnMut(VertexId, Vec<(VertexId, Hop)>) -> Vec<(VertexId, Hop)>,
+    ) -> Vec<RankedPath> {
+        let mut stats = SearchStats::default();
+        enumerate_paths_with_stats(g, s, t, h, budget, constraint, expand, &mut stats)
+    }
+
     fn all(g: &DynamicGraph, s: VertexId, t: VertexId, h: usize) -> Vec<RankedPath> {
-        enumerate_paths(
+        enumerate(
             g,
             s,
             t,
@@ -392,7 +335,7 @@ mod tests {
         let constraint = PathConstraint {
             require_predicate: Some(q),
         };
-        let paths = enumerate_paths(&g, v[0], v[3], 3, 10_000, &constraint, |_, steps| steps);
+        let paths = enumerate(&g, v[0], v[3], 3, 10_000, &constraint, |_, steps| steps);
         assert!(!paths.is_empty());
         assert!(paths.iter().all(|p| p.hops.iter().any(|h| h.pred == q)));
     }
@@ -401,7 +344,7 @@ mod tests {
     fn expander_can_prune() {
         let (g, v, _) = diamond();
         // Expander that forbids stepping to b.
-        let paths = enumerate_paths(
+        let paths = enumerate(
             &g,
             v[0],
             v[3],
@@ -416,7 +359,7 @@ mod tests {
     #[test]
     fn budget_bounds_exploration() {
         let (g, v, _) = diamond();
-        let paths = enumerate_paths(
+        let paths = enumerate(
             &g,
             v[0],
             v[3],
@@ -427,59 +370,6 @@ mod tests {
         );
         // Only the direct edge can be found without expanding inner nodes.
         assert_eq!(paths.len(), 1);
-    }
-
-    #[test]
-    fn expired_deadline_truncates_enumeration_to_best_so_far() {
-        let (g, v, _) = diamond();
-        let mut stats = SearchStats::default();
-        let paths = enumerate_paths_deadline_with_stats(
-            &g,
-            v[0],
-            v[3],
-            3,
-            10_000,
-            &PathConstraint::default(),
-            |_, steps| steps,
-            &Deadline::expired_now(),
-            &mut stats,
-        );
-        assert!(stats.truncated, "expiry must be surfaced");
-        // The direct a→d edge sits on the source frontier and needs no
-        // expansion, so best-so-far still includes it.
-        assert_eq!(paths.len(), 1, "{paths:?}");
-        assert_eq!(paths[0].len(), 1);
-    }
-
-    #[test]
-    fn unbounded_deadline_changes_nothing() {
-        let (g, v, _) = diamond();
-        let mut plain_stats = SearchStats::default();
-        let plain = enumerate_paths_with_stats(
-            &g,
-            v[0],
-            v[3],
-            3,
-            10_000,
-            &PathConstraint::default(),
-            |_, steps| steps,
-            &mut plain_stats,
-        );
-        let mut stats = SearchStats::default();
-        let timed = enumerate_paths_deadline_with_stats(
-            &g,
-            v[0],
-            v[3],
-            3,
-            10_000,
-            &PathConstraint::default(),
-            |_, steps| steps,
-            &Deadline::none(),
-            &mut stats,
-        );
-        assert_eq!(plain, timed);
-        assert_eq!(plain_stats, stats);
-        assert!(!stats.truncated);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! generated multigraphs (run it in release: it is a few hundred thousand
 //! searches).
 //!
-//! - WHY (`coherent_paths_deadline_with_stats`) must equal the
+//! - WHY (`coherent_paths_with_stats`) must equal the
 //!   join-then-rank-everything search in `support::why` — paths, scores
 //!   and every effort counter but `coherence_evals` — for every beam,
 //!   `k`, hop bound, budget and constraint.
-//! - PATHS (`shortest_paths_deadline_with_stats`) must equal exhaustive
+//! - PATHS (`shortest_paths_with_stats`) must equal exhaustive
 //!   enumeration plus the stable length sort (`support::paths`) whenever
 //!   that enumeration finished inside the budget — down to the tightest
 //!   budget it finishes in — and otherwise be a prefix of the unbounded
@@ -21,14 +21,12 @@
 
 mod support;
 
-use nous_fault::Deadline;
 use nous_graph::{
     DynamicGraph, EdgeId, FrozenView, LayeredSnapshot, PredicateId, Provenance, VertexId,
 };
-use nous_qa::baselines::shortest_paths_deadline_with_stats;
+use nous_qa::baselines::shortest_paths_with_stats;
 use nous_qa::{
-    coherent_paths_deadline_with_stats, PathConstraint, QaConfig, RankedPath, SearchStats,
-    TopicIndex,
+    coherent_paths_with_stats, PathConstraint, QaConfig, RankedPath, SearchStats, TopicIndex,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -139,6 +137,7 @@ fn configs() -> impl Iterator<Item = QaConfig> {
                     beam,
                     budget,
                     k,
+                    ..Default::default()
                 })
             })
         })
@@ -191,21 +190,16 @@ fn why_equals_the_join_then_rank_oracle_on_every_view() {
     for_each_query(|c, src, dst, constraint, cfg| {
         let (want, want_stats) = support::why(&c.live, &c.topics, src, dst, constraint, cfg);
         ranked += usize::from(want.len() > 1);
-        let none = Deadline::none();
         let ctx = || format!("{src:?}->{dst:?} {cfg:?} {constraint:?}");
-        let (got, stats) = coherent_paths_deadline_with_stats(
-            &c.live, &c.topics, src, dst, constraint, cfg, &none,
-        );
+        let (got, stats) = coherent_paths_with_stats(&c.live, &c.topics, src, dst, constraint, cfg);
         assert_eq!(got, want, "DynamicGraph {}", ctx());
         assert_eq!(without_evals(stats), want_stats, "stats {}", ctx());
-        let (frozen, frozen_stats) = coherent_paths_deadline_with_stats(
-            &c.frozen, &c.topics, src, dst, constraint, cfg, &none,
-        );
+        let (frozen, frozen_stats) =
+            coherent_paths_with_stats(&c.frozen, &c.topics, src, dst, constraint, cfg);
         assert_eq!(frozen, want, "FrozenView {}", ctx());
         assert_eq!(frozen_stats, stats, "FrozenView stats {}", ctx());
-        let (layered, layered_stats) = coherent_paths_deadline_with_stats(
-            &c.layered, &c.topics, src, dst, constraint, cfg, &none,
-        );
+        let (layered, layered_stats) =
+            coherent_paths_with_stats(&c.layered, &c.topics, src, dst, constraint, cfg);
         assert_eq!(layered, want, "LayeredSnapshot {}", ctx());
         assert_eq!(layered_stats, stats, "LayeredSnapshot stats {}", ctx());
         searches += 1;
@@ -225,9 +219,7 @@ fn paths_equal_exhaustive_enumeration_within_budget_on_every_view() {
         }
         let ctx = || format!("{src:?}->{dst:?} {cfg:?} {constraint:?}");
         let (want, want_stats) = support::paths(&c.live, src, dst, constraint, cfg);
-        let none = Deadline::none();
-        let (got, stats) =
-            shortest_paths_deadline_with_stats(&c.live, src, dst, constraint, cfg, &none);
+        let (got, stats) = shortest_paths_with_stats(&c.live, src, dst, constraint, cfg);
         assert!(!stats.truncated);
         assert!(got.len() <= cfg.k && in_paths_order(&got), "{}", ctx());
         if want_stats.nodes_expanded < cfg.budget {
@@ -239,8 +231,7 @@ fn paths_equal_exhaustive_enumeration_within_budget_on_every_view() {
                 budget: want_stats.nodes_expanded + 1,
                 ..cfg.clone()
             };
-            let (at_tight, _) =
-                shortest_paths_deadline_with_stats(&c.live, src, dst, constraint, &tight, &none);
+            let (at_tight, _) = shortest_paths_with_stats(&c.live, src, dst, constraint, &tight);
             assert_eq!(at_tight, want, "tight budget {}", ctx());
         } else {
             // The enumeration was cut; the length-ordered search must
@@ -256,11 +247,11 @@ fn paths_equal_exhaustive_enumeration_within_budget_on_every_view() {
         for (view, (other, other_stats)) in [
             (
                 "FrozenView",
-                shortest_paths_deadline_with_stats(&c.frozen, src, dst, constraint, cfg, &none),
+                shortest_paths_with_stats(&c.frozen, src, dst, constraint, cfg),
             ),
             (
                 "LayeredSnapshot",
-                shortest_paths_deadline_with_stats(&c.layered, src, dst, constraint, cfg, &none),
+                shortest_paths_with_stats(&c.layered, src, dst, constraint, cfg),
             ),
         ] {
             assert_eq!(other, got, "{view} {}", ctx());

@@ -1,33 +1,47 @@
 //! Query execution against the live system state.
 //!
-//! Two serving paths share one generic executor ([`execute_view`] over any
-//! [`GraphView`]):
-//!
-//! - **Lock-free** ([`execute_shared`]): queries run against the session's
-//!   epoch-swapped [`nous_core::FrozenSnapshot`] — no KG lock is touched on
-//!   the read path, so ingestion never stalls analysts (and vice versa).
-//!   Only the `TRENDING` class still serialises, on the trend-monitor
-//!   mutex, because the miner's closed-pattern query mutates cached state.
-//! - **Locked** ([`execute_shared_locked`]): the pre-snapshot baseline —
-//!   one consistent read-lock acquisition over graph + topics + trends.
-//!   Kept for identity tests and as the benchmark baseline.
-//!
-//! Both paths return byte-identical results for the same graph state.
+//! One executor, [`execute`], answers every query class against any
+//! [`GraphView`]; [`QueryOptions`] switches on a deadline, telemetry and a
+//! parent trace, each off by default. [`execute_shared`] and
+//! [`execute_shared_with`] serve a [`SharedSession`] through it on the
+//! lock-free path: every class reads the session's epoch-swapped
+//! [`nous_core::FrozenSnapshot`], so no KG lock is touched and ingestion
+//! never stalls analysts (and vice versa). Only the `TRENDING` class
+//! serialises, on the trend-monitor mutex, because the miner's
+//! closed-pattern query mutates cached state.
 
 use crate::ast::{Endpoint, Query, QueryResponse, QueryResult};
-use nous_core::{entity_summary_view, KnowledgeGraph, SharedSession, TrendMonitor};
+use nous_core::{entity_summary_view, SharedSession, TrendMonitor};
 use nous_fault::Deadline;
 use nous_graph::{GraphView, VertexId};
 use nous_link::AliasResolver;
 use nous_obs::{ActiveSpan, MetricsRegistry, TraceContext};
+use nous_qa::baselines::shortest_paths_with_stats;
 use nous_qa::{
-    coherent_paths_deadline_instrumented, coherent_paths_deadline_with_stats, record_search,
-    PathConstraint, QaConfig, TopicIndex,
+    coherent_paths_with_stats, record_search, PathConstraint, QaConfig, RankedPath, SearchStats,
+    TopicIndex,
 };
 
-fn resolve<G: GraphView>(g: &G, disamb: &AliasResolver, name: &str) -> Option<VertexId> {
+/// What [`execute`] does besides answering. Every option is off by
+/// default, so `&QueryOptions::default()` answers and nothing else.
+#[derive(Clone, Copy, Default)]
+pub struct QueryOptions<'a> {
+    /// Wall-clock budget. On expiry the response is flagged `partial`;
+    /// [`execute`] lists what each class returns then.
+    pub deadline: Deadline,
+    /// Per-class telemetry: `nous_query_total{class}`,
+    /// `nous_query_seconds{class}` (exemplar-linked to the trace),
+    /// `nous_query_deadline_exceeded_total{class}`, and the `nous_qa_*`
+    /// search accounting for the path classes.
+    pub registry: Option<&'a MetricsRegistry>,
+    /// The trace to nest under: each class opens its child spans here and
+    /// the path classes annotate theirs with their search accounting.
+    pub trace: Option<&'a TraceContext>,
+}
+
+fn resolve<G: GraphView>(g: &G, resolver: &AliasResolver, name: &str) -> Option<VertexId> {
     g.vertex_id(name)
-        .or_else(|| disamb.resolve(name).map(|r| VertexId(r.id)))
+        .or_else(|| resolver.resolve(name).map(|r| VertexId(r.id)))
 }
 
 fn endpoint_matches<G: GraphView>(g: &G, ep: &Endpoint, v: VertexId) -> bool {
@@ -38,14 +52,29 @@ fn endpoint_matches<G: GraphView>(g: &G, ep: &Endpoint, v: VertexId) -> bool {
     }
 }
 
-/// Search accounting as typed span attributes — pushed directly so the
-/// tracing hot path formats nothing.
-fn annotate_search_span(span: &mut ActiveSpan, stats: &nous_qa::SearchStats) {
+/// The answer of a path class: its search accounting as typed span
+/// attributes (pushed directly, so the tracing hot path formats nothing)
+/// and into the `nous_qa_*` family, and the paths rendered.
+fn path_answer<G: GraphView>(
+    g: &G,
+    paths: Vec<RankedPath>,
+    stats: SearchStats,
+    mut span: ActiveSpan,
+    registry: Option<&MetricsRegistry>,
+) -> (QueryResult, bool) {
     span.attr("nodes_expanded", stats.nodes_expanded);
     span.attr("max_frontier", stats.max_frontier);
     span.attr("paths_emitted", stats.paths_emitted);
     span.attr("coherence_evals", stats.coherence_evals);
     span.attr("truncated", stats.truncated);
+    drop(span);
+    if let Some(reg) = registry {
+        record_search(reg, &stats);
+    }
+    (
+        QueryResult::Paths(paths.into_iter().map(|p| (p.render(g), p.score)).collect()),
+        stats.truncated,
+    )
 }
 
 /// The metric label for a query's class (`nous_query_*{class=...}`).
@@ -60,178 +89,93 @@ pub fn query_class(q: &Query) -> &'static str {
     }
 }
 
-/// Execute a parsed query. `trends` feeds the Trending class; `topics`
-/// feeds the Why class. Both are owned by the session, mirroring the
-/// paper's long-running demo services.
-pub fn execute(
-    query: &Query,
-    kg: &KnowledgeGraph,
-    topics: &TopicIndex,
-    trends: &mut TrendMonitor,
-) -> QueryResult {
-    execute_view(
-        query,
-        &kg.graph,
-        kg.disambiguator.served(),
-        topics,
-        Some(trends),
-        None,
-    )
-}
-
-/// [`execute`] with telemetry: per-class counts and latency spans
-/// (`nous_query_total{class=...}`, `nous_query_seconds{class=...}`), plus
-/// `nous_qa_*` search-effort accounting for the path classes.
-pub fn execute_instrumented(
-    query: &Query,
-    kg: &KnowledgeGraph,
-    topics: &TopicIndex,
-    trends: &mut TrendMonitor,
-    registry: &MetricsRegistry,
-) -> QueryResult {
-    execute_view_instrumented(
-        query,
-        &kg.graph,
-        kg.disambiguator.served(),
-        topics,
-        Some(trends),
-        registry,
-    )
-}
-
-/// [`execute_view`] wrapped in per-class telemetry, against any graph view.
-pub fn execute_view_instrumented<G: GraphView>(
+/// Execute a parsed query against any [`GraphView`] — the mutable graph
+/// under a lock, or a published snapshot. `resolver` is the entity-name
+/// fallback, `topics` feeds `WHY`, and `trends` feeds `TRENDING`: passing
+/// `None` makes that class answer empty, so lock-free callers route it
+/// through the trend-monitor mutex themselves.
+///
+/// Per-class degradation when `opts.deadline` expires mid-execution:
+///
+/// - `TRENDING` — the pattern list stops where rendering got to.
+/// - `WHY` / `PATHS` — the path search returns best-so-far candidates,
+///   scored and ranked normally.
+/// - `MATCH` — the scan stops: `total` is a lower bound and `sample`
+///   may be short.
+/// - `ENTITY` / `TIMELINE` — never partial: their work is bounded by
+///   one entity's degree, so they always run to completion.
+pub fn execute<G: GraphView>(
     query: &Query,
     g: &G,
-    disamb: &AliasResolver,
+    resolver: &AliasResolver,
     topics: &TopicIndex,
     trends: Option<&mut TrendMonitor>,
-    registry: &MetricsRegistry,
-) -> QueryResult {
-    execute_view_instrumented_deadline(
-        query,
-        g,
-        disamb,
-        topics,
-        trends,
-        registry,
-        &Deadline::none(),
-    )
-    .result
-}
-
-/// [`execute_view_instrumented`] under a wall-clock [`Deadline`],
-/// returning the [`QueryResponse`] with its `partial` flag.
-pub fn execute_view_instrumented_deadline<G: GraphView>(
-    query: &Query,
-    g: &G,
-    disamb: &AliasResolver,
-    topics: &TopicIndex,
-    trends: Option<&mut TrendMonitor>,
-    registry: &MetricsRegistry,
-    deadline: &Deadline,
-) -> QueryResponse {
-    execute_view_instrumented_deadline_traced(
-        query,
-        g,
-        disamb,
-        topics,
-        trends,
-        registry,
-        deadline,
-        &TraceContext::disabled(),
-    )
-}
-
-/// [`execute_view_instrumented_deadline`] under an explicit trace
-/// context: the per-class latency span is exemplar-linked to the trace,
-/// and search-heavy classes annotate child spans with their effort
-/// accounting.
-#[allow(clippy::too_many_arguments)] // the trace context rides on the instrumented signature
-pub fn execute_view_instrumented_deadline_traced<G: GraphView>(
-    query: &Query,
-    g: &G,
-    disamb: &AliasResolver,
-    topics: &TopicIndex,
-    trends: Option<&mut TrendMonitor>,
-    registry: &MetricsRegistry,
-    deadline: &Deadline,
-    ctx: &TraceContext,
+    opts: &QueryOptions,
 ) -> QueryResponse {
     let class = query_class(query);
-    registry
-        .counter_with(
+    let disabled = TraceContext::disabled();
+    let ctx = opts.trace.unwrap_or(&disabled);
+    let span = opts.registry.map(|reg| {
+        reg.counter_with(
             "nous_query_total",
             "Queries executed per class",
             &[("class", class)],
         )
         .inc();
-    let span = registry
-        .span_with(
+        reg.span_with(
             "nous_query_seconds",
             "Query execution wall time per class",
             &[("class", class)],
         )
-        .with_exemplar(ctx.trace_id());
-    let out = execute_view_deadline_traced(
-        query,
-        g,
-        disamb,
-        topics,
-        trends,
-        Some(registry),
-        deadline,
-        ctx,
-    );
-    span.stop();
-    out
+        .with_exemplar(ctx.trace_id())
+    });
+    let (result, partial) = answer(query, g, resolver, topics, trends, opts, ctx);
+    if let Some(reg) = opts.registry {
+        if partial {
+            reg.counter_with(
+                "nous_query_deadline_exceeded_total",
+                "Queries whose deadline expired mid-execution (partial result returned)",
+                &[("class", class)],
+            )
+            .inc();
+        }
+    }
+    if let Some(span) = span {
+        span.stop();
+    }
+    QueryResponse { result, partial }
 }
 
 /// Execute against a live [`SharedSession`] — the entry point the demo's
-/// query services call per request. Runs on the **lock-free path**: the
-/// published frozen snapshot serves every class without touching the KG
-/// lock; only `TRENDING` additionally takes the trend-monitor mutex (the
-/// miner's closed-pattern query mutates cached state). Telemetry lands in
-/// the session's registry; snapshot staleness is recorded on
-/// `nous_snapshot_age_nanos` at acquisition.
+/// query services call per request — with no deadline. Telemetry lands in
+/// the session's registry; see [`execute_shared_with`].
 pub fn execute_shared(session: &SharedSession, query: &Query) -> QueryResult {
-    execute_shared_deadline(session, query, &Deadline::none()).result
+    execute_shared_with(session, query, &QueryOptions::default()).result
 }
 
-/// [`execute_shared`] under a wall-clock [`Deadline`] — the degradation
-/// contract for a loaded service: every query still returns a valid
-/// result, but an expired budget makes the search/scan stop early and
-/// the response is flagged `partial` (counted per class on
-/// `nous_query_deadline_exceeded_total`).
-pub fn execute_shared_deadline(
+/// [`execute`] on the session's published frozen snapshot, which serves
+/// every class without touching the KG lock; only `TRENDING` additionally
+/// takes the trend-monitor mutex. Snapshot staleness is recorded on
+/// `nous_snapshot_age_nanos` at acquisition.
+///
+/// Telemetry always runs, into `opts.registry` or, when that is `None`,
+/// the session's registry. Each query is one trace: a `query` span under
+/// an enabled `opts.trace` (the HTTP layer's per-request root, so one
+/// trace shows the wire handling and the execution it triggered), else a
+/// fresh root trace, which sends slow requests to the flight recorder's
+/// slow log under "query".
+pub fn execute_shared_with(
     session: &SharedSession,
     query: &Query,
-    deadline: &Deadline,
+    opts: &QueryOptions,
 ) -> QueryResponse {
-    execute_shared_deadline_in(session, query, deadline, &TraceContext::disabled())
-}
-
-/// [`execute_shared_deadline`] nested under an existing trace — the HTTP
-/// serving layer hands its per-request root context in here so one trace
-/// shows both the wire handling and the query execution it triggered.
-/// With a disabled `parent` this is exactly [`execute_shared_deadline`]:
-/// a fresh root trace per query.
-pub fn execute_shared_deadline_in(
-    session: &SharedSession,
-    query: &Query,
-    deadline: &Deadline,
-    parent: &TraceContext,
-) -> QueryResponse {
-    let registry = session.metrics().clone();
+    let registry = opts.registry.unwrap_or(session.metrics());
     let snap = session.frozen();
-    // One trace per request: the root span carries the class, the served
-    // epoch and its layer depth; the partial flag lands once the class
-    // executor reports back. Slow requests enter the flight recorder's
-    // slow log under "query".
-    let mut root = if parent.is_enabled() {
-        parent.child("query")
-    } else {
-        registry.trace("query")
+    // The root span carries the class, the served epoch and its layer
+    // depth; the partial flag lands once the class executor reports back.
+    let mut root = match opts.trace {
+        Some(parent) if parent.is_enabled() => parent.child("query"),
+        _ => registry.trace("query"),
     };
     root.attr("class", query_class(query));
     root.attr("epoch", snap.epoch);
@@ -243,143 +187,40 @@ pub fn execute_shared_deadline_in(
         root.attr("delta_permille", ms.delta_permille());
     }
     let ctx = root.context();
-    let resp = match query {
-        Query::Trending { .. } => session.with_trends_only(|trends| {
-            execute_view_instrumented_deadline_traced(
-                query,
-                &snap.view,
-                &snap.disambiguator,
-                &snap.topics,
-                Some(trends),
-                &registry,
-                deadline,
-                &ctx,
-            )
-        }),
-        _ => execute_view_instrumented_deadline_traced(
+    let opts = QueryOptions {
+        deadline: opts.deadline,
+        registry: Some(registry),
+        trace: Some(&ctx),
+    };
+    let run = |trends: Option<&mut TrendMonitor>| {
+        execute(
             query,
             &snap.view,
             &snap.disambiguator,
             &snap.topics,
-            None,
-            &registry,
-            deadline,
-            &ctx,
-        ),
+            trends,
+            &opts,
+        )
+    };
+    let resp = match query {
+        Query::Trending { .. } => session.with_trends_only(|trends| run(Some(trends))),
+        _ => run(None),
     };
     root.attr("partial", resp.partial);
     resp
 }
 
-/// The pre-snapshot serving path: one consistent read-lock acquisition
-/// over graph + topics + trend monitor. Byte-identical results to
-/// [`execute_shared`] at the same graph state — kept as the benchmark
-/// baseline and for identity tests.
-pub fn execute_shared_locked(session: &SharedSession, query: &Query) -> QueryResult {
-    let registry = session.metrics().clone();
-    session
-        .with_all(|kg, topics, trends| execute_instrumented(query, kg, topics, trends, &registry))
-}
-
-/// The generic executor: every query class against any [`GraphView`]
-/// (mutable graph under a lock, or a frozen snapshot). `trends` is only
-/// consulted by the `TRENDING` class; passing `None` makes that class
-/// return an empty result, so lock-free callers route `TRENDING` through
-/// the trend-monitor mutex themselves.
-pub fn execute_view<G: GraphView>(
+/// Every class's answer and whether the deadline cut it short.
+fn answer<G: GraphView>(
     query: &Query,
     g: &G,
-    disamb: &AliasResolver,
+    resolver: &AliasResolver,
     topics: &TopicIndex,
     trends: Option<&mut TrendMonitor>,
-    registry: Option<&MetricsRegistry>,
-) -> QueryResult {
-    execute_view_deadline(
-        query,
-        g,
-        disamb,
-        topics,
-        trends,
-        registry,
-        &Deadline::none(),
-    )
-    .result
-}
-
-/// [`execute_view`] under a wall-clock [`Deadline`].
-///
-/// Per-class degradation when the deadline expires mid-execution:
-///
-/// - `TRENDING` — the pattern list stops where rendering got to.
-/// - `WHY` / `PATHS` — the path search returns best-so-far candidates,
-///   scored and ranked normally.
-/// - `MATCH` — the scan stops: `total` is a lower bound and `sample`
-///   may be short.
-/// - `ENTITY` / `TIMELINE` — never partial: their work is bounded by
-///   one entity's degree, so they always run to completion.
-///
-/// Every partial response increments
-/// `nous_query_deadline_exceeded_total{class=...}` when a registry is
-/// attached.
-pub fn execute_view_deadline<G: GraphView>(
-    query: &Query,
-    g: &G,
-    disamb: &AliasResolver,
-    topics: &TopicIndex,
-    trends: Option<&mut TrendMonitor>,
-    registry: Option<&MetricsRegistry>,
-    deadline: &Deadline,
-) -> QueryResponse {
-    execute_view_deadline_traced(
-        query,
-        g,
-        disamb,
-        topics,
-        trends,
-        registry,
-        deadline,
-        &TraceContext::disabled(),
-    )
-}
-
-/// [`execute_view_deadline`] under an explicit trace context.
-#[allow(clippy::too_many_arguments)] // the trace context rides on the deadline signature
-pub fn execute_view_deadline_traced<G: GraphView>(
-    query: &Query,
-    g: &G,
-    disamb: &AliasResolver,
-    topics: &TopicIndex,
-    trends: Option<&mut TrendMonitor>,
-    registry: Option<&MetricsRegistry>,
-    deadline: &Deadline,
-    ctx: &TraceContext,
-) -> QueryResponse {
-    let (result, partial) =
-        execute_view_inner(query, g, disamb, topics, trends, registry, deadline, ctx);
-    if partial {
-        if let Some(reg) = registry {
-            reg.counter_with(
-                "nous_query_deadline_exceeded_total",
-                "Queries whose deadline expired mid-execution (partial result returned)",
-                &[("class", query_class(query))],
-            )
-            .inc();
-        }
-    }
-    QueryResponse { result, partial }
-}
-
-#[allow(clippy::too_many_arguments)] // private: the trace context rides on the executor signature
-fn execute_view_inner<G: GraphView>(
-    query: &Query,
-    g: &G,
-    disamb: &AliasResolver,
-    topics: &TopicIndex,
-    trends: Option<&mut TrendMonitor>,
-    registry: Option<&MetricsRegistry>,
-    deadline: &Deadline,
+    opts: &QueryOptions,
     ctx: &TraceContext,
 ) -> (QueryResult, bool) {
+    let deadline = &opts.deadline;
     match query {
         Query::Trending { limit } => {
             let _span = ctx.child("trending");
@@ -396,7 +237,7 @@ fn execute_view_inner<G: GraphView>(
 
         Query::Entity { name } => {
             let _span = ctx.child("summary");
-            match entity_summary_view(g, disamb, name) {
+            match entity_summary_view(g, resolver, name) {
                 None => (QueryResult::NotFound(name.clone()), false),
                 Some(s) => (
                     QueryResult::Entity {
@@ -421,10 +262,10 @@ fn execute_view_inner<G: GraphView>(
             via,
             limit,
         } => {
-            let Some(src) = resolve(g, disamb, source) else {
+            let Some(src) = resolve(g, resolver, source) else {
                 return (QueryResult::NotFound(source.clone()), false);
             };
-            let Some(dst) = resolve(g, disamb, target) else {
+            let Some(dst) = resolve(g, resolver, target) else {
                 return (QueryResult::NotFound(target.clone()), false);
             };
             let constraint = PathConstraint {
@@ -437,36 +278,22 @@ fn execute_view_inner<G: GraphView>(
             }
             let cfg = QaConfig {
                 k: *limit,
+                deadline: *deadline,
                 ..Default::default()
             };
-            let mut search_span = ctx.child("search");
-            let (paths, stats) = match registry {
-                Some(reg) => coherent_paths_deadline_instrumented(
-                    g,
-                    topics,
-                    src,
-                    dst,
-                    &constraint,
-                    &cfg,
-                    deadline,
-                    reg,
-                ),
-                None => coherent_paths_deadline_with_stats(
-                    g,
-                    topics,
-                    src,
-                    dst,
-                    &constraint,
-                    &cfg,
-                    deadline,
-                ),
-            };
-            annotate_search_span(&mut search_span, &stats);
-            drop(search_span);
-            (
-                QueryResult::Paths(paths.into_iter().map(|p| (p.render(g), p.score)).collect()),
-                stats.truncated,
-            )
+            let search_span = ctx.child("search");
+            let path_span = opts.registry.map(|reg| {
+                reg.span_with(
+                    "nous_qa_path_seconds",
+                    "Wall time of one top-K coherent path search",
+                    &[],
+                )
+            });
+            let (paths, stats) = coherent_paths_with_stats(g, topics, src, dst, &constraint, &cfg);
+            if let Some(span) = path_span {
+                span.stop();
+            }
+            path_answer(g, paths, stats, search_span, opts.registry)
         }
 
         Query::Match {
@@ -528,7 +355,7 @@ fn execute_view_inner<G: GraphView>(
 
         Query::Timeline { name, limit } => {
             let _span = ctx.child("timeline");
-            let Some(v) = resolve(g, disamb, name) else {
+            let Some(v) = resolve(g, resolver, name) else {
                 return (QueryResult::NotFound(name.clone()), false);
             };
             // Collect both directions, then order by (direction, edge id)
@@ -574,35 +401,22 @@ fn execute_view_inner<G: GraphView>(
             max_hops,
             limit,
         } => {
-            let Some(src) = resolve(g, disamb, source) else {
+            let Some(src) = resolve(g, resolver, source) else {
                 return (QueryResult::NotFound(source.clone()), false);
             };
-            let Some(dst) = resolve(g, disamb, target) else {
+            let Some(dst) = resolve(g, resolver, target) else {
                 return (QueryResult::NotFound(target.clone()), false);
             };
             let cfg = QaConfig {
                 k: *limit,
                 max_hops: *max_hops,
+                deadline: *deadline,
                 ..Default::default()
             };
-            let mut search_span = ctx.child("search");
-            let (paths, stats) = nous_qa::baselines::shortest_paths_deadline_with_stats(
-                g,
-                src,
-                dst,
-                &PathConstraint::default(),
-                &cfg,
-                deadline,
-            );
-            annotate_search_span(&mut search_span, &stats);
-            drop(search_span);
-            if let Some(reg) = registry {
-                record_search(reg, &stats);
-            }
-            (
-                QueryResult::Paths(paths.into_iter().map(|p| (p.render(g), p.score)).collect()),
-                stats.truncated,
-            )
+            let search_span = ctx.child("search");
+            let (paths, stats) =
+                shortest_paths_with_stats(g, src, dst, &PathConstraint::default(), &cfg);
+            path_answer(g, paths, stats, search_span, opts.registry)
         }
     }
 }
@@ -611,7 +425,9 @@ fn execute_view_inner<G: GraphView>(
 mod tests {
     use super::*;
     use crate::parse::parse;
+    use nous_core::KnowledgeGraph;
     use nous_graph::window::WindowKind;
+    use nous_graph::LayeredSnapshot;
     use nous_mining::{EvictionStrategy, MinerConfig};
     use nous_text::ner::EntityType;
 
@@ -654,9 +470,18 @@ mod tests {
         (kg, topics, trends)
     }
 
+    /// [`execute`] on the mutable graph under `opts`.
+    fn exec(
+        q: &Query,
+        (kg, topics, trends): &mut (KnowledgeGraph, TopicIndex, TrendMonitor),
+        opts: &QueryOptions,
+    ) -> QueryResponse {
+        let resolver = kg.disambiguator.served();
+        execute(q, &kg.graph, resolver, topics, Some(trends), opts)
+    }
+
     fn run(q: &str) -> QueryResult {
-        let (kg, topics, mut trends) = session();
-        execute(&parse(q).unwrap(), &kg, &topics, &mut trends)
+        exec(&parse(q).unwrap(), &mut session(), &QueryOptions::default()).result
     }
 
     #[test]
@@ -783,8 +608,12 @@ mod tests {
 
     #[test]
     fn instrumented_execution_counts_query_classes() {
-        let (kg, topics, mut trends) = session();
+        let mut sys = session();
         let registry = MetricsRegistry::new();
+        let opts = QueryOptions {
+            registry: Some(&registry),
+            ..Default::default()
+        };
         for q in [
             "TRENDING LIMIT 5",
             "tell me about Apex Robotics",
@@ -794,7 +623,7 @@ mod tests {
             "TIMELINE Apex Robotics",
             "PATHS Apex Robotics TO Falcon Systems MAX 3",
         ] {
-            execute_instrumented(&parse(q).unwrap(), &kg, &topics, &mut trends, &registry);
+            exec(&parse(q).unwrap(), &mut sys, &opts);
         }
         for (class, n) in [
             ("trending", 1),
@@ -824,27 +653,21 @@ mod tests {
             text.contains("nous_query_seconds_count{class=\"paths\"} 1"),
             "{text}"
         );
+        assert!(
+            text.contains("nous_qa_path_seconds_count 2"),
+            "only WHY times its search: {text}"
+        );
     }
 
     #[test]
-    fn instrumented_results_match_plain_execution() {
-        let (kg, topics, mut trends) = session();
+    fn every_option_combination_matches_plain_execution() {
+        let mut sys = session();
         let registry = MetricsRegistry::new();
-        for q in [
-            "WHY Apex Robotics -> Falcon Systems LIMIT 2",
-            "PATHS Apex Robotics TO Falcon Systems MAX 3",
-            "TRENDING LIMIT 5",
-        ] {
-            let parsed = parse(q).unwrap();
-            let plain = execute(&parsed, &kg, &topics, &mut trends);
-            let inst = execute_instrumented(&parsed, &kg, &topics, &mut trends, &registry);
-            assert_eq!(format!("{plain:?}"), format!("{inst:?}"), "{q}");
-        }
-    }
-
-    #[test]
-    fn unbounded_deadline_matches_plain_execution_with_partial_false() {
-        let (kg, topics, mut trends) = session();
+        let tracing = MetricsRegistry::new();
+        let _tracer = tracing.enable_tracing(7, 8, 0);
+        let root = tracing.trace("query");
+        let ctx = root.context();
+        let generous = Deadline::within(std::time::Duration::from_secs(60));
         for q in [
             "TRENDING LIMIT 5",
             "tell me about Apex Robotics",
@@ -854,26 +677,40 @@ mod tests {
             "PATHS Apex Robotics TO Falcon Systems MAX 3",
         ] {
             let parsed = parse(q).unwrap();
-            let plain = execute(&parsed, &kg, &topics, &mut trends);
-            let resp = execute_view_deadline(
-                &parsed,
-                &kg.graph,
-                kg.disambiguator.served(),
-                &topics,
-                Some(&mut trends),
-                None,
-                &Deadline::none(),
-            );
-            assert!(!resp.partial, "{q}");
-            assert_eq!(format!("{plain:?}"), format!("{:?}", resp.result), "{q}");
+            let plain = exec(&parsed, &mut sys, &QueryOptions::default()).result;
+            for registry in [None, Some(&registry)] {
+                for deadline in [Deadline::none(), generous] {
+                    for trace in [None, Some(&ctx)] {
+                        let opts = QueryOptions {
+                            deadline,
+                            registry,
+                            trace,
+                        };
+                        let resp = exec(&parsed, &mut sys, &opts);
+                        let on = (registry.is_some(), deadline.is_bounded(), trace.is_some());
+                        assert!(!resp.partial, "{q} {on:?}");
+                        assert_eq!(resp.result, plain, "{q} {on:?}");
+                    }
+                }
+            }
         }
     }
 
-    #[test]
-    fn expired_deadline_degrades_gracefully_and_counts_per_class() {
-        let (kg, topics, mut trends) = session();
+    /// Every class under an expired deadline on `g`: the cut classes are
+    /// partial, valid and counted once each; the degree-bounded ones are
+    /// complete.
+    fn check_expired_deadline<G: GraphView>(
+        g: &G,
+        resolver: &AliasResolver,
+        topics: &TopicIndex,
+        trends: &mut TrendMonitor,
+    ) {
         let registry = MetricsRegistry::new();
-        let expired = Deadline::expired_now();
+        let opts = QueryOptions {
+            deadline: Deadline::expired_now(),
+            registry: Some(&registry),
+            ..Default::default()
+        };
         for (q, class) in [
             ("TRENDING LIMIT 5", "trending"),
             ("WHY Apex Robotics -> Falcon Systems LIMIT 2", "why"),
@@ -881,15 +718,7 @@ mod tests {
             ("PATHS Apex Robotics TO Falcon Systems MAX 3", "paths"),
         ] {
             let parsed = parse(q).unwrap();
-            let resp = execute_view_instrumented_deadline(
-                &parsed,
-                &kg.graph,
-                kg.disambiguator.served(),
-                &topics,
-                Some(&mut trends),
-                &registry,
-                &expired,
-            );
+            let resp = execute(&parsed, g, resolver, topics, Some(&mut *trends), &opts);
             assert!(resp.partial, "{q} should be cut short: {resp:?}");
             // Partial results are valid: the right variant, just not
             // exhaustive.
@@ -912,36 +741,24 @@ mod tests {
         }
         // Bounded-by-degree classes never go partial, even expired.
         for q in ["tell me about Apex Robotics", "TIMELINE Apex Robotics"] {
-            let parsed = parse(q).unwrap();
-            let resp = execute_view_deadline(
-                &parsed,
-                &kg.graph,
-                kg.disambiguator.served(),
-                &topics,
-                None,
-                Some(&registry),
-                &expired,
-            );
+            let resp = execute(&parse(q).unwrap(), g, resolver, topics, None, &opts);
             assert!(!resp.partial, "{q}");
         }
     }
 
     #[test]
-    fn generous_deadline_returns_complete_results() {
-        let (kg, topics, mut trends) = session();
-        let parsed = parse("WHY Apex Robotics -> Falcon Systems LIMIT 2").unwrap();
-        let plain = execute(&parsed, &kg, &topics, &mut trends);
-        let resp = execute_view_deadline(
-            &parsed,
-            &kg.graph,
-            kg.disambiguator.served(),
-            &topics,
-            None,
-            None,
-            &Deadline::within(std::time::Duration::from_secs(60)),
-        );
-        assert!(!resp.partial);
-        assert_eq!(format!("{plain:?}"), format!("{:?}", resp.result));
+    fn expired_deadline_degrades_gracefully_and_counts_per_class() {
+        let (mut kg, topics, mut trends) = session();
+        let base = LayeredSnapshot::freeze(&kg.graph);
+        let id = |name| kg.graph.vertex_id(name).expect("session entity");
+        let (a, c) = (id("Apex Robotics"), id("Falcon Systems"));
+        kg.add_extracted_fact(a, "acquired", c, 20, 0.9, 10);
+        let overlay = base.capture_delta(&kg.graph).expect("delta chains");
+        let layered = base.with_overlay(overlay).expect("overlay chains");
+        assert_eq!(layered.layer_count(), 1, "one overlay on the base");
+        let resolver = kg.disambiguator.served();
+        check_expired_deadline(&kg.graph, resolver, &topics, &mut trends);
+        check_expired_deadline(&layered, resolver, &topics, &mut trends);
     }
 
     #[test]
@@ -965,15 +782,18 @@ mod tests {
         let root = registry.trace("query");
         let trace_id = root.trace_id();
         let ctx = root.context();
-        let resp = execute_view_deadline_traced(
+        let opts = QueryOptions {
+            deadline: Deadline::expired_now(),
+            registry: Some(&registry),
+            trace: Some(&ctx),
+        };
+        let resp = execute(
             &parsed,
             &kg.graph,
             kg.disambiguator.served(),
             &topics,
             None,
-            Some(&registry),
-            &Deadline::expired_now(),
-            &ctx,
+            &opts,
         );
         drop(root);
         assert!(resp.partial, "{resp:?}");

@@ -14,17 +14,15 @@
 //! | Pattern | `MATCH (Type)-[pred]->(Type) [LIMIT k]` | typed-edge pattern matching |
 //! | Path | `PATHS <a> TO <b> [MAX h] [LIMIT k]` | budgeted path enumeration |
 //!
-//! [`parse()`](parse::parse) produces a [`Query`]; [`execute`] runs it against a
-//! [`nous_core::KnowledgeGraph`] (+ topic index and trend monitor).
+//! [`parse()`](parse::parse) produces a [`Query`]; [`execute`] runs it against
+//! any [`nous_graph::GraphView`] (+ alias resolver, topic index and trend
+//! monitor), and [`execute_shared`] against a live
+//! [`nous_core::SharedSession`]'s published snapshot.
 
 pub mod ast;
 pub mod exec;
 pub mod parse;
 
 pub use ast::{Endpoint, Query, QueryResponse, QueryResult};
-pub use exec::{
-    execute, execute_instrumented, execute_shared, execute_shared_deadline,
-    execute_shared_deadline_in, execute_shared_locked, execute_view, execute_view_deadline,
-    execute_view_instrumented, execute_view_instrumented_deadline, query_class,
-};
+pub use exec::{execute, execute_shared, execute_shared_with, query_class, QueryOptions};
 pub use parse::{parse, ParseError};

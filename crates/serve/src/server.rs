@@ -23,7 +23,7 @@ use nous_core::{IngestPipeline, SharedSession};
 use nous_corpus::Article;
 use nous_fault::{Deadline, Faults};
 use nous_obs::{trace_id_hex, HttpMetrics};
-use nous_query::{execute_shared_deadline_in, parse, QueryResult};
+use nous_query::{execute_shared_with, parse, QueryOptions, QueryResult};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::RateLimiter;
@@ -425,7 +425,13 @@ fn handle_query(shared: &Shared, req: &Request, root: &nous_obs::ActiveSpan) -> 
     } else {
         Deadline::within(Duration::from_millis(deadline_ms))
     };
-    let out = execute_shared_deadline_in(&shared.session, &query, &deadline, &root.context());
+    let ctx = root.context();
+    let opts = QueryOptions {
+        deadline,
+        trace: Some(&ctx),
+        ..Default::default()
+    };
+    let out = execute_shared_with(&shared.session, &query, &opts);
     let reply = QueryReply {
         partial: out.partial,
         deadline_ms,

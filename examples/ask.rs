@@ -12,7 +12,7 @@ use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig, TrendMonitor};
 use nous_corpus::Preset;
 use nous_graph::window::WindowKind;
 use nous_mining::{EvictionStrategy, MinerConfig};
-use nous_query::{execute, parse};
+use nous_query::{execute, parse, QueryOptions};
 use nous_topics::LdaConfig;
 use std::io::BufRead;
 
@@ -46,7 +46,12 @@ fn main() {
             return;
         }
         match parse(line) {
-            Ok(q) => println!("{}", execute(&q, &kg, &topics, &mut trends).render()),
+            Ok(q) => {
+                let resolver = kg.disambiguator.served();
+                let opts = QueryOptions::default();
+                let r = execute(&q, &kg.graph, resolver, &topics, Some(&mut trends), &opts);
+                println!("{}", r.result.render())
+            }
             Err(e) => println!("{e}"),
         }
     };

@@ -11,7 +11,7 @@ use nous_core::{KnowledgeGraph, TrendMonitor};
 use nous_corpus::citations::{self, CitationConfig, CitePredicate};
 use nous_graph::window::WindowKind;
 use nous_mining::{EvictionStrategy, MinerConfig};
-use nous_qa::{coherent_paths, PathConstraint, QaConfig, TopicIndex};
+use nous_qa::{coherent_paths_with_stats, PathConstraint, QaConfig, TopicIndex};
 use nous_text::ner::EntityType;
 
 fn main() {
@@ -101,7 +101,7 @@ fn main() {
     // Explain how a late burst paper relates to the seminal one.
     if let Some(last) = scenario.burst_papers.last() {
         let src = kg.graph.vertex_id(last).unwrap();
-        let paths = coherent_paths(
+        let paths = coherent_paths_with_stats(
             &kg.graph,
             &topics,
             src,
@@ -112,7 +112,8 @@ fn main() {
                 k: 3,
                 ..Default::default()
             },
-        );
+        )
+        .0;
         println!("\nwhy is {last} related to {}?", scenario.seminal);
         for p in paths {
             println!("  [{:.4}] {}", p.score, p.render(&kg.graph));

@@ -10,7 +10,7 @@ use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig, TrendMonitor};
 use nous_corpus::Preset;
 use nous_graph::window::WindowKind;
 use nous_mining::{EvictionStrategy, MinerConfig};
-use nous_query::{execute, parse};
+use nous_query::{execute, parse, QueryOptions};
 use nous_topics::LdaConfig;
 use std::time::Instant;
 
@@ -104,10 +104,22 @@ fn main() {
         "MATCH (Company)-[acquired]->(Company) LIMIT 3".to_owned(),
         format!("PATHS {company_a} TO {company_b} MAX 3 LIMIT 3"),
     ];
+    let resolver = kg.disambiguator.served();
+    let opts = QueryOptions::default();
     for q in &queries {
         println!("\n>> {q}");
         match parse(q) {
-            Ok(query) => println!("{}", execute(&query, &kg, &topics, &mut trends).render()),
+            Ok(query) => {
+                let r = execute(
+                    &query,
+                    &kg.graph,
+                    resolver,
+                    &topics,
+                    Some(&mut trends),
+                    &opts,
+                );
+                println!("{}", r.result.render())
+            }
             Err(e) => println!("{e}"),
         }
     }

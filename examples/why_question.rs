@@ -9,8 +9,8 @@
 
 use nous_core::KnowledgeGraph;
 use nous_corpus::{plant_explanations, CuratedKb, Preset, World};
-use nous_qa::baselines::{degree_salience_paths, random_walk_paths, shortest_paths};
-use nous_qa::{coherent_paths, PathConstraint, QaConfig, RankedPath};
+use nous_qa::baselines::{degree_salience_paths, random_walk_paths, shortest_paths_with_stats};
+use nous_qa::{coherent_paths_with_stats, PathConstraint, QaConfig, RankedPath};
 use nous_topics::LdaConfig;
 
 fn main() {
@@ -49,18 +49,19 @@ fn main() {
         let rankings: Vec<(&str, Vec<RankedPath>)> = vec![
             (
                 "coherence (paper)",
-                coherent_paths(
+                coherent_paths_with_stats(
                     &kg.graph,
                     &topics,
                     src,
                     dst,
                     &PathConstraint::default(),
                     &cfg,
-                ),
+                )
+                .0,
             ),
             (
                 "shortest",
-                shortest_paths(&kg.graph, src, dst, &PathConstraint::default(), &cfg),
+                shortest_paths_with_stats(&kg.graph, src, dst, &PathConstraint::default(), &cfg).0,
             ),
             (
                 "degree salience",

@@ -32,7 +32,7 @@ use nous_persist::{
     FP_WAL_APPEND, FP_WAL_FSYNC,
 };
 use nous_qa::TopicIndex;
-use nous_query::{execute_shared_deadline, parse};
+use nous_query::{execute_shared_with, parse, QueryOptions};
 
 /// The three fixed CI seeds. `NOUS_CHAOS_SEED` narrows the run to one
 /// seed so the CI matrix can fan them out.
@@ -180,8 +180,11 @@ fn run_ingest(seed: u64, tag: &str, with_queries: bool) -> ChaosRun {
                         Deadline::none()
                     };
                     tight = !tight;
-                    let resp =
-                        execute_shared_deadline(&session, &parse(q).expect("parses"), &deadline);
+                    let opts = QueryOptions {
+                        deadline,
+                        ..Default::default()
+                    };
+                    let resp = execute_shared_with(&session, &parse(q).expect("parses"), &opts);
                     // Valid result: it renders, and an unbounded budget
                     // is never reported partial.
                     let _ = resp.result.render();
@@ -241,10 +244,13 @@ fn run_ingest(seed: u64, tag: &str, with_queries: bool) -> ChaosRun {
     // A hard-expired budget must degrade, not fail: trending comes back
     // valid-but-partial, which also registers the per-class deadline
     // counter on the /stats surface.
-    let expired = execute_shared_deadline(
+    let expired = execute_shared_with(
         &session,
         &parse("TRENDING LIMIT 5").unwrap(),
-        &Deadline::expired_now(),
+        &QueryOptions {
+            deadline: Deadline::expired_now(),
+            ..Default::default()
+        },
     );
     assert!(expired.partial, "expired deadline must flag partial");
     let _ = expired.result.render();
@@ -535,7 +541,7 @@ fn compaction_fault_keeps_layered_serving_and_loses_nothing() {
         format!("tell me about {a}"),
         format!("TIMELINE {a} LIMIT 5"),
     ] {
-        let resp = execute_shared_deadline(&session, &parse(&q).unwrap(), &Deadline::none());
+        let resp = execute_shared_with(&session, &parse(&q).unwrap(), &QueryOptions::default());
         assert!(!resp.partial, "{q} went partial after a compaction fault");
         let _ = resp.result.render();
     }

@@ -7,7 +7,7 @@ use nous_core::{KnowledgeGraph, TrendMonitor};
 use nous_corpus::citations::{self, CitationConfig, CitePredicate};
 use nous_graph::window::WindowKind;
 use nous_mining::{EvictionStrategy, MinerConfig};
-use nous_qa::baselines::shortest_paths;
+use nous_qa::baselines::shortest_paths_with_stats;
 use nous_qa::{PathConstraint, QaConfig};
 use nous_text::ner::EntityType;
 
@@ -100,7 +100,7 @@ fn citation_chains_are_searchable() {
     let last = scenario.burst_papers.last().expect("burst papers");
     let src = kg.graph.vertex_id(last).unwrap();
     let dst = kg.graph.vertex_id(&scenario.seminal).unwrap();
-    let paths = shortest_paths(
+    let paths = shortest_paths_with_stats(
         &kg.graph,
         src,
         dst,
@@ -112,7 +112,8 @@ fn citation_chains_are_searchable() {
             k: 3,
             ..Default::default()
         },
-    );
+    )
+    .0;
     assert!(
         !paths.is_empty(),
         "burst papers connect to the seminal paper via citations"

@@ -18,7 +18,7 @@ use nous_graph::{FrozenView, GraphView};
 use nous_link::{AliasResolver, EntityRecord, LinkMode, Resolution};
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_qa::TopicIndex;
-use nous_query::{execute_view, parse, Query};
+use nous_query::{execute, parse, Query, QueryOptions};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -78,7 +78,10 @@ fn answers<G: GraphView>(
 ) -> Vec<String> {
     queries
         .iter()
-        .map(|q| format!("{:?}", execute_view(q, view, disamb, topics, None, None)))
+        .map(|q| {
+            let opts = QueryOptions::default();
+            format!("{:?}", execute(q, view, disamb, topics, None, &opts).result)
+        })
         .collect()
 }
 

@@ -3,8 +3,8 @@
 
 use nous_core::KnowledgeGraph;
 use nous_corpus::{plant_explanations, CuratedKb, Preset, World};
-use nous_qa::baselines::{degree_salience_paths, shortest_paths};
-use nous_qa::{coherent_paths, PathConstraint, QaConfig, TopicIndex};
+use nous_qa::baselines::{degree_salience_paths, shortest_paths_with_stats};
+use nous_qa::{coherent_paths_with_stats, PathConstraint, QaConfig, TopicIndex};
 use nous_topics::LdaConfig;
 
 struct Instance {
@@ -68,7 +68,7 @@ fn cfg() -> QaConfig {
 fn coherence_beats_degree_salience() {
     let inst = build();
     let coh = accuracy(&inst, |i, s, d| {
-        coherent_paths(
+        coherent_paths_with_stats(
             &i.kg.graph,
             &i.topics,
             s,
@@ -76,6 +76,7 @@ fn coherence_beats_degree_salience() {
             &PathConstraint::default(),
             &cfg(),
         )
+        .0
     });
     let deg = accuracy(&inst, |i, s, d| {
         degree_salience_paths(&i.kg.graph, s, d, &PathConstraint::default(), &cfg())
@@ -91,7 +92,7 @@ fn coherence_beats_degree_salience() {
 fn coherence_beats_or_matches_shortest() {
     let inst = build();
     let coh = accuracy(&inst, |i, s, d| {
-        coherent_paths(
+        coherent_paths_with_stats(
             &i.kg.graph,
             &i.topics,
             s,
@@ -99,9 +100,10 @@ fn coherence_beats_or_matches_shortest() {
             &PathConstraint::default(),
             &cfg(),
         )
+        .0
     });
     let sp = accuracy(&inst, |i, s, d| {
-        shortest_paths(&i.kg.graph, s, d, &PathConstraint::default(), &cfg())
+        shortest_paths_with_stats(&i.kg.graph, s, d, &PathConstraint::default(), &cfg()).0
     });
     // Shortest path ties between expected and decoy; lexicographic
     // tie-break is blind, so it cannot systematically find the answer.
@@ -115,14 +117,15 @@ fn expected_paths_rank_above_decoys_by_coherence() {
     for e in &inst.explanations {
         let src = inst.kg.graph.vertex_id(&e.source).unwrap();
         let dst = inst.kg.graph.vertex_id(&e.target).unwrap();
-        let paths = coherent_paths(
+        let paths = coherent_paths_with_stats(
             &inst.kg.graph,
             &inst.topics,
             src,
             dst,
             &PathConstraint::default(),
             &cfg(),
-        );
+        )
+        .0;
         let pos = |names: &[String]| {
             paths.iter().position(|p| {
                 p.vertices

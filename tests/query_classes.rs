@@ -6,7 +6,7 @@ use nous_corpus::Preset;
 use nous_graph::window::WindowKind;
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_qa::TopicIndex;
-use nous_query::{execute, execute_shared, execute_shared_locked, parse, Query, QueryResult};
+use nous_query::{execute, execute_shared, parse, Query, QueryOptions, QueryResult};
 use nous_topics::LdaConfig;
 
 struct Session {
@@ -44,7 +44,32 @@ fn session() -> Session {
 
 fn run(s: &mut Session, q: &str) -> QueryResult {
     let query = parse(q).unwrap_or_else(|e| panic!("parse {q:?}: {e}"));
-    execute(&query, &s.kg, &s.topics, &mut s.trends)
+    let resolver = s.kg.disambiguator.served();
+    let opts = QueryOptions::default();
+    execute(
+        &query,
+        &s.kg.graph,
+        resolver,
+        &s.topics,
+        Some(&mut s.trends),
+        &opts,
+    )
+    .result
+}
+
+/// The pre-snapshot serving path, kept here as the identity oracle for
+/// the lock-free one: the mutable graph, topics and trend monitor under
+/// one consistent read-lock acquisition, with telemetry on like
+/// [`execute_shared`].
+fn execute_shared_locked(session: &SharedSession, query: &Query) -> QueryResult {
+    let opts = QueryOptions {
+        registry: Some(session.metrics()),
+        ..Default::default()
+    };
+    session.with_all(|kg, topics, trends| {
+        let resolver = kg.disambiguator.served();
+        execute(query, &kg.graph, resolver, topics, Some(trends), &opts).result
+    })
 }
 
 #[test]

@@ -7,7 +7,7 @@ use nous_corpus::Preset;
 use nous_graph::window::WindowKind;
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_qa::TopicIndex;
-use nous_query::{execute, parse, QueryResult};
+use nous_query::{execute, parse, QueryOptions, QueryResult};
 
 fn built() -> (KnowledgeGraph, TopicIndex, TrendMonitor) {
     let (world, kb, articles) = Preset::Demo.build();
@@ -27,8 +27,21 @@ fn built() -> (KnowledgeGraph, TopicIndex, TrendMonitor) {
     (kg, topics, trends)
 }
 
+/// Run `q` on the mutable graph with no options.
+fn run(
+    kg: &KnowledgeGraph,
+    topics: &TopicIndex,
+    trends: &mut TrendMonitor,
+    q: &str,
+) -> QueryResult {
+    let resolver = kg.disambiguator.served();
+    let opts = QueryOptions::default();
+    let q = parse(q).expect("valid query");
+    execute(&q, &kg.graph, resolver, topics, Some(trends), &opts).result
+}
+
 fn matches(kg: &KnowledgeGraph, topics: &TopicIndex, trends: &mut TrendMonitor, q: &str) -> usize {
-    match execute(&parse(q).expect("valid query"), kg, topics, trends) {
+    match run(kg, topics, trends, q) {
         QueryResult::Matches { total, .. } => total,
         other => panic!("expected Matches for {q}: {other:?}"),
     }
@@ -109,11 +122,11 @@ fn timeline_query_orders_entity_history() {
         .find(|(_, e)| !e.provenance.is_curated())
         .map(|(_, e)| kg.graph.vertex_name(e.src).to_owned())
         .expect("some extracted fact");
-    let r = execute(
-        &parse(&format!("TIMELINE {name} LIMIT 50")).unwrap(),
+    let r = run(
         &kg,
         &topics,
         &mut trends,
+        &format!("TIMELINE {name} LIMIT 50"),
     );
     let QueryResult::Timeline(items) = r else {
         panic!("{r:?}")
