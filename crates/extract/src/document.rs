@@ -93,6 +93,8 @@ pub fn extract_document(
 ) -> DocExtraction {
     let analyzed = nous_text::analyze(&doc.text, gazetteer, cfg);
     let mut extractions: Vec<Extraction> = Vec::new();
+    // `keys[i]` is `extractions[i].key()`, computed once per candidate.
+    let mut keys = Vec::new();
     let mut raw_count = 0usize;
 
     for (sidx, sentence) in analyzed.sentences.iter().enumerate() {
@@ -122,13 +124,16 @@ pub fn extract_document(
                 negated: t.negated,
                 confidence: t.confidence,
             };
-            match extractions.iter_mut().find(|e| e.key() == candidate.key()) {
-                Some(existing) => {
-                    if candidate.confidence > existing.confidence {
-                        *existing = candidate;
-                    }
+            let key = candidate.key();
+            match keys.iter().position(|k| *k == key) {
+                Some(i) if candidate.confidence > extractions[i].confidence => {
+                    extractions[i] = candidate;
                 }
-                None => extractions.push(candidate),
+                Some(_) => {}
+                None => {
+                    keys.push(key);
+                    extractions.push(candidate);
+                }
             }
         }
     }

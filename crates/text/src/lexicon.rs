@@ -6,6 +6,10 @@
 //! the register NOUS's WSJ corpus (§4) is written in. Open-class words not
 //! listed here fall through to the tagger's suffix heuristics.
 
+use crate::pos::Tag;
+use nous_graph::FxHashMap;
+use std::sync::OnceLock;
+
 /// Determiners / articles.
 pub const DETERMINERS: &[&str] = &[
     "a", "an", "the", "this", "that", "these", "those", "its", "their", "his", "her", "our",
@@ -523,50 +527,157 @@ pub const TEMPORAL_NOUNS: &[&str] = &[
     "week",
 ];
 
+/// What the lexicon knows about one lower-cased word: one hash lookup
+/// answers what the tagger, the bag of words and SRL ask of the tables.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Entry {
+    /// Tag and lemma from the first table listing the bare word, in the
+    /// tagger's order (`"to"`, closed classes, *be*/*have*/*do*, verbs,
+    /// adverbs, adjectives, nouns), else as a noun's (NNS) or base verb's
+    /// (VBZ) plural.
+    pub tag: Option<(Tag, Option<&'static str>)>,
+    /// [`verb_form`]'s answer.
+    pub verb: Option<(&'static str, &'static str)>,
+    pub stopword: bool,
+    pub temporal: bool,
+}
+
+/// The index entry for `lower`; the index is built on first use.
+pub(crate) fn lookup(lower: &str) -> Option<&'static Entry> {
+    static INDEX: OnceLock<Index> = OnceLock::new();
+    INDEX.get_or_init(build_index).get(lower)
+}
+
+/// Keyed by FxHash: on keys a few bytes long, SipHash's setup costs more
+/// than the hashing.
+type Index = FxHashMap<String, Entry>;
+
+fn entry<'a>(index: &'a mut Index, word: &str) -> &'a mut Entry {
+    index.entry(word.to_owned()).or_default()
+}
+
+fn build_index() -> Index {
+    let mut index = Index::default();
+    // The first row listing a word wins, and within a row the first form.
+    let mut verbs = Vec::new();
+    for &(base, third, past, ger, part) in VERB_TABLE {
+        let forms = [
+            (base, "VB", Tag::VB),
+            (third, "VBZ", Tag::VBZ),
+            (past, "VBD", Tag::VBD),
+            (ger, "VBG", Tag::VBG),
+            (part, "VBN", Tag::VBN),
+        ];
+        for (w, form, tag) in forms {
+            let verb = &mut entry(&mut index, w).verb;
+            if verb.is_none() {
+                *verb = Some((base, form));
+                verbs.push((w, tag, base));
+            }
+        }
+    }
+
+    // The tagger's cascade in precedence order; a word keeps its first tag.
+    let mut cascade = vec![("to".to_owned(), Tag::TO, None)];
+    let closed = [DETERMINERS, PREPOSITIONS, PRONOUNS, CONJUNCTIONS, MODALS];
+    for (table, tag) in closed
+        .into_iter()
+        .zip([Tag::DT, Tag::IN, Tag::PRP, Tag::CC, Tag::MD])
+    {
+        cascade.extend(table.iter().map(|w| (w.to_string(), tag, None)));
+    }
+    for (table, lemma) in [(AUX_BE, "be"), (AUX_HAVE, "have"), (AUX_DO, "do")] {
+        cascade.extend(
+            table
+                .iter()
+                .map(|w| (w.to_string(), aux_tag(w), Some(lemma))),
+        );
+    }
+    cascade.extend(
+        verbs
+            .iter()
+            .map(|&(w, tag, lemma)| (w.to_owned(), tag, Some(lemma))),
+    );
+    let open = [ADVERBS, ADJECTIVES, COMMON_NOUNS, TEMPORAL_NOUNS];
+    for (table, tag) in open.into_iter().zip([Tag::RB, Tag::JJ, Tag::NN, Tag::NN]) {
+        cascade.extend(table.iter().map(|w| (w.to_string(), tag, None)));
+    }
+    for n in COMMON_NOUNS {
+        cascade.extend(plurals_of(n).map(|p| (p, Tag::NNS, None)));
+    }
+    for &(w, tag, lemma) in &verbs {
+        if tag == Tag::VB {
+            cascade.extend(plurals_of(w).map(|p| (p, Tag::VBZ, Some(lemma))));
+        }
+    }
+    for (w, tag, lemma) in cascade {
+        entry(&mut index, &w).tag.get_or_insert((tag, lemma));
+    }
+
+    let fillers: &[&str] = &["to", "s", "t", "will", "one", "two", "also", "said", "says"];
+    for w in [&closed[..], &[AUX_BE, AUX_HAVE, AUX_DO, fillers]]
+        .concat()
+        .concat()
+    {
+        entry(&mut index, w).stopword = true;
+    }
+    for w in TEMPORAL_NOUNS {
+        entry(&mut index, w).temporal = true;
+    }
+    index
+}
+
+/// Inflection of a *be*, *have* or *do* form.
+fn aux_tag(w: &str) -> Tag {
+    match w {
+        "is" | "are" | "am" | "has" | "does" => Tag::VBZ,
+        "was" | "were" | "had" | "did" => Tag::VBD,
+        "been" | "done" => Tag::VBN,
+        "being" | "having" | "doing" => Tag::VBG,
+        _ => Tag::VB,
+    }
+}
+
+/// The singular the tagger reads a plural-looking word as.
+fn singular_of(lower: &str) -> Option<String> {
+    if let Some(stem) = lower.strip_suffix("ies") {
+        return Some(format!("{stem}y"));
+    }
+    for suf in ["ses", "xes", "ches", "shes"] {
+        if let Some(stem) = lower.strip_suffix(suf) {
+            return Some(format!("{stem}{}", &suf[..suf.len() - 2]));
+        }
+    }
+    lower
+        .strip_suffix('s')
+        .filter(|s| !s.is_empty())
+        .map(str::to_owned)
+}
+
+/// Every word [`singular_of`] reads as `singular`.
+fn plurals_of(singular: &str) -> impl Iterator<Item = String> + '_ {
+    let ies = singular.strip_suffix('y').map(|stem| format!("{stem}ies"));
+    [
+        Some(format!("{singular}s")),
+        Some(format!("{singular}es")),
+        ies,
+    ]
+    .into_iter()
+    .flatten()
+    .filter(move |p| singular_of(p).as_deref() == Some(singular))
+}
+
 /// Stopwords for bag-of-words construction (union of the closed classes plus
 /// a few high-frequency fillers).
 pub fn is_stopword(lower: &str) -> bool {
-    DETERMINERS.contains(&lower)
-        || PREPOSITIONS.contains(&lower)
-        || PRONOUNS.contains(&lower)
-        || CONJUNCTIONS.contains(&lower)
-        || MODALS.contains(&lower)
-        || AUX_BE.contains(&lower)
-        || AUX_HAVE.contains(&lower)
-        || AUX_DO.contains(&lower)
-        || matches!(
-            lower,
-            "to" | "s" | "t" | "will" | "one" | "two" | "also" | "said" | "says"
-        )
+    lookup(lower).is_some_and(|e| e.stopword)
 }
 
 /// Look up a verb form. Returns `(lemma, form)` where `form` is one of
 /// `"VB"`, `"VBZ"`, `"VBD"`, `"VBG"`, `"VBN"` (VBD wins the VBD/VBN tie; the
 /// tagger's context rules may flip it to VBN after an auxiliary).
 pub fn verb_form(lower: &str) -> Option<(&'static str, &'static str)> {
-    for &(base, third, past, ger, part) in VERB_TABLE {
-        if lower == base {
-            return Some((base, "VB"));
-        }
-        if lower == third {
-            return Some((base, "VBZ"));
-        }
-        if lower == past {
-            return Some((base, "VBD"));
-        }
-        if lower == ger {
-            return Some((base, "VBG"));
-        }
-        if lower == part {
-            return Some((base, "VBN"));
-        }
-    }
-    None
-}
-
-/// Lemma of a verb surface form, when known.
-pub fn verb_lemma(lower: &str) -> Option<&'static str> {
-    verb_form(lower).map(|(lemma, _)| lemma)
+    lookup(lower).and_then(|e| e.verb)
 }
 
 #[cfg(test)]

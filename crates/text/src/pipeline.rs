@@ -8,7 +8,7 @@
 
 use crate::coref::{self, CorefResolution};
 use crate::ner::{self, Gazetteer, Mention};
-use crate::openie::{ExtractorConfig, RawTriple};
+use crate::openie::{self, ExtractionSpan, ExtractorConfig, RawTriple};
 use crate::pos::{self, Tagged};
 use crate::sentence;
 use crate::srl::{self, Frame};
@@ -34,13 +34,15 @@ pub struct AnalyzedDoc {
     pub resolutions: Vec<CorefResolution>,
 }
 
-fn substitute(span_start: usize, span_end: usize, text: &str, res: &[&CorefResolution]) -> String {
-    for r in res {
-        if r.token_start >= span_start && r.token_end <= span_end {
-            return r.antecedent.clone();
-        }
+/// Rewrite `span` to the antecedent of the first resolution in sentence
+/// `sidx` that lies inside it.
+fn substitute(span: &mut ExtractionSpan, sidx: usize, resolutions: &[CorefResolution]) {
+    let inside = |r: &&CorefResolution| {
+        r.sentence == sidx && r.token_start >= span.start && r.token_end <= span.end
+    };
+    if let Some(r) = resolutions.iter().find(inside) {
+        span.text = r.antecedent.clone();
     }
-    text.to_owned()
 }
 
 /// Run the full §3.2 pipeline over a raw document.
@@ -48,7 +50,7 @@ pub fn analyze(text: &str, gazetteer: &Gazetteer, cfg: &ExtractorConfig) -> Anal
     let sents = sentence::split_sentences(text);
     let mut per_sentence: Vec<(Vec<Tagged>, Vec<Mention>)> = Vec::with_capacity(sents.len());
     for s in &sents {
-        let tagged = pos::tag(&tokenize(&s.text));
+        let tagged = pos::tag_owned(tokenize(&s.text));
         let mentions = ner::mentions(&tagged, gazetteer);
         per_sentence.push((tagged, mentions));
     }
@@ -56,28 +58,15 @@ pub fn analyze(text: &str, gazetteer: &Gazetteer, cfg: &ExtractorConfig) -> Anal
 
     let mut sentences = Vec::with_capacity(sents.len());
     for (sidx, (s, (tagged, mentions))) in sents.iter().zip(per_sentence).enumerate() {
-        let sent_res: Vec<&CorefResolution> =
-            resolutions.iter().filter(|r| r.sentence == sidx).collect();
-        let mut triples = crate::openie::extract(&tagged, cfg);
+        let mut triples = openie::extract(&tagged, cfg);
         for t in &mut triples {
-            t.subject.text = substitute(t.subject.start, t.subject.end, &t.subject.text, &sent_res);
-            t.object.text = substitute(t.object.start, t.object.end, &t.object.text, &sent_res);
+            substitute(&mut t.subject, sidx, &resolutions);
+            substitute(&mut t.object, sidx, &resolutions);
             for (_, arg) in &mut t.extra_args {
-                arg.text = substitute(arg.start, arg.end, &arg.text, &sent_res);
+                substitute(arg, sidx, &resolutions);
             }
         }
-        let mut frames = srl::label(&tagged, cfg);
-        for f in &mut frames {
-            // Frames were built from unsubstituted tuples; align them with
-            // the substituted triples by position.
-            if let Some(t) = triples
-                .iter()
-                .find(|t| t.predicate == f.predicate && t.confidence == f.confidence)
-            {
-                f.a0 = t.subject.text.clone();
-                f.a1 = t.object.text.clone();
-            }
-        }
+        let frames = triples.iter().map(|t| srl::frame_of(&tagged, t)).collect();
         sentences.push(AnalyzedSentence {
             text: s.text.clone(),
             tagged,
@@ -151,6 +140,36 @@ mod tests {
             .expect("acquire frame");
         assert_eq!(f.a0, "DJI");
         assert_eq!(f.time.as_deref(), Some("March"));
+    }
+
+    /// Two tuples of one predicate in one sentence: each frame reads its
+    /// own tuple's arguments and adjuncts, not the first same-predicate one.
+    #[test]
+    fn each_frame_carries_its_own_triple() {
+        let args = |text: &str| {
+            let doc = analyze(text, &gaz(), &ExtractorConfig::default());
+            let s = &doc.sentences[0];
+            assert_eq!(s.frames.len(), s.triples.len());
+            s.frames
+                .iter()
+                .filter(|f| f.predicate == "acquire")
+                .map(|f| (f.a0.clone(), f.a1.clone(), f.time.clone()))
+                .collect::<Vec<_>>()
+        };
+        let own = |a0: &str, a1: &str, time: Option<&str>| {
+            (a0.to_owned(), a1.to_owned(), time.map(str::to_owned))
+        };
+        assert_eq!(
+            args("DJI acquired Accel and Parrot acquired Skyward."),
+            vec![own("DJI", "Accel", None), own("Parrot", "Skyward", None)]
+        );
+        assert_eq!(
+            args("DJI acquired Accel, and Intel acquired Yuneec in March."),
+            vec![
+                own("DJI", "Accel", None),
+                own("Intel", "Yuneec", Some("March"))
+            ]
+        );
     }
 
     #[test]

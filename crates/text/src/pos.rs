@@ -74,23 +74,8 @@ pub struct Tagged {
     pub lemma: Option<String>,
 }
 
-fn singular_of(lower: &str) -> Option<String> {
-    if let Some(stem) = lower.strip_suffix("ies") {
-        return Some(format!("{stem}y"));
-    }
-    for suf in ["ses", "xes", "ches", "shes"] {
-        if let Some(stem) = lower.strip_suffix(suf) {
-            return Some(format!("{stem}{}", &suf[..suf.len() - 2]));
-        }
-    }
-    lower
-        .strip_suffix('s')
-        .filter(|s| !s.is_empty())
-        .map(str::to_owned)
-}
-
 /// Tag by lexicon lookup and surface shape, ignoring context.
-fn lexical_tag(tok: &Token, sentence_initial: bool) -> (Tag, Option<String>) {
+fn lexical_tag(tok: &Token) -> (Tag, Option<String>) {
     match tok.kind {
         TokenKind::Number => return (Tag::CD, None),
         TokenKind::Punct => return (Tag::Punct, None),
@@ -104,9 +89,6 @@ fn lexical_tag(tok: &Token, sentence_initial: bool) -> (Tag, Option<String>) {
         .or_else(|| lower.strip_suffix("’s"))
         .unwrap_or(&lower);
 
-    if bare == "to" {
-        return (Tag::TO, None);
-    }
     // Negative contractions: resolve the auxiliary ("didn't" -> did).
     if let Some(stem) = bare
         .strip_suffix("n't")
@@ -118,109 +100,25 @@ fn lexical_tag(tok: &Token, sentence_initial: bool) -> (Tag, Option<String>) {
             "sha" => "shall",
             other => other,
         };
-        if lexicon::MODALS.contains(&full) {
-            return (Tag::MD, None);
-        }
-        if lexicon::AUX_DO.contains(&full) {
-            let tag = if full == "does" {
-                Tag::VBZ
-            } else if full == "did" {
-                Tag::VBD
-            } else {
-                Tag::VB
-            };
-            return (tag, Some("do".to_owned()));
-        }
-        if lexicon::AUX_BE.contains(&full) {
-            let tag = if matches!(full, "is" | "are") {
-                Tag::VBZ
-            } else {
-                Tag::VBD
-            };
-            return (tag, Some("be".to_owned()));
-        }
-        if lexicon::AUX_HAVE.contains(&full) {
-            let tag = if full == "has" { Tag::VBZ } else { Tag::VBD };
-            return (tag, Some("have".to_owned()));
+        match lexicon::lookup(full).and_then(|e| e.tag) {
+            Some((Tag::MD, _)) => return (Tag::MD, None),
+            Some((_, Some(aux @ ("be" | "have" | "do")))) => {
+                let tag = match full {
+                    "is" | "are" | "has" | "does" => Tag::VBZ,
+                    "do" | "doing" | "done" => Tag::VB,
+                    _ => Tag::VBD,
+                };
+                return (tag, Some(aux.to_owned()));
+            }
+            _ => {}
         }
     }
-    if lexicon::DETERMINERS.contains(&bare) {
-        return (Tag::DT, None);
-    }
-    if lexicon::PREPOSITIONS.contains(&bare) {
-        return (Tag::IN, None);
-    }
-    if lexicon::PRONOUNS.contains(&bare) {
-        return (Tag::PRP, None);
-    }
-    if lexicon::CONJUNCTIONS.contains(&bare) {
-        return (Tag::CC, None);
-    }
-    if lexicon::MODALS.contains(&bare) {
-        return (Tag::MD, None);
-    }
-    if lexicon::AUX_BE.contains(&bare) {
-        let tag = match bare {
-            "is" | "are" | "am" => Tag::VBZ,
-            "was" | "were" => Tag::VBD,
-            "been" => Tag::VBN,
-            "being" => Tag::VBG,
-            _ => Tag::VB,
-        };
-        return (tag, Some("be".to_owned()));
-    }
-    if lexicon::AUX_HAVE.contains(&bare) {
-        let tag = match bare {
-            "has" => Tag::VBZ,
-            "had" => Tag::VBD,
-            "having" => Tag::VBG,
-            _ => Tag::VB,
-        };
-        return (tag, Some("have".to_owned()));
-    }
-    if lexicon::AUX_DO.contains(&bare) {
-        let tag = match bare {
-            "does" => Tag::VBZ,
-            "did" => Tag::VBD,
-            "doing" => Tag::VBG,
-            "done" => Tag::VBN,
-            _ => Tag::VB,
-        };
-        return (tag, Some("do".to_owned()));
-    }
-    if let Some((lemma, form)) = lexicon::verb_form(bare) {
-        let tag = match form {
-            "VB" => Tag::VB,
-            "VBZ" => Tag::VBZ,
-            "VBD" => Tag::VBD,
-            "VBG" => Tag::VBG,
-            _ => Tag::VBN,
-        };
-        return (tag, Some(lemma.to_owned()));
-    }
-    if lexicon::ADVERBS.contains(&bare) {
-        return (Tag::RB, None);
-    }
-    if lexicon::ADJECTIVES.contains(&bare) {
-        return (Tag::JJ, None);
-    }
-    if lexicon::COMMON_NOUNS.contains(&bare) || lexicon::TEMPORAL_NOUNS.contains(&bare) {
-        return (Tag::NN, None);
-    }
-    if let Some(sing) = singular_of(bare) {
-        if lexicon::COMMON_NOUNS.contains(&sing.as_str()) {
-            return (Tag::NNS, None);
-        }
-        if let Some((lemma, "VB")) = lexicon::verb_form(&sing) {
-            // Regular 3sg not in the table's third column (already covered),
-            // but keep the branch for robustness.
-            return (Tag::VBZ, Some(lemma.to_owned()));
-        }
+    if let Some((tag, lemma)) = lexicon::lookup(bare).and_then(|e| e.tag) {
+        return (tag, lemma.map(str::to_owned));
     }
     // Proper noun: an unknown capitalised word in any position — in news
     // text, unknown capitalised words are overwhelmingly entity names, so
     // this outranks the suffix heuristics ("Skyward" is not a gerund).
-    let _ = sentence_initial;
     if tok.is_capitalized() {
         return (Tag::NNP, None);
     }
@@ -256,18 +154,21 @@ fn lexical_tag(tok: &Token, sentence_initial: bool) -> (Tag, Option<String>) {
     (Tag::NN, None)
 }
 
-/// Tag a tokenised sentence. Applies lexical tagging then a small set of
-/// contextual repair rules.
+/// [`tag_owned`] over a copy of `tokens`.
 pub fn tag(tokens: &[Token]) -> Vec<Tagged> {
-    let mut out: Vec<Tagged> = Vec::with_capacity(tokens.len());
-    for (i, tok) in tokens.iter().enumerate() {
-        let (tag, lemma) = lexical_tag(tok, i == 0);
-        out.push(Tagged {
-            token: tok.clone(),
-            tag,
-            lemma,
-        });
-    }
+    tag_owned(tokens.to_vec())
+}
+
+/// Tag a tokenised sentence, moving the tokens into the output. Applies
+/// lexical tagging then a small set of contextual repair rules.
+pub fn tag_owned(tokens: Vec<Token>) -> Vec<Tagged> {
+    let mut out: Vec<Tagged> = tokens
+        .into_iter()
+        .map(|token| {
+            let (tag, lemma) = lexical_tag(&token);
+            Tagged { token, tag, lemma }
+        })
+        .collect();
     // Context repairs.
     for i in 0..out.len() {
         // VBD after have/be auxiliary -> VBN ("has acquired").

@@ -7,7 +7,7 @@
 //! argument with the temporal lexicon and location cues.
 
 use crate::lexicon;
-use crate::openie::{self, ExtractorConfig, RawTriple};
+use crate::openie::RawTriple;
 use crate::pos::{Tag, Tagged};
 use serde::{Deserialize, Serialize};
 
@@ -30,8 +30,7 @@ pub struct Frame {
 
 fn is_temporal(tagged: &[Tagged], start: usize, end: usize) -> bool {
     tagged[start..end].iter().any(|t| {
-        let l = t.token.lower();
-        lexicon::TEMPORAL_NOUNS.contains(&l.as_str())
+        lexicon::lookup(&t.token.lower()).is_some_and(|e| e.temporal)
             || (t.tag == Tag::CD && t.token.text.len() == 4) // bare year
     })
 }
@@ -42,7 +41,7 @@ fn is_locational(prep: &str, tagged: &[Tagged], start: usize, end: usize) -> boo
 }
 
 /// Classify one OpenIE tuple into a frame.
-fn frame_of(tagged: &[Tagged], t: &RawTriple) -> Frame {
+pub(crate) fn frame_of(tagged: &[Tagged], t: &RawTriple) -> Frame {
     let mut location = None;
     let mut time = None;
     for (prep, arg) in &t.extra_args {
@@ -63,22 +62,19 @@ fn frame_of(tagged: &[Tagged], t: &RawTriple) -> Frame {
     }
 }
 
-/// Label all frames in a tagged sentence.
-pub fn label(tagged: &[Tagged], cfg: &ExtractorConfig) -> Vec<Frame> {
-    openie::extract(tagged, cfg)
-        .iter()
-        .map(|t| frame_of(tagged, t))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::openie::{extract, ExtractorConfig};
     use crate::pos::tag;
     use crate::token::tokenize;
 
     fn frames(input: &str) -> Vec<Frame> {
-        label(&tag(&tokenize(input)), &ExtractorConfig::default())
+        let tagged = tag(&tokenize(input));
+        extract(&tagged, &ExtractorConfig::default())
+            .iter()
+            .map(|t| frame_of(&tagged, t))
+            .collect()
     }
 
     #[test]
