@@ -27,14 +27,13 @@
 //! by one ingest micro-batch and surfaced as `nous_snapshot_age_nanos`.
 
 use crate::kg::KnowledgeGraph;
-use crate::pipeline::{IngestPipeline, IngestReport};
+use crate::pipeline::{BatchGraph, IngestPipeline, IngestReport};
 use crate::trends::TrendMonitor;
 use nous_corpus::Article;
-use nous_extract::{extract_documents_quarantined, Document};
 use nous_fault::Faults;
 use nous_graph::LayeredSnapshot;
 use nous_link::AliasResolver;
-use nous_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use nous_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceContext};
 use nous_qa::TopicIndex;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -538,6 +537,28 @@ impl SharedSession {
     /// Run a mutating operation (ingestion, retraining) with exclusive
     /// access.
     pub fn write<T>(&self, f: impl FnOnce(&mut KnowledgeGraph) -> T) -> T {
+        let out = self.write_graph(f);
+        self.publish_snapshot();
+        out
+    }
+
+    /// The graph alone under the read lock, with the `read` lock metrics.
+    fn read_graph<T>(&self, f: impl FnOnce(&KnowledgeGraph) -> T) -> T {
+        let m = &self.metrics;
+        let t0 = m.registry.now_nanos();
+        let kg = self.kg.read();
+        let t1 = m.registry.now_nanos();
+        m.wait_read.observe(t1.saturating_sub(t0));
+        let out = f(&kg);
+        let held = m.registry.now_nanos().saturating_sub(t1);
+        m.hold_read.observe(held);
+        m.hold_last_read.set(held as i64);
+        out
+    }
+
+    /// The graph under the write lock, with the `write` lock metrics; the
+    /// lock is released before this returns and nothing is published.
+    fn write_graph<T>(&self, f: impl FnOnce(&mut KnowledgeGraph) -> T) -> T {
         let m = &self.metrics;
         let t0 = m.registry.now_nanos();
         let mut kg = self.kg.write();
@@ -548,7 +569,6 @@ impl SharedSession {
         let held = m.registry.now_nanos().saturating_sub(t1);
         m.hold_write.observe(held);
         m.hold_last_write.set(held as i64);
-        self.publish_snapshot();
         out
     }
 
@@ -628,89 +648,44 @@ impl SharedSession {
         out
     }
 
-    /// Micro-batched ingestion against the live session: the parallel
-    /// extraction stage runs under the **read** lock (analysts keep
-    /// querying while documents are parsed — extraction is the wall-clock
-    /// hog and never touches mutable state), and only the sequential
-    /// merge stage takes the write lock, once per micro-batch. The
-    /// gazetteer snapshot a batch extracts against is the one visible at
-    /// its read-lock acquisition — the same staleness contract as
+    /// Micro-batched ingestion against the live session, through the
+    /// pipeline's one batch step: the extraction half runs under the
+    /// **read** lock (analysts keep querying while documents are parsed —
+    /// extraction is the wall-clock hog and never touches mutable state),
+    /// the merge half takes the write lock once per micro-batch, and each
+    /// batch publishes a snapshot epoch after the write lock is released.
+    /// The gazetteer snapshot a batch extracts against is the one visible
+    /// at its read-lock acquisition — the same staleness contract as
     /// [`IngestPipeline::ingest_batch`].
     pub fn ingest_batch(
         &self,
         pipeline: &mut IngestPipeline,
         articles: &[Article],
     ) -> IngestReport {
-        let cfg = pipeline.config().clone();
-        // The extract-stage histogram lives in the *pipeline's* registry
-        // (get-or-create hands back the same series its own ingest path
-        // records into), so session-driven and pipeline-driven ingestion
-        // share one accounting stream.
-        let extract_stage = pipeline.metrics().latency_with(
-            "nous_ingest_stage_seconds",
-            "Per-document wall time spent in each ingestion stage",
-            &[("stage", "extract")],
-        );
-        for chunk in articles.chunks(cfg.batch_size.max(1)) {
-            // One trace per micro-batch: extract → per-document stage
-            // spans → publish all nest under this root, and a slow batch
-            // lands in the flight recorder's slow log under "ingest.batch".
-            let mut root = self.metrics.registry.trace("ingest.batch");
-            root.attr("docs", chunk.len());
-            let ctx = root.context();
-            let extracted = {
-                let m = &self.metrics;
-                let docs: Vec<Document> = chunk.iter().map(Document::from).collect();
-                let t0 = m.registry.now_nanos();
-                let kg = self.kg.read();
-                let t1 = m.registry.now_nanos();
-                m.wait_read.observe(t1.saturating_sub(t0));
-                let span = pipeline
-                    .metrics()
-                    .start(&extract_stage)
-                    .with_exemplar(ctx.trace_id());
-                let extract_span = ctx.child("extract");
-                let (extracted, worker_docs, quarantined) = extract_documents_quarantined(
-                    &docs,
-                    &kg.gazetteer,
-                    &cfg.extractor,
-                    cfg.extract_workers,
-                    &cfg.faults,
-                );
-                drop(extract_span);
-                span.stop();
-                pipeline.record_fanout(&worker_docs);
-                for q in quarantined {
-                    root.attr("quarantined_doc", q.doc_id);
-                    pipeline.quarantine(q);
-                }
-                let held = m.registry.now_nanos().saturating_sub(t1);
-                m.hold_read.observe(held);
-                m.hold_last_read.set(held as i64);
-                extracted
-            };
-            let m = &self.metrics;
-            let t0 = m.registry.now_nanos();
-            let mut kg = self.kg.write();
-            let t1 = m.registry.now_nanos();
-            m.wait_write.observe(t1.saturating_sub(t0));
-            for ext in &extracted {
-                let mut doc_span = ctx.child("ingest.doc");
-                doc_span.attr("doc", ext.doc_id);
-                pipeline.merge_extraction_traced(&mut kg, ext, &doc_span.context());
-            }
-            drop(kg);
-            let held = m.registry.now_nanos().saturating_sub(t1);
-            m.hold_write.observe(held);
-            m.hold_last_write.set(held as i64);
-            // Publish once per micro-batch: snapshot staleness for the
-            // lock-free read path is bounded by one batch of documents.
-            // The publish is O(this batch), not O(graph).
-            let mut publish_span = ctx.child("publish");
-            let epoch = self.publish_snapshot();
-            publish_span.attr("epoch", epoch);
-        }
-        pipeline.report()
+        pipeline.run_batches(self, articles)
+    }
+}
+
+impl BatchGraph for &SharedSession {
+    fn trace_registry(&self) -> Option<&MetricsRegistry> {
+        Some(&self.metrics.registry)
+    }
+
+    fn read<T>(&mut self, f: impl FnOnce(&KnowledgeGraph) -> T) -> T {
+        self.read_graph(f)
+    }
+
+    fn write<T>(&mut self, f: impl FnOnce(&mut KnowledgeGraph) -> T) -> T {
+        self.write_graph(f)
+    }
+
+    /// Publish once per micro-batch: snapshot staleness for the lock-free
+    /// read path is bounded by one batch of documents, and the publish is
+    /// O(this batch), not O(graph).
+    fn publish(&mut self, ctx: &TraceContext) {
+        let mut publish_span = ctx.child("publish");
+        let epoch = self.publish_snapshot();
+        publish_span.attr("epoch", epoch);
     }
 }
 
@@ -794,55 +769,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_ingestion_with_concurrent_readers() {
-        use crate::pipeline::PipelineConfig;
-        use nous_corpus::{ArticleStream, CuratedKb, Preset, World};
-
-        let world = World::generate(&Preset::Smoke.world_config());
-        let kb = CuratedKb::generate(&world, 7);
-        let mut kg = KnowledgeGraph::from_curated(&world, &kb);
-        kg.train_predictor();
-        let articles = ArticleStream::generate(&world, &kb, &Preset::Smoke.stream_config());
-        let seed = world.entities[world.companies[0]].name.clone();
-
-        let s = SharedSession::new(
-            kg,
-            TopicIndex::new(2),
-            TrendMonitor::new(
-                WindowKind::Count { n: 100 },
-                MinerConfig {
-                    k_max: 1,
-                    min_support: 2,
-                    eviction: EvictionStrategy::Eager,
-                },
-            ),
-        );
-        let reader = {
-            let s = s.clone();
-            let seed = seed.clone();
-            std::thread::spawn(move || {
-                for _ in 0..50 {
-                    assert!(s.read(|kg, _| kg.graph.vertex_id(&seed).is_some()));
-                }
-            })
-        };
-        let cfg = PipelineConfig {
-            batch_size: 8,
-            extract_workers: 2,
-            ..Default::default()
-        };
-        let mut pipe = IngestPipeline::new(cfg);
-        let report = s.ingest_batch(&mut pipe, &articles);
-        reader.join().expect("reader");
-        assert_eq!(report.documents, articles.len());
-        assert!(report.admitted > 0);
-        assert_eq!(
-            s.read(|kg, _| kg.graph.stats().extracted_edges),
-            report.admitted
-        );
-    }
-
-    #[test]
     fn concurrent_read_during_ingest_populates_lock_metrics() {
         use crate::pipeline::PipelineConfig;
         use nous_corpus::{ArticleStream, CuratedKb, Preset, World};
@@ -886,6 +812,7 @@ mod tests {
         let mut pipe = IngestPipeline::with_registry(cfg, registry.clone());
         let report = s.ingest_batch(&mut pipe, &articles);
         reader.join().expect("reader");
+        assert_eq!(report.documents, articles.len());
         assert!(report.admitted > 0);
         // KG stayed consistent under the concurrent readers.
         assert_eq!(

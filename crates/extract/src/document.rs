@@ -147,38 +147,6 @@ pub fn extract_document(
     }
 }
 
-/// Extract a batch of documents on parallel worker threads (`workers == 0`
-/// means auto — `NOUS_THREADS` or the hardware parallelism).
-///
-/// Extraction is stateless with respect to the knowledge graph: every
-/// document in the batch reads the same immutable gazetteer snapshot, so
-/// the fan-out is embarrassingly parallel and the output is the exact
-/// sequence `docs.iter().map(|d| extract_document(d, ..))` would produce —
-/// input order is preserved for the downstream sequential merge stage.
-pub fn extract_documents(
-    docs: &[Document],
-    gazetteer: &Gazetteer,
-    cfg: &ExtractorConfig,
-    workers: usize,
-) -> Vec<DocExtraction> {
-    extract_documents_counted(docs, gazetteer, cfg, workers).0
-}
-
-/// [`extract_documents`] plus per-worker document counts: the second
-/// return value has one entry per worker thread actually used, holding how
-/// many documents that worker extracted. Telemetry reads it to report the
-/// realised (not merely configured) fan-out width.
-pub fn extract_documents_counted(
-    docs: &[Document],
-    gazetteer: &Gazetteer,
-    cfg: &ExtractorConfig,
-    workers: usize,
-) -> (Vec<DocExtraction>, Vec<usize>) {
-    nous_graph::parallel::par_map_chunks_counted(docs, workers, |d| {
-        extract_document(d, gazetteer, cfg)
-    })
-}
-
 /// A document that failed extraction: the input's identity plus the error
 /// that took it out, parked for offline inspection / reprocessing instead
 /// of poisoning the whole micro-batch.
@@ -196,7 +164,7 @@ pub struct QuarantinedDoc {
 /// non-panicking failure the same way. Both failpoints are keyed by the
 /// document id, so which documents fail is a pure function of the fault
 /// seed — independent of worker count and scheduling.
-pub fn try_extract_document(
+fn try_extract_document(
     doc: &Document,
     gazetteer: &Gazetteer,
     cfg: &ExtractorConfig,
@@ -221,12 +189,19 @@ pub fn try_extract_document(
     })
 }
 
-/// [`extract_documents_counted`] with poison-document quarantine: failed
-/// documents (panic or injected fault) are diverted into the third return
-/// value instead of aborting the batch; the first holds the surviving
-/// extractions in input order. With no faults armed and no panics this is
-/// exactly `extract_documents_counted` plus an empty quarantine, so the
-/// batch_size=1 determinism contract is unchanged for surviving docs.
+/// Extract a micro-batch of documents on parallel worker threads
+/// (`workers == 0` means auto — `NOUS_THREADS` or the hardware
+/// parallelism), with poison-document quarantine.
+///
+/// Extraction is stateless with respect to the knowledge graph: every
+/// document reads the same immutable gazetteer snapshot, so the fan-out is
+/// embarrassingly parallel. The first return value holds the surviving
+/// extractions in input order — exactly what
+/// `docs.iter().map(|d| extract_document(d, ..))` produces for them. The
+/// second has one entry per worker thread actually used, holding how many
+/// documents it extracted (telemetry reports the realised fan-out width
+/// from it). Failed documents (panic or injected fault) are diverted into
+/// the third instead of aborting the batch.
 pub fn extract_documents_quarantined(
     docs: &[Document],
     gazetteer: &Gazetteer,
@@ -234,7 +209,7 @@ pub fn extract_documents_quarantined(
     workers: usize,
     faults: &Faults,
 ) -> (Vec<DocExtraction>, Vec<usize>, Vec<QuarantinedDoc>) {
-    let (results, worker_docs) = nous_graph::parallel::par_map_chunks_counted(docs, workers, |d| {
+    let (results, worker_docs) = nous_graph::parallel::par_map_chunks(docs, workers, |d| {
         try_extract_document(d, gazetteer, cfg, faults).map_err(|error| QuarantinedDoc {
             doc_id: d.id,
             day: d.day,
@@ -365,28 +340,6 @@ mod tests {
         assert_eq!(d.raw_count, 0);
     }
 
-    #[test]
-    fn quarantined_batch_without_faults_matches_plain_extraction() {
-        let g = gaz();
-        let cfg = ExtractorConfig::default();
-        let docs: Vec<Document> = (0..8)
-            .map(|i| Document {
-                id: i,
-                day: i,
-                text: format!("Apex Robotics acquired Condor Labs in round {i}."),
-            })
-            .collect();
-        let plain = extract_documents(&docs, &g, &cfg, 2);
-        let (ok, _, quarantined) =
-            extract_documents_quarantined(&docs, &g, &cfg, 2, &Faults::disabled());
-        assert!(quarantined.is_empty());
-        assert_eq!(ok.len(), plain.len());
-        for (a, b) in ok.iter().zip(&plain) {
-            assert_eq!(a.doc_id, b.doc_id);
-            assert_eq!(a.extractions, b.extractions);
-        }
-    }
-
     #[cfg(feature = "fault-injection")]
     #[test]
     fn poison_failpoint_quarantines_exactly_the_keyed_docs() {
@@ -476,7 +429,10 @@ mod tests {
             .collect();
         let seq: Vec<DocExtraction> = docs.iter().map(|d| extract_document(d, &g, &cfg)).collect();
         for workers in [0, 1, 4] {
-            let par = extract_documents(&docs, &g, &cfg, workers);
+            let (par, worker_docs, quarantined) =
+                extract_documents_quarantined(&docs, &g, &cfg, workers, &Faults::disabled());
+            assert!(quarantined.is_empty(), "workers={workers}");
+            assert_eq!(worker_docs.iter().sum::<usize>(), docs.len());
             assert_eq!(par.len(), seq.len());
             for (p, s) in par.iter().zip(&seq) {
                 assert_eq!(p.doc_id, s.doc_id, "order preserved (workers={workers})");

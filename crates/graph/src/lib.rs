@@ -17,7 +17,7 @@
 //!   neighbourhoods used by the question-answering and disambiguation layers.
 //! - [`snapshot`] — serde snapshots plus DOT / JSON exports (the paper's
 //!   visualisation figures 2, 4 and 6 correspond to these exports).
-//! - [`parallel`] — crossbeam scoped-thread parallel scans standing in for
+//! - [`parallel`] — `std` scoped-thread parallel scans standing in for
 //!   the "distributed" axis of GraphX at laptop scale.
 //!
 //! ```

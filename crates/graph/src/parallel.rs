@@ -3,7 +3,7 @@
 //! NOUS ran on a Spark cluster; its algorithms are expressed as data-parallel
 //! scans (score every candidate entity, update every pattern counter). At
 //! laptop scale the equivalent is a chunked scan over dense id ranges on
-//! crossbeam scoped threads. These helpers keep that parallelism in one
+//! `std` scoped threads. These helpers keep that parallelism in one
 //! place so callers never spawn threads themselves.
 
 use crate::graph::DynamicGraph;
@@ -37,21 +37,13 @@ pub fn workers_for(len: usize) -> usize {
 /// input order. `0` workers means auto: [`available_workers`], capped at
 /// one item per worker. `f` must be pure with respect to shared state
 /// (read-only access); the output is identical to `items.iter().map(f)`.
-pub fn par_map_chunks<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_chunks_counted(items, workers, f).0
-}
-
-/// [`par_map_chunks`] plus fan-out accounting: the second return value has
-/// one entry per worker thread *actually spawned* (after the auto/clamp
-/// resolution), holding the number of items that worker processed. The
-/// chunking is deterministic, so so are the counts — telemetry reads them
-/// to report real (not merely configured) parallelism.
-pub fn par_map_chunks_counted<T, U, F>(items: &[T], workers: usize, f: F) -> (Vec<U>, Vec<usize>)
+///
+/// The second return value is the fan-out accounting: one entry per
+/// worker thread *actually spawned* (after the auto/clamp resolution),
+/// holding the number of items that worker processed. The chunking is
+/// deterministic, so so are the counts — telemetry reads them to report
+/// real (not merely configured) parallelism.
+pub fn par_map_chunks<T, U, F>(items: &[T], workers: usize, f: F) -> (Vec<U>, Vec<usize>)
 where
     T: Sync,
     U: Send,
@@ -78,17 +70,16 @@ where
     let counts: Vec<usize> = items.chunks(chunk).map(<[T]>::len).collect();
     let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
     out.resize_with(items.len(), || None);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slots, inputs) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (s, item) in slots.iter_mut().zip(inputs) {
                     *s = Some(f(item));
                 }
             });
         }
-    })
-    .expect("par_map_chunks worker panicked");
+    });
     let out = out
         .into_iter()
         .map(|u| u.expect("every slot filled"))
@@ -105,7 +96,7 @@ where
 {
     let n = g.vertex_count();
     let ids: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
-    par_map_chunks(&ids, workers_for(n), |v| f(*v))
+    par_map_chunks(&ids, workers_for(n), |v| f(*v)).0
 }
 
 /// Fold over the live edge log in parallel: each worker folds a chunk with
@@ -126,14 +117,14 @@ where
         return g.iter_edges().fold(init, |acc, (_, e)| fold(acc, e));
     }
     let chunk = log.len().div_ceil(workers);
-    let results = crossbeam::thread::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let start = w * chunk;
             let end = (start + chunk).min(log.len());
             let init = init.clone();
             let fold = &fold;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut acc = init;
                 for i in start..end {
                     if g.is_live(crate::ids::EdgeId(i as u32)) {
@@ -147,8 +138,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("edge fold worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("edge fold scope failed");
+    });
     results.into_iter().fold(init, merge)
 }
 
@@ -212,7 +202,7 @@ mod tests {
     fn par_map_chunks_preserves_input_order() {
         let items: Vec<u64> = (0..10_000).collect();
         for workers in [0, 1, 2, 3, 8, 64] {
-            let out = par_map_chunks(&items, workers, |x| x * 2 + 1);
+            let (out, _) = par_map_chunks(&items, workers, |x| x * 2 + 1);
             let seq: Vec<u64> = items.iter().map(|x| x * 2 + 1).collect();
             assert_eq!(out, seq, "workers={workers}");
         }
@@ -221,22 +211,22 @@ mod tests {
     #[test]
     fn par_map_chunks_empty_and_tiny_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map_chunks(&empty, 4, |x| *x).is_empty());
+        assert!(par_map_chunks(&empty, 4, |x| *x).0.is_empty());
         // More workers than items: every item still mapped exactly once.
-        assert_eq!(par_map_chunks(&[7u32, 9], 16, |x| x + 1), vec![8, 10]);
+        assert_eq!(par_map_chunks(&[7u32, 9], 16, |x| x + 1).0, vec![8, 10]);
     }
 
     #[test]
-    fn par_map_chunks_counted_accounts_every_item() {
+    fn par_map_chunks_accounts_every_item() {
         let items: Vec<u64> = (0..1000).collect();
         for workers in [1, 2, 3, 7, 64] {
-            let (out, counts) = par_map_chunks_counted(&items, workers, |x| *x);
+            let (out, counts) = par_map_chunks(&items, workers, |x| *x);
             assert_eq!(out, items, "workers={workers}");
             assert_eq!(counts.iter().sum::<usize>(), items.len());
             assert!(counts.len() <= workers);
             assert!(counts.iter().all(|&c| c > 0));
         }
-        let (out, counts) = par_map_chunks_counted::<u32, u32, _>(&[], 4, |x| *x);
+        let (out, counts) = par_map_chunks::<u32, u32, _>(&[], 4, |x| *x);
         assert!(out.is_empty());
         assert!(counts.is_empty());
     }

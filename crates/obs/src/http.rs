@@ -29,6 +29,8 @@ pub struct HttpMetrics {
     registry: MetricsRegistry,
     /// Requests currently executing in a worker.
     pub in_flight: Gauge,
+    /// Accepted connections waiting in the worker queue.
+    pub queued: Gauge,
 }
 
 impl HttpMetrics {
@@ -37,9 +39,14 @@ impl HttpMetrics {
             "nous_http_in_flight",
             "HTTP requests currently being handled by a worker",
         );
+        let queued = registry.gauge(
+            "nous_http_queued",
+            "Accepted connections waiting in the worker queue",
+        );
         Self {
             registry: registry.clone(),
             in_flight,
+            queued,
         }
     }
 
@@ -111,5 +118,6 @@ mod tests {
             Some(1)
         );
         assert_eq!(registry.gauge_value("nous_http_in_flight", &[]), Some(0));
+        assert_eq!(registry.gauge_value("nous_http_queued", &[]), Some(0));
     }
 }

@@ -214,7 +214,14 @@ fn accept_loop(
             continue;
         }
         let _ = stream.set_read_timeout(Some(shared.cfg.keep_alive));
-        match tx.try_send(stream) {
+        // Counted before the hand-off, so a worker's dequeue can never
+        // take the gauge below zero; a refused hand-off takes it back.
+        shared.http.queued.add(1);
+        let sent = tx.try_send(stream);
+        if sent.is_err() {
+            shared.http.queued.add(-1);
+        }
+        match sent {
             Ok(()) => {}
             Err(TrySendError::Full(mut stream)) => {
                 // Load shed: the bounded queue is the admission limit.
@@ -249,6 +256,7 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<TcpStream>>>) {
             Ok(s) => s,
             Err(_) => return,
         };
+        shared.http.queued.add(-1);
         // A panicking request must cost one connection, not the worker:
         // the pool is fixed-size, so a leaked panic would permanently
         // shrink serving capacity.

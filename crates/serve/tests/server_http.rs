@@ -257,8 +257,17 @@ fn saturating_burst_sheds_429_instead_of_hanging() {
         "shed responses carry Retry-After: {headers:?}"
     );
 
-    // Release the held capacity; the server drains and serves again.
+    // Release the held capacity. Until the worker has drained the queue
+    // the acceptor still sheds, so wait for the queued gauge to read 0.
     drop(holders);
+    let drained_by = std::time::Instant::now() + Duration::from_secs(10);
+    while registry.gauge_value("nous_http_queued", &[]) != Some(0) {
+        assert!(
+            std::time::Instant::now() < drained_by,
+            "worker never drained the queue"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let (status, _, _) = http(addr, "GET", "/healthz", &[], b"");
     assert_eq!(status, 200);
     assert!(

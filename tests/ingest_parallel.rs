@@ -5,10 +5,22 @@
 //! byte-identical to the sequential `ingest` loop; with larger batches the
 //! only divergence channel is gazetteer staleness (entities minted
 //! mid-batch become NER-visible at the next batch boundary), so freezing
-//! entity creation makes every batch size identical too.
+//! entity creation makes every batch size identical too. Both drivers of
+//! the batch step — `IngestPipeline::ingest_batch` on a plain graph and
+//! `SharedSession::ingest_batch` under the session's locks — must build
+//! the same graph, accounting and journal stream.
 
-use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig, TypeSignatureGate};
+use nous_core::{
+    AdmittedFact, CompactionConfig, IngestJournal, IngestPipeline, IngestReport, KnowledgeGraph,
+    PipelineConfig, QuarantinedDoc, SharedSession, TrendMonitor, TypeSignatureGate,
+};
 use nous_corpus::{Article, ArticleStream, CuratedKb, Preset, World};
+use nous_graph::window::WindowKind;
+use nous_mining::{EvictionStrategy, MinerConfig};
+use nous_obs::MetricsRegistry;
+use nous_qa::TopicIndex;
+use nous_text::ner::EntityType;
+use std::sync::{Arc, Mutex};
 
 fn seeded() -> (KnowledgeGraph, Vec<Article>) {
     let world = World::generate(&Preset::Smoke.world_config());
@@ -152,4 +164,140 @@ fn ingest_stream_is_equivalent_to_ingest_batch() {
     let mut b = IngestPipeline::new(cfg);
     b.ingest_stream(&mut kg_b, articles.iter().cloned());
     assert_identical(&a, &kg_a, &b, &kg_b);
+}
+
+/// Records every journal call, in call order.
+struct RecordingJournal(Arc<Mutex<Vec<String>>>);
+
+impl IngestJournal for RecordingJournal {
+    fn entity_created(&mut self, name: &str, ty: EntityType) {
+        self.0.lock().unwrap().push(format!("entity {name} {ty:?}"));
+    }
+    fn fact_admitted(&mut self, fact: &AdmittedFact) {
+        self.0.lock().unwrap().push(format!("fact {fact:?}"));
+    }
+    fn document_merged(&mut self, doc_id: u64, delta: &IngestReport) {
+        self.0
+            .lock()
+            .unwrap()
+            .push(format!("merged {doc_id} {delta:?}"));
+    }
+}
+
+/// Everything one driver leaves behind that the other must reproduce.
+#[derive(Debug, PartialEq)]
+struct DriverRun {
+    report: IngestReport,
+    admitted_confidences: Vec<f32>,
+    dead_letters: Vec<QuarantinedDoc>,
+    journal: Vec<String>,
+}
+
+/// Run `drive` with a journal-recording pipeline; returns the checkpoint
+/// bytes of the graph it leaves and the rest of the run.
+fn record(
+    cfg: &PipelineConfig,
+    drive: impl FnOnce(&mut IngestPipeline, &mut dyn FnMut(&KnowledgeGraph)),
+) -> (Vec<u8>, DriverRun) {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut pipe = IngestPipeline::new(cfg.clone());
+    pipe.set_journal(Box::new(RecordingJournal(log.clone())));
+    let mut checkpoint = Vec::new();
+    drive(&mut pipe, &mut |kg| checkpoint = kg.encode_checkpoint());
+    let run = DriverRun {
+        report: pipe.report(),
+        admitted_confidences: pipe.admitted_confidences.clone(),
+        dead_letters: pipe.dead_letters().entries().to_vec(),
+        journal: log.lock().unwrap().clone(),
+    };
+    (checkpoint, run)
+}
+
+fn assert_drivers_agree(base: PipelineConfig) {
+    let (_, articles) = seeded();
+    for batch_size in [1, 8] {
+        let cfg = PipelineConfig {
+            batch_size,
+            extract_workers: 2,
+            ..base.clone()
+        };
+        // The pipeline on a plain graph, one call per micro-batch, counting
+        // the batches that changed what a snapshot serves.
+        let served =
+            |kg: &KnowledgeGraph| (kg.graph.watermark(), kg.disambiguator.served().version());
+        let mut served_changes = 0;
+        let by_pipeline = record(&cfg, |pipe, checkpoint| {
+            let (mut kg, _) = seeded();
+            for chunk in articles.chunks(batch_size) {
+                let before = served(&kg);
+                pipe.ingest_batch(&mut kg, chunk);
+                served_changes += u64::from(served(&kg) != before);
+            }
+            checkpoint(&kg);
+        });
+        // The session under its locks, with compaction off (every epoch
+        // is a batch publish) and tracing on (to count the publishes).
+        let registry = MetricsRegistry::new();
+        let tracer = registry.enable_tracing(1, articles.len(), u64::MAX);
+        let trends = TrendMonitor::new(
+            WindowKind::Count { n: 100 },
+            MinerConfig {
+                k_max: 1,
+                min_support: 2,
+                eviction: EvictionStrategy::Eager,
+            },
+        );
+        let session =
+            SharedSession::with_registry(seeded().0, TopicIndex::new(2), trends, registry);
+        session.set_compaction_config(CompactionConfig {
+            max_layers: usize::MAX,
+            min_delta_edges: usize::MAX,
+            background: false,
+            ..CompactionConfig::default()
+        });
+        let by_session = record(&cfg, |pipe, checkpoint| {
+            session.ingest_batch(pipe, &articles);
+            session.read(|kg, _| checkpoint(kg));
+        });
+
+        assert!(by_pipeline.0 == by_session.0, "checkpoint bytes differ");
+        assert_eq!(by_pipeline.1, by_session.1, "batch_size {batch_size}");
+        assert!(by_pipeline.1.report.admitted > 0);
+        // One publish per micro-batch, each a new epoch exactly when the
+        // batch changed what a snapshot serves.
+        let publishes: Vec<usize> = tracer
+            .flight()
+            .traces()
+            .iter()
+            .filter(|t| t.name == "ingest.batch")
+            .map(|t| t.spans.iter().filter(|s| s.name == "publish").count())
+            .collect();
+        assert_eq!(publishes, vec![1; articles.len().div_ceil(batch_size)]);
+        assert_eq!(session.frozen().epoch, served_changes);
+        assert!(served_changes > 0);
+    }
+}
+
+#[test]
+fn session_and_pipeline_drivers_agree() {
+    assert_drivers_agree(PipelineConfig::default());
+}
+
+#[cfg(feature = "fault-injection")]
+#[test]
+fn session_and_pipeline_drivers_agree_under_poisoned_extraction() {
+    use nous_extract::FP_EXTRACT_POISON;
+    use nous_fault::{FaultPlan, SitePlan};
+    let plan = FaultPlan::from_seed(7).site(FP_EXTRACT_POISON, SitePlan::probability(0.2));
+    let (_, articles) = seeded();
+    assert!(
+        articles
+            .iter()
+            .any(|a| plan.would_fire_keyed(FP_EXTRACT_POISON, a.id)),
+        "seed 7 must poison at least one document"
+    );
+    assert_drivers_agree(PipelineConfig {
+        faults: plan.arm(),
+        ..Default::default()
+    });
 }
