@@ -1,7 +1,7 @@
 //! Substrate bench: the dynamic property-graph engine underneath every
 //! experiment (the GraphX stand-in). Measures edge-append throughput,
 //! traversal, PageRank, snapshot round trips and the parallel-scan
-//! speedup, and prints the snapshot size comparison (JSON vs binary).
+//! speedup, and prints the compact snapshot's size on the demo graph.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nous_bench::build_system;
@@ -36,17 +36,16 @@ fn synth_graph(n_vertices: usize, n_edges: usize) -> DynamicGraph {
 fn snapshot_size_table() {
     let system = build_system(Preset::Demo);
     let g = &system.kg.graph;
-    let json = snapshot::to_json(g).expect("serializable");
-    let binary = snapshot::to_binary(g).expect("encodable");
+    let compact = snapshot::to_compact(g);
     println!(
-        "\n== substrate: snapshot sizes (demo KG: {} edges) ==",
-        g.edge_count()
+        "\n== substrate: snapshot size (demo KG: {} edges, {} logged) ==",
+        g.edge_count(),
+        g.log_len()
     );
-    println!("  JSON (lossless): {:>9} bytes", json.len());
     println!(
-        "  binary (heads):  {:>9} bytes ({:.1}x smaller)",
-        binary.len(),
-        json.len() as f64 / binary.len() as f64
+        "  compact (lossless): {:>9} bytes ({:.1} bytes per logged edge)",
+        compact.len(),
+        compact.len() as f64 / g.log_len().max(1) as f64
     );
 }
 
@@ -90,10 +89,12 @@ fn bench(c: &mut Criterion) {
     });
 
     // Snapshot round trips.
-    group.bench_function("snapshot_binary_roundtrip", |b| {
+    group.bench_function("snapshot_compact_roundtrip", |b| {
         b.iter(|| {
-            let blob = snapshot::to_binary(&g).expect("encodable");
-            snapshot::from_binary(blob).expect("decodable").edge_count()
+            let blob = snapshot::to_compact(&g);
+            snapshot::from_compact(&blob)
+                .expect("decodable")
+                .edge_count()
         })
     });
 

@@ -29,7 +29,6 @@ use nous_topics::{fit_doc_topics, LdaConfig};
 /// the sequential merge stage. This is what lets
 /// `IngestPipeline::ingest_batch` fan extraction out over an immutable
 /// borrow while keeping graph updates deterministic.
-#[derive(serde::Serialize, serde::Deserialize)]
 pub struct KnowledgeGraph {
     pub graph: DynamicGraph,
     pub gazetteer: Gazetteer,
@@ -43,15 +42,12 @@ pub struct KnowledgeGraph {
     /// state, not persisted: a restored graph starts from the default
     /// (nothing observed), so the next expansion observes its whole edge
     /// log, each edge with the live flag it has by then.
-    #[serde(skip)]
     expansion_seen: DeltaWatermark,
     /// Revision behaviour at the admit point (NOUS §3.4). Disabled by
     /// default; lives on the graph (not the pipeline) so WAL replay
     /// re-derives the same tombstones from a restored checkpoint.
-    #[serde(default)]
     revision: RevisionPolicy,
     /// Lifetime revision outcomes (superseded / decayed / reinforced).
-    #[serde(default)]
     revision_counters: RevisionCounters,
 }
 
@@ -398,25 +394,12 @@ impl KnowledgeGraph {
         idx
     }
 
-    /// Serialise the complete system state (graph, aliases, learned
-    /// mapping rules, trained predictor, per-entity text) to JSON.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
-
-    /// Restore a knowledge graph saved with [`KnowledgeGraph::to_json`],
-    /// rebuilding the derived indexes serde skips.
-    pub fn from_json(json: &str) -> serde_json::Result<KnowledgeGraph> {
-        let mut kg: KnowledgeGraph = serde_json::from_str(json)?;
-        kg.graph.rebuild_indexes();
-        Ok(kg)
-    }
-
-    /// Serialise the complete system state serde-free: the graph (via
-    /// the lossless compact snapshot), stashed raw triples (raw predicates
-    /// interned, occurrences counted), gazetteer, disambiguator records —
-    /// whose contexts are the per-entity text, as `(term id, count)` over
-    /// one term table — and all mapper rules (seeds *and* learned). This is the checkpoint payload of the
+    /// Serialise the complete system state: the graph (via the lossless
+    /// compact snapshot), stashed raw triples (raw predicates interned,
+    /// occurrences counted), gazetteer, disambiguator records — whose
+    /// contexts are the per-entity text, as `(term id, count)` over one
+    /// term table — and all mapper rules (seeds *and* learned). This is the
+    /// graph's only state serialisation, and the checkpoint payload of the
     /// durability stack (`nous-persist`).
     ///
     /// Layout `NOUSKG02`. `NOUSKG01` wrote the per-entity text twice (its

@@ -46,7 +46,6 @@ use nous_obs::{ActiveSpan, Counter, Gauge, Histogram, MetricsRegistry, TraceCont
 use nous_text::bow::BagOfWords;
 use nous_text::ner::{EntityType, Gazetteer};
 use nous_text::openie::ExtractorConfig;
-use serde::{Deserialize, Serialize};
 
 /// Pipeline configuration (the knobs of demo features 1 and 3).
 #[derive(Debug, Clone)]
@@ -97,7 +96,7 @@ impl Default for PipelineConfig {
 }
 
 /// Parked documents that failed extraction (panic or injected fault),
-/// kept with their errors for offline inspection and reprocessing. The
+/// kept with their errors for offline inspection. The
 /// pipeline appends here instead of letting one poison document abort a
 /// micro-batch; the running total is also surfaced as
 /// `nous_ingest_quarantined_total`.
@@ -120,18 +119,14 @@ impl DeadLetterStore {
         &self.entries
     }
 
-    /// Remove and return all parked documents (reprocessing drain).
-    pub fn drain(&mut self) -> Vec<QuarantinedDoc> {
-        std::mem::take(&mut self.entries)
-    }
-
     fn push(&mut self, q: QuarantinedDoc) {
         self.entries.push(q);
     }
 }
 
-/// Per-stage accounting, accumulated across documents.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Per-stage accounting, accumulated across documents. Serialised as the
+/// body of the HTTP `/ingest` response.
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct IngestReport {
     pub documents: usize,
     pub sentences: usize,
@@ -469,50 +464,10 @@ impl IngestPipeline {
         &self.dead_letters
     }
 
-    /// Mutable dead-letter access (reprocessing drains it).
-    pub fn dead_letters_mut(&mut self) -> &mut DeadLetterStore {
-        &mut self.dead_letters
-    }
-
-    /// Drain the dead-letter store and re-ingest the parked documents —
-    /// poisoned docs are inspectable and recoverable, not silently lost.
-    ///
-    /// A [`QuarantinedDoc`] keeps only the doc id, day and error (not the
-    /// article body), so the caller supplies a lookup from doc id back to
-    /// the article. Returns `(reingested, missing)`: documents whose
-    /// article the lookup could not produce are handed back untouched;
-    /// documents that fail extraction again re-enter quarantine through
-    /// the normal path.
-    pub fn reingest_dead_letters(
-        &mut self,
-        kg: &mut KnowledgeGraph,
-        mut lookup: impl FnMut(u64) -> Option<Article>,
-    ) -> (usize, Vec<QuarantinedDoc>) {
-        let parked = self.dead_letters.drain();
-        let mut batch: Vec<Article> = Vec::with_capacity(parked.len());
-        let mut missing = Vec::new();
-        for q in parked {
-            match lookup(q.doc_id) {
-                Some(a) => batch.push(a),
-                None => missing.push(q),
-            }
-        }
-        let n = batch.len();
-        if n > 0 {
-            self.ingest_batch(kg, &batch);
-        }
-        (n, missing)
-    }
-
     /// Install a journal sink observing the admit stream (see
     /// [`crate::journal`]); replaces any previous sink.
     pub fn set_journal(&mut self, journal: Box<dyn IngestJournal>) {
         self.journal = Some(journal);
-    }
-
-    /// Detach the journal sink, if any (e.g. to flush/close it).
-    pub fn take_journal(&mut self) -> Option<Box<dyn IngestJournal>> {
-        self.journal.take()
     }
 
     /// Pre-load the cumulative counters with a recovered report, so a

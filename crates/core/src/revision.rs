@@ -18,15 +18,13 @@
 //! every tombstone and decay deterministically — the WAL format records
 //! only admissions, never revisions.
 
-use serde::{Deserialize, Serialize};
-
 /// Revision behaviour applied when an extracted fact is admitted.
 ///
 /// Disabled by default: the base pipeline contract ("every admitted fact
 /// is a live extracted edge") is load-bearing for existing tests and
 /// benchmarks. Scenario harnesses and sessions that want dynamic-update
 /// semantics opt in via [`crate::KnowledgeGraph::set_revision_policy`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RevisionPolicy {
     /// Master switch. When off, admission is pure append (seed behaviour).
     pub enabled: bool,
@@ -73,7 +71,7 @@ impl RevisionPolicy {
 
 /// Lifetime revision outcome counts, carried by the graph (and through
 /// its checkpoint) so recovery resumes with consistent totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RevisionCounters {
     /// Facts contradicted by a newer object on a functional predicate.
     pub superseded: u64,

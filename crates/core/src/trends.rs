@@ -129,7 +129,7 @@ impl TrendMonitor {
         self.trending_on(&kg.graph)
     }
 
-    /// [`TrendMonitor::trending`] rendered against any [`GraphView`] —
+    /// [`TrendMonitor::trending`] rendered against any [`nous_graph::GraphView`] —
     /// the lock-free query path passes a frozen snapshot. The miner may
     /// have observed edges newer than the snapshot, so a predicate minted
     /// after the freeze renders as a placeholder instead of panicking.

@@ -46,7 +46,7 @@ pub struct Article {
 }
 
 /// A period during which one predicate trends.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrendWave {
     pub predicate: OntologyPredicate,
     pub start_day: u64,

@@ -18,10 +18,9 @@ use crate::vocab::Topic;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Relation types of the bibliography ontology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CitePredicate {
     AuthoredBy,
     PublishedIn,
@@ -44,7 +43,7 @@ pub const AUTHOR_LABEL: &str = "Author";
 pub const VENUE_LABEL: &str = "Venue";
 
 /// One bibliography entity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BibEntity {
     pub name: String,
     pub label: &'static str,
@@ -52,7 +51,7 @@ pub struct BibEntity {
 }
 
 /// One dated bibliography fact (day = days since the 2010 epoch).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BibFact {
     pub day: u64,
     pub subject: String,

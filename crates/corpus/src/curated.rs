@@ -13,10 +13,9 @@ use crate::world::World;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One curated fact between two world entities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CuratedTriple {
     /// Index of the subject entity in the world.
     pub subject: usize,
@@ -26,7 +25,7 @@ pub struct CuratedTriple {
 }
 
 /// The generated curated KB.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CuratedKb {
     pub triples: Vec<CuratedTriple>,
 }

@@ -18,10 +18,9 @@ use crate::world::World;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One planted why-question with its ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Explanation {
     /// Source entity canonical name.
     pub source: String,

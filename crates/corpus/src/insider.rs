@@ -25,10 +25,9 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Relation types of the insider-threat ontology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InsiderPredicate {
     LoggedInto,
     Accessed,
@@ -55,7 +54,7 @@ pub const SENSITIVE_FILE_LABEL: &str = "SensitiveFile";
 pub const EXTERNAL_HOST_LABEL: &str = "ExternalHost";
 
 /// One structured log event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEvent {
     pub day: u64,
     pub subject: String,
@@ -64,7 +63,7 @@ pub struct LogEvent {
 }
 
 /// A generated entity of the log domain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogEntity {
     pub name: String,
     pub label: &'static str,

@@ -31,11 +31,10 @@ use crate::world::{World, WorldConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The four workload regimes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Regime {
     Emerging,
     Contradiction,
@@ -116,7 +115,7 @@ impl ScenarioConfig {
 
 /// One ground-truth transition: at `day`, `(subject, predicate, object)`
 /// becomes true (`asserted`) or stops being true (revision).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleEvent {
     pub day: u64,
     pub subject: String,
@@ -129,7 +128,7 @@ pub struct OracleEvent {
 /// Unlike the per-article `facts` ledger, the oracle models *revision* —
 /// a retraction event removes a triple from the truth set from that day
 /// on, which is what correctness-under-revision is scored against.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Oracle {
     pub events: Vec<OracleEvent>,
 }

@@ -133,11 +133,9 @@ pub const PRODUCT_LINES: &[&str] = &[
     "Zephyr",
 ];
 
-use serde::{Deserialize, Serialize};
-
 /// Topical communities entities belong to; descriptions and article prose
 /// draw from the matching word bank, giving LDA a recoverable structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topic {
     ConsumerDrones,
     Agriculture,

@@ -11,12 +11,11 @@ use crate::vocab::{self, Topic};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Entity kinds of the generated world (aligned with
 /// `nous_text::ner::EntityType`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kind {
     Company,
     Person,
@@ -36,7 +35,7 @@ impl Kind {
 }
 
 /// One generated entity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EntitySpec {
     /// Canonical name ("Apex Robotics", "Frank Wang", "Phantom 4").
     pub name: String,
@@ -74,7 +73,7 @@ impl Default for WorldConfig {
 }
 
 /// The generated cast, with lookup indexes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct World {
     pub entities: Vec<EntitySpec>,
     /// Indexes into `entities` by kind.

@@ -10,10 +10,9 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BprConfig {
     /// Latent dimensionality `d`.
     pub dim: usize,
@@ -47,7 +46,7 @@ fn sigmoid(x: f32) -> f32 {
 }
 
 /// A trained per-predicate BPR model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BprModel {
     dim: usize,
     /// Row-major `n × d` subject embeddings.

@@ -8,12 +8,11 @@
 //! a single model pooled across predicates.
 
 use crate::bpr::{group_by_key, BprConfig, BprFit, BprModel};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Per-predicate vs. pooled training (the paper does per-predicate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorMode {
     PerPredicate,
     /// Ablation: ignore the predicate, one model for all edges.
@@ -21,7 +20,7 @@ pub enum PredictorMode {
 }
 
 /// Bank of link-prediction models keyed by predicate name.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkPredictor {
     mode: PredictorMode,
     cfg: BprConfig,

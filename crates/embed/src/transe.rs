@@ -9,11 +9,10 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransEConfig {
     pub dim: usize,
     pub lr: f32,
@@ -35,7 +34,7 @@ impl Default for TransEConfig {
 }
 
 /// A trained TransE model over `(subject, predicate, object)` id triples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransEModel {
     dim: usize,
     entities: Vec<f32>,

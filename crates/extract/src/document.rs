@@ -4,7 +4,6 @@ use nous_fault::Faults;
 use nous_text::bow::BagOfWords;
 use nous_text::ner::{EntityType, Gazetteer};
 use nous_text::openie::ExtractorConfig;
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Failpoint keyed by document id: when it fires, the document fails
@@ -16,7 +15,7 @@ pub const FP_EXTRACT_POISON: &str = "extract.poison";
 pub const FP_EXTRACT_PANIC: &str = "extract.panic";
 
 /// One input document of the stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     pub id: u64,
     /// Logical publication day (days since the corpus epoch).
@@ -35,7 +34,7 @@ impl From<&nous_corpus::Article> for Document {
 }
 
 /// One candidate fact extracted from a document, with full provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Extraction {
     pub doc_id: u64,
     pub day: u64,
@@ -68,7 +67,7 @@ impl Extraction {
 }
 
 /// Everything extracted from one document.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DocExtraction {
     pub doc_id: u64,
     pub sentences: usize,

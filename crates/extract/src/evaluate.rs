@@ -9,10 +9,9 @@ use crate::document::{extract_document, Document};
 use nous_corpus::{Article, World, ONTOLOGY};
 use nous_text::ner::Gazetteer;
 use nous_text::openie::ExtractorConfig;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate extraction quality over a stream.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtractionQuality {
     /// Ground-truth facts whose surface form was recovered.
     pub recalled: usize,

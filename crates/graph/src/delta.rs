@@ -22,7 +22,7 @@ use crate::edge::{Edge, Provenance};
 use crate::graph::{Adj, DeltaWatermark, DynamicGraph};
 use crate::hash::FxHashMap;
 use crate::ids::{EdgeId, PredicateId, Timestamp, VertexId};
-use crate::snapshot::{put_prop_map, read_prop_map, SnapshotError};
+use crate::snapshot::{put_prop_map, read_prop_map, SnapshotError, EDGE_FIXED_BYTES};
 
 /// Capture failed because the graph's id space moved on (it compacted or
 /// was rebuilt from a serialised form) since the watermark was taken. The
@@ -278,7 +278,7 @@ impl DeltaOverlay {
     /// rebuilds them from the edge list, which keeps frames near the
     /// information-theoretic floor of the increment.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(64 + self.edges.len() * (Edge::HEAD_BYTES + 16));
+        let mut body = Vec::with_capacity(64 + self.edges.len() * (EDGE_FIXED_BYTES + 16));
         let wm = |buf: &mut Vec<u8>, w: &DeltaWatermark| {
             codec::put_u64(buf, w.structure_version);
             codec::put_u64(buf, w.log_len as u64);

@@ -8,11 +8,9 @@
 
 use crate::ids::{PredicateId, Timestamp, VertexId};
 use crate::props::PropMap;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Where a fact came from.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Provenance {
     /// From the curated knowledge base (YAGO-style) — Figure 2's red edges.
     Curated,
@@ -36,7 +34,7 @@ impl Provenance {
 }
 
 /// An immutable, timestamped, scored fact `(src) -[pred]-> (dst)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Edge {
     pub src: VertexId,
     pub pred: PredicateId,
@@ -75,44 +73,6 @@ impl Edge {
     pub fn triple(&self) -> (VertexId, PredicateId, VertexId) {
         (self.src, self.pred, self.dst)
     }
-
-    /// Compact binary encoding of the fixed-size head of the edge
-    /// (src, pred, dst, timestamp, confidence, provenance doc id). Used by
-    /// the snapshot writer for the bulk edge log where JSON would dominate
-    /// the snapshot size. Properties are not encoded here.
-    pub fn encode_head(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.src.0);
-        buf.put_u32_le(self.pred.0);
-        buf.put_u32_le(self.dst.0);
-        buf.put_u64_le(self.at);
-        buf.put_f32_le(self.confidence);
-        match &self.provenance {
-            Provenance::Curated => buf.put_u64_le(u64::MAX),
-            Provenance::Extracted { doc_id } => buf.put_u64_le(*doc_id),
-        }
-    }
-
-    /// Number of bytes [`Edge::encode_head`] writes.
-    pub const HEAD_BYTES: usize = 4 + 4 + 4 + 8 + 4 + 8;
-
-    /// Inverse of [`Edge::encode_head`]; returns `None` when `buf` is short.
-    pub fn decode_head(buf: &mut Bytes) -> Option<Self> {
-        if buf.remaining() < Self::HEAD_BYTES {
-            return None;
-        }
-        let src = VertexId(buf.get_u32_le());
-        let pred = PredicateId(buf.get_u32_le());
-        let dst = VertexId(buf.get_u32_le());
-        let at = buf.get_u64_le();
-        let confidence = buf.get_f32_le();
-        let doc = buf.get_u64_le();
-        let provenance = if doc == u64::MAX {
-            Provenance::Curated
-        } else {
-            Provenance::Extracted { doc_id: doc }
-        };
-        Some(Edge::new(src, pred, dst, at, confidence, provenance))
-    }
 }
 
 #[cfg(test)]
@@ -144,51 +104,5 @@ mod tests {
         assert!(Provenance::Curated.is_curated());
         assert_eq!(Provenance::Curated.tag(), "curated");
         assert_eq!(Provenance::Extracted { doc_id: 1 }.tag(), "extracted");
-    }
-
-    #[test]
-    fn head_encoding_roundtrips() {
-        let e = sample();
-        let mut buf = BytesMut::new();
-        e.encode_head(&mut buf);
-        assert_eq!(buf.len(), Edge::HEAD_BYTES);
-        let mut bytes = buf.freeze();
-        let back = Edge::decode_head(&mut bytes).unwrap();
-        assert_eq!(back, e);
-    }
-
-    #[test]
-    fn curated_provenance_roundtrips() {
-        let e = Edge::new(
-            VertexId(0),
-            PredicateId(0),
-            VertexId(1),
-            0,
-            1.0,
-            Provenance::Curated,
-        );
-        let mut buf = BytesMut::new();
-        e.encode_head(&mut buf);
-        let back = Edge::decode_head(&mut buf.freeze()).unwrap();
-        assert_eq!(back.provenance, Provenance::Curated);
-    }
-
-    #[test]
-    fn decode_rejects_short_buffer() {
-        let mut short = Bytes::from_static(&[0u8; 5]);
-        assert!(Edge::decode_head(&mut short).is_none());
-    }
-
-    #[test]
-    fn decode_consumes_exactly_head_bytes() {
-        let e = sample();
-        let mut buf = BytesMut::new();
-        e.encode_head(&mut buf);
-        e.encode_head(&mut buf);
-        let mut bytes = buf.freeze();
-        let first = Edge::decode_head(&mut bytes).unwrap();
-        let second = Edge::decode_head(&mut bytes).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(bytes.remaining(), 0);
     }
 }

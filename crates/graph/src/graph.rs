@@ -12,10 +12,9 @@ use crate::hash::FxHashMap;
 use crate::ids::{EdgeId, Interner, PredicateId, Timestamp, VertexId};
 use crate::props::PropMap;
 use crate::view::GraphView;
-use serde::{Deserialize, Serialize};
 
 /// Per-vertex payload: everything except the interned name.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VertexData {
     /// Ontology type label (e.g. `"Company"`), if known.
     pub label: Option<String>,
@@ -24,7 +23,7 @@ pub struct VertexData {
 }
 
 /// One adjacency entry: the far endpoint of an edge plus its predicate and id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Adj {
     pub pred: PredicateId,
     pub other: VertexId,
@@ -32,7 +31,7 @@ pub struct Adj {
 }
 
 /// Aggregate statistics used by the quality dashboard (demo feature 2).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GraphStats {
     pub vertices: usize,
     pub live_edges: usize,
@@ -44,7 +43,7 @@ pub struct GraphStats {
 }
 
 /// An in-memory dynamic temporal property graph.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct DynamicGraph {
     vertex_names: Interner,
     predicates: Interner,
@@ -55,37 +54,31 @@ pub struct DynamicGraph {
     in_adj: Vec<Vec<Adj>>,
     /// `(src, pred, dst) -> edge ids` exact-triple index, used for dedup and
     /// the triple-pattern query primitives.
-    #[serde(skip)]
     triple_index: FxHashMap<(VertexId, PredicateId, VertexId), Vec<EdgeId>>,
     /// Per-predicate edge postings in log order (dead ids retained and
     /// filtered on read, like `triple_index`), so predicate-only patterns
     /// stop scanning the whole log.
-    #[serde(skip)]
     pred_postings: Vec<Vec<EdgeId>>,
     /// Set once an edge arrives with a timestamp below the running
     /// maximum. While false, the log is monotone in `at` and
     /// [`DynamicGraph::edges_in_range`] can binary-search its bounds.
-    #[serde(skip)]
     saw_out_of_order: bool,
     /// Removal log: every id successfully tombstoned, in removal order.
     /// Incremental snapshot publication ([`crate::DeltaOverlay::capture`])
     /// reads the suffix since its watermark to learn which previously
     /// published edges died — O(removals in the window), no log scan.
-    /// In-process state only (`serde(skip)`): watermarks are never valid
-    /// across a serialisation boundary.
-    #[serde(skip)]
+    /// In-process state only, never part of a snapshot: watermarks are
+    /// never valid across a serialisation boundary.
     removal_log: Vec<EdgeId>,
     /// Label-change log: every vertex whose ontology label was (re)set via
     /// [`DynamicGraph::set_label`], in mutation order. Like `removal_log`,
     /// consumed as a suffix by the delta capture so overlays can patch
     /// labels of vertices that predate them.
-    #[serde(skip)]
     label_log: Vec<VertexId>,
     /// Bumped whenever edge ids are re-assigned or in-process logs reset
-    /// ([`DynamicGraph::compact`], [`DynamicGraph::rebuild_indexes`]).
+    /// ([`DynamicGraph::compact`]).
     /// Delta capture refuses to span a version change — the caller falls
     /// back to a full freeze.
-    #[serde(skip)]
     structure_version: u64,
     live_edges: usize,
     max_timestamp: Timestamp,
@@ -517,30 +510,6 @@ impl DynamicGraph {
         dropped
     }
 
-    /// Rebuild skipped/derived indexes after deserialisation.
-    pub fn rebuild_indexes(&mut self) {
-        // The in-process mutation logs did not survive serialisation, so
-        // any watermark taken before it is void: force full re-freezes.
-        self.structure_version += 1;
-        self.removal_log.clear();
-        self.label_log.clear();
-        self.vertex_names.rebuild_index();
-        self.predicates.rebuild_index();
-        self.triple_index = FxHashMap::default();
-        self.pred_postings = vec![Vec::new(); self.predicates.len()];
-        for (i, e) in self.edges.iter().enumerate() {
-            self.triple_index
-                .entry(e.triple())
-                .or_default()
-                .push(EdgeId(i as u32));
-            if e.pred.index() >= self.pred_postings.len() {
-                self.pred_postings.resize(e.pred.index() + 1, Vec::new());
-            }
-            self.pred_postings[e.pred.index()].push(EdgeId(i as u32));
-        }
-        self.saw_out_of_order = self.edges.windows(2).any(|w| w[1].at < w[0].at);
-    }
-
     /// Interner access for [`crate::FrozenView`] construction (cloning the
     /// interners is cheaper than re-hashing every name).
     pub(crate) fn interner_parts(&self) -> (&Interner, &Interner) {
@@ -929,24 +898,5 @@ mod tests {
         assert!(w2 > w1);
         assert_eq!(g.removal_log_len(), 0);
         assert_eq!(g.label_log_len(), 0);
-    }
-
-    #[test]
-    fn rebuild_indexes_after_serde() {
-        let (g, a, b, _c, owns, _near) = tiny();
-        let json = serde_json::to_string(&g).unwrap();
-        let mut back: DynamicGraph = serde_json::from_str(&json).unwrap();
-        back.rebuild_indexes();
-        assert_eq!(back.vertex_id("a"), Some(a));
-        assert!(back.has_triple(a, owns, b));
-        assert_eq!(back.stats(), g.stats());
-        // Skipped derived state is restored: postings and monotonicity.
-        let near = back.predicate_id("near").unwrap();
-        assert_eq!(
-            back.find(None, Some(near), None),
-            g.find(None, Some(near), None)
-        );
-        assert!(back.time_monotone());
-        assert_eq!(back.edges_in_range(2, 3).count(), 2);
     }
 }

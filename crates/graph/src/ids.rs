@@ -6,7 +6,6 @@
 //! in `u32`s.
 
 use crate::hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Logical timestamp of an edge insertion. The corpus generator uses days
@@ -16,9 +15,7 @@ pub type Timestamp = u64;
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -54,10 +51,9 @@ id_newtype!(
 ///
 /// Insertion order defines the dense id space, so snapshots can rebuild the
 /// interner by re-inserting names in order.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Interner {
     names: Vec<String>,
-    #[serde(skip)]
     index: FxHashMap<String, u32>,
 }
 
@@ -103,17 +99,6 @@ impl Interner {
             .enumerate()
             .map(|(i, n)| (i as u32, n.as_str()))
     }
-
-    /// Rebuild the lookup index after deserialisation (the map is `serde(skip)`
-    /// because it duplicates `names`).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as u32))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -146,19 +131,6 @@ mod tests {
         it.intern("x");
         assert_eq!(it.get("x"), Some(0));
         assert_eq!(it.len(), 1);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookups() {
-        let mut it = Interner::new();
-        it.intern("alpha");
-        it.intern("beta");
-        let json = serde_json::to_string(&it).unwrap();
-        let mut back: Interner = serde_json::from_str(&json).unwrap();
-        assert!(back.get("alpha").is_none()); // index was skipped
-        back.rebuild_index();
-        assert_eq!(back.get("alpha"), Some(0));
-        assert_eq!(back.get("beta"), Some(1));
     }
 
     #[test]

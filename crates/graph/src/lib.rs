@@ -15,8 +15,9 @@
 //!   operates on.
 //! - [`algo`] — BFS, connected components, degree statistics and k-hop
 //!   neighbourhoods used by the question-answering and disambiguation layers.
-//! - [`snapshot`] — serde snapshots plus DOT / JSON exports (the paper's
-//!   visualisation figures 2, 4 and 6 correspond to these exports).
+//! - [`snapshot`] — the compact snapshot (the graph's one state format)
+//!   plus DOT / JSON exports (the paper's visualisation figures 2, 4 and 6
+//!   correspond to these exports).
 //! - [`parallel`] — `std` scoped-thread parallel scans standing in for
 //!   the "distributed" axis of GraphX at laptop scale.
 //!

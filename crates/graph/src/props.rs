@@ -6,11 +6,10 @@
 //! vertices carry fewer than eight properties, where a sorted vec beats a
 //! hash map on both memory and lookup time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically-typed property value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PropValue {
     Str(String),
     Int(i64),
@@ -111,7 +110,7 @@ impl From<bool> for PropValue {
 }
 
 /// A small string-keyed property map backed by a vec sorted by key.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PropMap {
     entries: Vec<(String, PropValue)>,
 }

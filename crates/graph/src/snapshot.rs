@@ -1,42 +1,32 @@
 //! Snapshots and exports.
 //!
-//! Four formats:
-//!
-//! - **JSON snapshot** — the full graph through serde; lossless (properties
-//!   included), used by tests and small graphs.
-//! - **Binary snapshot** — interner tables as JSON header plus the edge log
-//!   as fixed-width records ([`crate::Edge::encode_head`], via `bytes`);
-//!   edge properties are dropped, which is the trade-off the bulk format
-//!   makes for being ~6x smaller than JSON on large logs.
-//! - **Compact snapshot** ([`to_compact`]/[`from_compact`]) — lossless
-//!   (vertex/edge properties *and* tombstones preserved) and serde-free:
-//!   the checkpoint format of the durability stack (`nous-persist`),
-//!   checksummed against torn writes.
-//! - **DOT / JSON-graph export** — the visualisation feeds behind the
-//!   paper's Figures 2, 4 and 6: curated edges render red, extracted edges
-//!   blue, each labelled with predicate and confidence.
+//! - **Compact snapshot** ([`to_compact`]/[`from_compact`]) — the only
+//!   state serialisation: lossless (vertex/edge properties *and*
+//!   tombstones preserved), checksummed against torn writes, and the graph
+//!   section of the durability stack's checkpoint (`nous-persist`).
+//! - **DOT / JSON-graph export** ([`to_dot`]/[`to_json_graph`]) — the
+//!   visualisation feeds behind the paper's Figures 2, 4 and 6: curated
+//!   edges render red, extracted edges blue, each labelled with predicate
+//!   and confidence. Exports are one-way; nothing reads them back.
 
 use crate::codec::{self, Reader};
 use crate::edge::{Edge, Provenance};
 use crate::graph::DynamicGraph;
 use crate::ids::{PredicateId, VertexId};
 use crate::props::{PropMap, PropValue};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt::Write as _;
 
-/// Errors from snapshot encoding/decoding.
+/// Errors from snapshot decoding.
 #[derive(Debug)]
 pub enum SnapshotError {
-    Json(serde_json::Error),
-    /// The binary blob was truncated or malformed.
+    /// The blob was truncated or malformed.
     Corrupt(&'static str),
 }
 
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::Json(e) => write!(f, "snapshot JSON error: {e}"),
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
         }
     }
@@ -44,96 +34,16 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-impl From<serde_json::Error> for SnapshotError {
-    fn from(e: serde_json::Error) -> Self {
-        SnapshotError::Json(e)
-    }
-}
-
-// ---- JSON snapshot --------------------------------------------------------
-
-/// Serialise the whole graph (lossless) to JSON.
-pub fn to_json(g: &DynamicGraph) -> Result<String, SnapshotError> {
-    Ok(serde_json::to_string(g)?)
-}
-
-/// Restore a graph from [`to_json`] output and rebuild derived indexes.
-pub fn from_json(json: &str) -> Result<DynamicGraph, SnapshotError> {
-    let mut g: DynamicGraph = serde_json::from_str(json)?;
-    g.rebuild_indexes();
-    Ok(g)
-}
-
-// ---- binary snapshot ------------------------------------------------------
-
-#[derive(Serialize, Deserialize)]
-struct BinaryHeader {
-    vertices: Vec<(String, Option<String>)>,
-    predicates: Vec<String>,
-    edge_count: u64,
-}
-
-/// Encode the graph into the compact binary snapshot format.
-/// Edge and vertex *properties* are not preserved; tombstoned edges are
-/// skipped (a snapshot is a compaction point).
-pub fn to_binary(g: &DynamicGraph) -> Result<Bytes, SnapshotError> {
-    let header = BinaryHeader {
-        vertices: g
-            .iter_vertices()
-            .map(|v| (g.vertex_name(v).to_owned(), g.label(v).map(str::to_owned)))
-            .collect(),
-        predicates: g.iter_predicates().map(|(_, n)| n.to_owned()).collect(),
-        edge_count: g.edge_count() as u64,
-    };
-    let header_json = serde_json::to_vec(&header)?;
-    let mut buf =
-        BytesMut::with_capacity(8 + header_json.len() + g.edge_count() * Edge::HEAD_BYTES);
-    buf.put_u64_le(header_json.len() as u64);
-    buf.put_slice(&header_json);
-    for (_, e) in g.iter_edges() {
-        e.encode_head(&mut buf);
-    }
-    Ok(buf.freeze())
-}
-
-/// Decode a [`to_binary`] snapshot.
-pub fn from_binary(mut blob: Bytes) -> Result<DynamicGraph, SnapshotError> {
-    if blob.remaining() < 8 {
-        return Err(SnapshotError::Corrupt("missing header length"));
-    }
-    let header_len = blob.get_u64_le() as usize;
-    if blob.remaining() < header_len {
-        return Err(SnapshotError::Corrupt("truncated header"));
-    }
-    let header_bytes = blob.split_to(header_len);
-    let header: BinaryHeader = serde_json::from_slice(&header_bytes)?;
-    let mut g = DynamicGraph::new();
-    for (name, label) in &header.vertices {
-        let v = g.ensure_vertex(name);
-        if let Some(l) = label {
-            g.set_label(v, l);
-        }
-    }
-    for p in &header.predicates {
-        g.intern_predicate(p);
-    }
-    for _ in 0..header.edge_count {
-        let e = Edge::decode_head(&mut blob).ok_or(SnapshotError::Corrupt("truncated edge log"))?;
-        if e.src.index() >= g.vertex_count()
-            || e.dst.index() >= g.vertex_count()
-            || e.pred.index() >= g.predicate_count()
-        {
-            return Err(SnapshotError::Corrupt("edge references unknown id"));
-        }
-        g.add_edge(e);
-    }
-    Ok(g)
-}
-
 // ---- compact snapshot -----------------------------------------------------
 
 const COMPACT_MAGIC: &[u8; 8] = b"NOUSGRPH";
 const COMPACT_VERSION: u32 = 1;
+
+/// Bytes of an edge record's fixed fields (src, pred, dst, timestamp,
+/// confidence, provenance doc id), before its tombstone flag and
+/// properties. Shared with the delta-overlay frame, which writes the same
+/// fields.
+pub(crate) const EDGE_FIXED_BYTES: usize = 4 + 4 + 4 + 8 + 4 + 8;
 
 fn put_prop_value(buf: &mut Vec<u8>, v: &PropValue) {
     match v {
@@ -223,12 +133,12 @@ pub(crate) fn read_prop_map(r: &mut Reader<'_>) -> Result<PropMap, SnapshotError
 
 /// Encode the whole graph — vertices with labels and properties, the
 /// predicate table, and the *full* edge log including tombstone flags and
-/// edge properties — into a checksummed, serde-free binary blob.
+/// edge properties — into a checksummed binary blob.
 /// [`from_compact`] restores a structurally identical graph: identical
 /// dense ids (creation order is preserved), identical `log_len`, and the
 /// same live/dead partition.
 pub fn to_compact(g: &DynamicGraph) -> Vec<u8> {
-    let mut out = Vec::with_capacity(84 + g.log_len() * (Edge::HEAD_BYTES + 8));
+    let mut out = Vec::with_capacity(84 + g.log_len() * (EDGE_FIXED_BYTES + 8));
     to_compact_into(g, &mut out);
     out
 }
@@ -311,7 +221,7 @@ pub fn from_compact(blob: &[u8]) -> Result<DynamicGraph, SnapshotError> {
         g.intern_predicate(name);
     }
     let ne = r
-        .count(Edge::HEAD_BYTES + 5, "edge count")
+        .count(EDGE_FIXED_BYTES + 5, "edge count")
         .map_err(corrupt("edge count"))?;
     for _ in 0..ne {
         let src = VertexId(r.u32().map_err(corrupt("edge src"))?);
@@ -491,67 +401,9 @@ mod tests {
     }
 
     #[test]
-    fn json_snapshot_roundtrips_losslessly() {
-        let g = sample();
-        let back = from_json(&to_json(&g).unwrap()).unwrap();
-        assert_eq!(back.vertex_count(), g.vertex_count());
-        assert_eq!(back.edge_count(), g.edge_count());
-        assert_eq!(back.label(back.vertex_id("DJI").unwrap()), Some("Company"));
-        let dji = back.vertex_id("DJI").unwrap();
-        let loc = back.predicate_id("isLocatedIn").unwrap();
-        let sz = back.vertex_id("Shenzhen").unwrap();
-        assert!(back.has_triple(dji, loc, sz));
-    }
-
-    #[test]
-    fn binary_snapshot_roundtrips_structure() {
-        let g = sample();
-        let blob = to_binary(&g).unwrap();
-        let back = from_binary(blob).unwrap();
-        assert_eq!(back.vertex_count(), 3);
-        assert_eq!(back.edge_count(), 2);
-        assert_eq!(back.label(back.vertex_id("DJI").unwrap()), Some("Company"));
-        let dji = back.vertex_id("DJI").unwrap();
-        let makes = back.predicate_id("manufactures").unwrap();
-        let drone = back.vertex_id("Phantom 4").unwrap();
-        let e = back.edge(back.edges_matching(dji, makes, drone).next().unwrap());
-        assert_eq!(e.at, 20);
-        assert_eq!(e.provenance, Provenance::Extracted { doc_id: 3 });
-    }
-
-    #[test]
-    fn binary_snapshot_drops_tombstones() {
-        let mut g = sample();
-        let dji = g.vertex_id("DJI").unwrap();
-        let loc = g.predicate_id("isLocatedIn").unwrap();
-        let sz = g.vertex_id("Shenzhen").unwrap();
-        let id = g.edges_matching(dji, loc, sz).next().unwrap();
-        g.remove_edge(id);
-        let back = from_binary(to_binary(&g).unwrap()).unwrap();
-        assert_eq!(back.edge_count(), 1);
-        assert_eq!(back.log_len(), 1, "snapshot compacted the log");
-    }
-
-    #[test]
-    fn corrupt_binary_is_rejected() {
-        assert!(matches!(
-            from_binary(Bytes::from_static(&[1, 2, 3])),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        let g = sample();
-        let blob = to_binary(&g).unwrap();
-        let truncated = blob.slice(0..blob.len() - 4);
-        assert!(matches!(
-            from_binary(truncated),
-            Err(SnapshotError::Corrupt(_))
-        ));
-    }
-
-    #[test]
     fn compact_snapshot_roundtrips_losslessly() {
         let mut g = sample();
-        // Exercise the lossy corners of the other binary format: edge
-        // props, vertex props and a tombstone must all survive compact.
+        // Edge props, vertex props and a tombstone must all survive.
         let dji = g.vertex_id("DJI").unwrap();
         g.vertex_data_mut(dji).props.set("hq", "Shenzhen");
         let loc = g.predicate_id("isLocatedIn").unwrap();

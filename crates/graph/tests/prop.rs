@@ -1,6 +1,6 @@
 //! Property-based tests for the dynamic graph engine invariants.
 
-use nous_graph::{window::WindowEvent, DynamicGraph, Provenance, SlidingWindow, VertexId};
+use nous_graph::{window::WindowEvent, DynamicGraph, EdgeId, Provenance, SlidingWindow, VertexId};
 use proptest::prelude::*;
 
 /// A random edge script: (src, dst, pred, timestamp-delta).
@@ -138,41 +138,33 @@ proptest! {
         }
     }
 
-    /// JSON snapshot round-trip preserves stats and triple membership.
+    /// Compact snapshot round-trip preserves stats, triple membership,
+    /// the log length and exactly which edge ids are tombstoned.
     #[test]
-    fn snapshot_roundtrip(script in edge_script()) {
-        let g = build(&script);
-        let back = nous_graph::snapshot::from_json(
-            &nous_graph::snapshot::to_json(&g).unwrap()
-        ).unwrap();
+    fn snapshot_roundtrip(
+        script in edge_script(),
+        evict_mask in prop::collection::vec(any::<bool>(), 200),
+    ) {
+        let mut g = build(&script);
+        for (i, evict) in evict_mask.iter().enumerate().take(g.log_len()) {
+            if *evict {
+                g.remove_edge(EdgeId(i as u32));
+            }
+        }
+        let back = nous_graph::snapshot::from_compact(&nous_graph::snapshot::to_compact(&g))
+            .unwrap();
         prop_assert_eq!(back.stats(), g.stats());
         for (_, e) in g.iter_edges() {
             prop_assert!(back.has_triple(e.src, e.pred, e.dst));
         }
-    }
-
-    /// Binary snapshot preserves the live edge multiset (heads only).
-    #[test]
-    fn binary_snapshot_preserves_edges(script in edge_script()) {
-        let g = build(&script);
-        let back = nous_graph::snapshot::from_binary(
-            nous_graph::snapshot::to_binary(&g).unwrap()
-        ).unwrap();
-        prop_assert_eq!(back.edge_count(), g.edge_count());
-        let key = |g: &DynamicGraph| {
-            let mut v: Vec<_> = g
-                .iter_edges()
-                .map(|(_, e)| (
-                    g.vertex_name(e.src).to_owned(),
-                    g.predicate_name(e.pred).to_owned(),
-                    g.vertex_name(e.dst).to_owned(),
-                    e.at,
-                ))
-                .collect();
-            v.sort();
-            v
+        prop_assert_eq!(back.log_len(), g.log_len());
+        let dead = |g: &DynamicGraph| {
+            (0..g.log_len() as u32)
+                .map(EdgeId)
+                .filter(|&id| !g.is_live(id))
+                .collect::<Vec<_>>()
         };
-        prop_assert_eq!(key(&back), key(&g));
+        prop_assert_eq!(dead(&back), dead(&g));
     }
 
     /// BFS distance k means there is a path of exactly k hops and none shorter.

@@ -20,13 +20,12 @@
 use crate::context::ContextStore;
 use crate::normalize::alias_key;
 use nous_text::bow::BagOfWords;
-use serde::{Content, DeError, Deserialize, Serialize};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// One linkable entity with its disambiguation context — the form entities
 /// are registered and persisted in.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EntityRecord {
     /// Caller-side identifier (e.g. a graph `VertexId` payload).
     pub id: u32,
@@ -40,7 +39,7 @@ pub struct EntityRecord {
 
 /// Scoring mode: the full AIDA-style combination or one of the E10
 /// baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkMode {
     /// prior + context similarity (the paper's approach).
     Full,
@@ -51,7 +50,7 @@ pub enum LinkMode {
 }
 
 /// Result of resolving one mention.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Resolution {
     /// Winning entity id.
     pub id: u32,
@@ -142,7 +141,7 @@ impl AliasResolver {
     /// Resolve `surface` with no mention context: a unique alias resolves
     /// directly, an ambiguous one by the popularity prior. Exactly
     /// [`Disambiguator::resolve`] under [`LinkMode::Full`] with an empty
-    /// context — both run [`AliasResolver::resolve_scored`].
+    /// context — both run `AliasResolver::resolve_scored`.
     pub fn resolve(&self, surface: &str) -> Option<Resolution> {
         self.resolve_scored(surface, LinkMode::Full, |_| 0.0)
     }
@@ -383,31 +382,6 @@ impl Disambiguator {
             let mention = mention.get_or_init(|| self.contexts.known_terms(context));
             self.contexts.cosine(mention, i)
         })
-    }
-}
-
-/// The serialized form of a [`Disambiguator`]: its records and blend. The
-/// indexes are rebuilt on the way back in.
-#[derive(Serialize, Deserialize)]
-struct StoredDisambiguator {
-    records: Vec<EntityRecord>,
-    context_weight: f64,
-}
-
-impl Serialize for Disambiguator {
-    fn to_content(&self) -> Content {
-        StoredDisambiguator {
-            records: (0..self.len()).map(|i| self.record(i)).collect(),
-            context_weight: self.context_weight(),
-        }
-        .to_content()
-    }
-}
-
-impl Deserialize for Disambiguator {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let stored = StoredDisambiguator::from_content(c)?;
-        Ok(Disambiguator::new(stored.records).with_context_weight(stored.context_weight))
     }
 }
 
@@ -658,18 +632,6 @@ mod tests {
                 "{surface}"
             );
         }
-    }
-
-    #[test]
-    fn serialized_engine_comes_back_whole() {
-        let mut d = apex_world();
-        d.update_context(1, &bow(&[("airspace", 6)]), 2.0);
-        let back = Disambiguator::from_content(&d.to_content()).unwrap();
-        assert_eq!(back.len(), d.len());
-        assert_eq!(back.context_weight(), d.context_weight());
-        assert_eq!(back.context(1), d.context(1));
-        assert_eq!(back.served().popularity(1), 5.0);
-        assert_eq!(back.candidates("Apex"), d.candidates("Apex"));
     }
 
     #[test]

@@ -19,12 +19,11 @@
 //! tallies are tested against.
 
 use crate::names::Names;
-use serde::{Content, DeError, Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
 /// One mapping rule: raw predicate → ontology predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MappingRule {
     pub ontology: String,
     /// Swap subject/object when applying ("P founded O" ⇒ (O, foundedBy, P)).
@@ -42,7 +41,7 @@ pub type RawTripleIds = (u32, String, u32);
 pub type KnownPairs = HashMap<(u32, u32), Vec<String>>;
 
 /// The per-ontology-predicate rule models.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PredicateMapper {
     rules: HashMap<String, MappingRule>,
     /// Expansion thresholds.
@@ -86,7 +85,7 @@ impl PredicateMapper {
         self.rules.get(raw)
     }
 
-    /// Install (or replace) a rule verbatim — the deserialization hook
+    /// Install (or replace) a rule verbatim — the checkpoint decode hook
     /// for rebuilding a mapper from checkpointed state, including the
     /// non-seed rules `expand` learned.
     pub fn insert_rule(&mut self, raw: &str, rule: MappingRule) {
@@ -274,7 +273,7 @@ struct Tally {
 ///
 /// Holds the stashed raw triples (by entity pair, occurrences counted, raw
 /// predicates interned), the live KG edges per entity pair, and — the
-/// product of the two — each raw predicate's vote [`Tally`]. Every tally
+/// product of the two — each raw predicate's vote `Tally`. Every tally
 /// is the exact count [`PredicateMapper::expand`] would recount from all
 /// triples and all edges, maintained at the only moments it can change:
 /// [`MapperExpansion::stash`] (a raw triple arrives) and
@@ -495,31 +494,6 @@ impl MapperExpansion {
                 std::iter::repeat_n((s, self.raws.name(r).to_owned(), o), n as usize)
             })
             .collect()
-    }
-}
-
-/// The serialized form of a [`MapperExpansion`].
-#[derive(Serialize, Deserialize)]
-struct StoredExpansion {
-    raw_predicates: Vec<String>,
-    entries: Vec<(u32, u32, u32, u32)>,
-}
-
-impl Serialize for MapperExpansion {
-    fn to_content(&self) -> Content {
-        StoredExpansion {
-            raw_predicates: self.raw_predicates().to_vec(),
-            entries: self.entries(),
-        }
-        .to_content()
-    }
-}
-
-impl Deserialize for MapperExpansion {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let stored = StoredExpansion::from_content(c)?;
-        MapperExpansion::restore(&stored.raw_predicates, &stored.entries)
-            .ok_or_else(|| DeError::custom("stashed triple names an unknown raw predicate"))
     }
 }
 

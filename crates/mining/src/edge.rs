@@ -6,10 +6,8 @@
 //! labels alongside the concrete vertex ids. The adapter layer in
 //! `nous-core` produces these from graph edges.
 
-use serde::{Deserialize, Serialize};
-
 /// One stream edge as the miner sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MinerEdge {
     /// Unique, stable edge identifier (the graph `EdgeId`).
     pub id: u64,

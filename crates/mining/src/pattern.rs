@@ -13,12 +13,11 @@
 //! candidates.
 
 use crate::edge::MinerEdge;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A canonicalised pattern: `labels[i]` is the type label of pattern vertex
 /// `i`; edges are `(src_idx, dst_idx, elabel)` sorted ascending.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pattern {
     labels: Vec<u32>,
     edges: Vec<(u8, u8, u32)>,

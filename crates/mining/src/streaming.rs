@@ -23,10 +23,9 @@ use crate::index::ActiveGraph;
 use crate::pattern::Pattern;
 use nous_graph::{FxHashMap, FxHashSet};
 use nous_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use serde::{Deserialize, Serialize};
 
 /// How evictions are folded into the support table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionStrategy {
     /// Decrement the affected patterns immediately (the NOUS approach).
     Eager,
@@ -36,7 +35,7 @@ pub enum EvictionStrategy {
 }
 
 /// Miner parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MinerConfig {
     /// Maximum pattern size in edges (3 keeps enumeration tractable and
     /// matches the motif sizes of Figure 7).

@@ -68,7 +68,7 @@ fn candidates<G: GraphView>(
 /// distance search has its own cap of `cfg.budget` fetches (past it the
 /// bounds just stay looser), and both count into `stats.nodes_expanded`.
 ///
-/// `cfg.deadline` is polled every [`DEADLINE_POLL`] steps, including steps
+/// `cfg.deadline` is polled every `DEADLINE_POLL` steps, including steps
 /// that charge nothing, such as re-walking a prefix on a later level. On
 /// expiry the search stops and the paths found so far — a prefix of the
 /// complete ranking — are returned with `stats.truncated` set.

@@ -8,7 +8,6 @@
 //! baselines use the identity expander.
 
 use nous_graph::{EdgeId, GraphView, PredicateId, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// How many expansions pass between deadline polls in the serving
 /// searches. Expiry is detected
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub(crate) const DEADLINE_POLL: usize = 64;
 
 /// One traversed hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     pub pred: PredicateId,
     pub edge: EdgeId,
@@ -26,7 +25,7 @@ pub struct Hop {
 }
 
 /// A scored source→target path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedPath {
     /// Vertices, source first, target last.
     pub vertices: Vec<VertexId>,

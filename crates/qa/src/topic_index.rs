@@ -7,12 +7,11 @@
 //! the graph without any text yet.
 
 use nous_graph::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// Dense per-vertex topic distributions: one flat `k`-wide row per vertex
 /// up to the highest one assigned, so [`TopicIndex::get`] — called for
 /// every divergence a path search evaluates — is one slice index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopicIndex {
     k: usize,
     /// Row `v` is `rows[v * k..(v + 1) * k]`; unassigned rows hold the

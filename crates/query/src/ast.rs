@@ -1,9 +1,9 @@
 //! Query AST and result types.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A parsed query, one variant per Figure-5 class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Query {
     /// Closed frequent patterns in the current window.
     Trending { limit: usize },
@@ -41,7 +41,7 @@ pub enum Query {
 }
 
 /// A MATCH endpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
     /// Any entity with this type label.
     Type(String),
@@ -58,14 +58,15 @@ pub enum Endpoint {
 /// list, the paths found before the search was cut short, or an
 /// undercounted `MATCH`. The result is always *valid* — every item in it
 /// is real — it may just not be exhaustive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
     pub result: QueryResult,
     pub partial: bool,
 }
 
-/// Execution result, one variant per query class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Execution result, one variant per query class. Serialised into the
+/// HTTP `/query` response.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum QueryResult {
     Trending(Vec<(String, u32)>),
     Entity {

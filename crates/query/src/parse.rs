@@ -13,11 +13,10 @@
 //! ```
 
 use crate::ast::{Endpoint, Query};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Parse failure with a human-oriented message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError(pub String);
 
 impl fmt::Display for ParseError {

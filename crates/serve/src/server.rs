@@ -81,7 +81,7 @@ impl Default for ServerConfig {
 }
 
 /// Wire shape of a `POST /query` body.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 struct QueryBody {
     query: String,
 }
@@ -91,7 +91,7 @@ struct QueryBody {
 /// governed execution.
 ///
 /// [`QueryResponse`]: nous_query::QueryResponse
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct QueryReply {
     partial: bool,
     deadline_ms: u64,

@@ -8,7 +8,6 @@
 
 use crate::lexicon;
 use crate::token::{tokenize, TokenKind};
-use serde::{Content, DeError, Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Sparse term-frequency vector over lower-cased content words.
@@ -18,30 +17,12 @@ use std::collections::BTreeMap;
 /// squared L2 norm is maintained on every [`BagOfWords::add`], so
 /// [`BagOfWords::cosine`] costs one pass over the smaller bag however
 /// large the other one has grown.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BagOfWords {
     counts: BTreeMap<String, u32>,
     total: u32,
-    /// Σ count² over `counts`. Derived state: not serialized, rebuilt by
-    /// [`Deserialize`].
-    #[serde(skip)]
+    /// Σ count² over `counts`.
     norm_sq: u64,
-}
-
-/// The serialized fields [`BagOfWords`] is rebuilt from.
-#[derive(Deserialize)]
-struct StoredCounts {
-    counts: BTreeMap<String, u32>,
-}
-
-impl Deserialize for BagOfWords {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let mut bow = BagOfWords::new();
-        for (term, n) in StoredCounts::from_content(c)?.counts {
-            bow.add(&term, n);
-        }
-        Ok(bow)
-    }
 }
 
 impl BagOfWords {
@@ -236,15 +217,6 @@ mod tests {
                 cosine_from_scratch(&doc, &ctx).to_bits()
             );
         }
-    }
-
-    #[test]
-    fn deserialized_bag_equals_the_original() {
-        let mut a = BagOfWords::from_text("drone drone camera");
-        a.add("pilot", 0);
-        let back = BagOfWords::from_content(&a.to_content()).unwrap();
-        assert_eq!(back, a);
-        assert_eq!(back.cosine(&a).to_bits(), a.cosine(&a).to_bits());
     }
 
     #[test]

@@ -8,17 +8,16 @@
 //! one of the "heuristics for triple extraction" §3.2 mentions.
 
 use crate::pos::{Tag, Tagged};
-use serde::{Deserialize, Serialize};
 
 /// Kind of a shallow chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkKind {
     NounPhrase,
     VerbGroup,
 }
 
 /// A contiguous chunk over the tagged token sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chunk {
     pub kind: ChunkKind,
     /// Token index range `[start, end)` into the tagged sentence.

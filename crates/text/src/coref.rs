@@ -16,11 +16,10 @@
 use crate::chunk;
 use crate::ner::{EntityType, Mention};
 use crate::pos::{Tag, Tagged};
-use serde::{Deserialize, Serialize};
 
 /// One resolved anaphor: the surface at `(sentence, token_start..token_end)`
 /// refers to `antecedent`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorefResolution {
     pub sentence: usize,
     pub token_start: usize,

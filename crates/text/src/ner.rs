@@ -10,12 +10,11 @@
 
 use crate::chunk::{self, Chunk};
 use crate::pos::{Tag, Tagged};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Entity types used across the pipeline (a compact subset of the YAGO
 /// taxonomy's top level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EntityType {
     Person,
     Organization,
@@ -37,7 +36,7 @@ impl EntityType {
 }
 
 /// A typed entity mention.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mention {
     /// Canonical mention surface (possessives stripped, honorifics dropped).
     pub text: String,
@@ -50,7 +49,7 @@ pub struct Mention {
 }
 
 /// Case-insensitive gazetteer mapping mention surfaces to entity types.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Gazetteer {
     entries: HashMap<String, EntityType>,
 }

@@ -13,10 +13,9 @@
 
 use crate::chunk::{self, Chunk};
 use crate::pos::{Tag, Tagged};
-use serde::{Deserialize, Serialize};
 
 /// A token span with its rendered surface text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionSpan {
     pub start: usize,
     pub end: usize,
@@ -34,7 +33,7 @@ impl ExtractionSpan {
 }
 
 /// One extracted relational tuple (binary core + optional n-ary arguments).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RawTriple {
     pub subject: ExtractionSpan,
     /// Normalised relation: main-verb lemma, suffixed with the object's
@@ -52,7 +51,7 @@ pub struct RawTriple {
 }
 
 /// Heuristic toggles — the knobs of demonstration feature 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtractorConfig {
     /// Emit `is_a` triples from copular and appositive constructions.
     pub appositives: bool,

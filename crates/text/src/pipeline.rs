@@ -13,10 +13,9 @@ use crate::pos::{self, Tagged};
 use crate::sentence;
 use crate::srl::{self, Frame};
 use crate::token::tokenize;
-use serde::{Deserialize, Serialize};
 
 /// Analysis of one sentence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnalyzedSentence {
     pub text: String,
     pub tagged: Vec<Tagged>,
@@ -28,7 +27,7 @@ pub struct AnalyzedSentence {
 }
 
 /// Analysis of a whole document.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnalyzedDoc {
     pub sentences: Vec<AnalyzedSentence>,
     pub resolutions: Vec<CorefResolution>,

@@ -8,10 +8,9 @@
 
 use crate::lexicon;
 use crate::token::{Token, TokenKind};
-use serde::{Deserialize, Serialize};
 
 /// Compact Penn-style tag set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tag {
     /// Determiner
     DT,
@@ -66,7 +65,7 @@ impl Tag {
 }
 
 /// A token with its tag and (for known verbs) lemma.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tagged {
     pub token: Token,
     pub tag: Tag,

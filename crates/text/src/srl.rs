@@ -9,10 +9,9 @@
 use crate::lexicon;
 use crate::openie::RawTriple;
 use crate::pos::{Tag, Tagged};
-use serde::{Deserialize, Serialize};
 
 /// A shallow predicate-argument frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Predicate lemma (plus preposition for phrasal relations).
     pub predicate: String,

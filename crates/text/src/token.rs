@@ -8,10 +8,8 @@
 //! internal periods (`U.S.`), numbers with separators (`1,250.75`), and
 //! currency/percent symbols.
 
-use serde::{Deserialize, Serialize};
-
 /// Coarse lexical class decided purely by surface form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenKind {
     /// Alphabetic word (possibly hyphenated or with internal apostrophe).
     Word,
@@ -24,7 +22,7 @@ pub enum TokenKind {
 }
 
 /// One token with its source span (`byte_start..byte_end`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     pub text: String,
     pub kind: TokenKind,

@@ -14,11 +14,10 @@
 use nous_text::bow::BagOfWords;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Sampler hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LdaConfig {
     /// Number of latent topics `K`.
     pub topics: usize,
@@ -44,7 +43,7 @@ impl Default for LdaConfig {
 }
 
 /// A trained LDA model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LdaModel {
     cfg: LdaConfig,
     vocab: Vec<String>,
@@ -66,7 +65,7 @@ struct Fitted {
 
 /// Topic distributions of `docs` without keeping a model. Each document
 /// is a list of `(term id, count)` entries into `terms`, in any order;
-/// the sampler sees them in [`token_order`], so the same bags give the
+/// the sampler sees them in `token_order`, so the same bags give the
 /// same bits as [`LdaModel::fit`] and [`LdaModel::doc_distribution`],
 /// without a copied term string or a per-token word id.
 pub fn fit_doc_topics<S: AsRef<str>>(

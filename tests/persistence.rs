@@ -1,7 +1,9 @@
 //! Persistence integration: the complete system state (graph, aliases,
-//! learned mapping rules, trained predictor, per-entity text) survives a
-//! save/restore round trip, and the restored system keeps working —
-//! answering queries and ingesting further documents.
+//! learned mapping rules, per-entity text) survives a checkpoint
+//! round trip, and the restored system keeps working — answering queries
+//! and ingesting further documents. The checkpoint does not carry the
+//! predictor's weights; retrained on the restored graph, the predictor
+//! scores exactly as the original's does.
 
 use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig};
 use nous_corpus::Preset;
@@ -24,9 +26,8 @@ fn built() -> (
 
 #[test]
 fn full_state_roundtrip() {
-    let (world, kg, _) = built();
-    let json = kg.to_json().expect("serializable");
-    let back = KnowledgeGraph::from_json(&json).expect("deserializable");
+    let (world, mut kg, _) = built();
+    let mut back = KnowledgeGraph::decode_checkpoint(&kg.encode_checkpoint()).expect("decodable");
 
     // Graph equivalence.
     assert_eq!(back.graph.vertex_count(), kg.graph.vertex_count());
@@ -54,7 +55,9 @@ fn full_state_roundtrip() {
             .map(|(k, _)| *k)
             .collect::<Vec<_>>()
     );
-    // Trained predictor scores identically.
+    // Retrained on either graph, the predictor scores identically.
+    kg.train_predictor();
+    back.train_predictor();
     assert_eq!(
         kg.predictor.score("isLocatedIn", 0, 1),
         back.predictor.score("isLocatedIn", 0, 1)
@@ -73,8 +76,10 @@ fn full_state_roundtrip() {
 #[test]
 fn restored_graph_keeps_ingesting() {
     let (_, kg, articles) = built();
-    let json = kg.to_json().unwrap();
-    let mut back = KnowledgeGraph::from_json(&json).unwrap();
+    let mut back = KnowledgeGraph::decode_checkpoint(&kg.encode_checkpoint()).unwrap();
+    // As `DurableStore::open` does: train once the restored graph is
+    // complete, before ingesting further.
+    back.train_predictor();
     let before = back.graph.edge_count();
     let (_, second) = articles.split_at(articles.len() / 2);
     let mut pipe = IngestPipeline::new(PipelineConfig::default());
@@ -89,7 +94,7 @@ fn restored_graph_keeps_ingesting() {
 #[test]
 fn summaries_survive_roundtrip() {
     let (world, kg, _) = built();
-    let back = KnowledgeGraph::from_json(&kg.to_json().unwrap()).unwrap();
+    let back = KnowledgeGraph::decode_checkpoint(&kg.encode_checkpoint()).unwrap();
     let name = &world.entities[world.companies[0]].name;
     let a = kg.entity_summary(name).unwrap();
     let b = back.entity_summary(name).unwrap();
