@@ -279,13 +279,13 @@ impl KnowledgeGraph {
 
     /// Accumulate additional text evidence for an entity registered with
     /// the disambiguator (every curated and every minted entity is).
+    /// Panics if `v` has no record: its text would be lost.
     pub fn add_entity_text(&mut self, v: VertexId, text: &BagOfWords) {
-        debug_assert!(
-            self.disambiguator.context_of(v.0).is_some(),
+        assert!(
+            self.disambiguator.update_context(v.0, text, 0.0),
             "vertex {} has no disambiguator record to keep its text",
             v.0
         );
-        self.disambiguator.update_context(v.0, text, 0.0);
     }
 
     /// The entity's accumulated bag-of-words: the disambiguator's context
@@ -833,6 +833,22 @@ mod tests {
         assert_eq!(kg.graph.label(v), Some("Organization"));
         assert!(kg.gazetteer.lookup("Brand New Corp").is_some());
         assert!(!kg.disambiguator.candidates("Brand New Corp").is_empty());
+    }
+
+    #[test]
+    fn entity_text_lands_in_the_resolver_record() {
+        let (_, _, mut kg) = smoke_kg();
+        let v = kg.create_entity("Brand New Corp", EntityType::Organization);
+        kg.add_entity_text(v, &BagOfWords::from_text("drone delivery drone"));
+        assert_eq!(kg.entity_text(v).count("drone"), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "has no disambiguator record")]
+    fn entity_text_for_an_unregistered_vertex_panics() {
+        let (_, _, mut kg) = smoke_kg();
+        let v = kg.graph.ensure_vertex("Unregistered Vertex");
+        kg.add_entity_text(v, &BagOfWords::from_text("drone delivery"));
     }
 
     #[test]

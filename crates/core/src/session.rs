@@ -13,13 +13,15 @@
 //! published after every mutation. Publication is **incremental**: each
 //! epoch freezes only the facts admitted since the previous one into a
 //! [`nous_graph::DeltaOverlay`] chained onto the published stack, so the
-//! graph's share of publish cost is O(delta), independent of graph size;
-//! the alias resolver is copied whole (names, aliases, popularity — no
-//! context bags), O(entities) when it changed. A background
-//! compactor folds the overlay stack back into a single base
-//! [`nous_graph::FrozenView`] when it grows past the configured
-//! thresholds ([`CompactionConfig`]), and doubles as the durability
-//! checkpoint trigger (see [`SharedSession::set_checkpoint_sink`]).
+//! graph's share of publish cost is O(delta), independent of graph size.
+//! The alias resolver shares its identity and alias tables with the live
+//! engine and copies only the popularity values, one `f64` per entity;
+//! the tables themselves are copied once, by the first mint after a
+//! publish. A background compactor folds the overlay stack back into a
+//! single base [`nous_graph::FrozenView`] when it grows past the
+//! configured thresholds ([`CompactionConfig`]). It folds the published
+//! layers themselves, never the graph, so it takes no graph lock and
+//! ingestion never waits on it.
 //!
 //! The lock-free query path ([`SharedSession::frozen`]) is one short
 //! mutex-protected `Arc` clone — readers then run entirely against
@@ -52,9 +54,10 @@ pub struct FrozenSnapshot {
     /// epochs between LDA refreshes all point at the same index.
     pub topics: Arc<TopicIndex>,
     /// Alias resolver at publish time (entity-name → vertex fallback):
-    /// a copy of what serving reads of the linker — alias table, names,
-    /// popularity, no contexts. The same `Arc` across epochs whose
-    /// resolver state is identical.
+    /// what serving reads of the linker — alias table, names, popularity,
+    /// no contexts — with the tables shared, copy-on-mint, with the live
+    /// engine. The same `Arc` across epochs whose resolver state is
+    /// identical.
     pub disambiguator: Arc<AliasResolver>,
     /// Registry-clock time of publication, for the staleness gauge.
     pub published_at_nanos: u64,
@@ -207,10 +210,21 @@ impl SessionMetrics {
 }
 
 /// Failpoint inside [`SharedSession::compact_now`] /
-/// the background compactor, between deciding to compact and freezing
+/// the background compactor, between deciding to compact and folding
 /// the new base. A fired fault aborts the fold: the existing layer stack
-/// keeps serving and no checkpoint is written.
+/// keeps serving.
 pub const FP_SESSION_COMPACT: &str = "session.compact";
+
+/// How one fold of a published stack ended.
+enum Fold {
+    /// The folded base now serves (or the stack was already one base).
+    Installed,
+    /// An injected `session.compact` fault aborted it.
+    Aborted,
+    /// A full rebuild or another compaction replaced the stack while it
+    /// folded; the fold was discarded.
+    Superseded,
+}
 
 /// Resets the in-flight compaction flag even if compaction unwinds.
 struct CompactingGuard(Arc<AtomicBool>);
@@ -220,8 +234,6 @@ impl Drop for CompactingGuard {
         self.0.store(false, Ordering::Release);
     }
 }
-
-type CheckpointSink = Box<dyn FnMut(&KnowledgeGraph) + Send>;
 
 /// Shareable handle to a live NOUS session.
 #[derive(Clone)]
@@ -234,7 +246,6 @@ pub struct SharedSession {
     snapshot: Arc<Mutex<Arc<FrozenSnapshot>>>,
     compaction: Arc<Mutex<CompactionConfig>>,
     compacting: Arc<AtomicBool>,
-    checkpoint_sink: Arc<Mutex<Option<CheckpointSink>>>,
     faults: Arc<Mutex<Faults>>,
     metrics: SessionMetrics,
 }
@@ -273,7 +284,6 @@ impl SharedSession {
             snapshot: Arc::new(Mutex::new(Arc::new(initial))),
             compaction: Arc::new(Mutex::new(CompactionConfig::default())),
             compacting: Arc::new(AtomicBool::new(false)),
-            checkpoint_sink: Arc::new(Mutex::new(None)),
             faults: Arc::new(Mutex::new(Faults::disabled())),
             metrics,
         }
@@ -292,16 +302,6 @@ impl SharedSession {
         *self.faults.lock() = faults;
     }
 
-    /// Install the durability hook compaction drives: immediately before
-    /// a compacted snapshot is installed, `sink` runs against the exact
-    /// graph state the new base was frozen from (under the same read
-    /// hold), so a persisted checkpoint generation and the served base
-    /// always correspond to the same watermark. Typically wired to
-    /// `DurableStore::checkpoint` by `nous_persist::wire_compaction_checkpoints`.
-    pub fn set_checkpoint_sink(&self, sink: impl FnMut(&KnowledgeGraph) + Send + 'static) {
-        *self.checkpoint_sink.lock() = Some(Box::new(sink));
-    }
-
     /// Incrementally publish the current graph/topics/resolver state as a
     /// new epoch. Called automatically after every mutation
     /// ([`SharedSession::write`], [`SharedSession::set_topics`], each
@@ -315,14 +315,14 @@ impl SharedSession {
     /// the graph's history was rewritten underneath the stack
     /// (structure-version bump, e.g. an explicit log compaction) — counted
     /// on `nous_snapshot_full_rebuilds_total`. The resolver: when its
-    /// version moved (any admitted fact moves it) the epoch gets a deep
-    /// copy of [`nous_link::Disambiguator::served`] — every entity's name
-    /// and aliases, the alias table and the popularity values, counted on
-    /// `nous_resolver_copied_elements_total` — which is O(entities + alias
-    /// keys) but carries no context bag and no term; nothing of it is
-    /// shared with the live engine. Topics are one shared `Arc`. When
-    /// nothing changed at all the current epoch is returned with no new
-    /// snapshot installed.
+    /// version moved (any admitted fact moves it) the epoch gets a clone
+    /// of [`nous_link::Disambiguator::served`], which copies the
+    /// popularity values (one `f64` per entity) and shares the identity
+    /// and alias tables; a mint since the last publish has copied those
+    /// tables once already. Both copies are counted on
+    /// `nous_resolver_copied_elements_total`. No context bag is ever
+    /// copied. Topics are one shared `Arc`. When nothing changed at all
+    /// the current epoch is returned with no new snapshot installed.
     pub fn publish_snapshot(&self) -> u64 {
         let m = &self.metrics;
         let t0 = m.registry.now_nanos();
@@ -357,7 +357,8 @@ impl SharedSession {
         let disambiguator = if resolver.version() == prev.disambiguator.version() {
             prev.disambiguator.clone()
         } else {
-            m.resolver_copied.add(resolver.elements() as u64);
+            m.resolver_copied
+                .add(resolver.copied_since(&prev.disambiguator) as u64);
             Arc::new(resolver.clone())
         };
         drop(kg);
@@ -378,11 +379,11 @@ impl SharedSession {
         m.snapshot_publish
             .observe(m.registry.now_nanos().saturating_sub(t0));
         m.snapshot_published.inc();
-        self.maybe_compact(&snap);
+        self.maybe_compact(snap);
         epoch
     }
 
-    fn maybe_compact(&self, snap: &Arc<FrozenSnapshot>) {
+    fn maybe_compact(&self, snap: Arc<FrozenSnapshot>) {
         let cfg = self.compaction.lock().clone();
         let overlays = snap.view.layer_count();
         if overlays == 0 {
@@ -401,30 +402,41 @@ impl SharedSession {
         let guard = CompactingGuard(self.compacting.clone());
         if cfg.background {
             let session = self.clone();
+            let from = snap.clone();
             let spawned = std::thread::Builder::new()
                 .name("nous-compactor".into())
                 .spawn(move || {
                     let _guard = guard;
-                    session.run_compaction();
+                    session.run_compaction(&from);
                 });
             if spawned.is_err() {
                 // Thread spawn failed (resource exhaustion): compact
                 // inline rather than dropping the request.
-                self.run_compaction();
+                self.run_compaction(&snap);
             }
         } else {
             let _guard = guard;
-            self.run_compaction();
+            self.run_compaction(&snap);
         }
     }
 
     /// Fold the published overlay stack into a fresh single-layer base
-    /// right now, on the calling thread, and run the checkpoint sink.
-    /// Returns `true` if a compacted snapshot was installed (`false`
-    /// when an injected `session.compact` fault aborted it — the
-    /// existing layer stack keeps serving, nothing is lost).
+    /// right now, on the calling thread. Returns `true` once the stack
+    /// read at the call is folded into the serving snapshot, and `false`
+    /// when an injected `session.compact` fault aborted the fold (the
+    /// existing layer stack keeps serving, nothing is lost). A fold that
+    /// a concurrent compaction or full rebuild superseded is retried from
+    /// the stack that replaced it. Takes no graph lock: writers and
+    /// readers proceed throughout.
     pub fn compact_now(&self) -> bool {
-        self.run_compaction()
+        loop {
+            let from = self.snapshot.lock().clone();
+            match self.run_compaction(&from) {
+                Fold::Installed => return true,
+                Fold::Aborted => return false,
+                Fold::Superseded => continue,
+            }
+        }
     }
 
     /// Whether a background compaction is currently in flight.
@@ -432,13 +444,14 @@ impl SharedSession {
         self.compacting.load(Ordering::Acquire)
     }
 
-    fn run_compaction(&self) -> bool {
+    /// Fold `from`'s layers into one base and install it under whatever
+    /// was published on top of `from` in the meantime
+    /// ([`LayeredSnapshot::rebase`]). The fold reads only the immutable
+    /// layers — no graph lock, so ingestion never waits on it; the slot
+    /// mutex is held just for the install.
+    fn run_compaction(&self, from: &FrozenSnapshot) -> Fold {
         let m = &self.metrics;
         let t0 = m.registry.now_nanos();
-        // Read hold spans freeze + checkpoint + install: writers admitted
-        // in that window would otherwise invalidate the frozen base
-        // (readers are unaffected — this is a shared lock).
-        let kg = self.kg.read();
         {
             let faults = self.faults.lock();
             if faults.hit(FP_SESSION_COMPACT) {
@@ -446,25 +459,17 @@ impl SharedSession {
                 // Flight-recorder black box: a failed compaction is one of
                 // the "what just happened" moments the dump hook captures.
                 faults.blackbox("compaction-failed");
-                return false;
+                return Fold::Aborted;
             }
         }
-        let view = LayeredSnapshot::freeze(&kg.graph);
-        if let Some(sink) = self.checkpoint_sink.lock().as_mut() {
-            sink(&kg);
+        if from.view.is_compacted() {
+            return Fold::Installed;
         }
+        let folded = Arc::new(nous_graph::FrozenView::from_layers(&from.view));
         let mut slot = self.snapshot.lock();
-        if slot.view.watermark() != view.watermark() {
-            // The graph moved past what we froze (history rewrite raced
-            // us); keep the newer published state.
-            return false;
-        }
-        if slot.view.is_compacted() {
-            // Another compaction (or a full-rebuild publish) got here
-            // first; installing an identical base again would only churn
-            // epochs.
-            return true;
-        }
+        let Some(view) = slot.view.rebase(&from.view, folded) else {
+            return Fold::Superseded;
+        };
         let epoch = slot.epoch + 1;
         let snap = Arc::new(FrozenSnapshot {
             epoch,
@@ -473,20 +478,23 @@ impl SharedSession {
             disambiguator: slot.disambiguator.clone(),
             published_at_nanos: m.registry.now_nanos(),
         });
+        let (layers, delta_permille) = (
+            1 + snap.view.layer_count() as i64,
+            (snap.view.delta_fraction() * 1000.0) as i64,
+        );
         // The replaced stack may die here (no reader pinning it): free its
         // base — O(graph) — only after the slot is unlocked, or the next
         // publish waits on the lock for as long as that takes.
         let replaced = std::mem::replace(&mut *slot, snap);
         drop(slot);
-        drop(kg);
         drop(replaced);
         m.snapshot_epoch.set(epoch as i64);
-        m.snapshot_layers.set(1);
-        m.snapshot_delta_permille.set(0);
+        m.snapshot_layers.set(layers);
+        m.snapshot_delta_permille.set(delta_permille);
         m.compaction_seconds
             .observe(m.registry.now_nanos().saturating_sub(t0));
         m.compactions.inc();
-        true
+        Fold::Installed
     }
 
     /// The lock-free read path: clone the currently published snapshot.
@@ -868,6 +876,100 @@ mod tests {
         // The write above already published, so the frozen view is current.
         let snap = s.frozen();
         assert_eq!(nous_graph::GraphView::live_edge_count(&snap.view), 3);
+    }
+
+    /// A session that never compacts on its own, with `n` overlays
+    /// stacked on its base.
+    fn stacked(n: usize) -> SharedSession {
+        let s = session();
+        s.set_compaction_config(CompactionConfig {
+            max_layers: usize::MAX,
+            min_delta_edges: usize::MAX,
+            background: false,
+            ..Default::default()
+        });
+        for i in 0..n {
+            s.write(|kg| {
+                let a = kg.create_entity(&format!("S{i}a"), EntityType::Organization);
+                let b = kg.create_entity(&format!("S{i}b"), EntityType::Organization);
+                kg.add_extracted_fact(a, "acquired", b, i as u64, 0.9, i as u64);
+            });
+        }
+        assert_eq!(s.frozen().view.layer_count(), n);
+        s
+    }
+
+    #[test]
+    fn compaction_completes_while_a_writer_holds_the_graph() {
+        use std::time::Duration;
+
+        let s = stacked(3);
+        let writer = s.kg.write();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let compactor = {
+            let s = s.clone();
+            std::thread::spawn(move || tx.send(s.compact_now()).unwrap())
+        };
+        // A fold that needed the graph lock would block here until the
+        // writer lets go, which it only does after the timeout.
+        let folded = rx.recv_timeout(Duration::from_secs(60));
+        drop(writer);
+        compactor.join().unwrap();
+        assert_eq!(folded, Ok(true), "compaction waited on the graph lock");
+        let snap = s.frozen();
+        assert!(snap.view.is_compacted());
+        assert_eq!(nous_graph::GraphView::live_edge_count(&snap.view), 3);
+    }
+
+    #[test]
+    fn compaction_keeps_overlays_published_while_it_folded() {
+        use nous_graph::{FrozenView, GraphView};
+
+        let s = stacked(2);
+        let from = s.frozen();
+        s.write(|kg| {
+            let a = kg.create_entity("Late Corp", EntityType::Organization);
+            let b = kg.graph.vertex_id("S0a").unwrap();
+            kg.add_extracted_fact(a, "acquired", b, 9, 0.9, 9);
+        });
+        // The fold of `from` lands under the overlay published since.
+        assert!(matches!(s.run_compaction(&from), Fold::Installed));
+        let snap = s.frozen();
+        assert_eq!(snap.view.layer_count(), 1);
+        assert_eq!(snap.view.live_edge_count(), 3);
+        assert_eq!(snap.view.base(), &FrozenView::from_layers(&from.view));
+        // A fold of a stack that was since replaced is discarded.
+        assert!(matches!(s.run_compaction(&from), Fold::Superseded));
+        assert_eq!(s.frozen().epoch, snap.epoch);
+        let registry = s.metrics();
+        assert_eq!(
+            registry.counter_value("nous_compactions_total", &[]),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn publish_without_a_mint_copies_only_popularity() {
+        let s = stacked(1);
+        let copied = |s: &SharedSession| {
+            s.metrics()
+                .counter_value("nous_resolver_copied_elements_total", &[])
+                .unwrap()
+        };
+        let before = copied(&s);
+        let entities = s.write(|kg| {
+            let (a, b) = (
+                kg.graph.vertex_id("S0a").unwrap(),
+                kg.graph.vertex_id("S0b").unwrap(),
+            );
+            kg.add_extracted_fact(b, "acquired", a, 5, 0.9, 5);
+            kg.disambiguator.len()
+        });
+        assert_eq!(copied(&s) - before, entities as u64);
+        // A mint copies the tables once more: records and alias keys.
+        let before = copied(&s);
+        s.write(|kg| kg.create_entity("Fresh Corp", EntityType::Organization));
+        assert!(copied(&s) - before > 2 * (entities as u64 + 1));
     }
 
     #[test]

@@ -11,18 +11,11 @@
 //! that is the whole point: [`crate::LayeredSnapshot`] stacks overlays on
 //! a frozen base so publication cost tracks batch size while the paper's
 //! continuous-query surface keeps serving.
-//!
-//! Overlays also have a self-contained binary frame format
-//! ([`DeltaOverlay::encode`] / [`DeltaOverlay::decode`]) on the same codec
-//! the WAL and checkpoint files use, so a publisher can ship increments to
-//! a follower or spill them next to the checkpoint generation they extend.
 
-use crate::codec;
-use crate::edge::{Edge, Provenance};
+use crate::edge::Edge;
 use crate::graph::{Adj, DeltaWatermark, DynamicGraph};
 use crate::hash::FxHashMap;
 use crate::ids::{EdgeId, PredicateId, Timestamp, VertexId};
-use crate::snapshot::{put_prop_map, read_prop_map, SnapshotError, EDGE_FIXED_BYTES};
 
 /// Capture failed because the graph's id space moved on (it compacted or
 /// was rebuilt from a serialised form) since the watermark was taken. The
@@ -40,7 +33,7 @@ impl std::error::Error for DeltaStale {}
 
 /// One immutable increment of graph history: everything admitted,
 /// retracted or relabelled between `from` and `to`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DeltaOverlay {
     from: DeltaWatermark,
     to: DeltaWatermark,
@@ -270,242 +263,32 @@ impl DeltaOverlay {
         self.max_timestamp
     }
 
-    // ---- wire frames ------------------------------------------------------
-
-    /// Encode the overlay as one self-contained frame: magic, version,
-    /// FNV-1a checksum, then the body. Derived indexes (adjacency,
-    /// postings, time index, lookup maps) are *not* shipped — the decoder
-    /// rebuilds them from the edge list, which keeps frames near the
-    /// information-theoretic floor of the increment.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(64 + self.edges.len() * (EDGE_FIXED_BYTES + 16));
-        let wm = |buf: &mut Vec<u8>, w: &DeltaWatermark| {
-            codec::put_u64(buf, w.structure_version);
-            codec::put_u64(buf, w.log_len as u64);
-            codec::put_u64(buf, w.removal_log_len as u64);
-            codec::put_u64(buf, w.label_log_len as u64);
-            codec::put_u64(buf, w.vertex_count as u64);
-            codec::put_u64(buf, w.predicate_count as u64);
-        };
-        wm(&mut body, &self.from);
-        wm(&mut body, &self.to);
-        codec::put_u64(&mut body, self.max_timestamp);
-        codec::put_u32(&mut body, self.ids.len() as u32);
-        for (id, e) in self.ids.iter().zip(&self.edges) {
-            codec::put_u32(&mut body, id.0);
-            codec::put_u32(&mut body, e.src.0);
-            codec::put_u32(&mut body, e.pred.0);
-            codec::put_u32(&mut body, e.dst.0);
-            codec::put_u64(&mut body, e.at);
-            codec::put_f32(&mut body, e.confidence);
-            match &e.provenance {
-                Provenance::Curated => codec::put_u64(&mut body, u64::MAX),
-                Provenance::Extracted { doc_id } => codec::put_u64(&mut body, *doc_id),
-            }
-            put_prop_map(&mut body, &e.props);
-        }
-        codec::put_u32(&mut body, self.tombstones.len() as u32);
-        for t in &self.tombstones {
-            codec::put_u32(&mut body, t.0);
-        }
-        codec::put_u32(&mut body, self.new_vertex_names.len() as u32);
-        for (name, label) in self.new_vertex_names.iter().zip(&self.new_labels) {
-            codec::put_str(&mut body, name);
-            match label {
-                Some(l) => {
-                    codec::put_u8(&mut body, 1);
-                    codec::put_str(&mut body, l);
-                }
-                None => codec::put_u8(&mut body, 0),
-            }
-        }
-        codec::put_u32(&mut body, self.label_fixups.len() as u32);
-        let mut fixups: Vec<_> = self.label_fixups.iter().collect();
-        fixups.sort_unstable_by_key(|(v, _)| **v);
-        for (v, label) in fixups {
-            codec::put_u32(&mut body, v.0);
-            match label {
-                Some(l) => {
-                    codec::put_u8(&mut body, 1);
-                    codec::put_str(&mut body, l);
-                }
-                None => codec::put_u8(&mut body, 0),
-            }
-        }
-        codec::put_u32(&mut body, self.new_predicate_names.len() as u32);
-        for name in &self.new_predicate_names {
-            codec::put_str(&mut body, name);
-        }
-
-        let mut out = Vec::with_capacity(body.len() + 20);
-        out.extend_from_slice(DELTA_MAGIC);
-        codec::put_u32(&mut out, DELTA_VERSION);
-        codec::put_u64(&mut out, codec::fnv1a64(&body));
-        out.extend_from_slice(&body);
-        out
+    /// Added edges, ascending id (log order).
+    pub(crate) fn added(&self) -> impl Iterator<Item = (EdgeId, &Edge)> {
+        self.ids.iter().copied().zip(&self.edges)
     }
 
-    /// Decode an [`DeltaOverlay::encode`] frame, verifying magic, version
-    /// and checksum, and rebuilding every derived index.
-    pub fn decode(blob: &[u8]) -> Result<Self, SnapshotError> {
-        if blob.len() < 20 || &blob[..8] != DELTA_MAGIC {
-            return Err(SnapshotError::Corrupt("bad delta frame magic"));
-        }
-        let mut head = codec::Reader::new(&blob[8..20]);
-        if head.u32().expect("12 bytes remain") != DELTA_VERSION {
-            return Err(SnapshotError::Corrupt("unsupported delta frame version"));
-        }
-        let sum = head.u64().expect("12 bytes remain");
-        let body = &blob[20..];
-        if codec::fnv1a64(body) != sum {
-            return Err(SnapshotError::Corrupt("delta frame checksum mismatch"));
-        }
-        let corrupt = |what: &'static str| move |_| SnapshotError::Corrupt(what);
-        let mut r = codec::Reader::new(body);
-        let wm = |r: &mut codec::Reader<'_>| -> Result<DeltaWatermark, SnapshotError> {
-            Ok(DeltaWatermark {
-                structure_version: r.u64().map_err(corrupt("truncated watermark"))?,
-                log_len: r.u64().map_err(corrupt("truncated watermark"))? as usize,
-                removal_log_len: r.u64().map_err(corrupt("truncated watermark"))? as usize,
-                label_log_len: r.u64().map_err(corrupt("truncated watermark"))? as usize,
-                vertex_count: r.u64().map_err(corrupt("truncated watermark"))? as usize,
-                predicate_count: r.u64().map_err(corrupt("truncated watermark"))? as usize,
-            })
-        };
-        let from = wm(&mut r)?;
-        let to = wm(&mut r)?;
-        let max_timestamp = r.u64().map_err(corrupt("truncated timestamp"))?;
+    /// Names of the minted vertices, in id order.
+    pub(crate) fn new_vertex_names(&self) -> &[String] {
+        &self.new_vertex_names
+    }
 
-        let n = r
-            .count(29, "delta edge count")
-            .map_err(corrupt("implausible delta edge count"))?;
-        let mut overlay = DeltaOverlay {
-            from,
-            to,
-            max_timestamp,
-            ..Default::default()
-        };
-        for _ in 0..n {
-            let id = EdgeId(r.u32().map_err(corrupt("truncated edge id"))?);
-            let src = VertexId(r.u32().map_err(corrupt("truncated edge"))?);
-            let pred = PredicateId(r.u32().map_err(corrupt("truncated edge"))?);
-            let dst = VertexId(r.u32().map_err(corrupt("truncated edge"))?);
-            let at = r.u64().map_err(corrupt("truncated edge"))?;
-            let confidence = r.f32().map_err(corrupt("truncated edge"))?;
-            let doc = r.u64().map_err(corrupt("truncated edge"))?;
-            let provenance = if doc == u64::MAX {
-                Provenance::Curated
-            } else {
-                Provenance::Extracted { doc_id: doc }
-            };
-            if id.index() < from.log_len
-                || id.index() >= to.log_len
-                || overlay.ids.last().is_some_and(|last| *last >= id)
-            {
-                return Err(SnapshotError::Corrupt("delta edge id out of window"));
-            }
-            let mut e = Edge::new(src, pred, dst, at, confidence, provenance);
-            e.props = read_prop_map(&mut r)?;
-            overlay.out_adj.entry(e.src).or_default().push(Adj {
-                pred: e.pred,
-                other: e.dst,
-                edge: id,
-            });
-            overlay.in_adj.entry(e.dst).or_default().push(Adj {
-                pred: e.pred,
-                other: e.src,
-                edge: id,
-            });
-            overlay.postings.entry(e.pred).or_default().push(id);
-            overlay.time_index.push((e.at, id));
-            overlay.ids.push(id);
-            overlay.edges.push(e);
-        }
-        for adj in overlay
-            .out_adj
-            .values_mut()
-            .chain(overlay.in_adj.values_mut())
-        {
-            adj.sort_unstable_by_key(|a| (a.pred, a.other, a.edge));
-        }
-        overlay.time_index.sort_unstable();
+    /// Labels of the minted vertices, parallel to
+    /// [`DeltaOverlay::new_vertex_names`].
+    pub(crate) fn new_labels(&self) -> &[Option<String>] {
+        &self.new_labels
+    }
 
-        let n = r
-            .count(4, "tombstone count")
-            .map_err(corrupt("implausible tombstone count"))?;
-        for _ in 0..n {
-            let id = EdgeId(r.u32().map_err(corrupt("truncated tombstone"))?);
-            if id.index() >= from.log_len || overlay.tombstones.last().is_some_and(|l| *l >= id) {
-                return Err(SnapshotError::Corrupt("tombstone id out of window"));
-            }
-            overlay.tombstones.push(id);
-        }
-        let n = r
-            .count(5, "new vertex count")
-            .map_err(corrupt("implausible new vertex count"))?;
-        if from.vertex_count + n != to.vertex_count {
-            return Err(SnapshotError::Corrupt(
-                "vertex suffix disagrees with watermark",
-            ));
-        }
-        for i in 0..n {
-            let name = r
-                .str()
-                .map_err(corrupt("truncated vertex name"))?
-                .to_owned();
-            let label = match r.u8().map_err(corrupt("truncated label tag"))? {
-                0 => None,
-                _ => Some(r.str().map_err(corrupt("truncated label"))?.to_owned()),
-            };
-            let v = VertexId((from.vertex_count + i) as u32);
-            overlay.new_vertex_index.insert(name.clone(), v);
-            overlay.new_vertex_names.push(name);
-            overlay.new_labels.push(label);
-        }
-        let n = r
-            .count(5, "label fixup count")
-            .map_err(corrupt("implausible label fixup count"))?;
-        for _ in 0..n {
-            let v = VertexId(r.u32().map_err(corrupt("truncated fixup"))?);
-            let label = match r.u8().map_err(corrupt("truncated fixup tag"))? {
-                0 => None,
-                _ => Some(
-                    r.str()
-                        .map_err(corrupt("truncated fixup label"))?
-                        .to_owned(),
-                ),
-            };
-            if v.index() >= from.vertex_count {
-                return Err(SnapshotError::Corrupt("fixup for vertex inside window"));
-            }
-            overlay.label_fixups.insert(v, label);
-        }
-        let n = r
-            .count(4, "new predicate count")
-            .map_err(corrupt("implausible new predicate count"))?;
-        if from.predicate_count + n != to.predicate_count {
-            return Err(SnapshotError::Corrupt(
-                "predicate suffix disagrees with watermark",
-            ));
-        }
-        for i in 0..n {
-            let name = r
-                .str()
-                .map_err(corrupt("truncated predicate name"))?
-                .to_owned();
-            let p = PredicateId((from.predicate_count + i) as u32);
-            overlay.new_predicate_index.insert(name.clone(), p);
-            overlay.new_predicate_names.push(name);
-        }
-        if !r.is_empty() {
-            return Err(SnapshotError::Corrupt("trailing bytes after delta frame"));
-        }
-        Ok(overlay)
+    /// Label patches for vertices that predate the window.
+    pub(crate) fn label_fixups(&self) -> impl Iterator<Item = (VertexId, Option<&str>)> {
+        self.label_fixups.iter().map(|(v, l)| (*v, l.as_deref()))
+    }
+
+    /// Names of the minted predicates, in id order.
+    pub(crate) fn new_predicate_names(&self) -> &[String] {
+        &self.new_predicate_names
     }
 }
-
-const DELTA_MAGIC: &[u8; 8] = b"NOUSDLT1";
-const DELTA_VERSION: u32 = 1;
 
 #[cfg(test)]
 mod tests {
@@ -577,48 +360,5 @@ mod tests {
         assert!(matches!(DeltaOverlay::capture(&g, w), Err(DeltaStale)));
         // A fresh watermark works again.
         assert!(DeltaOverlay::capture(&g, g.watermark()).is_ok());
-    }
-
-    #[test]
-    fn frames_roundtrip_and_reject_corruption() {
-        let mut g = base_graph();
-        let w = g.watermark();
-        let c = g.ensure_vertex("c");
-        g.set_label(c, "Location");
-        let near = g.intern_predicate("near");
-        let mut rich = Edge::new(
-            VertexId(0),
-            near,
-            c,
-            3,
-            0.8,
-            Provenance::Extracted { doc_id: 9 },
-        );
-        rich.props.set("rank", 3i64);
-        let added = g.add_edge(rich);
-        g.remove_edge(EdgeId(1));
-        g.set_label(VertexId(0), "Conglomerate");
-
-        let d = DeltaOverlay::capture(&g, w).unwrap();
-        let frame = d.encode();
-        let back = DeltaOverlay::decode(&frame).expect("frame roundtrips");
-        assert_eq!(back.from_watermark(), d.from_watermark());
-        assert_eq!(back.to_watermark(), d.to_watermark());
-        assert_eq!(back.added_count(), d.added_count());
-        assert_eq!(back.tombstones(), d.tombstones());
-        assert_eq!(back.edge(added).unwrap().props.len(), 1);
-        assert_eq!(back.vertex_id("c"), Some(c));
-        assert_eq!(back.label(VertexId(0)), Some(Some("Conglomerate")));
-        assert_eq!(back.pred_postings(near), d.pred_postings(near));
-        assert_eq!(back.time_index(), d.time_index());
-        assert_eq!(back.now(), d.now());
-
-        // Checksum failure and truncation both surface as errors.
-        let mut torn = frame.clone();
-        let last = torn.len() - 1;
-        torn[last] ^= 0xFF;
-        assert!(DeltaOverlay::decode(&torn).is_err());
-        assert!(DeltaOverlay::decode(&frame[..frame.len() - 3]).is_err());
-        assert!(DeltaOverlay::decode(b"NOUSXXXX").is_err());
     }
 }

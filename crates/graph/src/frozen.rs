@@ -9,19 +9,23 @@
 //! lock or tombstone check — the structure the epoch-swapped query-serving
 //! path publishes after each ingest batch.
 //!
-//! Freezing is O(V + E log E) and allocation-heavy by design: it runs once
-//! per publish on the write side so that the read side never pays again.
+//! Freezing is O(V + E log E) and allocation-heavy by design: it runs on
+//! the write side so that the read side never pays again. Folding a
+//! [`LayeredSnapshot`] into one view ([`FrozenView::from_layers`]) builds
+//! the same structure in O(V + E) from already-sorted layers, and needs
+//! no access to the graph at all.
 
 use crate::edge::Edge;
 use crate::graph::{Adj, DynamicGraph};
 use crate::ids::{EdgeId, Interner, PredicateId, Timestamp, VertexId};
+use crate::layered::LayeredSnapshot;
 use crate::view::GraphView;
 
 /// A read-only, live-edges-only, CSR-packed snapshot of a
 /// [`DynamicGraph`]. Edge ids are the source graph's log positions, so
 /// ids resolved against the snapshot remain meaningful to the source
 /// (until it compacts).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrozenView {
     vertex_names: Interner,
     predicates: Interner,
@@ -62,6 +66,27 @@ fn build_csr(vertex_count: usize, mut entries: Vec<(VertexId, Adj)>) -> (Vec<u32
     }
     off.push(csr.len() as u32);
     (off, csr)
+}
+
+/// Per-predicate postings over the live edges `ids`/`edges` (log order):
+/// prefix-sum offsets from `counts`, then one fill pass, which keeps each
+/// predicate's segment in log order too.
+fn build_postings(counts: &[u32], ids: &[EdgeId], edges: &[Edge]) -> (Vec<u32>, Vec<EdgeId>) {
+    let mut post_off = Vec::with_capacity(counts.len() + 1);
+    let mut acc = 0u32;
+    for c in counts {
+        post_off.push(acc);
+        acc += c;
+    }
+    post_off.push(acc);
+    let mut postings = vec![EdgeId(0); acc as usize];
+    let mut fill = post_off[..counts.len()].to_vec();
+    for (id, e) in ids.iter().zip(edges) {
+        let slot = &mut fill[e.pred.index()];
+        postings[*slot as usize] = *id;
+        *slot += 1;
+    }
+    (post_off, postings)
 }
 
 impl FrozenView {
@@ -105,24 +130,7 @@ impl FrozenView {
         let (out_off, out_csr) = build_csr(vertex_count, out_entries);
         let (in_off, in_csr) = build_csr(vertex_count, in_entries);
 
-        // Postings: prefix-sum offsets, then fill in log order (the live
-        // iteration above is already log-ordered, so a second pass keeps
-        // each predicate's segment log-ordered too).
-        let mut post_off = Vec::with_capacity(pred_count + 1);
-        let mut acc = 0u32;
-        for c in &post_counts {
-            post_off.push(acc);
-            acc += c;
-        }
-        post_off.push(acc);
-        let mut postings = vec![EdgeId(0); acc as usize];
-        let mut fill = post_off[..pred_count].to_vec();
-        for (id, e) in ids.iter().zip(&edges) {
-            let slot = &mut fill[e.pred.index()];
-            postings[*slot as usize] = *id;
-            *slot += 1;
-        }
-
+        let (post_off, postings) = build_postings(&post_counts, &ids, &edges);
         let mut time_index: Vec<(Timestamp, EdgeId)> =
             ids.iter().zip(&edges).map(|(id, e)| (e.at, *id)).collect();
         time_index.sort_unstable();
@@ -144,6 +152,92 @@ impl FrozenView {
             time_index,
             source_log_len: g.log_len(),
             max_timestamp: g.now(),
+        }
+    }
+
+    /// Fold a layered snapshot into one view: the base and its overlays
+    /// merged in the order reads merge them, with tombstones, minted
+    /// vertices and predicates and label patches applied. O(V + E) with
+    /// no sort — every layer is already in the target order — and it
+    /// reads nothing but `layers`. The result is identical to
+    /// [`FrozenView::freeze`] of the source graph at `layers`' watermark.
+    pub fn from_layers(layers: &LayeredSnapshot) -> Self {
+        let base = layers.base();
+        let overlays = layers.overlays();
+        let vertex_count = layers.vertex_count();
+        let pred_count = layers.predicate_count();
+
+        let mut vertex_names = base.vertex_names.clone();
+        let mut predicates = base.predicates.clone();
+        let mut labels = Vec::with_capacity(vertex_count);
+        labels.extend_from_slice(&base.labels);
+        for o in overlays {
+            for name in o.new_vertex_names() {
+                vertex_names.intern(name);
+            }
+            for name in o.new_predicate_names() {
+                predicates.intern(name);
+            }
+            labels.extend_from_slice(o.new_labels());
+            for (v, label) in o.label_fixups() {
+                labels[v.index()] = label.map(str::to_owned);
+            }
+        }
+
+        // Live edges in log order: base ids, then each overlay's window —
+        // the windows are disjoint and ascending.
+        let live = layers.live_edge_count();
+        let mut ids = Vec::with_capacity(live);
+        let mut edges = Vec::with_capacity(live);
+        let mut post_counts = vec![0u32; pred_count];
+        let base_edges = base.ids.iter().copied().zip(&base.edges);
+        for (id, e) in base_edges.chain(overlays.iter().flat_map(|o| o.added())) {
+            if !layers.is_tombstoned(id) {
+                ids.push(id);
+                post_counts[e.pred.index()] += 1;
+                edges.push(e.clone());
+            }
+        }
+        let (post_off, postings) = build_postings(&post_counts, &ids, &edges);
+
+        // Each vertex's segment is the reads' own merge of its slices.
+        let (mut out_off, mut out_csr) = (
+            Vec::with_capacity(vertex_count + 1),
+            Vec::with_capacity(live),
+        );
+        let (mut in_off, mut in_csr) = (
+            Vec::with_capacity(vertex_count + 1),
+            Vec::with_capacity(live),
+        );
+        for v in (0..vertex_count as u32).map(VertexId) {
+            out_off.push(out_csr.len() as u32);
+            layers.for_each_out(v, |a| out_csr.push(a));
+            in_off.push(in_csr.len() as u32);
+            layers.for_each_in(v, |a| in_csr.push(a));
+        }
+        out_off.push(out_csr.len() as u32);
+        in_off.push(in_csr.len() as u32);
+
+        let mut runs = vec![base.time_index.as_slice()];
+        runs.extend(overlays.iter().map(|o| o.time_index()));
+        let mut time_index = Vec::with_capacity(live);
+        layers.merge_runs(&runs, |x| *x, |x| x.1, |x| time_index.push(x));
+
+        Self {
+            vertex_names,
+            predicates,
+            labels,
+            out_off,
+            out_csr,
+            in_off,
+            in_csr,
+            ids,
+            edges,
+            post_off,
+            postings,
+            time_index,
+            source_log_len: layers.source_log_len(),
+            max_timestamp: layers.now(),
         }
     }
 

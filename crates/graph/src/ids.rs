@@ -51,7 +51,7 @@ id_newtype!(
 ///
 /// Insertion order defines the dense id space, so snapshots can rebuild the
 /// interner by re-inserting names in order.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Interner {
     names: Vec<String>,
     index: FxHashMap<String, u32>,

@@ -17,10 +17,12 @@
 //!
 //! Tombstones recorded by any overlay hide edges of every older layer,
 //! checked on read against one sorted union. A background compactor folds
-//! the stack back into a single base (see `SharedSession` in `nous-core`);
-//! a compacted (`layer_count() == 0`) snapshot is definitionally identical
-//! to [`FrozenView::freeze`] — the correctness oracle the equivalence
-//! tests pin.
+//! the stack back into a single base ([`FrozenView::from_layers`], the
+//! same merge the reads do, no graph needed) and installs it under the
+//! overlays published while it folded ([`LayeredSnapshot::rebase`]; see
+//! `SharedSession` in `nous-core`). A folded base is identical to
+//! [`FrozenView::freeze`] of the source graph at the same watermark — the
+//! correctness oracle the equivalence tests pin.
 
 use crate::delta::{DeltaOverlay, DeltaStale};
 use crate::edge::Edge;
@@ -111,40 +113,65 @@ impl LayeredSnapshot {
         if overlay.from_watermark() != self.watermark {
             return Err(DeltaStale);
         }
-        let mut tombstones = Vec::with_capacity(self.tombstones.len() + overlay.tombstones().len());
-        let (mut a, mut b) = (
-            self.tombstones.iter().peekable(),
-            overlay.tombstones().iter(),
-        );
+        let mut next = self.clone();
+        next.push(Arc::new(overlay));
+        Ok(next)
+    }
+
+    /// Stack `overlay` (chained onto this snapshot's watermark) on top.
+    fn push(&mut self, overlay: Arc<DeltaOverlay>) {
+        let (old, new) = (&self.tombstones, overlay.tombstones());
+        let mut tombstones = Vec::with_capacity(old.len() + new.len());
         // Merge two sorted id lists; they are disjoint (an edge dies once).
-        let mut next_b = b.next();
-        while let Some(&&x) = a.peek() {
-            match next_b {
-                Some(&y) if y < x => {
-                    tombstones.push(y);
-                    next_b = b.next();
-                }
-                _ => {
-                    tombstones.push(x);
-                    a.next();
-                }
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            if new[j] < old[i] {
+                tombstones.push(new[j]);
+                j += 1;
+            } else {
+                tombstones.push(old[i]);
+                i += 1;
             }
         }
-        while let Some(&y) = next_b {
-            tombstones.push(y);
-            next_b = b.next();
+        tombstones.extend_from_slice(&old[i..]);
+        tombstones.extend_from_slice(&new[j..]);
+        self.tombstones = tombstones;
+        self.live_edges = self.live_edges + overlay.added_count() - overlay.tombstones().len();
+        self.watermark = overlay.to_watermark();
+        self.overlays.push(overlay);
+    }
+
+    /// The compactor's install step. `folded` is
+    /// [`FrozenView::from_layers`] of `from`, an earlier snapshot of this
+    /// stack; the result serves this snapshot's state from the folded base
+    /// plus the overlays published on top of `from` since, their tombstone
+    /// union and live count recomputed. `None` when this snapshot no
+    /// longer extends `from` — a full rebuild or another compaction
+    /// replaced the stack — and the fold must be discarded.
+    pub fn rebase(&self, from: &LayeredSnapshot, folded: Arc<FrozenView>) -> Option<Self> {
+        let k = from.overlays.len();
+        let extends = Arc::ptr_eq(&self.base, &from.base)
+            && self.overlays.len() >= k
+            && self
+                .overlays
+                .iter()
+                .zip(&from.overlays)
+                .all(|(a, b)| Arc::ptr_eq(a, b));
+        if !extends {
+            return None;
         }
-        let live_edges = self.live_edges + overlay.added_count() - overlay.tombstones().len();
-        let watermark = overlay.to_watermark();
-        let mut overlays = self.overlays.clone();
-        overlays.push(Arc::new(overlay));
-        Ok(Self {
-            base: self.base.clone(),
-            overlays,
-            tombstones,
-            live_edges,
-            watermark,
-        })
+        debug_assert_eq!(folded.source_log_len(), from.source_log_len());
+        let mut next = Self {
+            live_edges: folded.live_edge_count(),
+            base: folded,
+            overlays: Vec::with_capacity(self.overlays.len() - k),
+            tombstones: Vec::new(),
+            watermark: from.watermark,
+        };
+        for overlay in &self.overlays[k..] {
+            next.push(overlay.clone());
+        }
+        Some(next)
     }
 
     /// The mutation watermark this snapshot reflects.
@@ -206,8 +233,13 @@ impl LayeredSnapshot {
             .unwrap_or_else(|| self.base.now())
     }
 
+    /// The overlays stacked on the base, oldest first.
+    pub(crate) fn overlays(&self) -> &[Arc<DeltaOverlay>] {
+        &self.overlays
+    }
+
     /// Is `id` hidden by a tombstone recorded in any overlay?
-    fn is_tombstoned(&self, id: EdgeId) -> bool {
+    pub(crate) fn is_tombstoned(&self, id: EdgeId) -> bool {
         self.tombstones.binary_search(&id).is_ok()
     }
 
@@ -238,42 +270,52 @@ impl LayeredSnapshot {
         hits.into_iter().map(|(_, id, e)| (id, e))
     }
 
-    /// K-way merge of per-layer `(pred, other, edge)`-sorted adjacency
-    /// slices, tombstone-filtered — yields the exact order a fresh
-    /// [`FrozenView::freeze`] CSR segment would.
-    fn merge_adj(&self, slices: &[&[Adj]], mut f: impl FnMut(Adj)) {
+    /// K-way merge of ascending runs (one per layer), skipping entries
+    /// whose `edge` is tombstoned: `f` sees the live entries of all runs
+    /// in ascending `key` order. Adjacency reads merge per-layer CSR
+    /// slices with it; the fold merges time indexes with it too.
+    pub(crate) fn merge_runs<T: Copy, K: Ord>(
+        &self,
+        runs: &[&[T]],
+        key: impl Fn(&T) -> K,
+        edge: impl Fn(&T) -> EdgeId,
+        mut f: impl FnMut(T),
+    ) {
         let mut pos = [0usize; 16];
         let mut heap_pos;
-        let pos: &mut [usize] = if slices.len() <= 16 {
-            &mut pos[..slices.len()]
+        let pos: &mut [usize] = if runs.len() <= 16 {
+            &mut pos[..runs.len()]
         } else {
-            heap_pos = vec![0usize; slices.len()];
+            heap_pos = vec![0usize; runs.len()];
             &mut heap_pos
         };
         loop {
-            let mut best: Option<(usize, Adj)> = None;
-            for (i, s) in slices.iter().enumerate() {
-                while pos[i] < s.len() && self.is_tombstoned(s[pos[i]].edge) {
+            let mut best: Option<(usize, K)> = None;
+            for (i, s) in runs.iter().enumerate() {
+                while pos[i] < s.len() && self.is_tombstoned(edge(&s[pos[i]])) {
                     pos[i] += 1;
                 }
                 if pos[i] < s.len() {
-                    let a = s[pos[i]];
-                    let better = best
-                        .map(|(_, b)| (a.pred, a.other, a.edge) < (b.pred, b.other, b.edge))
-                        .unwrap_or(true);
-                    if better {
-                        best = Some((i, a));
+                    let k = key(&s[pos[i]]);
+                    if best.as_ref().is_none_or(|(_, b)| k < *b) {
+                        best = Some((i, k));
                     }
                 }
             }
             match best {
-                Some((i, a)) => {
+                Some((i, _)) => {
+                    f(runs[i][pos[i]]);
                     pos[i] += 1;
-                    f(a);
                 }
                 None => break,
             }
         }
+    }
+
+    /// Per-layer `(pred, other, edge)`-sorted adjacency slices, merged —
+    /// the exact order a fresh [`FrozenView::freeze`] CSR segment has.
+    fn merge_adj(&self, slices: &[&[Adj]], f: impl FnMut(Adj)) {
+        self.merge_runs(slices, |a| (a.pred, a.other, a.edge), |a| a.edge, f);
     }
 
     fn out_slices(&self, v: VertexId) -> Vec<&[Adj]> {

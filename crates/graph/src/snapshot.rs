@@ -41,9 +41,8 @@ const COMPACT_VERSION: u32 = 1;
 
 /// Bytes of an edge record's fixed fields (src, pred, dst, timestamp,
 /// confidence, provenance doc id), before its tombstone flag and
-/// properties. Shared with the delta-overlay frame, which writes the same
-/// fields.
-pub(crate) const EDGE_FIXED_BYTES: usize = 4 + 4 + 4 + 8 + 4 + 8;
+/// properties.
+const EDGE_FIXED_BYTES: usize = 4 + 4 + 4 + 8 + 4 + 8;
 
 fn put_prop_value(buf: &mut Vec<u8>, v: &PropValue) {
     match v {
@@ -107,7 +106,7 @@ fn read_prop_value(r: &mut Reader<'_>) -> Result<PropValue, SnapshotError> {
     })
 }
 
-pub(crate) fn put_prop_map(buf: &mut Vec<u8>, props: &PropMap) {
+fn put_prop_map(buf: &mut Vec<u8>, props: &PropMap) {
     codec::put_u32(buf, props.len() as u32);
     for (k, v) in props.iter() {
         codec::put_str(buf, k);
@@ -115,7 +114,7 @@ pub(crate) fn put_prop_map(buf: &mut Vec<u8>, props: &PropMap) {
     }
 }
 
-pub(crate) fn read_prop_map(r: &mut Reader<'_>) -> Result<PropMap, SnapshotError> {
+fn read_prop_map(r: &mut Reader<'_>) -> Result<PropMap, SnapshotError> {
     let n = r
         .count(5, "property map length")
         .map_err(|_| SnapshotError::Corrupt("truncated property map"))?;

@@ -1,4 +1,4 @@
-//! Randomized equivalence for the layered snapshot (ISSUE 6 tentpole).
+//! Randomized equivalence for the layered snapshot.
 //!
 //! A [`LayeredSnapshot`] — base plus however many delta overlays a random
 //! publish/compact interleaving left stacked — must be observationally
@@ -6,20 +6,24 @@
 //! the whole [`GraphView`] surface plus the time-range scan. The scripts
 //! interleave every mutation the live graph supports (edge adds, edge
 //! removals, vertex minting, label rewrites, predicate minting) with the
-//! publication events the session triggers (delta capture, compaction)
-//! and the one history rewrite that must force the `DeltaStale` full
-//! rebuild (`DynamicGraph::compact`).
+//! publication events the session triggers: delta capture, and a
+//! compaction that folds the published layers
+//! ([`FrozenView::from_layers`]) while more overlays land, then rebases
+//! them onto the folded base ([`LayeredSnapshot::rebase`]). The one
+//! history rewrite (`DynamicGraph::compact`) must force the `DeltaStale`
+//! full rebuild, and a fold in flight across it must be discarded.
 
 use nous_graph::{
     DeltaStale, DynamicGraph, Edge, FrozenView, GraphView, LayeredSnapshot, Provenance,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// One scripted step: `(kind, a, b, p, dt)`. `kind` selects the
 /// operation; the rest parameterize it (vertex/edge/predicate selectors
 /// and a timestamp delta).
 fn script() -> impl Strategy<Value = Vec<(u8, u8, u8, u8, u8)>> {
-    prop::collection::vec((0u8..16, 0u8..24, 0u8..24, 0u8..5, 0u8..4), 1..120)
+    prop::collection::vec((0u8..18, 0u8..24, 0u8..24, 0u8..5, 0u8..4), 1..120)
 }
 
 /// Compare every observable the read path uses. Returns `Err` (not a
@@ -107,26 +111,34 @@ fn check_equiv(layered: &LayeredSnapshot, g: &DynamicGraph) -> Result<(), TestCa
 /// Re-publish the layered snapshot against the current graph: the O(delta)
 /// overlay chain when the history is intact, the full rebuild when a log
 /// compaction invalidated the stack (exactly what the session does).
-fn publish(snap: &LayeredSnapshot, g: &DynamicGraph) -> LayeredSnapshot {
+/// Also says whether it rebuilt.
+fn publish(snap: &LayeredSnapshot, g: &DynamicGraph) -> (LayeredSnapshot, bool) {
     match snap
         .capture_delta(g)
         .and_then(|overlay| snap.with_overlay(overlay))
     {
-        Ok(next) => next,
-        Err(DeltaStale) => LayeredSnapshot::freeze(g),
+        Ok(next) => (next, false),
+        Err(DeltaStale) => (LayeredSnapshot::freeze(g), true),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any interleaving of mutations with publish/compact events yields a
-    /// layered snapshot indistinguishable from a fresh freeze.
+    /// Any interleaving of mutations with publish/fold/install events
+    /// yields a layered snapshot indistinguishable from a fresh freeze,
+    /// and every fold is identical to a fresh freeze at its watermark.
     #[test]
     fn layered_snapshot_equivalent_to_fresh_freeze(ops in script()) {
         let mut g = DynamicGraph::new();
         let mut t = 1u64;
         let mut snap = LayeredSnapshot::freeze(&g);
+        // The graph as of `snap`'s watermark.
+        let mut published = g.clone();
+        // A fold in flight: the stack it read and its result, and whether
+        // a full rebuild or another compaction replaced that stack since.
+        let mut in_flight: Option<(LayeredSnapshot, FrozenView)> = None;
+        let mut superseded = false;
         for (kind, a, b, p, dt) in ops {
             match kind {
                 // Adds dominate, matching real ingest traffic.
@@ -166,23 +178,62 @@ proptest! {
                         g.set_label(v, &format!("L{b}"));
                     }
                 }
-                12 | 13 => snap = publish(&snap, &g),
-                14 => snap = LayeredSnapshot::freeze(&g), // compaction
-                _ => {
-                    // Rare history rewrite: the next publish must take the
-                    // DeltaStale full-rebuild path, not serve stale ids.
-                    if b < 48 {
-                        g.compact();
+                12 | 13 => {
+                    let (next, rebuilt) = publish(&snap, &g);
+                    snap = next;
+                    superseded |= rebuilt;
+                    published = g.clone();
+                    check_equiv(&snap, &g)?;
+                }
+                14 => {
+                    // Fold the published layers, without the graph.
+                    let folded = FrozenView::from_layers(&snap);
+                    prop_assert!(
+                        folded == FrozenView::freeze(&published),
+                        "fold of {} layers differs from a fresh freeze",
+                        snap.layer_count()
+                    );
+                    if in_flight.is_none() {
+                        // Overlays keep landing until the install.
+                        in_flight = Some((snap.clone(), folded));
+                        superseded = false;
+                    } else {
+                        // A second compaction installs first.
+                        snap = snap.rebase(&snap, Arc::new(folded)).expect("a stack extends itself");
+                        prop_assert!(snap.is_compacted());
+                        superseded = true;
+                        check_equiv(&snap, &published)?;
                     }
                 }
-            }
-            if kind == 12 || kind == 13 || kind == 14 {
-                check_equiv(&snap, &g)?;
+                15 | 16 => {
+                    // Install the fold in flight over what landed since.
+                    if let Some((from, folded)) = in_flight.take() {
+                        match snap.rebase(&from, Arc::new(folded)) {
+                            Some(next) => {
+                                prop_assert!(!superseded, "rebased over a replaced stack");
+                                prop_assert_eq!(
+                                    next.layer_count(),
+                                    snap.layer_count() - from.layer_count()
+                                );
+                                snap = next;
+                                check_equiv(&snap, &published)?;
+                            }
+                            None => prop_assert!(superseded, "discarded a fold it could rebase"),
+                        }
+                    }
+                }
+                _ => {
+                    // History rewrite: the next publish must take the
+                    // DeltaStale full-rebuild path, not serve stale ids.
+                    g.compact();
+                }
             }
         }
-        let last = publish(&snap, &g);
+        let (last, _) = publish(&snap, &g);
         check_equiv(&last, &g)?;
-        // And a compaction of whatever stack remains is still equivalent.
-        check_equiv(&LayeredSnapshot::freeze(&g), &g)?;
+        // And a fold of whatever stack remains is still equivalent.
+        let folded = FrozenView::from_layers(&last);
+        prop_assert!(folded == FrozenView::freeze(&g), "final fold");
+        check_equiv(&last.rebase(&last, Arc::new(folded)).unwrap(), &g)?;
     }
 }

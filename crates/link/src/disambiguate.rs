@@ -12,7 +12,10 @@
 //!
 //! Two types split that state by who reads it. [`AliasResolver`] is what
 //! *serving* reads — alias table, canonical names, popularity — and is
-//! what gets cloned to publish the linker to lock-free readers.
+//! what gets cloned to publish the linker to lock-free readers. A clone
+//! shares the identity and alias tables (they change only when an entity
+//! is minted, and are copied on write then) and copies the popularity
+//! values, which every admitted fact moves.
 //! [`Disambiguator`] is the live engine ingestion writes: an
 //! `AliasResolver` plus the one context bag per entity that only mention
 //! resolution *with* a context ever reads, and that is never cloned.
@@ -22,6 +25,7 @@ use crate::normalize::alias_key;
 use nous_text::bow::BagOfWords;
 use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One linkable entity with its disambiguation context — the form entities
 /// are registered and persisted in.
@@ -72,17 +76,24 @@ struct Identity {
     aliases: Vec<String>,
 }
 
-/// Alias resolution without a mention context: everything the query path
-/// reads of the linker. A clone is a deep copy of names, aliases, the
-/// alias table and popularity — O(entities + alias keys), no context bag —
-/// and so keeps answering from the epoch it was taken at.
-#[derive(Debug, Clone)]
-pub struct AliasResolver {
+/// What a mint changes: the registered identities and the alias table.
+#[derive(Debug, Clone, Default)]
+struct Tables {
     identities: Vec<Identity>,
-    /// Popularity prior source per record — typically the vertex degree.
-    popularity: Vec<f64>,
     /// Lower-cased alias → record indexes (ascending).
     alias_index: HashMap<String, Vec<usize>>,
+}
+
+/// Alias resolution without a mention context: everything the query path
+/// reads of the linker. A clone copies the popularity values and shares
+/// the identity and alias tables, which the live engine copies before it
+/// next mints into them — so a clone keeps answering from the epoch it
+/// was taken at. No context bag is ever part of it.
+#[derive(Debug, Clone)]
+pub struct AliasResolver {
+    tables: Arc<Tables>,
+    /// Popularity prior source per record — typically the vertex degree.
+    popularity: Vec<f64>,
     /// Weight of the context-similarity term (prior gets `1 - w`).
     context_weight: f64,
     /// Monotone counter of mutations to anything above. Equal versions on
@@ -99,32 +110,39 @@ impl AliasResolver {
     }
 
     pub fn len(&self) -> usize {
-        self.identities.len()
+        self.tables.identities.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.identities.is_empty()
+        self.tables.identities.is_empty()
     }
 
-    /// Records, popularity values and alias-table keys held: what one
-    /// clone copies.
-    pub fn elements(&self) -> usize {
-        self.identities.len() + self.popularity.len() + self.alias_index.len()
+    /// Elements copied to publish this resolver when `prev` was the one
+    /// published before: every popularity value (the clone copies them),
+    /// plus every record and alias-table key if a mint since `prev` had
+    /// to copy the tables away from it.
+    pub fn copied_since(&self, prev: &AliasResolver) -> usize {
+        let tables = if Arc::ptr_eq(&self.tables, &prev.tables) {
+            0
+        } else {
+            self.tables.identities.len() + self.tables.alias_index.len()
+        };
+        self.popularity.len() + tables
     }
 
     /// Caller-side identifier of record `idx`.
     pub fn id(&self, idx: usize) -> u32 {
-        self.identities[idx].id
+        self.tables.identities[idx].id
     }
 
     /// Canonical name of record `idx`.
     pub fn name(&self, idx: usize) -> &str {
-        &self.identities[idx].name
+        &self.tables.identities[idx].name
     }
 
     /// Aliases record `idx` was registered under.
     pub fn aliases(&self, idx: usize) -> &[String] {
-        &self.identities[idx].aliases
+        &self.tables.identities[idx].aliases
     }
 
     pub fn popularity(&self, idx: usize) -> f64 {
@@ -133,7 +151,8 @@ impl AliasResolver {
 
     /// Candidate record indexes for a (normalised) mention surface.
     pub fn candidates(&self, surface: &str) -> &[usize] {
-        self.alias_index
+        self.tables
+            .alias_index
             .get(&alias_key(surface))
             .map_or(&[], Vec::as_slice)
     }
@@ -159,7 +178,7 @@ impl AliasResolver {
             return None;
         }
         if cands.len() == 1 {
-            let r = &self.identities[cands[0]];
+            let r = &self.tables.identities[cands[0]];
             return Some(Resolution {
                 id: r.id,
                 name: r.name.clone(),
@@ -191,7 +210,7 @@ impl AliasResolver {
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
         let (best, best_score) = scored[0];
         let margin = best_score - scored.get(1).map(|x| x.1).unwrap_or(0.0);
-        let r = &self.identities[best];
+        let r = &self.tables.identities[best];
         Some(Resolution {
             id: r.id,
             name: r.name.clone(),
@@ -227,9 +246,8 @@ impl Disambiguator {
     fn over(contexts: ContextStore) -> Self {
         Self {
             served: AliasResolver {
-                identities: Vec::new(),
+                tables: Arc::default(),
                 popularity: Vec::new(),
-                alias_index: HashMap::new(),
                 context_weight: 0.7,
                 version: 0,
             },
@@ -280,17 +298,6 @@ impl Disambiguator {
         self.served.is_empty()
     }
 
-    /// Record `idx` in the form it was registered in (a copy).
-    pub fn record(&self, idx: usize) -> EntityRecord {
-        EntityRecord {
-            id: self.served.id(idx),
-            name: self.served.name(idx).to_owned(),
-            aliases: self.served.aliases(idx).to_vec(),
-            context: self.context(idx),
-            popularity: self.served.popularity(idx),
-        }
-    }
-
     /// The context bag of record `idx`, spelled out (a copy: the engine
     /// keeps contexts over an interned term table).
     pub fn context(&self, idx: usize) -> BagOfWords {
@@ -324,14 +331,17 @@ impl Disambiguator {
     /// Fold additional context into an entity's bag (dynamic updates as
     /// the KG gains neighbours) and bump its popularity. O(1) in the
     /// number of records — this runs four times per admitted fact.
-    pub fn update_context(&mut self, id: u32, extra: &BagOfWords, popularity_delta: f64) {
-        if let Some(&idx) = self.id_index.get(&id) {
-            self.contexts.merge(idx, extra);
-            if popularity_delta != 0.0 {
-                self.served.popularity[idx] += popularity_delta;
-                self.served.version += 1;
-            }
+    /// Returns whether `id` is registered (nothing changes if not).
+    pub fn update_context(&mut self, id: u32, extra: &BagOfWords, popularity_delta: f64) -> bool {
+        let Some(&idx) = self.id_index.get(&id) else {
+            return false;
+        };
+        self.contexts.merge(idx, extra);
+        if popularity_delta != 0.0 {
+            self.served.popularity[idx] += popularity_delta;
+            self.served.version += 1;
         }
+        true
     }
 
     /// Register a brand-new entity discovered at ingestion time.
@@ -341,19 +351,22 @@ impl Disambiguator {
     }
 
     /// Everything of `insert` but the context, which the caller has pushed.
+    /// Copies the identity and alias tables first if a published clone
+    /// still shares them.
     fn register(&mut self, record: EntityRecord) {
         let idx = self.served.len();
+        let tables = Arc::make_mut(&mut self.served.tables);
         for a in &record.aliases {
             // Indexes arrive in ascending order, so a repeat of the key
             // within one record is always the last push.
-            let idxs = self.served.alias_index.entry(a.to_lowercase()).or_default();
+            let idxs = tables.alias_index.entry(a.to_lowercase()).or_default();
             if idxs.last() != Some(&idx) {
                 idxs.push(idx);
             }
         }
         self.id_index.entry(record.id).or_insert(idx);
         self.served.popularity.push(record.popularity);
-        self.served.identities.push(Identity {
+        tables.identities.push(Identity {
             id: record.id,
             name: record.name,
             aliases: record.aliases,
@@ -565,10 +578,14 @@ mod tests {
                 popularity: 0.0,
             },
         ]);
-        d.update_context(5, &bow(&[("drone", 2)]), 3.0);
-        assert_eq!(d.record(0).popularity, 3.0);
-        assert_eq!(d.record(0).context.count("drone"), 2);
-        assert_eq!(d.record(1).popularity, 0.0);
+        assert!(d.update_context(5, &bow(&[("drone", 2)]), 3.0));
+        assert_eq!(d.served().popularity(0), 3.0);
+        assert_eq!(d.context(0).count("drone"), 2);
+        assert_eq!(d.served().popularity(1), 0.0);
+        assert!(
+            !d.update_context(6, &bow(&[("drone", 2)]), 3.0),
+            "unknown id"
+        );
     }
 
     fn numbered(i: u32) -> EntityRecord {
@@ -616,7 +633,27 @@ mod tests {
         assert_eq!(d.candidates("Entity 100"), &[100]);
         assert_eq!(published.popularity(50), 0.0);
         assert_eq!(d.served().popularity(50), 1.0);
-        assert_eq!(d.served().elements(), published.elements() + 3);
+    }
+
+    #[test]
+    fn clones_share_tables_until_a_mint() {
+        let mut d = Disambiguator::new((0..10).map(numbered).collect());
+        let published = d.served().clone();
+        // Popularity moves copy nothing but the popularity values.
+        d.update_context(3, &bow(&[("drone", 1)]), 2.0);
+        assert_eq!(d.served().copied_since(&published), 10);
+        let again = d.served().clone();
+        // The first mint copies the tables away from both clones; a
+        // publish now also counts that copy: 11 records, 11 + 7 alias keys
+        // (each name plus the shared `E{i % 7}`), 11 popularity values.
+        d.insert(numbered(10));
+        assert_eq!(d.served().copied_since(&again), 11 + 11 + 7 + 11);
+        // The second mint writes the now unshared tables in place; the
+        // one copy since `again` is still the publish's to count.
+        d.insert(numbered(11));
+        assert_eq!(d.served().copied_since(&again), 12 + 12 + 7 + 12);
+        assert!(again.candidates("Entity 10").is_empty());
+        assert_eq!(published.popularity(3), 0.0);
     }
 
     #[test]
@@ -639,10 +676,16 @@ mod tests {
         let mut d = apex_world();
         d.update_context(1, &bow(&[("airspace", 6), ("drone", 1)]), 2.0);
         let stored = |d: &Disambiguator| -> Vec<(EntityRecord, Vec<(u32, u32)>)> {
+            let served = d.served();
             (0..d.len())
                 .map(|i| {
-                    let mut r = d.record(i);
-                    r.context = BagOfWords::new();
+                    let r = EntityRecord {
+                        id: served.id(i),
+                        name: served.name(i).to_owned(),
+                        aliases: served.aliases(i).to_vec(),
+                        context: BagOfWords::new(),
+                        popularity: served.popularity(i),
+                    };
                     (r, d.context_entries(i).to_vec())
                 })
                 .collect()

@@ -66,12 +66,10 @@
 //! # }
 //! ```
 
-pub mod compaction;
 pub mod record;
 pub mod store;
 pub mod wal;
 
-pub use compaction::wire_compaction_checkpoints;
 pub use record::DocRecord;
 pub use store::{
     AckHook, DegradedMode, DurabilityConfig, DurableStore, Recovered, RetryPolicy,

@@ -6,9 +6,9 @@
 //! with every entity's context bag (which grows with every admitted
 //! fact), and every mapper expansion rebuilt its known pairs from all
 //! edges and recounted all stashed triples. Publishing now copies the
-//! context-free resolver — names, alias-table keys, popularity values:
-//! proportional to the entities, not to the facts — and expansion costs
-//! what arrived since the last time. Both count their work on the shared
+//! context-free resolver's popularity values, and its name and alias
+//! tables only after a mint: proportional to the entities, not to the
+//! facts — and expansion costs what arrived since the last time. Both count their work on the shared
 //! registry (so `/stats` shows it). Over a 4 000-document stream the last
 //! quarter's work must be within 1.25× of the first quarter's.
 
