@@ -317,15 +317,10 @@ impl KnowledgeGraph {
     /// Show `expansion` what happened to the graph's edges since it last
     /// looked: the edges of the log suffix that are live now as
     /// appearances, removals of edges it had seen as tombstones. O(that
-    /// delta) — after a history rewrite (log compaction) the delta is the
-    /// whole log.
+    /// delta).
     fn observe_graph_delta(&mut self) {
         let g = &self.graph;
-        let mut seen = self.expansion_seen;
-        if seen.structure_version != g.structure_version() {
-            self.expansion.forget_edges();
-            seen = DeltaWatermark::default();
-        }
+        let seen = self.expansion_seen;
         let mut observe = |id: nous_graph::EdgeId, live| {
             let e = g.edge(id);
             self.expansion

@@ -21,7 +21,9 @@
 //! single base [`nous_graph::FrozenView`] when it grows past the
 //! configured thresholds ([`CompactionConfig`]). It folds the published
 //! layers themselves, never the graph, so it takes no graph lock and
-//! ingestion never waits on it.
+//! ingestion never waits on it. One fold runs at a time, under the
+//! session's fold lock; publishing only pushes overlays, so a fold
+//! always installs under whatever was published while it ran.
 //!
 //! The lock-free query path ([`SharedSession::frozen`]) is one short
 //! mutex-protected `Arc` clone — readers then run entirely against
@@ -112,7 +114,6 @@ struct SessionMetrics {
     snapshot_published: Counter,
     snapshot_layers: Gauge,
     snapshot_delta_permille: Gauge,
-    snapshot_full_rebuilds: Counter,
     resolver_copied: Counter,
     compaction_seconds: Histogram,
     compactions: Counter,
@@ -182,10 +183,6 @@ impl SessionMetrics {
                 "Overlay edges as a permille of live edges in the published snapshot",
                 &[],
             ),
-            snapshot_full_rebuilds: registry.counter(
-                "nous_snapshot_full_rebuilds_total",
-                "Publishes that fell back to a full freeze (graph history rewritten)",
-            ),
             resolver_copied: registry.counter(
                 "nous_resolver_copied_elements_total",
                 "Resolver records, alias-table keys and popularity values copied into \
@@ -215,17 +212,6 @@ impl SessionMetrics {
 /// keeps serving.
 pub const FP_SESSION_COMPACT: &str = "session.compact";
 
-/// How one fold of a published stack ended.
-enum Fold {
-    /// The folded base now serves (or the stack was already one base).
-    Installed,
-    /// An injected `session.compact` fault aborted it.
-    Aborted,
-    /// A full rebuild or another compaction replaced the stack while it
-    /// folded; the fold was discarded.
-    Superseded,
-}
-
 /// Resets the in-flight compaction flag even if compaction unwinds.
 struct CompactingGuard(Arc<AtomicBool>);
 
@@ -246,6 +232,9 @@ pub struct SharedSession {
     snapshot: Arc<Mutex<Arc<FrozenSnapshot>>>,
     compaction: Arc<Mutex<CompactionConfig>>,
     compacting: Arc<AtomicBool>,
+    /// Held by a fold from reading the published stack until its
+    /// install, so no fold ever replaces the stack another one read.
+    fold: Arc<Mutex<()>>,
     faults: Arc<Mutex<Faults>>,
     metrics: SessionMetrics,
 }
@@ -284,6 +273,7 @@ impl SharedSession {
             snapshot: Arc::new(Mutex::new(Arc::new(initial))),
             compaction: Arc::new(Mutex::new(CompactionConfig::default())),
             compacting: Arc::new(AtomicBool::new(false)),
+            fold: Arc::new(Mutex::new(())),
             faults: Arc::new(Mutex::new(Faults::disabled())),
             metrics,
         }
@@ -311,10 +301,7 @@ impl SharedSession {
     ///
     /// Cost is O(facts since the previous epoch + entities), not O(graph).
     /// The graph: the new epoch freezes only the delta into an overlay
-    /// chained onto the published stack; a full rebuild happens only when
-    /// the graph's history was rewritten underneath the stack
-    /// (structure-version bump, e.g. an explicit log compaction) — counted
-    /// on `nous_snapshot_full_rebuilds_total`. The resolver: when its
+    /// chained onto the published stack. The resolver: when its
     /// version moved (any admitted fact moves it) the epoch gets a clone
     /// of [`nous_link::Disambiguator::served`], which copies the
     /// popularity values (one `f64` per entity) and shares the identity
@@ -342,17 +329,7 @@ impl SharedSession {
             // Only topics/resolver moved; keep the graph layers as-is.
             prev.view.clone()
         } else {
-            match prev
-                .view
-                .capture_delta(&kg.graph)
-                .and_then(|overlay| prev.view.with_overlay(overlay))
-            {
-                Ok(view) => view,
-                Err(nous_graph::DeltaStale) => {
-                    m.snapshot_full_rebuilds.inc();
-                    LayeredSnapshot::freeze(&kg.graph)
-                }
-            }
+            prev.view.with_overlay(prev.view.capture_delta(&kg.graph))
         };
         let disambiguator = if resolver.version() == prev.disambiguator.version() {
             prev.disambiguator.clone()
@@ -402,54 +379,44 @@ impl SharedSession {
         let guard = CompactingGuard(self.compacting.clone());
         if cfg.background {
             let session = self.clone();
-            let from = snap.clone();
             let spawned = std::thread::Builder::new()
                 .name("nous-compactor".into())
                 .spawn(move || {
                     let _guard = guard;
-                    session.run_compaction(&from);
+                    session.compact_now();
                 });
             if spawned.is_err() {
                 // Thread spawn failed (resource exhaustion): compact
                 // inline rather than dropping the request.
-                self.run_compaction(&snap);
+                self.compact_now();
             }
         } else {
             let _guard = guard;
-            self.run_compaction(&snap);
+            self.compact_now();
         }
     }
 
     /// Fold the published overlay stack into a fresh single-layer base
-    /// right now, on the calling thread. Returns `true` once the stack
-    /// read at the call is folded into the serving snapshot, and `false`
-    /// when an injected `session.compact` fault aborted the fold (the
-    /// existing layer stack keeps serving, nothing is lost). A fold that
-    /// a concurrent compaction or full rebuild superseded is retried from
-    /// the stack that replaced it. Takes no graph lock: writers and
+    /// right now, on the calling thread, first waiting for any fold
+    /// already running. Returns `true` once the stack read at the call
+    /// is folded into the serving snapshot, and `false` when an injected
+    /// `session.compact` fault aborted the fold (the existing layer stack
+    /// keeps serving, nothing is lost). Takes no graph lock: writers and
     /// readers proceed throughout.
     pub fn compact_now(&self) -> bool {
-        loop {
-            let from = self.snapshot.lock().clone();
-            match self.run_compaction(&from) {
-                Fold::Installed => return true,
-                Fold::Aborted => return false,
-                Fold::Superseded => continue,
-            }
-        }
-    }
-
-    /// Whether a background compaction is currently in flight.
-    pub fn is_compacting(&self) -> bool {
-        self.compacting.load(Ordering::Acquire)
+        let _fold = self.fold.lock();
+        let from = self.snapshot.lock().clone();
+        self.run_compaction(&from)
     }
 
     /// Fold `from`'s layers into one base and install it under whatever
     /// was published on top of `from` in the meantime
-    /// ([`LayeredSnapshot::rebase`]). The fold reads only the immutable
-    /// layers — no graph lock, so ingestion never waits on it; the slot
-    /// mutex is held just for the install.
-    fn run_compaction(&self, from: &FrozenSnapshot) -> Fold {
+    /// ([`LayeredSnapshot::rebase`]). The caller holds the fold lock, so
+    /// `from` is still a prefix of the published stack. The fold reads
+    /// only the immutable layers — no graph lock, so ingestion never
+    /// waits on it; the slot mutex is held just for the install. Returns
+    /// `false` when an injected `session.compact` fault aborted it.
+    fn run_compaction(&self, from: &FrozenSnapshot) -> bool {
         let m = &self.metrics;
         let t0 = m.registry.now_nanos();
         {
@@ -459,17 +426,15 @@ impl SharedSession {
                 // Flight-recorder black box: a failed compaction is one of
                 // the "what just happened" moments the dump hook captures.
                 faults.blackbox("compaction-failed");
-                return Fold::Aborted;
+                return false;
             }
         }
         if from.view.is_compacted() {
-            return Fold::Installed;
+            return true;
         }
         let folded = Arc::new(nous_graph::FrozenView::from_layers(&from.view));
         let mut slot = self.snapshot.lock();
-        let Some(view) = slot.view.rebase(&from.view, folded) else {
-            return Fold::Superseded;
-        };
+        let view = slot.view.rebase(&from.view, folded);
         let epoch = slot.epoch + 1;
         let snap = Arc::new(FrozenSnapshot {
             epoch,
@@ -494,7 +459,7 @@ impl SharedSession {
         m.compaction_seconds
             .observe(m.registry.now_nanos().saturating_sub(t0));
         m.compactions.inc();
-        Fold::Installed
+        true
     }
 
     /// The lock-free read path: clone the currently published snapshot.
@@ -922,6 +887,28 @@ mod tests {
     }
 
     #[test]
+    fn compact_now_waits_for_the_fold_in_flight() {
+        use std::time::Duration;
+
+        let s = stacked(3);
+        let fold = s.fold.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let compactor = {
+            let s = s.clone();
+            std::thread::spawn(move || tx.send(s.compact_now()).unwrap())
+        };
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "compact_now ran beside a fold in flight"
+        );
+        assert_eq!(s.frozen().view.layer_count(), 3);
+        drop(fold);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(60)), Ok(true));
+        compactor.join().unwrap();
+        assert!(s.frozen().view.is_compacted());
+    }
+
+    #[test]
     fn compaction_keeps_overlays_published_while_it_folded() {
         use nous_graph::{FrozenView, GraphView};
 
@@ -933,14 +920,11 @@ mod tests {
             kg.add_extracted_fact(a, "acquired", b, 9, 0.9, 9);
         });
         // The fold of `from` lands under the overlay published since.
-        assert!(matches!(s.run_compaction(&from), Fold::Installed));
+        assert!(s.run_compaction(&from));
         let snap = s.frozen();
         assert_eq!(snap.view.layer_count(), 1);
         assert_eq!(snap.view.live_edge_count(), 3);
         assert_eq!(snap.view.base(), &FrozenView::from_layers(&from.view));
-        // A fold of a stack that was since replaced is discarded.
-        assert!(matches!(s.run_compaction(&from), Fold::Superseded));
-        assert_eq!(s.frozen().epoch, snap.epoch);
         let registry = s.metrics();
         assert_eq!(
             registry.counter_value("nous_compactions_total", &[]),

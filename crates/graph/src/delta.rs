@@ -11,25 +11,16 @@
 //! that is the whole point: [`crate::LayeredSnapshot`] stacks overlays on
 //! a frozen base so publication cost tracks batch size while the paper's
 //! continuous-query surface keeps serving.
+//!
+//! Every log a watermark counts only grows over the graph's life (an
+//! [`EdgeId`] is a log position forever), so a watermark taken on a
+//! graph always chains onto its later states. One ahead of the graph
+//! can only come from another graph, and capture rejects it with a panic.
 
 use crate::edge::Edge;
 use crate::graph::{Adj, DeltaWatermark, DynamicGraph};
 use crate::hash::FxHashMap;
 use crate::ids::{EdgeId, PredicateId, Timestamp, VertexId};
-
-/// Capture failed because the graph's id space moved on (it compacted or
-/// was rebuilt from a serialised form) since the watermark was taken. The
-/// caller must fall back to a full [`crate::FrozenView::freeze`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaStale;
-
-impl std::fmt::Display for DeltaStale {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "graph structure changed since the delta watermark")
-    }
-}
-
-impl std::error::Error for DeltaStale {}
 
 /// One immutable increment of graph history: everything admitted,
 /// retracted or relabelled between `from` and `to`.
@@ -73,13 +64,18 @@ pub struct DeltaOverlay {
 impl DeltaOverlay {
     /// Capture everything that changed in `g` since `since`. O(window):
     /// scans only the log suffix, the removal/label log suffixes and the
-    /// interner suffixes. Fails with [`DeltaStale`] when `g` compacted or
-    /// rebuilt after `since` was taken.
-    pub fn capture(g: &DynamicGraph, since: DeltaWatermark) -> Result<Self, DeltaStale> {
+    /// interner suffixes. Panics when `since` is ahead of `g`: it was
+    /// taken on another graph, since every log of this one only grows.
+    pub fn capture(g: &DynamicGraph, since: DeltaWatermark) -> Self {
         let to = g.watermark();
-        if to.structure_version != since.structure_version || to < since {
-            return Err(DeltaStale);
-        }
+        assert!(
+            since.log_len <= to.log_len
+                && since.removal_log_len <= to.removal_log_len
+                && since.label_log_len <= to.label_log_len
+                && since.vertex_count <= to.vertex_count
+                && since.predicate_count <= to.predicate_count,
+            "delta watermark {since:?} is ahead of the graph at {to:?}"
+        );
 
         let log = g.edge_log();
         let window = to.log_len - since.log_len;
@@ -150,7 +146,7 @@ impl DeltaOverlay {
             }
         }
 
-        Ok(Self {
+        Self {
             from: since,
             to,
             ids,
@@ -167,7 +163,7 @@ impl DeltaOverlay {
             new_predicate_names,
             new_predicate_index,
             max_timestamp: g.now(),
-        })
+        }
     }
 
     /// The watermark this overlay extends (its stack predecessor's `to`).
@@ -319,7 +315,7 @@ mod tests {
         g.remove_edge(e3); // in-window add+remove -> vanishes entirely
         g.set_label(VertexId(1), "Company"); // pre-window vertex -> fixup
 
-        let d = DeltaOverlay::capture(&g, w).expect("watermark valid");
+        let d = DeltaOverlay::capture(&g, w);
         assert_eq!(d.added_count(), 1);
         assert_eq!(d.tombstones(), &[EdgeId(0)]);
         assert!(d.edge(e2).is_some());
@@ -345,20 +341,18 @@ mod tests {
     #[test]
     fn empty_window_captures_empty_overlay() {
         let g = base_graph();
-        let d = DeltaOverlay::capture(&g, g.watermark()).unwrap();
+        let d = DeltaOverlay::capture(&g, g.watermark());
         assert!(d.is_empty());
         assert_eq!(d.added_count(), 0);
         assert_eq!(d.from_watermark(), d.to_watermark());
     }
 
     #[test]
-    fn capture_after_compaction_is_stale() {
-        let mut g = base_graph();
-        let w = g.watermark();
-        g.remove_edge(EdgeId(0));
-        g.compact();
-        assert!(matches!(DeltaOverlay::capture(&g, w), Err(DeltaStale)));
-        // A fresh watermark works again.
-        assert!(DeltaOverlay::capture(&g, g.watermark()).is_ok());
+    #[should_panic(expected = "ahead of the graph")]
+    fn capture_rejects_a_watermark_ahead_of_the_graph() {
+        let g = base_graph();
+        let mut ahead = base_graph();
+        ahead.remove_edge(EdgeId(0));
+        DeltaOverlay::capture(&g, ahead.watermark());
     }
 }

@@ -498,7 +498,6 @@ mod tests {
         let owns = g.predicate_id("owns").unwrap();
         g.add_edge_at(VertexId(0), owns, d, 9, 1.0, Provenance::Curated);
         g.remove_edge(EdgeId(0));
-        g.compact();
         assert_eq!(f.vertex_count(), 3);
         assert_eq!(f.live_edge_count(), 4);
         assert_eq!(f.pred_postings(f.predicate_id("owns").unwrap()), before);

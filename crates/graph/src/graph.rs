@@ -75,24 +75,16 @@ pub struct DynamicGraph {
     /// consumed as a suffix by the delta capture so overlays can patch
     /// labels of vertices that predate them.
     label_log: Vec<VertexId>,
-    /// Bumped whenever edge ids are re-assigned or in-process logs reset
-    /// ([`DynamicGraph::compact`]).
-    /// Delta capture refuses to span a version change — the caller falls
-    /// back to a full freeze.
-    structure_version: u64,
     live_edges: usize,
     max_timestamp: Timestamp,
 }
 
 /// A point in a [`DynamicGraph`]'s mutation history, recorded by a
 /// published snapshot so the next publish can capture only what changed
-/// since. All counters are monotone within one `structure_version`, and
-/// the derived lexicographic order ranks any two watermarks of the same
-/// graph by recency (the version is the most significant component and
-/// only ever grows).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+/// since. Every counter only grows: the logs are append-only for the
+/// life of the graph.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaWatermark {
-    pub structure_version: u64,
     pub log_len: usize,
     pub removal_log_len: usize,
     pub label_log_len: usize,
@@ -238,20 +230,9 @@ impl DynamicGraph {
         true
     }
 
-    /// Length of the removal log (ids tombstoned since construction or
-    /// the last [`DynamicGraph::compact`]).
-    pub fn removal_log_len(&self) -> usize {
-        self.removal_log.len()
-    }
-
     /// Removal-log suffix: ids tombstoned since `since`.
     pub fn removals_since(&self, since: usize) -> &[EdgeId] {
         &self.removal_log[since.min(self.removal_log.len())..]
-    }
-
-    /// Length of the label-change log.
-    pub fn label_log_len(&self) -> usize {
-        self.label_log.len()
     }
 
     /// Label-log suffix: vertices relabelled since `since` (may repeat).
@@ -259,17 +240,10 @@ impl DynamicGraph {
         &self.label_log[since.min(self.label_log.len())..]
     }
 
-    /// Current id-stability generation; see `structure_version` on
-    /// [`DeltaWatermark`].
-    pub fn structure_version(&self) -> u64 {
-        self.structure_version
-    }
-
     /// The graph's current mutation watermark, recorded at publish time
     /// so the next publish can capture a delta instead of re-freezing.
     pub fn watermark(&self) -> DeltaWatermark {
         DeltaWatermark {
-            structure_version: self.structure_version,
             log_len: self.edges.len(),
             removal_log_len: self.removal_log.len(),
             label_log_len: self.label_log.len(),
@@ -473,41 +447,6 @@ impl DynamicGraph {
             }
         }
         g
-    }
-
-    // ---- maintenance ----------------------------------------------------
-
-    /// Compact the edge log: physically drop tombstoned edges and rebuild
-    /// adjacency and indexes. Edge ids are *not* stable across compaction
-    /// (they are log positions); callers holding `EdgeId`s must re-resolve.
-    /// Returns the number of edges dropped.
-    pub fn compact(&mut self) -> usize {
-        let dropped = self.edges.len() - self.live_edges;
-        if dropped == 0 {
-            return 0;
-        }
-        // Ids are about to be re-assigned: logs keyed by the old id space
-        // reset, and the version bump tells delta captures to re-freeze.
-        self.structure_version += 1;
-        self.removal_log.clear();
-        self.label_log.clear();
-        let old_edges = std::mem::take(&mut self.edges);
-        let old_dead = std::mem::take(&mut self.dead);
-        for adj in self.out_adj.iter_mut().chain(self.in_adj.iter_mut()) {
-            adj.clear();
-        }
-        self.triple_index.clear();
-        self.pred_postings.clear();
-        self.live_edges = 0;
-        for (e, dead) in old_edges.into_iter().zip(old_dead) {
-            if !dead {
-                self.add_edge(e);
-            }
-        }
-        // Re-adding compares against the pre-compaction max timestamp, so
-        // recompute monotonicity from the surviving log directly.
-        self.saw_out_of_order = self.edges.windows(2).any(|w| w[1].at < w[0].at);
-        dropped
     }
 
     /// Interner access for [`crate::FrozenView`] construction (cloning the
@@ -770,66 +709,12 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_tombstones_and_preserves_live_structure() {
-        let (mut g, a, b, c, owns, near) = tiny();
-        let id = g.edges_matching(a, owns, b).next().unwrap();
-        g.remove_edge(id);
-        let stats_before = g.stats();
-        assert_eq!(g.compact(), 1);
-        assert_eq!(g.log_len(), 2, "log physically shrank");
-        let stats_after = g.stats();
-        assert_eq!(stats_after.tombstoned_edges, 0, "tombstones gone");
-        assert_eq!(
-            GraphStats {
-                tombstoned_edges: 0,
-                ..stats_before
-            },
-            stats_after,
-            "live view unchanged"
-        );
-        assert!(!g.has_triple(a, owns, b));
-        assert!(g.has_triple(b, near, c));
-        assert!(g.has_triple(a, near, c));
-        assert_eq!(g.compact(), 0, "second compaction is a no-op");
-    }
-
-    #[test]
-    fn compact_preserves_timestamps_and_confidence() {
-        let (mut g, a, _b, c, _owns, near) = tiny();
-        let keep = g.edges_matching(a, near, c).next().unwrap();
-        let (at, conf) = {
-            let e = g.edge(keep);
-            (e.at, e.confidence)
-        };
-        let other: Vec<_> = g
-            .iter_edges()
-            .map(|(id, _)| id)
-            .filter(|&i| i != keep)
-            .collect();
-        for id in other {
-            g.remove_edge(id);
-        }
-        g.compact();
-        let (_, e) = g.iter_edges().next().unwrap();
-        assert_eq!(e.at, at);
-        assert_eq!(e.confidence, conf);
-    }
-
-    #[test]
     fn predicate_postings_serve_find_in_log_order() {
-        let (mut g, a, b, c, _owns, near) = tiny();
+        let (mut g, .., near) = tiny();
         // Log order, filtered to `near`: edge 1 (b→c), edge 2 (a→c).
         assert_eq!(g.find(None, Some(near), None), vec![EdgeId(1), EdgeId(2)]);
         g.remove_edge(EdgeId(1));
         assert_eq!(g.find(None, Some(near), None), vec![EdgeId(2)]);
-        // Compaction rebuilds the postings over the surviving log.
-        g.compact();
-        let near = g.predicate_id("near").unwrap();
-        let hits = g.find(None, Some(near), None);
-        assert_eq!(hits.len(), 1);
-        let e = g.edge(hits[0]);
-        assert_eq!((e.src, e.dst), (a, c));
-        assert!(!g.has_triple(b, near, c));
     }
 
     #[test]
@@ -844,12 +729,6 @@ mod tests {
         assert!(!g.time_monotone());
         assert_eq!(g.edges_in_range(1, 1).count(), 2);
         assert_eq!(g.edges_in_range(2, 3).count(), 2);
-        // Compaction re-derives the flag from the (still unsorted) log:
-        // the surviving order is at=2, at=3, at=1, still out of order.
-        g.remove_edge(EdgeId(0));
-        g.compact();
-        assert!(!g.time_monotone());
-        assert_eq!(g.edges_in_range(1, 1).count(), 1);
     }
 
     #[test]
@@ -886,17 +765,12 @@ mod tests {
         g.remove_edge(id); // double-remove must not log twice
         g.set_label(b, "Company");
         let w1 = g.watermark();
-        assert!(w1 > w0, "watermarks are recency-ordered");
+        assert_eq!(
+            (w1.log_len, w1.removal_log_len, w1.label_log_len),
+            (3, 1, 1),
+            "the logs only grow"
+        );
         assert_eq!(g.removals_since(w0.removal_log_len), &[id]);
         assert_eq!(g.labels_changed_since(w0.label_log_len), &[b]);
-        assert_eq!(w1.structure_version, w0.structure_version);
-        // Compaction re-assigns ids: logs reset, version advances, and
-        // the new watermark still orders after every pre-compaction one.
-        g.compact();
-        let w2 = g.watermark();
-        assert!(w2.structure_version > w1.structure_version);
-        assert!(w2 > w1);
-        assert_eq!(g.removal_log_len(), 0);
-        assert_eq!(g.label_log_len(), 0);
     }
 }

@@ -39,7 +39,11 @@ id_newtype!(
     VertexId
 );
 id_newtype!(
-    /// Dense identifier of an edge in the temporal edge log.
+    /// Dense identifier of an edge in the temporal edge log: its log
+    /// position, fixed for the life of the graph. Removal tombstones the
+    /// edge in place and nothing rewrites the log, and the checkpoint keeps
+    /// tombstones, so an id names the same edge across checkpoint and
+    /// recovery too.
     EdgeId
 );
 id_newtype!(

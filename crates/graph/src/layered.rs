@@ -20,11 +20,13 @@
 //! the stack back into a single base ([`FrozenView::from_layers`], the
 //! same merge the reads do, no graph needed) and installs it under the
 //! overlays published while it folded ([`LayeredSnapshot::rebase`]; see
-//! `SharedSession` in `nous-core`). A folded base is identical to
+//! `SharedSession` in `nous-core`). One fold runs at a time and publishing
+//! only ever pushes, so the stack a fold read is always a prefix of the
+//! stack it installs into. A folded base is identical to
 //! [`FrozenView::freeze`] of the source graph at the same watermark — the
 //! correctness oracle the equivalence tests pin.
 
-use crate::delta::{DeltaOverlay, DeltaStale};
+use crate::delta::DeltaOverlay;
 use crate::edge::Edge;
 use crate::frozen::FrozenView;
 use crate::graph::{Adj, DeltaWatermark, DynamicGraph};
@@ -99,23 +101,25 @@ impl LayeredSnapshot {
 
     /// Capture everything that changed in `g` since this snapshot was
     /// published, as an overlay ready for [`LayeredSnapshot::with_overlay`].
-    /// O(changes), not O(graph). Fails with [`DeltaStale`] when `g`
-    /// compacted or was rebuilt since — the caller re-freezes instead.
-    pub fn capture_delta(&self, g: &DynamicGraph) -> Result<DeltaOverlay, DeltaStale> {
+    /// O(changes), not O(graph). `g` must be the graph this snapshot was
+    /// published from ([`DeltaOverlay::capture`] panics otherwise).
+    pub fn capture_delta(&self, g: &DynamicGraph) -> DeltaOverlay {
         DeltaOverlay::capture(g, self.watermark)
     }
 
     /// Extend the snapshot with one overlay, producing the next epoch's
-    /// view. The overlay must chain exactly onto this snapshot (its
-    /// `from` watermark equals ours), otherwise [`DeltaStale`] — layers
-    /// with gaps or overlaps would double-count or lose edges.
-    pub fn with_overlay(&self, overlay: DeltaOverlay) -> Result<Self, DeltaStale> {
-        if overlay.from_watermark() != self.watermark {
-            return Err(DeltaStale);
-        }
+    /// view. Panics unless the overlay chains exactly onto this snapshot
+    /// (its `from` watermark equals ours): layers with gaps or overlaps
+    /// would double-count or lose edges.
+    pub fn with_overlay(&self, overlay: DeltaOverlay) -> Self {
+        assert_eq!(
+            overlay.from_watermark(),
+            self.watermark,
+            "overlay does not chain onto this snapshot"
+        );
         let mut next = self.clone();
         next.push(Arc::new(overlay));
-        Ok(next)
+        next
     }
 
     /// Stack `overlay` (chained onto this snapshot's watermark) on top.
@@ -145,21 +149,20 @@ impl LayeredSnapshot {
     /// [`FrozenView::from_layers`] of `from`, an earlier snapshot of this
     /// stack; the result serves this snapshot's state from the folded base
     /// plus the overlays published on top of `from` since, their tombstone
-    /// union and live count recomputed. `None` when this snapshot no
-    /// longer extends `from` — a full rebuild or another compaction
-    /// replaced the stack — and the fold must be discarded.
-    pub fn rebase(&self, from: &LayeredSnapshot, folded: Arc<FrozenView>) -> Option<Self> {
+    /// union and live count recomputed. Panics unless this snapshot
+    /// extends `from`, which holds while only one fold runs at a time.
+    pub fn rebase(&self, from: &LayeredSnapshot, folded: Arc<FrozenView>) -> Self {
         let k = from.overlays.len();
-        let extends = Arc::ptr_eq(&self.base, &from.base)
-            && self.overlays.len() >= k
-            && self
-                .overlays
-                .iter()
-                .zip(&from.overlays)
-                .all(|(a, b)| Arc::ptr_eq(a, b));
-        if !extends {
-            return None;
-        }
+        assert!(
+            Arc::ptr_eq(&self.base, &from.base)
+                && self.overlays.len() >= k
+                && self
+                    .overlays
+                    .iter()
+                    .zip(&from.overlays)
+                    .all(|(a, b)| Arc::ptr_eq(a, b)),
+            "the stack a fold read is not a prefix of the one it installs into"
+        );
         debug_assert_eq!(folded.source_log_len(), from.source_log_len());
         let mut next = Self {
             live_edges: folded.live_edge_count(),
@@ -171,7 +174,7 @@ impl LayeredSnapshot {
         for overlay in &self.overlays[k..] {
             next.push(overlay.clone());
         }
-        Some(next)
+        next
     }
 
     /// The mutation watermark this snapshot reflects.
@@ -557,9 +560,7 @@ mod tests {
         let feeds = g.intern_predicate("feeds");
         g.add_edge_at(VertexId(0), feeds, d, 4, 0.6, Provenance::Curated);
         g.remove_edge(EdgeId(1));
-        let snap1 = snap0
-            .with_overlay(snap0.capture_delta(&g).unwrap())
-            .unwrap();
+        let snap1 = snap0.with_overlay(snap0.capture_delta(&g));
         assert_eq!(snap1.layer_count(), 1);
         assert!(snap1.delta_fraction() > 0.0);
         assert_equivalent(&snap1, &g);
@@ -576,9 +577,7 @@ mod tests {
             Provenance::Extracted { doc_id: 9 },
         );
         g.remove_edge(EdgeId(3)); // the window-1 add
-        let snap2 = snap1
-            .with_overlay(snap1.capture_delta(&g).unwrap())
-            .unwrap();
+        let snap2 = snap1.with_overlay(snap1.capture_delta(&g));
         assert_eq!(snap2.layer_count(), 2);
         assert_equivalent(&snap2, &g);
 
@@ -594,6 +593,7 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "does not chain")]
     fn mischained_overlay_is_rejected() {
         let mut g = seeded();
         let snap0 = LayeredSnapshot::freeze(&g);
@@ -605,9 +605,7 @@ mod tests {
             0.5,
             Provenance::Curated,
         );
-        let snap1 = snap0
-            .with_overlay(snap0.capture_delta(&g).unwrap())
-            .unwrap();
+        let snap1 = snap0.with_overlay(snap0.capture_delta(&g));
         // An overlay captured against snap1 cannot chain onto snap0.
         g.add_edge_at(
             VertexId(1),
@@ -617,12 +615,8 @@ mod tests {
             0.5,
             Provenance::Curated,
         );
-        let overlay = snap1.capture_delta(&g).unwrap();
-        assert!(snap0.with_overlay(overlay).is_err());
-        // And capture refuses a compacted-away watermark.
-        g.remove_edge(EdgeId(0));
-        g.compact();
-        assert!(snap1.capture_delta(&g).is_err());
+        let overlay = snap1.capture_delta(&g);
+        snap0.with_overlay(overlay);
     }
 
     #[test]
@@ -645,9 +639,7 @@ mod tests {
             Provenance::Curated,
         );
         g.remove_edge(EdgeId(0));
-        let snap1 = snap0
-            .with_overlay(snap0.capture_delta(&g).unwrap())
-            .unwrap();
+        let snap1 = snap0.with_overlay(snap0.capture_delta(&g));
         let s1 = snap1.merge_stats();
         assert_eq!(s1.layers, 2);
         assert_eq!(s1.overlay_edges, 1);
@@ -665,9 +657,7 @@ mod tests {
         let mut g = seeded();
         let snap0 = LayeredSnapshot::freeze(&g);
         g.remove_edge(EdgeId(0));
-        let snap1 = snap0
-            .with_overlay(snap0.capture_delta(&g).unwrap())
-            .unwrap();
+        let snap1 = snap0.with_overlay(snap0.capture_delta(&g));
         GraphView::edge(&snap1, EdgeId(0));
     }
 }

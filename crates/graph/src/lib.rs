@@ -47,7 +47,7 @@ pub mod snapshot;
 pub mod view;
 pub mod window;
 
-pub use delta::{DeltaOverlay, DeltaStale};
+pub use delta::DeltaOverlay;
 pub use edge::{Edge, Provenance};
 pub use frozen::FrozenView;
 pub use graph::{Adj, DeltaWatermark, DynamicGraph, VertexData};

@@ -359,16 +359,6 @@ impl MapperExpansion {
         }
     }
 
-    /// Drop every observed edge and the votes they cast (stashed triples
-    /// stay), ahead of re-observing a graph whose history was rewritten.
-    pub fn forget_edges(&mut self) {
-        self.known.clear();
-        for t in &mut self.tallies {
-            t.direct.clear();
-            t.inverted.clear();
-        }
-    }
-
     /// Learn what the tallies support, to a fixpoint of at most
     /// `max_rounds` rounds. The first round reads the maintained tallies
     /// and nothing else; only when it learns a rule do later rounds run,

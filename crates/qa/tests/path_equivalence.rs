@@ -98,8 +98,7 @@ fn case(seed: u64) -> Case {
             add_edge(&mut g, &mut rng, n, &preds);
         }
         remove_some(&mut g, &mut rng);
-        let delta = layered.capture_delta(&g).expect("no history rewrite");
-        layered = layered.with_overlay(delta).expect("overlay chains");
+        layered = layered.with_overlay(layered.capture_delta(&g));
     }
     assert_eq!(layered.layer_count(), 2);
 

@@ -753,8 +753,7 @@ mod tests {
         let id = |name| kg.graph.vertex_id(name).expect("session entity");
         let (a, c) = (id("Apex Robotics"), id("Falcon Systems"));
         kg.add_extracted_fact(a, "acquired", c, 20, 0.9, 10);
-        let overlay = base.capture_delta(&kg.graph).expect("delta chains");
-        let layered = base.with_overlay(overlay).expect("overlay chains");
+        let layered = base.with_overlay(base.capture_delta(&kg.graph));
         assert_eq!(layered.layer_count(), 1, "one overlay on the base");
         let resolver = kg.disambiguator.served();
         check_expired_deadline(&kg.graph, resolver, &topics, &mut trends);
