@@ -142,7 +142,7 @@ pub fn extract_document(
         sentences: analyzed.sentences.len(),
         extractions,
         raw_count,
-        context: BagOfWords::from_text(&doc.text),
+        context: BagOfWords::from_tagged(analyzed.sentences.iter().flat_map(|s| &s.tagged)),
     }
 }
 

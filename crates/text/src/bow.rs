@@ -7,6 +7,7 @@
 //! punctuation removed.
 
 use crate::lexicon;
+use crate::pos::Tagged;
 use crate::token::{tokenize, TokenKind};
 use std::collections::BTreeMap;
 
@@ -38,15 +39,26 @@ impl BagOfWords {
             if tok.kind != TokenKind::Word {
                 continue;
             }
-            let lower = tok.lower();
-            let bare = lower
-                .strip_suffix("'s")
-                .or_else(|| lower.strip_suffix("’s"))
-                .unwrap_or(&lower);
-            if bare.len() < 2 || lexicon::is_stopword(bare) {
+            if let Some(term) = content_term(&tok.lower()) {
+                bow.add(term, 1);
+            }
+        }
+        bow
+    }
+
+    /// Build from already-tagged tokens, reading each one's precomputed
+    /// lower-case form. Over the tokens of every sentence of a text (as
+    /// [`analyze`](crate::analyze) produces them) this is the bag
+    /// [`BagOfWords::from_text`] builds from the text.
+    pub fn from_tagged<'a>(tagged: impl IntoIterator<Item = &'a Tagged>) -> Self {
+        let mut bow = Self::new();
+        for t in tagged {
+            if t.token.kind != TokenKind::Word {
                 continue;
             }
-            bow.add(bare, 1);
+            if let Some(term) = content_term(&t.lower) {
+                bow.add(term, 1);
+            }
         }
         bow
     }
@@ -151,6 +163,16 @@ impl BagOfWords {
         v.truncate(k);
         v
     }
+}
+
+/// The bag's term for a lower-cased word: the word with its possessive
+/// stripped, or `None` for a stopword or a term shorter than two bytes.
+fn content_term(lower: &str) -> Option<&str> {
+    let bare = lower
+        .strip_suffix("'s")
+        .or_else(|| lower.strip_suffix("’s"))
+        .unwrap_or(lower);
+    (bare.len() >= 2 && !lexicon::is_stopword(bare)).then_some(bare)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //!    suffix of an earlier longer mention ("DJI Technology Co." … "DJI")
 //!    links to the longer canonical form.
 
-use crate::chunk;
+use crate::chunk::Chunk;
 use crate::ner::{EntityType, Mention};
 use crate::pos::{Tag, Tagged};
 
@@ -56,24 +56,33 @@ fn pronoun_targets(lower: &str) -> Option<&'static [EntityType]> {
     })
 }
 
+/// Do `a` and `b` lower-case to the same string? Allocates only when one
+/// of them is not ASCII.
+fn same_lowercase(a: &str, b: &str) -> bool {
+    if a.is_ascii() && b.is_ascii() {
+        a.eq_ignore_ascii_case(b)
+    } else {
+        a.to_lowercase() == b.to_lowercase()
+    }
+}
+
 /// Is `short` a word-prefix or word-suffix of `long` (case-insensitive)?
 fn is_partial_name(short: &str, long: &str) -> bool {
     if short.eq_ignore_ascii_case(long) {
         return false;
     }
-    let s: Vec<String> = short.split_whitespace().map(str::to_lowercase).collect();
-    let l: Vec<String> = long.split_whitespace().map(str::to_lowercase).collect();
-    if s.is_empty() || s.len() >= l.len() {
+    let s = short.split_whitespace().count();
+    let l = long.split_whitespace().count();
+    if s == 0 || s >= l {
         return false;
     }
-    l.windows(s.len())
-        .next()
-        .map(|w| w == s.as_slice())
-        .unwrap_or(false)
-        || l.windows(s.len())
-            .last()
-            .map(|w| w == s.as_slice())
-            .unwrap_or(false)
+    let words_from = |skip: usize| {
+        short
+            .split_whitespace()
+            .zip(long.split_whitespace().skip(skip))
+            .all(|(a, b)| same_lowercase(a, b))
+    };
+    words_from(0) || words_from(l - s)
 }
 
 /// History of candidate antecedents, most recent last.
@@ -118,15 +127,18 @@ impl History {
 
 /// Resolve coreference across a document.
 ///
-/// `sentences` pairs each sentence's tagged tokens with its detected
-/// mentions, in document order. Returns all resolutions found; it also
-/// returns partial-name links for mentions (so extraction can canonicalise
-/// "DJI" to "DJI Technology Co" when both appear).
-pub fn resolve(sentences: &[(Vec<Tagged>, Vec<Mention>)]) -> Vec<CorefResolution> {
+/// `sentences` yields each sentence's tagged tokens, its noun phrases
+/// ([`chunk::noun_phrases`](crate::chunk::noun_phrases) of the tokens) and
+/// its detected mentions, in document order. Returns all resolutions
+/// found; it also returns partial-name links for mentions (so extraction
+/// can canonicalise "DJI" to "DJI Technology Co" when both appear).
+pub fn resolve<'a>(
+    sentences: impl IntoIterator<Item = (&'a [Tagged], &'a [Chunk], &'a [Mention])>,
+) -> Vec<CorefResolution> {
     let mut history = History::default();
     let mut out = Vec::new();
 
-    for (sidx, (tagged, mentions)) in sentences.iter().enumerate() {
+    for (sidx, (tagged, noun_phrases, mentions)) in sentences.into_iter().enumerate() {
         // 3. Partial names: link then refresh history with canonical form.
         for m in mentions {
             if let Some((canon, ty)) = history.longer_form(&m.text) {
@@ -146,8 +158,7 @@ pub fn resolve(sentences: &[(Vec<Tagged>, Vec<Mention>)]) -> Vec<CorefResolution
             if t.tag != Tag::PRP {
                 continue;
             }
-            let lower = t.token.lower();
-            if let Some(types) = pronoun_targets(&lower) {
+            if let Some(types) = pronoun_targets(&t.lower) {
                 if let Some((ante, ty)) = history.most_recent(types) {
                     let ante = ante.clone();
                     out.push(CorefResolution {
@@ -166,16 +177,16 @@ pub fn resolve(sentences: &[(Vec<Tagged>, Vec<Mention>)]) -> Vec<CorefResolution
         }
 
         // 2. Definite nominals ("the company").
-        for np in chunk::noun_phrases(tagged) {
+        for np in noun_phrases {
             let head = &tagged[np.head];
             if head.tag != Tag::NN {
                 continue;
             }
-            let starts_with_the = tagged[np.start].token.lower() == "the";
+            let starts_with_the = tagged[np.start].lower == "the";
             if !starts_with_the {
                 continue;
             }
-            if let Some(ty) = nominal_target(&head.token.lower()) {
+            if let Some(ty) = nominal_target(&head.lower) {
                 if let Some((ante, aty)) = history.most_recent(&[ty]) {
                     let ante = ante.clone();
                     out.push(CorefResolution {
@@ -209,19 +220,26 @@ pub fn resolve(sentences: &[(Vec<Tagged>, Vec<Mention>)]) -> Vec<CorefResolution
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::noun_phrases;
     use crate::ner::{mentions, Gazetteer};
     use crate::pos::tag;
     use crate::token::tokenize;
 
-    fn analyze_doc(text: &str, gaz: &Gazetteer) -> Vec<(Vec<Tagged>, Vec<Mention>)> {
-        crate::sentence::split_sentences(text)
+    fn resolve_doc(text: &str, gaz: &Gazetteer) -> Vec<CorefResolution> {
+        let sentences: Vec<_> = crate::sentence::split_sentences(text)
             .iter()
             .map(|s| {
                 let tagged = tag(&tokenize(&s.text));
-                let m = mentions(&tagged, gaz);
-                (tagged, m)
+                let nps = noun_phrases(&tagged);
+                let m = mentions(&tagged, &nps, gaz);
+                (tagged, nps, m)
             })
-            .collect()
+            .collect();
+        resolve(
+            sentences
+                .iter()
+                .map(|(t, nps, m)| (t.as_slice(), nps.as_slice(), m.as_slice())),
+        )
     }
 
     fn org_gaz() -> Gazetteer {
@@ -234,11 +252,10 @@ mod tests {
 
     #[test]
     fn it_resolves_to_recent_org() {
-        let doc = analyze_doc(
+        let res = resolve_doc(
             "DJI announced a drone. It also opened an office.",
             &org_gaz(),
         );
-        let res = resolve(&doc);
         let it = res.iter().find(|r| r.surface == "It").unwrap();
         assert_eq!(it.antecedent, "DJI");
         assert_eq!(it.entity_type, EntityType::Organization);
@@ -247,33 +264,30 @@ mod tests {
 
     #[test]
     fn he_resolves_to_person_not_org() {
-        let doc = analyze_doc(
+        let res = resolve_doc(
             "Frank Wang founded DJI. He led the company for years.",
             &org_gaz(),
         );
-        let res = resolve(&doc);
         let he = res.iter().find(|r| r.surface == "He").unwrap();
         assert_eq!(he.antecedent, "Frank Wang");
     }
 
     #[test]
     fn definite_nominal_resolves() {
-        let doc = analyze_doc(
+        let res = resolve_doc(
             "Frank Wang founded DJI. He led the company for years.",
             &org_gaz(),
         );
-        let res = resolve(&doc);
         let nom = res.iter().find(|r| r.surface.contains("company")).unwrap();
         assert_eq!(nom.antecedent, "DJI");
     }
 
     #[test]
     fn recency_wins() {
-        let doc = analyze_doc(
+        let res = resolve_doc(
             "Parrot struggled. DJI expanded. It won the market.",
             &org_gaz(),
         );
-        let res = resolve(&doc);
         let it = res.iter().find(|r| r.surface == "It").unwrap();
         assert_eq!(it.antecedent, "DJI", "most recent org wins");
     }
@@ -282,27 +296,24 @@ mod tests {
     fn partial_name_links_to_long_form() {
         let mut gaz = org_gaz();
         gaz.insert("DJI Technology Co.", EntityType::Organization);
-        let doc = analyze_doc(
+        let res = resolve_doc(
             "DJI Technology Co. unveiled a drone. DJI said sales rose.",
             &gaz,
         );
-        let res = resolve(&doc);
         let link = res.iter().find(|r| r.surface == "DJI").unwrap();
         assert_eq!(link.antecedent, "DJI Technology Co.");
     }
 
     #[test]
     fn no_antecedent_no_resolution() {
-        let doc = analyze_doc("It was raining.", &Gazetteer::new());
-        assert!(resolve(&doc).is_empty());
+        assert!(resolve_doc("It was raining.", &Gazetteer::new()).is_empty());
     }
 
     #[test]
     fn same_sentence_mentions_do_not_serve_as_antecedents() {
         // "It" in sentence 0 has no prior sentence; DJI appears later in the
         // same sentence and must not be used.
-        let doc = analyze_doc("It beat DJI. DJI recovered.", &org_gaz());
-        let res = resolve(&doc);
+        let res = resolve_doc("It beat DJI. DJI recovered.", &org_gaz());
         assert!(!res.iter().any(|r| r.surface == "It"));
     }
 

@@ -8,7 +8,7 @@
 //! (2) surface heuristics: corporate suffixes, honorifics, and
 //! location/person context cues.
 
-use crate::chunk::{self, Chunk};
+use crate::chunk::Chunk;
 use crate::pos::{Tag, Tagged};
 use std::collections::HashMap;
 
@@ -122,17 +122,24 @@ const LOCATION_CUES: &[&str] = &[
     "city", "county", "province", "state", "valley", "region", "district", "island", "port",
 ];
 
+/// `list` contains `word`, compared case-insensitively. ASCII case folding
+/// is exact here: no listed cue holds a letter that a non-ASCII character
+/// lower-cases to.
+fn listed(list: &[&str], word: &str) -> bool {
+    list.iter().any(|cue| cue.eq_ignore_ascii_case(word))
+}
+
 /// Heuristic typing of an unknown proper-noun mention.
 fn heuristic_type(words: &[&str], prev_lower: Option<&str>) -> EntityType {
-    let last = words.last().map(|w| w.to_lowercase()).unwrap_or_default();
-    let first = words.first().map(|w| w.to_lowercase()).unwrap_or_default();
-    if HONORIFICS.contains(&first.as_str()) {
+    let last = words.last().copied().unwrap_or_default();
+    let first = words.first().copied().unwrap_or_default();
+    if listed(HONORIFICS, first) {
         return EntityType::Person;
     }
-    if ORG_SUFFIXES.contains(&last.as_str()) {
+    if listed(ORG_SUFFIXES, last) {
         return EntityType::Organization;
     }
-    if LOCATION_CUES.contains(&last.as_str()) {
+    if listed(LOCATION_CUES, last) {
         return EntityType::Location;
     }
     // "in <X>" strongly suggests a location for a bare proper noun.
@@ -147,20 +154,18 @@ fn heuristic_type(words: &[&str], prev_lower: Option<&str>) -> EntityType {
     EntityType::Other
 }
 
-/// Detect typed mentions in a tagged sentence.
+/// Detect typed mentions in a tagged sentence, given its noun phrases
+/// ([`chunk::noun_phrases`](crate::chunk::noun_phrases) of `tagged`).
 ///
 /// A mention is a noun-phrase chunk whose head (or any token) is a proper
 /// noun; its surface is the maximal NNP/CD run inside the chunk (dropping
 /// determiners and common-noun modifiers), with honorifics stripped for
 /// persons.
-pub fn mentions(tagged: &[Tagged], gazetteer: &Gazetteer) -> Vec<Mention> {
-    let mut out = Vec::new();
-    for np in chunk::noun_phrases(tagged) {
-        if let Some(m) = mention_from_np(tagged, &np, gazetteer) {
-            out.push(m);
-        }
-    }
-    out
+pub fn mentions(tagged: &[Tagged], noun_phrases: &[Chunk], gazetteer: &Gazetteer) -> Vec<Mention> {
+    noun_phrases
+        .iter()
+        .filter_map(|np| mention_from_np(tagged, np, gazetteer))
+        .collect()
 }
 
 #[allow(clippy::needless_range_loop)] // index form reads run bounds too
@@ -201,18 +206,15 @@ fn mention_from_np(tagged: &[Tagged], np: &Chunk, gazetteer: &Gazetteer) -> Opti
         return None;
     }
     let full = words.join(" ");
-    let prev_lower = start.checked_sub(1).map(|i| tagged[i].token.lower());
+    let prev_lower = start.checked_sub(1).map(|i| tagged[i].lower.as_str());
 
     let (ty, from_gazetteer) = match gazetteer.lookup(&full) {
         Some(t) => (t, true),
-        None => (heuristic_type(&words, prev_lower.as_deref()), false),
+        None => (heuristic_type(&words, prev_lower), false),
     };
 
     // Strip honorifics from person mentions ("Mr. Wang" -> "Wang").
-    let text = if ty == EntityType::Person
-        && words.len() > 1
-        && HONORIFICS.contains(&words[0].to_lowercase().as_str())
-    {
+    let text = if ty == EntityType::Person && words.len() > 1 && listed(HONORIFICS, words[0]) {
         words[1..].join(" ")
     } else {
         full
@@ -230,11 +232,13 @@ fn mention_from_np(tagged: &[Tagged], np: &Chunk, gazetteer: &Gazetteer) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::noun_phrases;
     use crate::pos::tag;
     use crate::token::tokenize;
 
     fn detect(input: &str, gaz: &Gazetteer) -> Vec<Mention> {
-        mentions(&tag(&tokenize(input)), gaz)
+        let tagged = tag(&tokenize(input));
+        mentions(&tagged, &noun_phrases(&tagged), gaz)
     }
 
     #[test]

@@ -77,11 +77,9 @@ impl Default for ExtractorConfig {
     }
 }
 
-fn main_lemma(tagged: &[Tagged], vg: &Chunk) -> String {
-    tagged[vg.head]
-        .lemma
-        .clone()
-        .unwrap_or_else(|| tagged[vg.head].token.lower())
+fn main_lemma<'a>(tagged: &'a [Tagged], vg: &Chunk) -> &'a str {
+    let head = &tagged[vg.head];
+    head.lemma.as_deref().unwrap_or(&head.lower)
 }
 
 fn vg_is_negated(tagged: &[Tagged], vg: &Chunk) -> bool {
@@ -89,7 +87,7 @@ fn vg_is_negated(tagged: &[Tagged], vg: &Chunk) -> bool {
     // before it ("never acquired").
     let start = vg.start.saturating_sub(1);
     tagged[start..vg.end].iter().any(|t| {
-        let l = t.token.lower();
+        let l = t.lower.as_str();
         l == "not" || l == "never" || l.ends_with("n't") || l.ends_with("n’t")
     })
 }
@@ -133,9 +131,12 @@ fn confidence(
     c.clamp(0.05, 0.95)
 }
 
-/// Extract relational tuples from one tagged sentence.
-pub fn extract(tagged: &[Tagged], cfg: &ExtractorConfig) -> Vec<RawTriple> {
-    let nps = noun_like_phrases(tagged);
+/// Extract relational tuples from one tagged sentence, given its noun
+/// phrases ([`chunk::noun_phrases`] of `tagged`).
+pub fn extract(tagged: &[Tagged], noun_phrases: &[Chunk], cfg: &ExtractorConfig) -> Vec<RawTriple> {
+    let pronouns = bare_pronouns(tagged, noun_phrases);
+    let mut nps: Vec<&Chunk> = noun_phrases.iter().chain(&pronouns).collect();
+    nps.sort_by_key(|c| c.start);
     let vgs = chunk::verb_groups(tagged);
     let mut out = Vec::new();
 
@@ -145,10 +146,10 @@ pub fn extract(tagged: &[Tagged], cfg: &ExtractorConfig) -> Vec<RawTriple> {
         let Some(subject) = subject else { continue };
 
         // Object: nearest NP after the VG, optionally after one IN/TO.
-        let mut prep: Option<String> = None;
+        let mut prep: Option<&str> = None;
         let mut k = vg.end;
         if k < tagged.len() && matches!(tagged[k].tag, Tag::IN | Tag::TO) {
-            prep = Some(tagged[k].token.lower());
+            prep = Some(&tagged[k].lower);
             k += 1;
         }
         let object = nps.iter().find(|np| np.start >= k);
@@ -190,15 +191,15 @@ pub fn extract(tagged: &[Tagged], cfg: &ExtractorConfig) -> Vec<RawTriple> {
             continue; // bare auxiliaries carry no relation
         }
 
-        let mut predicate = lemma.clone();
-        if let Some(p) = &prep {
-            predicate = format!("{lemma}_{p}");
-        }
+        let mut predicate = match prep {
+            Some(p) => format!("{lemma}_{p}"),
+            None => lemma.to_owned(),
+        };
 
         // Passive inversion: "X was acquired by Y" → (Y, acquire, X).
-        if passive && cfg.passive_inversion && prep.as_deref() == Some("by") {
+        if passive && cfg.passive_inversion && prep == Some("by") {
             std::mem::swap(&mut subj_span, &mut obj_span);
-            predicate = lemma.clone();
+            predicate = lemma.to_owned();
         }
 
         // N-ary arguments: subsequent "IN NP" pairs.
@@ -206,9 +207,8 @@ pub fn extract(tagged: &[Tagged], cfg: &ExtractorConfig) -> Vec<RawTriple> {
         if cfg.nary {
             let mut pos = object.end;
             while pos + 1 < tagged.len() && tagged[pos].tag == Tag::IN {
-                let p = tagged[pos].token.lower();
                 if let Some(np) = nps.iter().find(|np| np.start == pos + 1) {
-                    extra_args.push((p, ExtractionSpan::from_chunk(np)));
+                    extra_args.push((tagged[pos].lower.clone(), ExtractionSpan::from_chunk(np)));
                     pos = np.end;
                 } else {
                     break;
@@ -283,28 +283,29 @@ pub fn extract(tagged: &[Tagged], cfg: &ExtractorConfig) -> Vec<RawTriple> {
     out
 }
 
-/// NPs plus bare pronouns (pronoun subjects participate in extraction and
-/// are later rewritten by coreference).
-fn noun_like_phrases(tagged: &[Tagged]) -> Vec<Chunk> {
-    let mut nps = chunk::noun_phrases(tagged);
-    for (i, t) in tagged.iter().enumerate() {
-        if t.tag == Tag::PRP && !nps.iter().any(|np| np.start <= i && i < np.end) {
-            nps.push(Chunk {
-                kind: chunk::ChunkKind::NounPhrase,
-                start: i,
-                end: i + 1,
-                head: i,
-                text: t.token.text.clone(),
-                possessive: false,
-            });
-        }
-    }
-    nps.sort_by_key(|c| c.start);
-    nps
+/// One-token phrases for the pronouns outside every noun phrase: pronoun
+/// subjects participate in extraction and are later rewritten by
+/// coreference.
+fn bare_pronouns(tagged: &[Tagged], noun_phrases: &[Chunk]) -> Vec<Chunk> {
+    tagged
+        .iter()
+        .enumerate()
+        .filter(|(i, t)| {
+            t.tag == Tag::PRP && !noun_phrases.iter().any(|np| np.start <= *i && *i < np.end)
+        })
+        .map(|(i, t)| Chunk {
+            kind: chunk::ChunkKind::NounPhrase,
+            start: i,
+            end: i + 1,
+            head: i,
+            text: t.token.text.clone(),
+            possessive: false,
+        })
+        .collect()
 }
 
 fn starts_with_indef_article(tagged: &[Tagged], np: &Chunk) -> bool {
-    matches!(tagged[np.start].token.lower().as_str(), "a" | "an" | "the")
+    matches!(tagged[np.start].lower.as_str(), "a" | "an" | "the")
 }
 
 fn render_vg(tagged: &[Tagged], vg: &Chunk) -> String {
@@ -321,8 +322,13 @@ mod tests {
     use crate::pos::tag;
     use crate::token::tokenize;
 
+    fn extract_from(input: &str, cfg: &ExtractorConfig) -> Vec<RawTriple> {
+        let tagged = tag(&tokenize(input));
+        extract(&tagged, &chunk::noun_phrases(&tagged), cfg)
+    }
+
     fn run(input: &str) -> Vec<RawTriple> {
-        extract(&tag(&tokenize(input)), &ExtractorConfig::default())
+        extract_from(input, &ExtractorConfig::default())
     }
 
     fn find<'a>(triples: &'a [RawTriple], pred: &str) -> Option<&'a RawTriple> {
@@ -361,7 +367,7 @@ mod tests {
             passive_inversion: false,
             ..Default::default()
         };
-        let t = extract(&tag(&tokenize("Accel was acquired by DJI.")), &cfg);
+        let t = extract_from("Accel was acquired by DJI.", &cfg);
         let tr = find(&t, "acquire_by").unwrap();
         assert_eq!(tr.subject.text, "Accel");
     }
@@ -418,7 +424,7 @@ mod tests {
             min_confidence: 0.99,
             ..Default::default()
         };
-        assert!(extract(&tag(&tokenize("DJI acquired Accel.")), &cfg).is_empty());
+        assert!(extract_from("DJI acquired Accel.", &cfg).is_empty());
     }
 
     #[test]
@@ -438,12 +444,7 @@ mod tests {
             nary: false,
             ..Default::default()
         };
-        let t = extract(
-            &tag(&tokenize(
-                "DJI's Phantom, a camera drone, flew in Shenzhen.",
-            )),
-            &cfg,
-        );
+        let t = extract_from("DJI's Phantom, a camera drone, flew in Shenzhen.", &cfg);
         assert!(find(&t, "has").is_none());
         assert!(find(&t, "is_a").is_none());
         assert!(t.iter().all(|tr| tr.extra_args.is_empty()));

@@ -5,7 +5,15 @@
 //! This is the §3.2 stage of NOUS as one call: [`analyze`] consumes a raw
 //! document and produces per-sentence analyses whose extracted tuples have
 //! pronouns and definite nominals rewritten to their antecedents.
+//!
+//! Each piece of work runs once per document: the text is tokenized once
+//! (per sentence), each token is lower-cased once (`Tagged::lower`), and
+//! each sentence is chunked into noun phrases once, for NER, coreference
+//! and OpenIE alike. Because no sentence boundary falls inside a token, the
+//! sentences' tokens are the document's tokens, so a bag of words built
+//! from them equals one built from the text.
 
+use crate::chunk::{self, Chunk};
 use crate::coref::{self, CorefResolution};
 use crate::ner::{self, Gazetteer, Mention};
 use crate::openie::{self, ExtractionSpan, ExtractorConfig, RawTriple};
@@ -47,17 +55,25 @@ fn substitute(span: &mut ExtractionSpan, sidx: usize, resolutions: &[CorefResolu
 /// Run the full §3.2 pipeline over a raw document.
 pub fn analyze(text: &str, gazetteer: &Gazetteer, cfg: &ExtractorConfig) -> AnalyzedDoc {
     let sents = sentence::split_sentences(text);
-    let mut per_sentence: Vec<(Vec<Tagged>, Vec<Mention>)> = Vec::with_capacity(sents.len());
+    let mut per_sentence: Vec<(Vec<Tagged>, Vec<Chunk>, Vec<Mention>)> =
+        Vec::with_capacity(sents.len());
     for s in &sents {
         let tagged = pos::tag_owned(tokenize(&s.text));
-        let mentions = ner::mentions(&tagged, gazetteer);
-        per_sentence.push((tagged, mentions));
+        let noun_phrases = chunk::noun_phrases(&tagged);
+        let mentions = ner::mentions(&tagged, &noun_phrases, gazetteer);
+        per_sentence.push((tagged, noun_phrases, mentions));
     }
-    let resolutions = coref::resolve(&per_sentence);
+    let resolutions = coref::resolve(
+        per_sentence
+            .iter()
+            .map(|(t, nps, m)| (t.as_slice(), nps.as_slice(), m.as_slice())),
+    );
 
     let mut sentences = Vec::with_capacity(sents.len());
-    for (sidx, (s, (tagged, mentions))) in sents.iter().zip(per_sentence).enumerate() {
-        let mut triples = openie::extract(&tagged, cfg);
+    for (sidx, (s, (tagged, noun_phrases, mentions))) in
+        sents.into_iter().zip(per_sentence).enumerate()
+    {
+        let mut triples = openie::extract(&tagged, &noun_phrases, cfg);
         for t in &mut triples {
             substitute(&mut t.subject, sidx, &resolutions);
             substitute(&mut t.object, sidx, &resolutions);
@@ -67,7 +83,7 @@ pub fn analyze(text: &str, gazetteer: &Gazetteer, cfg: &ExtractorConfig) -> Anal
         }
         let frames = triples.iter().map(|t| srl::frame_of(&tagged, t)).collect();
         sentences.push(AnalyzedSentence {
-            text: s.text.clone(),
+            text: s.text,
             tagged,
             mentions,
             triples,

@@ -64,29 +64,32 @@ impl Tag {
     }
 }
 
-/// A token with its tag and (for known verbs) lemma.
+/// A token with its lower-cased form, its tag and (for known verbs) lemma.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tagged {
     pub token: Token,
+    /// `token.text` lower-cased, computed once when the token is tagged.
+    /// Every later stage reads it instead of lower-casing again.
+    pub lower: String,
     pub tag: Tag,
     /// Lemma for verbs found in the lexicon table.
     pub lemma: Option<String>,
 }
 
-/// Tag by lexicon lookup and surface shape, ignoring context.
-fn lexical_tag(tok: &Token) -> (Tag, Option<String>) {
+/// Tag by lexicon lookup and surface shape, ignoring context. `lower` is
+/// `tok.text` lower-cased.
+fn lexical_tag(tok: &Token, lower: &str) -> (Tag, Option<String>) {
     match tok.kind {
         TokenKind::Number => return (Tag::CD, None),
         TokenKind::Punct => return (Tag::Punct, None),
         TokenKind::Symbol => return (Tag::Sym, None),
         TokenKind::Word => {}
     }
-    let lower = tok.lower();
     // Strip possessive for lookup purposes ("DJI's" -> "DJI").
     let bare = lower
         .strip_suffix("'s")
         .or_else(|| lower.strip_suffix("’s"))
-        .unwrap_or(&lower);
+        .unwrap_or(lower);
 
     // Negative contractions: resolve the auxiliary ("didn't" -> did).
     if let Some(stem) = bare
@@ -164,8 +167,14 @@ pub fn tag_owned(tokens: Vec<Token>) -> Vec<Tagged> {
     let mut out: Vec<Tagged> = tokens
         .into_iter()
         .map(|token| {
-            let (tag, lemma) = lexical_tag(&token);
-            Tagged { token, tag, lemma }
+            let lower = token.text.to_lowercase();
+            let (tag, lemma) = lexical_tag(&token, &lower);
+            Tagged {
+                token,
+                lower,
+                tag,
+                lemma,
+            }
         })
         .collect();
     // Context repairs.
@@ -179,7 +188,7 @@ pub fn tag_owned(tokens: Vec<Token>) -> Vec<Tagged> {
         }
         // Base-form noun after a modal or "to" is a verb ("will ban", "to ban").
         if matches!(out[i].tag, Tag::NN) && i > 0 && matches!(out[i - 1].tag, Tag::MD | Tag::TO) {
-            if let Some((lemma, _)) = lexicon::verb_form(&out[i].token.lower()) {
+            if let Some((lemma, _)) = lexicon::verb_form(&out[i].lower) {
                 out[i].tag = Tag::VB;
                 out[i].lemma = Some(lemma.to_owned());
             }

@@ -3,7 +3,9 @@
 //! Operates on raw text (before tokenisation) and returns sentence spans,
 //! so the extraction pipeline can report sentence-level provenance. A period
 //! ends a sentence unless it terminates a known abbreviation ("Inc.",
-//! "Mr.", "U.S.") or sits inside a number.
+//! "Mr.", "U.S.") or sits inside a token ("3.5", "example.com").
+
+use crate::token::char_at;
 
 /// A sentence with its byte span into the source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,6 +32,13 @@ fn word_before(text: &str, period_idx: usize) -> &str {
     &head[start..]
 }
 
+/// `ABBREVIATIONS` contains `word`, compared case-insensitively. ASCII
+/// case folding is exact here: no listed abbreviation holds a letter that
+/// a non-ASCII character lower-cases to.
+fn is_listed_abbreviation(word: &str) -> bool {
+    ABBREVIATIONS.iter().any(|a| a.eq_ignore_ascii_case(word))
+}
+
 /// True when the period at `idx` most likely terminates an abbreviation
 /// rather than a sentence.
 fn is_abbreviation_period(text: &str, idx: usize) -> bool {
@@ -37,22 +46,21 @@ fn is_abbreviation_period(text: &str, idx: usize) -> bool {
     if w.is_empty() {
         return false;
     }
-    let lower = w.to_lowercase();
-    if ABBREVIATIONS.contains(&lower.as_str()) {
+    if is_listed_abbreviation(w) {
         return true;
     }
     // Initials / dotted acronyms: "U.S", "J.R", single capital "J".
-    let letters: Vec<&str> = w.split('.').filter(|p| !p.is_empty()).collect();
-    letters.iter().all(|p| p.chars().count() == 1) && !letters.is_empty()
+    let mut letters = w.split('.').filter(|p| !p.is_empty()).peekable();
+    letters.peek().is_some() && letters.all(|p| p.chars().count() == 1)
 }
 
 /// Split `text` into sentences. Terminators are `.`, `!`, `?` followed by
 /// whitespace-then-capital (or end of input); newlines followed by a blank
-/// line (paragraph breaks) also split.
+/// line (paragraph breaks) also split. A period directly followed by a
+/// letter or digit is never a terminator: it sits inside a token
+/// (`example.com`, `3.5`), and no sentence boundary falls inside a token.
 pub fn split_sentences(text: &str) -> Vec<Sentence> {
     let mut out = Vec::new();
-    let chars: Vec<(usize, char)> = text.char_indices().collect();
-    let n = chars.len();
     let mut sent_start = 0usize;
     let mut i = 0usize;
 
@@ -69,41 +77,30 @@ pub fn split_sentences(text: &str) -> Vec<Sentence> {
         }
     };
 
-    while i < n {
-        let (idx, c) = chars[i];
-        let is_term = matches!(c, '.' | '!' | '?');
-        if is_term {
-            // Skip decimal points: digit on both sides.
-            let prev_digit = i > 0 && chars[i - 1].1.is_ascii_digit();
-            let next_digit = i + 1 < n && chars[i + 1].1.is_ascii_digit();
-            if c == '.' && prev_digit && next_digit {
+    while let Some(c) = char_at(text, i) {
+        // The terminators and the newline are one byte each.
+        let next = char_at(text, i + c.len_utf8());
+        if matches!(c, '.' | '!' | '?') {
+            if c == '.' && next.is_some_and(char::is_alphanumeric) {
                 i += 1;
                 continue;
             }
-            if c == '.' && is_abbreviation_period(text, idx) {
+            if c == '.' && is_abbreviation_period(text, i) {
                 // Still a boundary if what follows clearly starts a new
                 // sentence AND the abbreviation is a dotted acronym like
                 // "U.S." (honorifics such as "Mr." never end sentences).
-                let w = word_before(text, idx).to_lowercase();
-                let honorific = ABBREVIATIONS.contains(&w.as_str());
-                let mut j = i + 1;
-                while j < n && chars[j].1 == '.' {
-                    j += 1;
-                }
-                let mut k = j;
-                while k < n && chars[k].1.is_whitespace() {
-                    k += 1;
-                }
-                let next_cap = k < n && chars[k].1.is_uppercase();
-                let followed_by_space = j < n && chars[j].1.is_whitespace();
-                if honorific || !(followed_by_space && (next_cap || k == n)) {
+                let honorific = is_listed_abbreviation(word_before(text, i));
+                let after_dots = i + text[i..].len() - text[i..].trim_start_matches('.').len();
+                let rest = text[after_dots..].trim_start();
+                let next_cap = rest.chars().next().is_some_and(char::is_uppercase);
+                let followed_by_space = char_at(text, after_dots).is_some_and(char::is_whitespace);
+                if honorific || !(followed_by_space && (next_cap || rest.is_empty())) {
                     i += 1;
                     continue;
                 }
                 // Heuristic: treat "U.S. The" as a boundary only when the
                 // next word is a common sentence opener; otherwise assume
                 // the acronym modifies what follows ("U.S. Army").
-                let rest: String = chars[k..].iter().map(|(_, c)| *c).take(12).collect();
                 let opener = [
                     "The ", "It ", "A ", "In ", "On ", "But ", "He ", "She ", "They ",
                 ]
@@ -115,22 +112,22 @@ pub fn split_sentences(text: &str) -> Vec<Sentence> {
                 }
             }
             // Consume the terminator plus any run of closing quotes/brackets.
-            let mut j = i + 1;
-            while j < n && matches!(chars[j].1, '"' | '\'' | ')' | ']' | '’' | '”') {
-                j += 1;
-            }
-            let end = if j < n { chars[j].0 } else { text.len() };
+            let tail = &text[i + 1..];
+            let end = text.len()
+                - tail
+                    .trim_start_matches(['"', '\'', ')', ']', '’', '”'])
+                    .len();
             push(sent_start, end, &mut out);
             sent_start = end;
-            i = j;
+            i = end;
             continue;
         }
         // Paragraph break.
-        if c == '\n' && i + 1 < n && chars[i + 1].1 == '\n' {
-            push(sent_start, idx, &mut out);
-            sent_start = idx;
+        if c == '\n' && next == Some('\n') {
+            push(sent_start, i, &mut out);
+            sent_start = i;
         }
-        i += 1;
+        i += c.len_utf8();
     }
     push(sent_start, text.len(), &mut out);
     out

@@ -29,7 +29,7 @@ pub struct Frame {
 
 fn is_temporal(tagged: &[Tagged], start: usize, end: usize) -> bool {
     tagged[start..end].iter().any(|t| {
-        lexicon::lookup(&t.token.lower()).is_some_and(|e| e.temporal)
+        lexicon::lookup(&t.lower).is_some_and(|e| e.temporal)
             || (t.tag == Tag::CD && t.token.text.len() == 4) // bare year
     })
 }
@@ -64,13 +64,14 @@ pub(crate) fn frame_of(tagged: &[Tagged], t: &RawTriple) -> Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::noun_phrases;
     use crate::openie::{extract, ExtractorConfig};
     use crate::pos::tag;
     use crate::token::tokenize;
 
     fn frames(input: &str) -> Vec<Frame> {
         let tagged = tag(&tokenize(input));
-        extract(&tagged, &ExtractorConfig::default())
+        extract(&tagged, &noun_phrases(&tagged), &ExtractorConfig::default())
             .iter()
             .map(|t| frame_of(&tagged, t))
             .collect()

@@ -31,7 +31,8 @@ pub struct Token {
 }
 
 impl Token {
-    /// Lower-cased surface form (allocates; used by lexicon lookups).
+    /// Lower-cased surface form (allocates; a tagged token carries it
+    /// precomputed as [`Tagged::lower`](crate::pos::Tagged::lower)).
     pub fn lower(&self) -> String {
         self.text.to_lowercase()
     }
@@ -46,38 +47,41 @@ fn is_word_char(c: char) -> bool {
     c.is_alphanumeric()
 }
 
+/// The character at byte offset `i` of `text`, if any.
+pub(crate) fn char_at(text: &str, i: usize) -> Option<char> {
+    text[i..].chars().next()
+}
+
 /// Tokenise `text`. Offsets index into `text`'s bytes; every token's span
 /// reproduces exactly its surface form (`&text[t.start..t.end] == t.text`).
 pub fn tokenize(text: &str) -> Vec<Token> {
     let mut tokens = Vec::new();
-    let bytes: Vec<(usize, char)> = text.char_indices().collect();
-    let n = bytes.len();
     let mut i = 0;
-    while i < n {
-        let (start, c) = bytes[i];
+    while let Some(c) = char_at(text, i) {
+        let start = i;
         if c.is_whitespace() {
-            i += 1;
+            i += c.len_utf8();
             continue;
         }
         if c.is_ascii_digit() {
             // Number: digits with internal , or . followed by a digit.
             let mut j = i + 1;
-            while j < n {
-                let cj = bytes[j].1;
+            while let Some(cj) = char_at(text, j) {
                 if cj.is_ascii_digit() {
                     j += 1;
-                } else if (cj == ',' || cj == '.') && j + 1 < n && bytes[j + 1].1.is_ascii_digit() {
+                } else if (cj == ',' || cj == '.')
+                    && char_at(text, j + 1).is_some_and(|d| d.is_ascii_digit())
+                {
                     j += 2;
                 } else {
                     break;
                 }
             }
-            let end = if j < n { bytes[j].0 } else { text.len() };
             tokens.push(Token {
-                text: text[start..end].to_owned(),
+                text: text[start..j].to_owned(),
                 kind: TokenKind::Number,
                 start,
-                end,
+                end: j,
             });
             i = j;
             continue;
@@ -85,40 +89,37 @@ pub fn tokenize(text: &str) -> Vec<Token> {
         if c.is_alphabetic() {
             // Word: letters/digits, plus internal apostrophe/hyphen/period
             // when flanked by letters (U.S., drone-based, didn't).
-            let mut j = i + 1;
-            while j < n {
-                let cj = bytes[j].1;
+            let mut j = i + c.len_utf8();
+            while let Some(cj) = char_at(text, j) {
                 if is_word_char(cj) {
-                    j += 1;
-                } else if (cj == '\'' || cj == '-' || cj == '.' || cj == '’')
-                    && j + 1 < n
-                    && bytes[j + 1].1.is_alphabetic()
-                {
-                    j += 2;
-                } else {
-                    break;
+                    j += cj.len_utf8();
+                    continue;
                 }
+                if matches!(cj, '\'' | '-' | '.' | '’') {
+                    let after = j + cj.len_utf8();
+                    if let Some(a) = char_at(text, after).filter(|a| a.is_alphabetic()) {
+                        j = after + a.len_utf8();
+                        continue;
+                    }
+                }
+                break;
             }
-            let end = if j < n { bytes[j].0 } else { text.len() };
-            let mut word_end = end;
+            let mut end = j;
             // A trailing period stays inside only for abbreviation-shaped
-            // words (single letters between periods: "U.S."); otherwise the
-            // sentence splitter owns it. Here we only ever *included* periods
-            // when a letter followed, so a word can't end with '.', except we
-            // must re-attach it for abbreviations like "U.S." at sentence end.
-            if word_end < text.len()
-                && text[word_end..].starts_with('.')
-                && looks_like_abbrev(&text[start..word_end])
-            {
-                word_end += 1;
+            // words (single letters between periods: "U.S.") and known
+            // dotted abbreviations ("Mr.", "Inc."); otherwise the sentence
+            // splitter owns it. The loop above only ever includes periods
+            // that a letter follows, so re-attach it here.
+            if text[end..].starts_with('.') && looks_like_abbrev(&text[start..end]) {
+                end += 1;
             }
             tokens.push(Token {
-                text: text[start..word_end].to_owned(),
+                text: text[start..end].to_owned(),
                 kind: TokenKind::Word,
                 start,
-                end: word_end,
+                end,
             });
-            i = if word_end > end { j + 1 } else { j };
+            i = end;
             continue;
         }
         // Single-char token.
@@ -134,7 +135,7 @@ pub fn tokenize(text: &str) -> Vec<Token> {
             start,
             end,
         });
-        i += 1;
+        i = end;
     }
     tokens
 }
@@ -148,13 +149,13 @@ const DOTTED_ABBREVS: &[&str] = &[
 /// `U.S` / `U.K` / `a.m` shapes (alternating short letters and periods), or
 /// a known dotted abbreviation like `Mr` / `Inc`.
 fn looks_like_abbrev(s: &str) -> bool {
-    if DOTTED_ABBREVS.contains(&s.to_lowercase().as_str()) {
+    // ASCII case folding is exact here: no listed abbreviation holds a
+    // letter that a non-ASCII character lower-cases to.
+    if DOTTED_ABBREVS.iter().any(|a| a.eq_ignore_ascii_case(s)) {
         return true;
     }
-    let parts: Vec<&str> = s.split('.').collect();
-    parts.len() >= 2
-        && parts
-            .iter()
+    s.contains('.')
+        && s.split('.')
             .all(|p| p.chars().count() <= 2 && !p.is_empty())
 }
 

@@ -7,6 +7,9 @@
 //! ```sh
 //! cargo run --release --example extraction_table
 //! ```
+//!
+//! CI diffs the output against `examples/extraction_table.golden`; a change
+//! that moves a row must regenerate the golden file and say why.
 
 use nous_corpus::articles::render_date;
 use nous_corpus::Preset;
