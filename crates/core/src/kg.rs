@@ -34,7 +34,11 @@ pub struct KnowledgeGraph {
     pub gazetteer: Gazetteer,
     pub disambiguator: Disambiguator,
     pub mapper: PredicateMapper,
-    pub predictor: LinkPredictor,
+    /// Written only by [`KnowledgeGraph::train_predictor`] and the refit
+    /// of a decode, so `fit` always names what these models saw.
+    predictor: LinkPredictor,
+    /// What the predictor's last fit trained on; `None` until the first.
+    fit: Option<FitMark>,
     /// Raw triples retained for semi-supervised mapper expansion, with the
     /// votes they cast against the graph's edges.
     expansion: MapperExpansion,
@@ -52,9 +56,39 @@ pub struct KnowledgeGraph {
 }
 
 /// Checkpoint layouts [`KnowledgeGraph::decode_checkpoint`] reads; the
-/// second is what [`KnowledgeGraph::encode_checkpoint`] writes.
+/// third is what [`KnowledgeGraph::encode_checkpoint`] writes.
 const MAGIC_V1: &[u8; 8] = b"NOUSKG01";
 const MAGIC_V2: &[u8; 8] = b"NOUSKG02";
+const MAGIC_V3: &[u8; 8] = b"NOUSKG03";
+
+/// The training set of a predictor fit, named by position. Edge ids are
+/// log positions for life and an edge never changes once written, so the
+/// log prefix `0..log_len` minus `tombstones` is exactly the set of live
+/// edges the fit read, in the order it read them — whatever is appended
+/// or tombstoned afterwards.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct FitMark {
+    /// Edge-log length at the fit.
+    log_len: u32,
+    /// Vertex count at the fit: the entities the models embed.
+    vertices: u32,
+    /// Ids below `log_len` already tombstoned at the fit, ascending.
+    tombstones: Vec<u32>,
+}
+
+impl FitMark {
+    /// Everything `graph` holds now.
+    fn of(graph: &DynamicGraph) -> Self {
+        let log_len = graph.log_len() as u32;
+        FitMark {
+            log_len,
+            vertices: graph.vertex_count() as u32,
+            tombstones: (0..log_len)
+                .filter(|&i| !graph.is_live(nous_graph::EdgeId(i)))
+                .collect(),
+        }
+    }
+}
 
 fn entity_type_of(kind: nous_corpus::world::Kind) -> EntityType {
     match kind {
@@ -78,6 +112,7 @@ impl KnowledgeGraph {
             disambiguator: Disambiguator::new(Vec::new()).with_context_weight(0.95),
             mapper: crate::seeds::seeded_mapper(),
             predictor: LinkPredictor::new(PredictorMode::PerPredicate, BprConfig::default()),
+            fit: None,
             expansion: MapperExpansion::default(),
             expansion_seen: DeltaWatermark::default(),
             revision: RevisionPolicy::default(),
@@ -349,16 +384,35 @@ impl KnowledgeGraph {
         self.expansion.expand(&mut self.mapper, 5)
     }
 
-    /// (Re)train the per-predicate link predictor from the current graph.
+    /// The per-predicate link predictor (§3.4). Untrained until
+    /// [`KnowledgeGraph::train_predictor`] runs.
+    pub fn predictor(&self) -> &LinkPredictor {
+        &self.predictor
+    }
+
+    /// (Re)train the per-predicate link predictor on the current graph's
+    /// live edges, and record what it trained on: the edge-log length,
+    /// the vertex count and the tombstoned ids below that length. The
+    /// checkpoint carries that mark, so a decoded graph refits on exactly
+    /// these edges and gets this predictor back bit for bit — however
+    /// much the graph grew or was revised after the fit.
     pub fn train_predictor(&mut self) {
+        self.fit_predictor(FitMark::of(&self.graph));
+    }
+
+    /// Fit the predictor on what `mark` names, in edge-log order.
+    fn fit_predictor(&mut self, mark: FitMark) {
         let names: Vec<&str> = self.graph.iter_predicates().map(|(_, n)| n).collect();
-        let triples: Vec<(u32, u32, u32)> = self
-            .graph
-            .iter_edges()
-            .map(|(_, e)| (e.pred.0, e.src.0, e.dst.0))
+        let mut dead = mark.tombstones.iter().copied().peekable();
+        let triples: Vec<(u32, u32, u32)> = self.graph.edge_log()[..mark.log_len as usize]
+            .iter()
+            .zip(0u32..)
+            .filter(|&(_, i)| dead.next_if_eq(&i).is_none())
+            .map(|(e, _)| (e.pred.0, e.src.0, e.dst.0))
             .collect();
         self.predictor
-            .fit_interned(self.graph.vertex_count(), &names, &triples);
+            .fit_interned(mark.vertices as usize, &names, &triples);
+        self.fit = Some(mark);
     }
 
     /// Train LDA over per-entity text and build the QA topic index (§3.6).
@@ -397,16 +451,17 @@ impl KnowledgeGraph {
     /// graph's only state serialisation, and the checkpoint payload of the
     /// durability stack (`nous-persist`).
     ///
-    /// Layout `NOUSKG02`. `NOUSKG01` wrote the per-entity text twice (its
-    /// own section and again inside each record), every term spelled out
-    /// per entity, and the raw predicate spelled out per stashed triple;
-    /// [`KnowledgeGraph::decode_checkpoint`] still reads it.
+    /// Layout `NOUSKG03`: `NOUSKG02` plus the predictor's fit mark (what
+    /// [`KnowledgeGraph::train_predictor`] last trained on — an edge-log
+    /// length, a vertex count and the tombstoned ids below that length).
+    /// `NOUSKG01` wrote the per-entity text twice (its own section and
+    /// again inside each record), every term spelled out per entity, and
+    /// the raw predicate spelled out per stashed triple;
+    /// [`KnowledgeGraph::decode_checkpoint`] reads all three layouts.
     ///
-    /// Not encoded: the trained predictor weights. A decoded graph's
-    /// predictor is untrained, with the default `BprConfig`; call
-    /// [`KnowledgeGraph::train_predictor`] once the graph is complete, as
-    /// `DurableStore::open` does after WAL replay. Training is
-    /// deterministic given the same edges.
+    /// Not encoded: the trained predictor weights. The mark names the
+    /// fit's training set in the edge log, and a fit is deterministic in
+    /// it, so decoding refits the same predictor from the graph itself.
     pub fn encode_checkpoint(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.checkpoint_size_hint());
         self.encode_checkpoint_into(&mut buf);
@@ -425,7 +480,7 @@ impl KnowledgeGraph {
     pub fn encode_checkpoint_into(&self, buf: &mut Vec<u8>) {
         use crate::journal::entity_type_tag;
         use nous_graph::codec;
-        buf.extend_from_slice(MAGIC_V2);
+        buf.extend_from_slice(MAGIC_V3);
         codec::put_bytes_with(buf, |blob| {
             nous_graph::snapshot::to_compact_into(&self.graph, blob)
         });
@@ -506,21 +561,36 @@ impl KnowledgeGraph {
         codec::put_u64(buf, self.revision_counters.superseded);
         codec::put_u64(buf, self.revision_counters.decayed);
         codec::put_u64(buf, self.revision_counters.reinforced);
+
+        codec::put_u8(buf, self.fit.is_some() as u8);
+        if let Some(mark) = &self.fit {
+            codec::put_u32(buf, mark.log_len);
+            codec::put_u32(buf, mark.vertices);
+            codec::put_u32(buf, mark.tombstones.len() as u32);
+            for &id in &mark.tombstones {
+                codec::put_u32(buf, id);
+            }
+        }
     }
 
     /// Restore a knowledge graph from [`KnowledgeGraph::encode_checkpoint`]
-    /// bytes, rebuilding the derived indexes. The predictor comes back
-    /// untrained: train it once the graph is complete.
+    /// bytes, rebuilding the derived indexes, and refit the predictor on
+    /// the training set the fit mark names: the decoded predictor is
+    /// bit-identical to the encoded graph's, and a never-trained graph
+    /// comes back untrained. `NOUSKG01` and `NOUSKG02` carry no mark;
+    /// their predictor is fit on the whole decoded graph.
     pub fn decode_checkpoint(bytes: &[u8]) -> Result<Self, nous_graph::snapshot::SnapshotError> {
         use crate::journal::{entity_type_from_tag, read_bow};
         use nous_graph::codec::Reader;
         use nous_graph::snapshot::SnapshotError;
         let corrupt = |what: &'static str| move |_| SnapshotError::Corrupt(what);
-        let v1 = match bytes.get(..8) {
-            Some(magic) if magic == MAGIC_V1 => true,
-            Some(magic) if magic == MAGIC_V2 => false,
+        let version = match bytes.get(..8) {
+            Some(magic) if magic == MAGIC_V1 => 1,
+            Some(magic) if magic == MAGIC_V2 => 2,
+            Some(magic) if magic == MAGIC_V3 => 3,
             _ => return Err(SnapshotError::Corrupt("bad checkpoint magic")),
         };
+        let v1 = version == 1;
         let mut r = Reader::new(&bytes[8..]);
         let graph =
             nous_graph::snapshot::from_compact(r.bytes().map_err(corrupt("graph section"))?)?;
@@ -677,21 +747,57 @@ impl KnowledgeGraph {
             decayed: r.u64().map_err(corrupt("decayed count"))?,
             reinforced: r.u64().map_err(corrupt("reinforced count"))?,
         };
+        let fit = if version < 3 {
+            Some(FitMark::of(&graph))
+        } else if r.u8().map_err(corrupt("fit mark flag"))? != 0 {
+            let log_len = r.u32().map_err(corrupt("fit mark log length"))?;
+            let vertices = r.u32().map_err(corrupt("fit mark vertices"))?;
+            let n = r
+                .count(4, "fit mark tombstone count")
+                .map_err(corrupt("fit mark tombstone count"))?;
+            let mut tombstones = Vec::with_capacity(n);
+            for _ in 0..n {
+                tombstones.push(r.u32().map_err(corrupt("fit mark tombstone"))?);
+            }
+            // A tombstone stays one: every id the fit saw dead is dead
+            // now, and the fit saw no more than the decoded graph holds.
+            let consistent = log_len as usize <= graph.log_len()
+                && vertices as usize <= graph.vertex_count()
+                && tombstones.windows(2).all(|w| w[0] < w[1])
+                && tombstones
+                    .iter()
+                    .all(|&id| id < log_len && !graph.is_live(nous_graph::EdgeId(id)));
+            if !consistent {
+                return Err(SnapshotError::Corrupt("fit mark outside the graph"));
+            }
+            Some(FitMark {
+                log_len,
+                vertices,
+                tombstones,
+            })
+        } else {
+            None
+        };
         if !r.is_empty() {
             return Err(SnapshotError::Corrupt("trailing checkpoint bytes"));
         }
 
-        Ok(KnowledgeGraph {
+        let mut kg = KnowledgeGraph {
             graph,
             gazetteer,
             disambiguator,
             mapper,
             predictor: LinkPredictor::new(PredictorMode::PerPredicate, BprConfig::default()),
+            fit: None,
             expansion,
             expansion_seen: DeltaWatermark::default(),
             revision,
             revision_counters,
-        })
+        };
+        if let Some(mark) = fit {
+            kg.fit_predictor(mark);
+        }
+        Ok(kg)
     }
 
     /// Entity summary for "tell me about X" queries (Figure 6): type,
@@ -914,7 +1020,7 @@ mod tests {
     fn predictor_trains_on_curated_graph() {
         let (_, _, mut kg) = smoke_kg();
         kg.train_predictor();
-        assert!(kg.predictor.has_model("isLocatedIn"));
+        assert!(kg.predictor().has_model("isLocatedIn"));
         let s = kg.graph.vertex_id("Shenzhen");
         assert!(s.is_some());
     }
@@ -965,6 +1071,25 @@ mod tests {
         assert_eq!(nous_graph::codec::fnv1a64(&bits), 0x909f_9cbd_4361_a4c9);
     }
 
+    /// Every model's presence, then its score bits over every `(s, o)`.
+    fn predictor_bits(kg: &KnowledgeGraph) -> Vec<u8> {
+        let n = kg.graph.vertex_count() as u32;
+        let mut bits = Vec::new();
+        for (_, p) in kg.graph.iter_predicates() {
+            bits.push(u8::from(kg.predictor().has_model(p)));
+            if !kg.predictor().has_model(p) {
+                continue;
+            }
+            for s in 0..n {
+                for o in 0..n {
+                    let x = kg.predictor().score(p, s, o);
+                    bits.extend_from_slice(&x.to_bits().to_le_bytes());
+                }
+            }
+        }
+        bits
+    }
+
     #[test]
     fn predictor_bits_are_pinned() {
         // Every admitted fact's confidence reads these models, so a change
@@ -985,22 +1110,11 @@ mod tests {
             kg.add_extracted_fact(o, "acquired", s, 20, 0.8, 10 + i as u64);
         }
         kg.train_predictor();
-        let n = kg.graph.vertex_count() as u32;
-        let mut bits = Vec::new();
-        for (_, p) in kg.graph.iter_predicates() {
-            bits.push(u8::from(kg.predictor.has_model(p)));
-            if !kg.predictor.has_model(p) {
-                continue;
-            }
-            for s in 0..n {
-                for o in 0..n {
-                    let x = kg.predictor.score(p, s, o);
-                    bits.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
-            }
-        }
         // Recorded from the `HashSet`-probing, one-model-at-a-time fit.
-        assert_eq!(nous_graph::codec::fnv1a64(&bits), 0x7529_0488_2eae_e772);
+        assert_eq!(
+            nous_graph::codec::fnv1a64(&predictor_bits(&kg)),
+            0x7529_0488_2eae_e772
+        );
     }
 
     #[test]
@@ -1030,7 +1144,7 @@ mod tests {
         kg.create_entity("Checkpoint Test Corp", EntityType::Organization);
         kg.stash_raw_triple(s, "buy", o);
         let bytes = kg.encode_checkpoint();
-        let mut back = KnowledgeGraph::decode_checkpoint(&bytes).unwrap();
+        let back = KnowledgeGraph::decode_checkpoint(&bytes).unwrap();
         assert_eq!(back.graph.vertex_count(), kg.graph.vertex_count());
         assert_eq!(back.graph.edge_count(), kg.graph.edge_count());
         assert_eq!(back.graph.log_len(), kg.graph.log_len());
@@ -1044,17 +1158,11 @@ mod tests {
         assert_eq!(back.mapper.rules().len(), kg.mapper.rules().len());
         assert_eq!(back.entity_text(s), kg.entity_text(s));
         assert!(!kg.entity_text(s).is_empty());
-        // Decode does not train; trained on the same edges, the same
-        // predicates clear min-support, so the same models exist.
-        assert!(back.predictor.trained_predicates().is_empty());
-        back.train_predictor();
-        kg.train_predictor();
-        assert_eq!(
-            back.predictor.trained_predicates(),
-            kg.predictor.trained_predicates()
-        );
+        // Decode refits on what the live fit saw, the curated graph, and
+        // not on the extracted fact appended after it.
+        assert_eq!(predictor_bits(&back), predictor_bits(&kg));
         assert!(
-            !back.predictor.trained_predicates().is_empty(),
+            !back.predictor().trained_predicates().is_empty(),
             "curated smoke predicates must clear min-support"
         );
         // The encoding is deterministic, so a second trip is
@@ -1062,12 +1170,62 @@ mod tests {
         assert_eq!(back.encode_checkpoint(), bytes);
     }
 
-    /// `fixtures/nouskg01.bin` is what the last `NOUSKG01` writer produced
-    /// for exactly the history replayed here (two copies of the entity
-    /// text, raw predicates spelled out per stashed triple): it decodes to
-    /// the state this code builds, and re-encodes as `NOUSKG02`.
     #[test]
-    fn nouskg01_checkpoints_still_decode() {
+    fn decode_refits_on_the_fit_mark_not_on_later_revisions() {
+        let (world, _, mut kg) = smoke_kg();
+        kg.set_revision_policy(RevisionPolicy::enabled());
+        let cities = ["Shenzhen", "Austin", "Boston"].map(|c| kg.graph.vertex_id(c).unwrap());
+        let companies: Vec<VertexId> = (0..6)
+            .map(|i| {
+                kg.graph
+                    .vertex_id(&world.entities[world.companies[i]].name)
+                    .unwrap()
+            })
+            .collect();
+        // Before the fit, each company moves once: its first extracted
+        // location is superseded (tombstoned, re-appended decayed).
+        for (doc, &s) in companies.iter().enumerate() {
+            kg.add_extracted_fact(s, "isLocatedIn", cities[0], 10, 0.9, doc as u64);
+            kg.add_extracted_fact(s, "isLocatedIn", cities[1], 20, 0.9, doc as u64);
+        }
+        kg.train_predictor();
+        let mark = kg.fit.clone().unwrap();
+        assert!(
+            !mark.tombstones.is_empty(),
+            "the fit comes after a tombstone"
+        );
+        // The live fit trained on the live edges, tombstones left out.
+        let live: Vec<(&str, u32, u32)> = kg
+            .graph
+            .iter_edges()
+            .map(|(_, e)| (kg.graph.predicate_name(e.pred), e.src.0, e.dst.0))
+            .collect();
+        let mut oracle = LinkPredictor::new(PredictorMode::PerPredicate, BprConfig::default());
+        oracle.fit(kg.graph.vertex_count(), &live);
+        let n = kg.graph.vertex_count() as u32;
+        for (s, o) in (0..n).flat_map(|s| (0..n).map(move |o| (s, o))) {
+            let score = |lp: &LinkPredictor| lp.score("isLocatedIn", s, o).to_bits();
+            assert_eq!(score(kg.predictor()), score(&oracle));
+        }
+        // After the fit, each moves again: revision tombstones edges the
+        // fit trained on.
+        for (doc, &s) in companies.iter().enumerate() {
+            kg.add_extracted_fact(s, "isLocatedIn", cities[2], 30, 0.9, 100 + doc as u64);
+        }
+        let dead_now = FitMark::of(&kg.graph).tombstones;
+        assert!(
+            dead_now.iter().filter(|&&id| id < mark.log_len).count() > mark.tombstones.len(),
+            "revision removed prefix edges after the fit"
+        );
+
+        let back = KnowledgeGraph::decode_checkpoint(&kg.encode_checkpoint()).unwrap();
+        assert!(back.predictor().has_model("isLocatedIn"));
+        assert_eq!(back.fit, kg.fit);
+        assert_eq!(predictor_bits(&back), predictor_bits(&kg));
+    }
+
+    /// The history both layout fixtures were written from.
+    fn fixture_history() -> KnowledgeGraph {
         let mut kg = KnowledgeGraph::new();
         let a = kg.create_entity("Acme Robotics", EntityType::Organization);
         let b = kg.create_entity("Beta Labs", EntityType::Organization);
@@ -1085,10 +1243,11 @@ mod tests {
         kg.stash_raw_triple(a, "buy", b);
         kg.stash_raw_triple(a, "buy", b);
         kg.stash_raw_triple(b, "base_in", c);
+        kg
+    }
 
-        let v1: &[u8] = include_bytes!("../fixtures/nouskg01.bin");
-        assert_eq!(&v1[..8], b"NOUSKG01");
-        let old = KnowledgeGraph::decode_checkpoint(v1).unwrap();
+    /// `old` decoded to the state `fixture_history` builds.
+    fn assert_same_state(old: &KnowledgeGraph, kg: &KnowledgeGraph) {
         assert_eq!(old.graph.log_len(), kg.graph.log_len());
         assert_eq!(old.graph.stats(), kg.graph.stats());
         assert_eq!(old.pending_raw_triples(), kg.pending_raw_triples());
@@ -1106,14 +1265,49 @@ mod tests {
                     .resolve(name, &ctx, nous_link::LinkMode::Full)
                     .map(|r| (r.id, r.score.to_bits()))
             };
-            assert_eq!(resolve(&old), resolve(&kg), "{name}");
+            assert_eq!(resolve(old), resolve(kg), "{name}");
         }
+    }
+
+    /// `fixtures/nouskg01.bin` is what the last `NOUSKG01` writer produced
+    /// for exactly the history `fixture_history` replays (two copies of
+    /// the entity text, raw predicates spelled out per stashed triple): it
+    /// decodes to the state this code builds, and re-encodes as `NOUSKG03`.
+    #[test]
+    fn nouskg01_checkpoints_still_decode() {
+        let kg = fixture_history();
+        let v1: &[u8] = include_bytes!("../fixtures/nouskg01.bin");
+        assert_eq!(&v1[..8], b"NOUSKG01");
+        let old = KnowledgeGraph::decode_checkpoint(v1).unwrap();
+        assert_same_state(&old, &kg);
         // Written back, it is the current layout — and stable from there.
-        let v2 = old.encode_checkpoint();
+        let v3 = old.encode_checkpoint();
+        assert_eq!(&v3[..8], b"NOUSKG03");
+        assert!(v3.len() < v1.len(), "one context section, interned terms");
+        let again = KnowledgeGraph::decode_checkpoint(&v3).unwrap();
+        assert_eq!(again.encode_checkpoint(), v3);
+    }
+
+    /// `fixtures/nouskg02.bin` is what the last `NOUSKG02` writer produced
+    /// for the same history. It carries no fit mark, so its predictor is
+    /// fit on the whole decoded graph; written back, it is the same bytes
+    /// under the `NOUSKG03` magic, plus that mark.
+    #[test]
+    fn nouskg02_checkpoints_still_decode() {
+        let mut kg = fixture_history();
+        let v2: &[u8] = include_bytes!("../fixtures/nouskg02.bin");
         assert_eq!(&v2[..8], b"NOUSKG02");
-        assert!(v2.len() < v1.len(), "one context section, interned terms");
-        let again = KnowledgeGraph::decode_checkpoint(&v2).unwrap();
-        assert_eq!(again.encode_checkpoint(), v2);
+        let old = KnowledgeGraph::decode_checkpoint(v2).unwrap();
+        assert_same_state(&old, &kg);
+        kg.train_predictor();
+        assert_eq!(old.fit, kg.fit);
+        assert_eq!(predictor_bits(&old), predictor_bits(&kg));
+        let v3 = old.encode_checkpoint();
+        assert_eq!(&v3[..8], b"NOUSKG03");
+        assert_eq!(&v3[8..v2.len()], &v2[8..]);
+        assert_eq!(v3, kg.encode_checkpoint());
+        let again = KnowledgeGraph::decode_checkpoint(&v3).unwrap();
+        assert_eq!(again.encode_checkpoint(), v3);
     }
 
     #[test]

@@ -656,7 +656,7 @@ impl IngestPipeline {
             // §3.4 confidence: blend extractor heuristic with the link
             // predictor's graph-prior score.
             let g = score_acc.enter();
-            let prior = kg.predictor.score(&rule.ontology, s.0, o.0);
+            let prior = kg.predictor().score(&rule.ontology, s.0, o.0);
             let confidence = crate::revision::blend(t.confidence, prior, self.cfg.predictor_weight);
             drop(g);
 

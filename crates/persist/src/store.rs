@@ -161,7 +161,6 @@ struct StoreMetrics {
     recovery_chained_generations: Counter,
     recovery_decode_seconds: nous_obs::Histogram,
     recovery_replay_seconds: nous_obs::Histogram,
-    recovery_fit_seconds: nous_obs::Histogram,
 }
 
 impl StoreMetrics {
@@ -233,15 +232,11 @@ impl StoreMetrics {
             ),
             recovery_decode_seconds: registry.latency(
                 "nous_recovery_decode_seconds",
-                "Wall time recovery spent reading and decoding checkpoint files",
+                "Wall time recovery spent reading and decoding checkpoint files, predictor refit included",
             ),
             recovery_replay_seconds: registry.latency(
                 "nous_recovery_replay_seconds",
                 "Wall time recovery spent scanning, repairing and replaying WALs",
-            ),
-            recovery_fit_seconds: registry.latency(
-                "nous_recovery_fit_seconds",
-                "Wall time recovery spent fitting the link predictor on the recovered graph",
             ),
         }
     }
@@ -446,6 +441,9 @@ impl DurableStore {
     /// Recover from `dir`: restore the newest valid checkpoint, repair its
     /// WAL (truncating torn bytes), replay the surviving records, and return
     /// the store positioned to continue appending where the crash happened.
+    /// The recovered predictor is the live one: the checkpoint's decode
+    /// refits it on exactly what the live fit trained on, and replay,
+    /// like live ingest, never retrains it.
     pub fn open(
         dir: &Path,
         cfg: DurabilityConfig,
@@ -543,11 +541,6 @@ impl DurableStore {
             break;
         }
         span.stop();
-        // The decoded predictor is untrained: the one fit of a recovery
-        // happens here, on the complete recovered graph.
-        let span = registry.start(&metrics.recovery_fit_seconds);
-        kg.train_predictor();
-        span.stop();
         metrics.recovery_replayed.add(replayed_facts);
         metrics.recovery_truncated_bytes.add(truncated_bytes);
         metrics
@@ -560,12 +553,6 @@ impl DurableStore {
             .recovery_chained_generations
             .add(chained_generations);
         metrics.wal_degraded.set(0);
-        if let (Some(g), Some(off)) = (torn_generation, torn_offset) {
-            eprintln!(
-                "nous-persist: recovery truncated wal-{g:08} at offset {off} \
-                 ({truncated_bytes} torn byte(s) discarded)"
-            );
-        }
 
         // Continue appending to the newest WAL that replayed. Ensure it
         // exists even if the crash hit between checkpoint and WAL create.
@@ -978,59 +965,81 @@ mod tests {
         let n = kg.graph.vertex_count() as u32;
         let mut bits = Vec::new();
         for (_, p) in kg.graph.iter_predicates() {
-            bits.push(u32::from(kg.predictor.has_model(p)));
+            bits.push(u32::from(kg.predictor().has_model(p)));
             for s in 0..n {
                 for o in 0..n {
-                    bits.push(kg.predictor.score(p, s, o).to_bits());
+                    bits.push(kg.predictor().score(p, s, o).to_bits());
                 }
             }
         }
         bits
     }
 
-    #[test]
-    fn recovery_fits_the_predictor_once_on_the_recovered_graph() {
-        for wal_tail in [true, false] {
-            let dir = scratch("fit-once");
-            let registry = MetricsRegistry::new();
-            let (mut kg, articles) = smoke_world();
-            let mut pipe = pipeline(&registry);
-            let mut store = DurableStore::create(
-                &dir,
-                DurabilityConfig {
-                    fsync: FsyncPolicy::Never,
-                    checkpoint_every_facts: 0,
-                    keep_generations: 2,
-                    retry: RetryPolicy::default(),
-                },
-                &kg,
-                &pipe.report(),
-                &registry,
-            )
-            .unwrap();
-            pipe.set_journal(store.journal());
-            for a in &articles[..4] {
-                pipe.ingest(&mut kg, a);
-            }
-            if !wal_tail {
-                store.checkpoint(&kg, &pipe.report()).unwrap();
-            }
-            drop(store);
+    /// Ingest four documents into `kg` under a fresh store, checkpoint
+    /// them or leave them in the WAL tail, and recover.
+    fn ingest_and_recover(
+        mut kg: KnowledgeGraph,
+        articles: &[Article],
+        wal_tail: bool,
+    ) -> (KnowledgeGraph, Recovered) {
+        let dir = scratch("live-predictor");
+        let registry = MetricsRegistry::new();
+        let mut pipe = pipeline(&registry);
+        let mut store = DurableStore::create(
+            &dir,
+            DurabilityConfig {
+                fsync: FsyncPolicy::Never,
+                checkpoint_every_facts: 0,
+                keep_generations: 2,
+                retry: RetryPolicy::default(),
+            },
+            &kg,
+            &pipe.report(),
+            &registry,
+        )
+        .unwrap();
+        pipe.set_journal(store.journal());
+        for a in &articles[..4] {
+            pipe.ingest(&mut kg, a);
+        }
+        if !wal_tail {
+            store.checkpoint(&kg, &pipe.report()).unwrap();
+        }
+        drop(store);
 
-            let registry2 = MetricsRegistry::new();
-            let (_store, mut rec) =
-                DurableStore::open(&dir, DurabilityConfig::default(), &registry2).unwrap();
-            assert_eq!(rec.replayed_docs > 0, wal_tail);
-            assert_eq!(rec.kg.graph.edge_count(), kg.graph.edge_count());
-            assert!(!rec.kg.predictor.trained_predicates().is_empty());
+        let (_store, rec) =
+            DurableStore::open(&dir, DurabilityConfig::default(), &MetricsRegistry::new()).unwrap();
+        assert_eq!(rec.replayed_docs > 0, wal_tail);
+        assert_eq!(rec.kg.graph.edge_count(), kg.graph.edge_count());
+        (kg, rec)
+    }
+
+    #[test]
+    fn recovery_restores_the_live_predictor() {
+        for wal_tail in [true, false] {
+            let (kg, articles) = smoke_world();
+            let (live, rec) = ingest_and_recover(kg, &articles, wal_tail);
+            assert!(!rec.kg.predictor().trained_predicates().is_empty());
             assert_eq!(
-                StoreMetrics::new(&registry2).recovery_fit_seconds.count(),
-                1,
-                "one fit per open (wal tail: {wal_tail})"
+                predictor_bits(&rec.kg),
+                predictor_bits(&live),
+                "wal tail: {wal_tail}"
             );
-            let recovered = predictor_bits(&rec.kg);
-            rec.kg.train_predictor();
-            assert_eq!(recovered, predictor_bits(&rec.kg), "wal tail: {wal_tail}");
+        }
+    }
+
+    #[test]
+    fn a_never_trained_graph_recovers_untrained() {
+        for wal_tail in [true, false] {
+            let world = World::generate(&Preset::Smoke.world_config());
+            let kb = CuratedKb::generate(&world, 7);
+            let kg = KnowledgeGraph::from_curated(&world, &kb);
+            let articles = ArticleStream::generate(&world, &kb, &Preset::Smoke.stream_config());
+            let (_, rec) = ingest_and_recover(kg, &articles, wal_tail);
+            assert!(
+                rec.kg.predictor().trained_predicates().is_empty(),
+                "wal tail: {wal_tail}"
+            );
         }
     }
 

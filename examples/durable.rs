@@ -81,6 +81,9 @@ fn main() -> std::io::Result<()> {
         "replay:        {} documents / {} facts from the WAL tail, {} torn bytes discarded",
         recovered.replayed_docs, recovered.replayed_facts, recovered.truncated_bytes
     );
+    if let (Some(g), Some(off)) = (recovered.torn_generation, recovered.torn_offset) {
+        println!("torn frontier: wal-{g:08}.log at offset {off}");
+    }
     println!(
         "durability counters: wal_appends={:?} checkpoints={:?} recovery_replayed={:?}",
         recovery_registry.counter_value("nous_wal_appends_total", &[]),

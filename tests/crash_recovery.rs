@@ -1,6 +1,7 @@
 //! End-to-end crash-recovery: ingest under load with a WAL + baseline
 //! checkpoint, tear the WAL at fuzzed byte offsets, recover, and check the
-//! restored graph and ingest report against a reference run prefix.
+//! restored graph, ingest report and link predictor against a reference
+//! run prefix.
 
 use std::path::{Path, PathBuf};
 
@@ -34,14 +35,32 @@ struct Probe {
     edges: usize,
     extracted_edges: usize,
     report: IngestReport,
+    /// FNV-1a over which predicates have a model, and each model's score
+    /// bits at every `(s, o)`.
+    predictor: u64,
 }
 
 fn probe(kg: &KnowledgeGraph, report: &IngestReport) -> Probe {
+    let n = kg.graph.vertex_count() as u32;
+    let mut scores = Vec::new();
+    for (_, p) in kg.graph.iter_predicates() {
+        scores.push(u8::from(kg.predictor().has_model(p)));
+        if !kg.predictor().has_model(p) {
+            continue;
+        }
+        for s in 0..n {
+            for o in 0..n {
+                let x = kg.predictor().score(p, s, o);
+                scores.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+    }
     Probe {
         vertices: kg.graph.vertex_count(),
         edges: kg.graph.edge_count(),
         extracted_edges: kg.graph.stats().extracted_edges,
         report: report.clone(),
+        predictor: nous_graph::codec::fnv1a64(&scores),
     }
 }
 

@@ -2,8 +2,9 @@
 //! learned mapping rules, per-entity text) survives a checkpoint
 //! round trip, and the restored system keeps working — answering queries
 //! and ingesting further documents. The checkpoint does not carry the
-//! predictor's weights; retrained on the restored graph, the predictor
-//! scores exactly as the original's does.
+//! predictor's weights, only what its fit trained on; the decode refits
+//! on exactly that, so the restored predictor scores exactly as the
+//! original's does, with no retraining.
 
 use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig};
 use nous_corpus::Preset;
@@ -26,8 +27,8 @@ fn built() -> (
 
 #[test]
 fn full_state_roundtrip() {
-    let (world, mut kg, _) = built();
-    let mut back = KnowledgeGraph::decode_checkpoint(&kg.encode_checkpoint()).expect("decodable");
+    let (world, kg, _) = built();
+    let back = KnowledgeGraph::decode_checkpoint(&kg.encode_checkpoint()).expect("decodable");
 
     // Graph equivalence.
     assert_eq!(back.graph.vertex_count(), kg.graph.vertex_count());
@@ -55,13 +56,22 @@ fn full_state_roundtrip() {
             .map(|(k, _)| *k)
             .collect::<Vec<_>>()
     );
-    // Retrained on either graph, the predictor scores identically.
-    kg.train_predictor();
-    back.train_predictor();
+    // The restored predictor is the original's, trained on the curated
+    // graph before the ingest.
+    assert!(kg.predictor().has_model("isLocatedIn"));
     assert_eq!(
-        kg.predictor.score("isLocatedIn", 0, 1),
-        back.predictor.score("isLocatedIn", 0, 1)
+        kg.predictor().trained_predicates(),
+        back.predictor().trained_predicates()
     );
+    let n = kg.graph.vertex_count() as u32;
+    for p in kg.predictor().trained_predicates() {
+        for (s, o) in (0..n).zip((0..n).rev()) {
+            assert_eq!(
+                kg.predictor().score(p, s, o).to_bits(),
+                back.predictor().score(p, s, o).to_bits()
+            );
+        }
+    }
     // Disambiguator resolves identically.
     let bow = BagOfWords::from_text(&company.description);
     let a = kg
@@ -77,9 +87,6 @@ fn full_state_roundtrip() {
 fn restored_graph_keeps_ingesting() {
     let (_, kg, articles) = built();
     let mut back = KnowledgeGraph::decode_checkpoint(&kg.encode_checkpoint()).unwrap();
-    // As `DurableStore::open` does: train once the restored graph is
-    // complete, before ingesting further.
-    back.train_predictor();
     let before = back.graph.edge_count();
     let (_, second) = articles.split_at(articles.len() / 2);
     let mut pipe = IngestPipeline::new(PipelineConfig::default());
