@@ -181,10 +181,10 @@ impl KnowledgeGraph {
     /// gains the other's name terms (the "entity neighborhood in the
     /// knowledge graph" context of §3.3) and a popularity bump.
     fn bump_entity(&mut self, s: VertexId, o: VertexId) {
-        let s_name = BagOfWords::from_text(self.graph.vertex_name(s));
-        let o_name = BagOfWords::from_text(self.graph.vertex_name(o));
-        self.disambiguator.update_context(s.0, &o_name, 1.0);
-        self.disambiguator.update_context(o.0, &s_name, 1.0);
+        self.disambiguator.link_neighbours(
+            (s.0, self.graph.vertex_name(s)),
+            (o.0, self.graph.vertex_name(o)),
+        );
     }
 
     /// Create a brand-new entity discovered in text (dynamic KG growth).

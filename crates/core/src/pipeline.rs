@@ -612,9 +612,11 @@ impl IngestPipeline {
             let g = map_acc.enter();
             let rule = kg.mapper.map(&t.predicate).cloned();
             let Some(rule) = rule else {
+                drop(g);
                 self.metrics.unmapped.inc();
                 // Still try to resolve the arguments so the stashed raw
                 // triple can supervise mapper expansion later.
+                let _g = dis_acc.enter();
                 if let (Some(s), Some(o)) = (
                     kg.disambiguator
                         .resolve(&t.subject, doc_bow, self.cfg.link_mode)
@@ -898,6 +900,82 @@ mod tests {
         assert!(report.raw_triples > 0, "extraction produced tuples");
         assert!(report.admitted > 0, "some facts admitted: {report:?}");
         assert_eq!(kg.graph.stats().extracted_edges, report.admitted);
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        // Admission folds each fact's endpoint names into the other's
+        // context; the order terms are interned in decides the term table
+        // and so every checkpoint byte.
+        let (_, mut kg, articles) = setup();
+        kg.train_predictor();
+        let mut pipe = IngestPipeline::new(PipelineConfig::default());
+        pipe.ingest_all(&mut kg, &articles);
+        // Recorded from the string-keyed fold (`update_context` with each
+        // endpoint's name re-tokenized per fact).
+        assert_eq!(
+            nous_graph::codec::fnv1a64(&kg.encode_checkpoint()),
+            0xcc3a_999f_641f_1fc5
+        );
+    }
+
+    /// A clock that moves one nanosecond on every reading: a stage
+    /// interval then measures the clock reads made inside it, plus one.
+    #[derive(Default)]
+    struct TickClock(std::sync::atomic::AtomicU64);
+
+    impl nous_obs::Clock for TickClock {
+        fn now_nanos(&self) -> u64 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn unmapped_tuples_resolve_under_disambiguate_not_map() {
+        use nous_extract::Extraction;
+        let (world, mut kg, _) = setup();
+        let stashed_before = kg.pending_raw_count();
+        let reg = MetricsRegistry::with_clock(std::sync::Arc::new(TickClock::default()));
+        let mut pipe = IngestPipeline::with_registry(PipelineConfig::default(), reg.clone());
+        let company = |i: usize| world.entities[world.companies[i]].name.clone();
+        let extractions: Vec<Extraction> = (0..3)
+            .map(|i| Extraction {
+                doc_id: 5,
+                day: 1,
+                sentence: i,
+                subject: company(i),
+                subject_type: Some(EntityType::Organization),
+                predicate: "frobnicate".into(),
+                object: company(i + 1),
+                object_type: Some(EntityType::Organization),
+                extra_args: vec![],
+                negated: false,
+                confidence: 0.9,
+            })
+            .collect();
+        let ext = DocExtraction {
+            doc_id: 5,
+            sentences: 3,
+            raw_count: 3,
+            context: BagOfWords::new(),
+            extractions,
+        };
+        pipe.merge_extraction(&mut kg, &ext);
+        assert_eq!(pipe.report().unmapped, 3);
+        assert_eq!(
+            kg.pending_raw_count(),
+            stashed_before + 3,
+            "both arguments resolve"
+        );
+        // One interval per tuple in each stage, and no clock read inside
+        // either: the rule lookup is all "map" times, the two argument
+        // resolutions are timed as "disambiguate".
+        let stage = |s: &str| {
+            reg.latency_with("nous_ingest_stage_seconds", "", &[("stage", s)])
+                .sum()
+        };
+        assert_eq!(stage("map"), 3);
+        assert_eq!(stage("disambiguate"), 3);
     }
 
     #[test]

@@ -67,6 +67,9 @@ impl BprModel {
         fit.finish()
     }
 
+    /// One BPR ascent step on `(s, o⁺, o⁻)`, over the three rows it
+    /// touches. `o_neg != o_pos` (the sampler only returns objects `s` was
+    /// never observed with), so the two object rows are disjoint.
     #[inline]
     fn sgd_step(
         subj: &mut [f32],
@@ -77,22 +80,20 @@ impl BprModel {
         o_neg: u32,
         cfg: &BprConfig,
     ) {
-        let sb = s as usize * d;
-        let pb = o_pos as usize * d;
-        let nb = o_neg as usize * d;
+        let (lr, reg) = (cfg.lr, cfg.reg);
+        let srow = &mut subj[s as usize * d..][..d];
+        let (prow, nrow) = two_rows(obj, d, o_pos as usize, o_neg as usize);
         let mut x = 0f32;
-        for i in 0..d {
-            x += subj[sb + i] * (obj[pb + i] - obj[nb + i]);
+        for ((&su, &po), &no) in srow.iter().zip(prow.iter()).zip(nrow.iter()) {
+            x += su * (po - no);
         }
         // d/dθ of -ln σ(x): -(1-σ(x)) ∂x/∂θ
         let g = 1.0 - sigmoid(x);
-        for i in 0..d {
-            let su = subj[sb + i];
-            let po = obj[pb + i];
-            let no = obj[nb + i];
-            subj[sb + i] += cfg.lr * (g * (po - no) - cfg.reg * su);
-            obj[pb + i] += cfg.lr * (g * su - cfg.reg * po);
-            obj[nb + i] += cfg.lr * (-g * su - cfg.reg * no);
+        for ((su, po), no) in srow.iter_mut().zip(prow.iter_mut()).zip(nrow.iter_mut()) {
+            let (s0, p0, n0) = (*su, *po, *no);
+            *su += lr * (g * (p0 - n0) - reg * s0);
+            *po += lr * (g * s0 - reg * p0);
+            *no += lr * (-g * s0 - reg * n0);
         }
     }
 
@@ -127,6 +128,19 @@ fn dot(subj: &[f32], obj: &[f32], d: usize, s: u32, o: u32) -> f32 {
     let sb = s as usize * d;
     let ob = o as usize * d;
     (0..d).map(|i| subj[sb + i] * obj[ob + i]).sum()
+}
+
+/// Rows `a` and `b` of a row-major table with rows of `d`; panics
+/// unless `a != b`.
+#[inline]
+fn two_rows(table: &mut [f32], d: usize, a: usize, b: usize) -> (&mut [f32], &mut [f32]) {
+    if a < b {
+        let (lo, hi) = table.split_at_mut(b * d);
+        (&mut lo[a * d..][..d], &mut hi[..d])
+    } else {
+        let (lo, hi) = table.split_at_mut(a * d);
+        (&mut hi[..d], &mut lo[b * d..][..d])
+    }
 }
 
 /// Stable counting sort of `(key, value)` items with keys `< keys`:
@@ -277,6 +291,29 @@ mod tests {
             }
         }
         pos
+    }
+
+    #[test]
+    fn parity_model_bits_are_pinned() {
+        // How the SGD step reads and writes the factor rows must leave
+        // every trained weight bit-identical: each score is one dot
+        // product over them.
+        let pos = parity_positives(10);
+        let m = BprModel::train(10, &pos, &BprConfig::default());
+        // FNV-1a over the raw score bits of every `(s, o)`, then the
+        // training mean.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let scores = (0..10).flat_map(|s| (0..10).map(move |o| (s, o)));
+        for x in scores
+            .map(|(s, o)| m.raw(s, o))
+            .chain([m.train_mean_score()])
+        {
+            for b in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        // Recorded from the index-addressed step.
+        assert_eq!(h, 0x8e78_2a34_09f6_fceb);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! term table: a bag is a vector of `(term id, count)` sorted by id — eight
 //! bytes per distinct term, no string, no tree node — with its squared norm
 //! maintained on every update.
+//!
+//! Every admitted fact folds each endpoint's name into the other's bag.
+//! A record's name never changes, so its terms are tokenized and interned
+//! once, on the first fold that needs them, and kept as `(term id, count)`
+//! entries beside the bags.
 
 use crate::names::Names;
 use nous_text::bow::BagOfWords;
@@ -56,6 +61,11 @@ pub(crate) struct KnownTerms {
 pub(crate) struct ContextStore {
     terms: Names,
     bags: Vec<TermBag>,
+    /// Per record, the span of `name_entries` holding its name's terms,
+    /// once a fold has needed them.
+    name_spans: Vec<Option<(u32, u32)>>,
+    /// Name terms as `(term id, count)`, in the order they were interned.
+    name_entries: Vec<(u32, u32)>,
 }
 
 impl ContextStore {
@@ -64,13 +74,14 @@ impl ContextStore {
     pub(crate) fn with_terms(terms: Vec<String>) -> Option<Self> {
         Some(Self {
             terms: Names::from_table(terms)?,
-            bags: Vec::new(),
+            ..Self::default()
         })
     }
 
     /// Register the next record's context.
     pub(crate) fn push(&mut self, context: &BagOfWords) {
         self.bags.push(TermBag::default());
+        self.name_spans.push(None);
         self.merge(self.bags.len() - 1, context);
     }
 
@@ -90,6 +101,7 @@ impl ContextStore {
             counts: entries,
             norm_sq,
         });
+        self.name_spans.push(None);
         Some(())
     }
 
@@ -99,6 +111,29 @@ impl ContextStore {
         let bag = &mut self.bags[idx];
         for (term, n) in extra.iter() {
             bag.add(self.terms.intern(term), n);
+        }
+    }
+
+    /// Fold record `from`'s name into record `idx`'s bag: exactly
+    /// `merge(idx, &BagOfWords::from_text(name))`, with `name` the name
+    /// `from` was registered under. The name is tokenized and its terms
+    /// interned (in that merge's order) only the first time.
+    pub(crate) fn merge_name(&mut self, idx: usize, from: usize, name: &str) {
+        let (start, end) = match self.name_spans[from] {
+            Some(span) => span,
+            None => {
+                let start = self.name_entries.len() as u32;
+                for (term, n) in BagOfWords::from_text(name).iter() {
+                    self.name_entries.push((self.terms.intern(term), n));
+                }
+                let span = (start, self.name_entries.len() as u32);
+                self.name_spans[from] = Some(span);
+                span
+            }
+        };
+        let bag = &mut self.bags[idx];
+        for &(term, n) in &self.name_entries[start as usize..end as usize] {
+            bag.add(term, n);
         }
     }
 

@@ -344,6 +344,42 @@ impl Disambiguator {
         true
     }
 
+    /// Record that entities `a` and `b` became neighbours through one
+    /// fact: each registered endpoint gains the other's name terms and
+    /// one unit of popularity. Exactly
+    /// `update_context(a.0, &BagOfWords::from_text(b.1), 1.0)` followed by
+    /// `update_context(b.0, &BagOfWords::from_text(a.1), 1.0)` — the same
+    /// term table, bags, popularity and version — as long as a registered
+    /// endpoint comes with the name its record was registered under. That
+    /// name is tokenized and interned once, by the first fold that needs
+    /// it; the name of an endpoint with no record is folded as given.
+    pub fn link_neighbours(&mut self, a: (u32, &str), b: (u32, &str)) {
+        let ia = self.id_index.get(&a.0).copied();
+        let ib = self.id_index.get(&b.0).copied();
+        // The receiver is checked first, so a name is interned only when
+        // some record receives it, and `b`'s name before `a`'s.
+        if let Some(i) = ia {
+            self.fold_neighbour(i, ib, b.1);
+        }
+        if let Some(j) = ib {
+            self.fold_neighbour(j, ia, a.1);
+        }
+    }
+
+    /// Fold a neighbour's name into record `idx`'s context — by record
+    /// (`from`) when it has one, else from `name` — and bump popularity.
+    fn fold_neighbour(&mut self, idx: usize, from: Option<usize>, name: &str) {
+        match from {
+            Some(f) => {
+                let name = &self.served.tables.identities[f].name;
+                self.contexts.merge_name(idx, f, name);
+            }
+            None => self.contexts.merge(idx, &BagOfWords::from_text(name)),
+        }
+        self.served.popularity[idx] += 1.0;
+        self.served.version += 1;
+    }
+
     /// Register a brand-new entity discovered at ingestion time.
     pub fn insert(&mut self, record: EntityRecord) {
         self.contexts.push(&record.context);
@@ -671,25 +707,27 @@ mod tests {
         }
     }
 
+    /// `d`'s records in the form [`Disambiguator::restore`] takes.
+    fn stored(d: &Disambiguator) -> Vec<(EntityRecord, Vec<(u32, u32)>)> {
+        let served = d.served();
+        (0..d.len())
+            .map(|i| {
+                let r = EntityRecord {
+                    id: served.id(i),
+                    name: served.name(i).to_owned(),
+                    aliases: served.aliases(i).to_vec(),
+                    context: BagOfWords::new(),
+                    popularity: served.popularity(i),
+                };
+                (r, d.context_entries(i).to_vec())
+            })
+            .collect()
+    }
+
     #[test]
     fn restored_engine_resolves_and_persists_identically() {
         let mut d = apex_world();
         d.update_context(1, &bow(&[("airspace", 6), ("drone", 1)]), 2.0);
-        let stored = |d: &Disambiguator| -> Vec<(EntityRecord, Vec<(u32, u32)>)> {
-            let served = d.served();
-            (0..d.len())
-                .map(|i| {
-                    let r = EntityRecord {
-                        id: served.id(i),
-                        name: served.name(i).to_owned(),
-                        aliases: served.aliases(i).to_vec(),
-                        context: BagOfWords::new(),
-                        popularity: served.popularity(i),
-                    };
-                    (r, d.context_entries(i).to_vec())
-                })
-                .collect()
-        };
         let back =
             Disambiguator::restore(d.context_weight(), d.context_terms().to_vec(), stored(&d))
                 .unwrap();
@@ -708,6 +746,123 @@ mod tests {
         let mut bad = stored(&d);
         bad[0].1 = vec![(10_000, 1)];
         assert!(Disambiguator::restore(0.7, d.context_terms().to_vec(), bad).is_none());
+    }
+
+    /// A name of one to three words: mixed case, stopwords, numbers,
+    /// possessives and words no earlier name used.
+    fn random_name(rng: &mut rand::rngs::StdRng, fresh: &mut u32) -> String {
+        use rand::Rng;
+        const WORDS: [&str; 12] = [
+            "Apex", "Robotics", "the", "Drone", "drone", "Labs", "of", "Shenzhen", "2015",
+            "Nimbus's", "X", "AERIAL",
+        ];
+        let words: Vec<String> = (0..rng.gen_range(1..4))
+            .map(|_| {
+                if rng.gen_range(0..4) == 0 {
+                    *fresh += 1;
+                    format!("Fresh{fresh}")
+                } else {
+                    WORDS[rng.gen_range(0..WORDS.len())].to_owned()
+                }
+            })
+            .collect();
+        words.join(" ")
+    }
+
+    #[test]
+    fn neighbour_folds_match_string_folds() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // `cached` folds neighbour names through `link_neighbours`; `plain`
+        // re-tokenizes each name per fact through `update_context`.
+        let mut rng = StdRng::seed_from_u64(39);
+        let mut fresh = 0;
+        let mut names: Vec<String> = (0..6).map(|_| random_name(&mut rng, &mut fresh)).collect();
+        let record = |id: u32, name: &str, context: BagOfWords| EntityRecord {
+            id,
+            name: name.to_owned(),
+            aliases: vec![name.to_owned()],
+            context,
+            popularity: 0.0,
+        };
+        let initial: Vec<EntityRecord> = names
+            .iter()
+            .zip(0..)
+            .map(|(n, id)| record(id, n, BagOfWords::from_text("curated drone description")))
+            .collect();
+        let mut cached = Disambiguator::new(initial.clone());
+        let mut plain = Disambiguator::new(initial);
+        for step in 0..600u32 {
+            match rng.gen_range(0..20) {
+                0..=2 => {
+                    // A minted entity, sometimes a second record for an id.
+                    let (id, name) = if rng.gen_range(0..4) == 0 {
+                        let id = rng.gen_range(0..names.len() as u32);
+                        (id, names[id as usize].clone())
+                    } else {
+                        let name = random_name(&mut rng, &mut fresh);
+                        names.push(name.clone());
+                        (names.len() as u32 - 1, name)
+                    };
+                    cached.insert(record(id, &name, BagOfWords::new()));
+                    plain.insert(record(id, &name, BagOfWords::new()));
+                }
+                3 | 4 => {
+                    // Document text, interning terms between name folds.
+                    let id = rng.gen_range(0..names.len() as u32);
+                    let text = BagOfWords::from_text(&random_name(&mut rng, &mut fresh));
+                    assert!(cached.update_context(id, &text, 0.0));
+                    assert!(plain.update_context(id, &text, 0.0));
+                }
+                5 if step % 7 == 0 => {
+                    // A restore starts with no name terms computed (and
+                    // restarts the version count, so both sides restore).
+                    let restore = |d: &Disambiguator| {
+                        Disambiguator::restore(0.7, d.context_terms().to_vec(), stored(d)).unwrap()
+                    };
+                    cached = restore(&cached);
+                    plain = restore(&plain);
+                }
+                _ => {
+                    // The two newest records (the likeliest pair to both
+                    // have name terms new to the table, where the order
+                    // they are interned in shows), or each endpoint one
+                    // with no record (under a name not seen before) or any
+                    // record.
+                    let named = |id: u32| (id, names[id as usize].clone());
+                    let newest = names.len() as u32 - 1;
+                    let mut pick = |rng: &mut StdRng| match rng.gen_range(0..6) {
+                        0 => (10_000 + step, random_name(rng, &mut fresh)),
+                        _ => named(rng.gen_range(0..=newest)),
+                    };
+                    let ((a, a_name), (b, b_name)) = if rng.gen_range(0..4) == 0 {
+                        (named(newest), named(newest - 1))
+                    } else {
+                        (pick(&mut rng), pick(&mut rng))
+                    };
+                    cached.link_neighbours((a, &a_name), (b, &b_name));
+                    plain.update_context(a, &BagOfWords::from_text(&b_name), 1.0);
+                    plain.update_context(b, &BagOfWords::from_text(&a_name), 1.0);
+                }
+            }
+            assert_eq!(cached.context_terms(), plain.context_terms(), "step {step}");
+        }
+        assert_eq!(cached.len(), plain.len());
+        for i in 0..plain.len() {
+            assert_eq!(
+                cached.context_entries(i),
+                plain.context_entries(i),
+                "record {i}"
+            );
+            assert_eq!(
+                cached.served().popularity(i).to_bits(),
+                plain.served().popularity(i).to_bits()
+            );
+        }
+        assert_eq!(cached.served().version(), plain.served().version());
+        assert!(
+            plain.context_terms().len() > 40 && plain.len() > 40,
+            "the walk grows both tables"
+        );
     }
 
     #[test]

@@ -24,7 +24,9 @@ fn main() -> std::io::Result<()> {
 
     let cfg = DurabilityConfig {
         fsync: FsyncPolicy::EveryN(8),
-        checkpoint_every_facts: 40,
+        // The smoke stream admits a few dozen facts: rotate once midway,
+        // so recovery reads a checkpoint and replays a WAL tail.
+        checkpoint_every_facts: 20,
         keep_generations: 2,
         retry: RetryPolicy::default(),
     };
@@ -84,10 +86,12 @@ fn main() -> std::io::Result<()> {
     if let (Some(g), Some(off)) = (recovered.torn_generation, recovered.torn_offset) {
         println!("torn frontier: wal-{g:08}.log at offset {off}");
     }
+    // The live run's counters are on its own registry; recovery counts on
+    // a fresh one.
     println!(
         "durability counters: wal_appends={:?} checkpoints={:?} recovery_replayed={:?}",
-        recovery_registry.counter_value("nous_wal_appends_total", &[]),
-        recovery_registry.counter_value("nous_checkpoints_total", &[]),
+        registry.counter_value("nous_wal_appends_total", &[]),
+        registry.counter_value("nous_checkpoints_total", &[]),
         recovery_registry.counter_value("nous_recovery_replayed_total", &[]),
     );
     drop(store);
