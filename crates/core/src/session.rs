@@ -17,11 +17,11 @@
 //! The alias resolver shares its identity and alias tables with the live
 //! engine and copies only the popularity values, one `f64` per entity;
 //! the tables themselves are copied once, by the first mint after a
-//! publish. A background compactor folds the overlay stack back into a
-//! single base [`nous_graph::FrozenView`] when it grows past the
-//! configured thresholds ([`CompactionConfig`]). It folds the published
-//! layers themselves, never the graph, so it takes no graph lock and
-//! ingestion never waits on it. One fold runs at a time, under the
+//! publish. The session's one compactor thread folds the overlay stack
+//! back into a single base [`nous_graph::FrozenView`] when a publish
+//! takes it past the configured thresholds ([`CompactionConfig`]). It
+//! folds the published layers themselves, never the graph, so it takes
+//! no graph lock and ingestion never waits on it. One fold runs at a time, under the
 //! session's fold lock; publishing only pushes overlays, so a fold
 //! always installs under whatever was published while it ran.
 //!
@@ -40,8 +40,9 @@ use nous_link::AliasResolver;
 use nous_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceContext};
 use nous_qa::TopicIndex;
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::Thread;
 
 /// One published epoch of the session: everything the lock-free query
 /// path needs, immutable behind an `Arc`. Holding the `Arc` pins the
@@ -65,8 +66,8 @@ pub struct FrozenSnapshot {
     pub published_at_nanos: u64,
 }
 
-/// When the background compactor folds the published overlay stack back
-/// into a single base [`nous_graph::FrozenView`].
+/// When the session's compactor thread folds the published overlay
+/// stack back into a single base [`nous_graph::FrozenView`].
 #[derive(Debug, Clone)]
 pub struct CompactionConfig {
     /// Compact once this many overlays are stacked on the base.
@@ -76,9 +77,6 @@ pub struct CompactionConfig {
     /// …but only after at least this many overlay edges accumulated
     /// (keeps tiny test graphs from compacting on every publish).
     pub min_delta_edges: usize,
-    /// Run compaction on a background thread (`true`, the default) or
-    /// synchronously inside the publish that crossed the threshold.
-    pub background: bool,
 }
 
 impl Default for CompactionConfig {
@@ -87,15 +85,26 @@ impl Default for CompactionConfig {
             max_layers: 8,
             max_delta_fraction: 0.25,
             min_delta_edges: 512,
-            background: true,
         }
+    }
+}
+
+impl CompactionConfig {
+    /// The trigger rule: `view` has overlays, and either `max_layers` of
+    /// them or `max_delta_fraction` of its live edges past
+    /// `min_delta_edges`.
+    fn due(&self, view: &LayeredSnapshot) -> bool {
+        let overlays = view.layer_count();
+        overlays > 0
+            && (overlays >= self.max_layers
+                || (view.overlay_edge_count() >= self.min_delta_edges
+                    && view.delta_fraction() >= self.max_delta_fraction))
     }
 }
 
 /// Lock wait/hold instruments, one series per lock kind
 /// (`lock="read"|"write"|"trends"|"all"`). Wait is the time from request
 /// to acquisition; hold is the time the closure runs under the lock.
-#[derive(Clone)]
 struct SessionMetrics {
     registry: MetricsRegistry,
     wait_read: Histogram,
@@ -199,44 +208,99 @@ impl SessionMetrics {
             ),
             compactions_failed: registry.counter(
                 "nous_compactions_failed_total",
-                "Snapshot compactions aborted by an injected fault",
+                "Snapshot compactions aborted by an injected fault or a panic",
             ),
             registry,
         }
     }
-}
 
-/// Failpoint inside [`SharedSession::compact_now`] /
-/// the background compactor, between deciding to compact and folding
-/// the new base. A fired fault aborts the fold: the existing layer stack
-/// keeps serving.
-pub const FP_SESSION_COMPACT: &str = "session.compact";
+    /// Run `f` on what `lock` acquires, timing the acquisition on `wait`
+    /// and `f` with the release on `hold`; returns the hold in nanoseconds.
+    fn timed<G, T>(
+        &self,
+        (wait, hold): (&Histogram, &Histogram),
+        lock: impl FnOnce() -> G,
+        f: impl FnOnce(G) -> T,
+    ) -> (T, u64) {
+        let t0 = self.registry.now_nanos();
+        let guards = lock();
+        let t1 = self.registry.now_nanos();
+        wait.observe(t1.saturating_sub(t0));
+        let out = f(guards);
+        let held = self.registry.now_nanos().saturating_sub(t1);
+        hold.observe(held);
+        (out, held)
+    }
 
-/// Resets the in-flight compaction flag even if compaction unwinds.
-struct CompactingGuard(Arc<AtomicBool>);
-
-impl Drop for CompactingGuard {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
+    /// Point the snapshot gauges at `snap`. Called with the slot locked,
+    /// so the gauges follow the order of installs.
+    fn set_snapshot(&self, snap: &FrozenSnapshot) {
+        self.snapshot_epoch.set(snap.epoch as i64);
+        self.snapshot_layers.set(1 + snap.view.layer_count() as i64);
+        self.snapshot_delta_permille
+            .set((snap.view.delta_fraction() * 1000.0) as i64);
     }
 }
 
-/// Shareable handle to a live NOUS session.
+/// Failpoint inside [`SharedSession::compact_now`], which the compactor
+/// thread's folds also run, between deciding to compact and folding the
+/// new base. A fired fault aborts the fold: the existing layer stack
+/// keeps serving.
+pub const FP_SESSION_COMPACT: &str = "session.compact";
+
+/// Shareable handle to a live NOUS session; clones share one session.
 #[derive(Clone)]
-pub struct SharedSession {
-    kg: Arc<RwLock<KnowledgeGraph>>,
-    topics: Arc<RwLock<Arc<TopicIndex>>>,
-    trends: Arc<Mutex<TrendMonitor>>,
+pub struct SharedSession(Arc<Session>);
+
+/// The state every [`SharedSession`] clone shares. Its compactor thread
+/// holds only a `Weak`; `Drop` wakes the thread, which then finds the
+/// session gone and exits. It is never joined, because the last handle
+/// may be dropped on the compactor itself. A fold has no durable effect
+/// (checkpoints and the WAL never depend on it), so one cut short loses
+/// nothing.
+struct Session {
+    kg: RwLock<KnowledgeGraph>,
+    topics: RwLock<Arc<TopicIndex>>,
+    trends: Mutex<TrendMonitor>,
     /// Epoch-swapped publication slot. The mutex only guards the `Arc`
     /// swap/clone (nanoseconds); readers never hold it while querying.
-    snapshot: Arc<Mutex<Arc<FrozenSnapshot>>>,
-    compaction: Arc<Mutex<CompactionConfig>>,
-    compacting: Arc<AtomicBool>,
+    snapshot: Mutex<Arc<FrozenSnapshot>>,
+    compaction: Mutex<CompactionConfig>,
     /// Held by a fold from reading the published stack until its
     /// install, so no fold ever replaces the stack another one read.
-    fold: Arc<Mutex<()>>,
-    faults: Arc<Mutex<Faults>>,
+    fold: Mutex<()>,
+    faults: Mutex<Faults>,
     metrics: SessionMetrics,
+    /// The compactor thread, set once it is started.
+    compactor: OnceLock<Thread>,
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        if let Some(compactor) = self.compactor.get() {
+            compactor.unpark();
+        }
+    }
+}
+
+/// The compactor thread: on each wake (`park` may also return on its
+/// own) fold if what is published is past the thresholds. A fold that
+/// panics is counted as failed and fires the black-box hook; the stack
+/// it read keeps serving and the thread lives on.
+fn run_compactor(session: Weak<Session>) {
+    loop {
+        std::thread::park();
+        let Some(s) = session.upgrade().map(SharedSession) else {
+            return;
+        };
+        let snap = s.0.snapshot.lock().clone();
+        if s.0.compaction.lock().due(&snap.view)
+            && catch_unwind(AssertUnwindSafe(|| s.compact_now())).is_err()
+        {
+            s.0.faults.lock().blackbox("compaction-panicked");
+            s.0.metrics.compactions_failed.inc();
+        }
+    }
 }
 
 impl SharedSession {
@@ -264,32 +328,41 @@ impl SharedSession {
             disambiguator: Arc::new(kg.disambiguator.served().clone()),
             published_at_nanos: metrics.registry.now_nanos(),
         };
-        metrics.snapshot_epoch.set(0);
-        metrics.snapshot_layers.set(1);
-        Self {
-            kg: Arc::new(RwLock::new(kg)),
-            topics: Arc::new(RwLock::new(topics)),
-            trends: Arc::new(Mutex::new(trends)),
-            snapshot: Arc::new(Mutex::new(Arc::new(initial))),
-            compaction: Arc::new(Mutex::new(CompactionConfig::default())),
-            compacting: Arc::new(AtomicBool::new(false)),
-            fold: Arc::new(Mutex::new(())),
-            faults: Arc::new(Mutex::new(Faults::disabled())),
+        metrics.set_snapshot(&initial);
+        let session = Arc::new(Session {
+            kg: RwLock::new(kg),
+            topics: RwLock::new(topics),
+            trends: Mutex::new(trends),
+            snapshot: Mutex::new(Arc::new(initial)),
+            compaction: Mutex::new(CompactionConfig::default()),
+            fold: Mutex::new(()),
+            faults: Mutex::new(Faults::disabled()),
             metrics,
-        }
+            compactor: OnceLock::new(),
+        });
+        // Started only once the `Arc` exists, so a failed upgrade in its
+        // loop always means the session is gone.
+        let weak = Arc::downgrade(&session);
+        let compactor = std::thread::Builder::new()
+            .name("nous-compactor".into())
+            .spawn(move || run_compactor(weak))
+            .expect("start the session's compactor thread");
+        let _ = session.compactor.set(compactor.thread().clone());
+        Self(session)
     }
 
-    /// Replace the compaction thresholds (defaults: 8 overlay layers or
-    /// 25% delta fraction past 512 overlay edges, background thread).
+    /// Replace the thresholds past which a publish wakes the compactor
+    /// thread (defaults: 8 overlay layers or 25% delta fraction past 512
+    /// overlay edges); [`SharedSession::compact_now`] ignores them.
     pub fn set_compaction_config(&self, cfg: CompactionConfig) {
-        *self.compaction.lock() = cfg;
+        *self.0.compaction.lock() = cfg;
     }
 
     /// Arm deterministic fault injection for session-level sites
     /// (currently `session.compact`). No-op unless the `fault-injection`
     /// feature is compiled in.
     pub fn set_faults(&self, faults: Faults) {
-        *self.faults.lock() = faults;
+        *self.0.faults.lock() = faults;
     }
 
     /// Incrementally publish the current graph/topics/resolver state as a
@@ -309,13 +382,14 @@ impl SharedSession {
     /// tables once already. Both copies are counted on
     /// `nous_resolver_copied_elements_total`. No context bag is ever
     /// copied. Topics are one shared `Arc`. When nothing changed at all
-    /// the current epoch is returned with no new snapshot installed.
+    /// the current epoch is returned with no new snapshot installed; a
+    /// new one past the thresholds wakes the compactor thread.
     pub fn publish_snapshot(&self) -> u64 {
-        let m = &self.metrics;
+        let m = &self.0.metrics;
         let t0 = m.registry.now_nanos();
-        let kg = self.kg.read();
-        let topics = self.topics.read().clone();
-        let mut slot = self.snapshot.lock();
+        let kg = self.0.kg.read();
+        let topics = self.0.topics.read().clone();
+        let mut slot = self.0.snapshot.lock();
         let prev = slot.clone();
         let wm = kg.graph.watermark();
         let resolver = kg.disambiguator.served();
@@ -347,53 +421,18 @@ impl SharedSession {
             disambiguator,
             published_at_nanos: m.registry.now_nanos(),
         });
+        m.set_snapshot(&snap);
         *slot = snap.clone();
         drop(slot);
-        m.snapshot_epoch.set(epoch as i64);
-        m.snapshot_layers.set(1 + snap.view.layer_count() as i64);
-        m.snapshot_delta_permille
-            .set((snap.view.delta_fraction() * 1000.0) as i64);
         m.snapshot_publish
             .observe(m.registry.now_nanos().saturating_sub(t0));
         m.snapshot_published.inc();
-        self.maybe_compact(snap);
-        epoch
-    }
-
-    fn maybe_compact(&self, snap: Arc<FrozenSnapshot>) {
-        let cfg = self.compaction.lock().clone();
-        let overlays = snap.view.layer_count();
-        if overlays == 0 {
-            return;
-        }
-        let overlay_edges: usize = snap.view.overlay_edge_count();
-        let by_layers = overlays >= cfg.max_layers;
-        let by_fraction = overlay_edges >= cfg.min_delta_edges
-            && snap.view.delta_fraction() >= cfg.max_delta_fraction;
-        if !(by_layers || by_fraction) {
-            return;
-        }
-        if self.compacting.swap(true, Ordering::AcqRel) {
-            return; // one in flight already
-        }
-        let guard = CompactingGuard(self.compacting.clone());
-        if cfg.background {
-            let session = self.clone();
-            let spawned = std::thread::Builder::new()
-                .name("nous-compactor".into())
-                .spawn(move || {
-                    let _guard = guard;
-                    session.compact_now();
-                });
-            if spawned.is_err() {
-                // Thread spawn failed (resource exhaustion): compact
-                // inline rather than dropping the request.
-                self.compact_now();
+        if self.0.compaction.lock().due(&snap.view) {
+            if let Some(compactor) = self.0.compactor.get() {
+                compactor.unpark();
             }
-        } else {
-            let _guard = guard;
-            self.compact_now();
         }
+        epoch
     }
 
     /// Fold the published overlay stack into a fresh single-layer base
@@ -404,8 +443,8 @@ impl SharedSession {
     /// keeps serving, nothing is lost). Takes no graph lock: writers and
     /// readers proceed throughout.
     pub fn compact_now(&self) -> bool {
-        let _fold = self.fold.lock();
-        let from = self.snapshot.lock().clone();
+        let _fold = self.0.fold.lock();
+        let from = self.0.snapshot.lock().clone();
         self.run_compaction(&from)
     }
 
@@ -417,15 +456,16 @@ impl SharedSession {
     /// waits on it; the slot mutex is held just for the install. Returns
     /// `false` when an injected `session.compact` fault aborted it.
     fn run_compaction(&self, from: &FrozenSnapshot) -> bool {
-        let m = &self.metrics;
+        let m = &self.0.metrics;
         let t0 = m.registry.now_nanos();
         {
-            let faults = self.faults.lock();
+            let faults = self.0.faults.lock();
             if faults.hit(FP_SESSION_COMPACT) {
-                m.compactions_failed.inc();
                 // Flight-recorder black box: a failed compaction is one of
                 // the "what just happened" moments the dump hook captures.
+                // Counted after it, so a panicking hook counts once.
                 faults.blackbox("compaction-failed");
+                m.compactions_failed.inc();
                 return false;
             }
         }
@@ -433,29 +473,21 @@ impl SharedSession {
             return true;
         }
         let folded = Arc::new(nous_graph::FrozenView::from_layers(&from.view));
-        let mut slot = self.snapshot.lock();
-        let view = slot.view.rebase(&from.view, folded);
-        let epoch = slot.epoch + 1;
+        let mut slot = self.0.snapshot.lock();
         let snap = Arc::new(FrozenSnapshot {
-            epoch,
-            view,
+            epoch: slot.epoch + 1,
+            view: slot.view.rebase(&from.view, folded),
             topics: slot.topics.clone(),
             disambiguator: slot.disambiguator.clone(),
             published_at_nanos: m.registry.now_nanos(),
         });
-        let (layers, delta_permille) = (
-            1 + snap.view.layer_count() as i64,
-            (snap.view.delta_fraction() * 1000.0) as i64,
-        );
+        m.set_snapshot(&snap);
         // The replaced stack may die here (no reader pinning it): free its
         // base — O(graph) — only after the slot is unlocked, or the next
         // publish waits on the lock for as long as that takes.
         let replaced = std::mem::replace(&mut *slot, snap);
         drop(slot);
         drop(replaced);
-        m.snapshot_epoch.set(epoch as i64);
-        m.snapshot_layers.set(layers);
-        m.snapshot_delta_permille.set(delta_permille);
         m.compaction_seconds
             .observe(m.registry.now_nanos().saturating_sub(t0));
         m.compactions.inc();
@@ -468,19 +500,19 @@ impl SharedSession {
     /// epoch, it never blocks ingestion). Records the snapshot's age on
     /// the `nous_snapshot_age_nanos` gauge.
     pub fn frozen(&self) -> Arc<FrozenSnapshot> {
-        let snap = self.snapshot.lock().clone();
-        let age = self
-            .metrics
+        let snap = self.0.snapshot.lock().clone();
+        let m = &self.0.metrics;
+        let age = m
             .registry
             .now_nanos()
             .saturating_sub(snap.published_at_nanos);
-        self.metrics.snapshot_age.set(age as i64);
+        m.snapshot_age.set(age as i64);
         snap
     }
 
     /// The registry this session's accounting lands in.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics.registry
+        &self.0.metrics.registry
     }
 
     /// Deterministic JSON snapshot of every metric the session's registry
@@ -488,21 +520,15 @@ impl SharedSession {
     /// wanting Prometheus exposition instead use
     /// `session.metrics().render_prometheus()`.
     pub fn stats_snapshot(&self) -> String {
-        self.metrics.registry.snapshot_json()
+        self.0.metrics.registry.snapshot_json()
     }
 
     /// Run a read-only operation against the graph (concurrent with other
     /// readers).
     pub fn read<T>(&self, f: impl FnOnce(&KnowledgeGraph, &TopicIndex) -> T) -> T {
-        let m = &self.metrics;
-        let t0 = m.registry.now_nanos();
-        let kg = self.kg.read();
-        let topics = self.topics.read();
-        let t1 = m.registry.now_nanos();
-        m.wait_read.observe(t1.saturating_sub(t0));
-        let out = f(&kg, &topics);
-        let held = m.registry.now_nanos().saturating_sub(t1);
-        m.hold_read.observe(held);
+        let m = &self.0.metrics;
+        let lock = || (self.0.kg.read(), self.0.topics.read());
+        let (out, held) = m.timed((&m.wait_read, &m.hold_read), lock, |(kg, t)| f(&kg, &t));
         m.hold_last_read.set(held as i64);
         out
     }
@@ -517,14 +543,9 @@ impl SharedSession {
 
     /// The graph alone under the read lock, with the `read` lock metrics.
     fn read_graph<T>(&self, f: impl FnOnce(&KnowledgeGraph) -> T) -> T {
-        let m = &self.metrics;
-        let t0 = m.registry.now_nanos();
-        let kg = self.kg.read();
-        let t1 = m.registry.now_nanos();
-        m.wait_read.observe(t1.saturating_sub(t0));
-        let out = f(&kg);
-        let held = m.registry.now_nanos().saturating_sub(t1);
-        m.hold_read.observe(held);
+        let m = &self.0.metrics;
+        let lock = || self.0.kg.read();
+        let (out, held) = m.timed((&m.wait_read, &m.hold_read), lock, |kg| f(&kg));
         m.hold_last_read.set(held as i64);
         out
     }
@@ -532,22 +553,16 @@ impl SharedSession {
     /// The graph under the write lock, with the `write` lock metrics; the
     /// lock is released before this returns and nothing is published.
     fn write_graph<T>(&self, f: impl FnOnce(&mut KnowledgeGraph) -> T) -> T {
-        let m = &self.metrics;
-        let t0 = m.registry.now_nanos();
-        let mut kg = self.kg.write();
-        let t1 = m.registry.now_nanos();
-        m.wait_write.observe(t1.saturating_sub(t0));
-        let out = f(&mut kg);
-        drop(kg);
-        let held = m.registry.now_nanos().saturating_sub(t1);
-        m.hold_write.observe(held);
+        let m = &self.0.metrics;
+        let lock = || self.0.kg.write();
+        let (out, held) = m.timed((&m.wait_write, &m.hold_write), lock, |mut kg| f(&mut kg));
         m.hold_last_write.set(held as i64);
         out
     }
 
     /// Replace the topic index (after an LDA refresh).
     pub fn set_topics(&self, topics: TopicIndex) {
-        *self.topics.write() = Arc::new(topics);
+        *self.0.topics.write() = Arc::new(topics);
         self.publish_snapshot();
     }
 
@@ -563,22 +578,15 @@ impl SharedSession {
     /// Run an operation needing the trend monitor (serialised: the miner's
     /// closed-pattern queries mutate cached state).
     pub fn with_trends<T>(&self, f: impl FnOnce(&mut TrendMonitor, &KnowledgeGraph) -> T) -> T {
-        let m = &self.metrics;
-        let t0 = m.registry.now_nanos();
-        let kg = self.kg.read();
-        let mut trends = self.trends.lock();
-        let t1 = m.registry.now_nanos();
-        m.wait_trends.observe(t1.saturating_sub(t0));
-        let log_len = kg.graph.log_len();
-        let out = f(&mut trends, &kg);
-        m.hold_trends
-            .observe(m.registry.now_nanos().saturating_sub(t1));
-        drop(trends);
-        drop(kg);
+        let m = &self.0.metrics;
+        let lock = || (self.0.kg.read(), self.0.trends.lock());
+        let ((out, log_len), _) = m.timed((&m.wait_trends, &m.hold_trends), lock, |(kg, mut t)| {
+            (f(&mut t, &kg), kg.graph.log_len())
+        });
         // The closure may have advanced the miner window; republish so the
         // frozen trending path sees the new miner state — but only when the
         // snapshot is actually behind the graph (cheap no-op check).
-        if self.snapshot.lock().view.source_log_len() != log_len {
+        if self.0.snapshot.lock().view.source_log_len() != log_len {
             self.publish_snapshot();
         }
         out
@@ -589,15 +597,10 @@ impl SharedSession {
     /// miner's closed-pattern queries mutate cached state, so `Trending`
     /// over a frozen snapshot still serialises here (and only here).
     pub fn with_trends_only<T>(&self, f: impl FnOnce(&mut TrendMonitor) -> T) -> T {
-        let m = &self.metrics;
-        let t0 = m.registry.now_nanos();
-        let mut trends = self.trends.lock();
-        let t1 = m.registry.now_nanos();
-        m.wait_trends.observe(t1.saturating_sub(t0));
-        let out = f(&mut trends);
-        m.hold_trends
-            .observe(m.registry.now_nanos().saturating_sub(t1));
-        out
+        let m = &self.0.metrics;
+        let lock = || self.0.trends.lock();
+        m.timed((&m.wait_trends, &m.hold_trends), lock, |mut t| f(&mut t))
+            .0
     }
 
     /// Run an operation against the full session state — graph, topics and
@@ -608,17 +611,12 @@ impl SharedSession {
         &self,
         f: impl FnOnce(&KnowledgeGraph, &TopicIndex, &mut TrendMonitor) -> T,
     ) -> T {
-        let m = &self.metrics;
-        let t0 = m.registry.now_nanos();
-        let kg = self.kg.read();
-        let topics = self.topics.read();
-        let mut trends = self.trends.lock();
-        let t1 = m.registry.now_nanos();
-        m.wait_all.observe(t1.saturating_sub(t0));
-        let out = f(&kg, &topics, &mut trends);
-        m.hold_all
-            .observe(m.registry.now_nanos().saturating_sub(t1));
-        out
+        let m = &self.0.metrics;
+        let lock = || (self.0.kg.read(), self.0.topics.read(), self.0.trends.lock());
+        m.timed((&m.wait_all, &m.hold_all), lock, |(kg, topics, mut t)| {
+            f(&kg, &topics, &mut t)
+        })
+        .0
     }
 
     /// Micro-batched ingestion against the live session, through the
@@ -641,7 +639,7 @@ impl SharedSession {
 
 impl BatchGraph for &SharedSession {
     fn trace_registry(&self) -> Option<&MetricsRegistry> {
-        Some(&self.metrics.registry)
+        Some(&self.0.metrics.registry)
     }
 
     fn read<T>(&mut self, f: impl FnOnce(&KnowledgeGraph) -> T) -> T {
@@ -850,7 +848,6 @@ mod tests {
         s.set_compaction_config(CompactionConfig {
             max_layers: usize::MAX,
             min_delta_edges: usize::MAX,
-            background: false,
             ..Default::default()
         });
         for i in 0..n {
@@ -869,7 +866,7 @@ mod tests {
         use std::time::Duration;
 
         let s = stacked(3);
-        let writer = s.kg.write();
+        let writer = s.0.kg.write();
         let (tx, rx) = std::sync::mpsc::channel();
         let compactor = {
             let s = s.clone();
@@ -891,7 +888,7 @@ mod tests {
         use std::time::Duration;
 
         let s = stacked(3);
-        let fold = s.fold.lock();
+        let fold = s.0.fold.lock();
         let (tx, rx) = std::sync::mpsc::channel();
         let compactor = {
             let s = s.clone();
@@ -906,6 +903,79 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_secs(60)), Ok(true));
         compactor.join().unwrap();
         assert!(s.frozen().view.is_compacted());
+    }
+
+    /// A fold that panics on the compactor thread is counted and
+    /// reported, the stack it read keeps serving, and the thread lives on
+    /// to install the next threshold-triggered fold.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_fold_that_panics_is_counted_and_the_compactor_lives_on() {
+        use nous_fault::{FaultPlan, SitePlan};
+        use nous_graph::GraphView;
+        use std::time::{Duration, Instant};
+
+        let s = session();
+        s.set_compaction_config(CompactionConfig {
+            max_layers: 2,
+            min_delta_edges: usize::MAX,
+            ..Default::default()
+        });
+        let reasons = Arc::new(Mutex::new(Vec::new()));
+        let hook = {
+            let reasons = reasons.clone();
+            move |reason: &str| {
+                reasons.lock().push(reason.to_string());
+                if reason == "compaction-failed" {
+                    panic!("black-box hook panics inside the fold");
+                }
+            }
+        };
+        // Ordinal 0: the compactor's first fold hits the fault, whose
+        // black-box hook panics.
+        s.set_faults(
+            FaultPlan::from_seed(1)
+                .site(FP_SESSION_COMPACT, SitePlan::schedule(vec![0]))
+                .arm()
+                .with_blackbox(Arc::new(hook)),
+        );
+        let counter = |name: &str| s.metrics().counter_value(name, &[]).unwrap_or(0);
+        let wait_for = |name: &str, want: u64| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while counter(name) != want {
+                assert!(Instant::now() < deadline, "{name} never reached {want}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let add_fact = |i: u64| {
+            s.write(|kg| {
+                let a = kg.create_entity(&format!("P{i}a"), EntityType::Organization);
+                let b = kg.create_entity(&format!("P{i}b"), EntityType::Organization);
+                kg.add_extracted_fact(a, "acquired", b, i, 0.9, i);
+            })
+        };
+
+        // The second overlay crosses `max_layers` and wakes the compactor.
+        add_fact(0);
+        add_fact(1);
+        wait_for("nous_compactions_failed_total", 1);
+        assert_eq!(counter("nous_compactions_total"), 0);
+        assert_eq!(
+            *reasons.lock(),
+            ["compaction-failed", "compaction-panicked"]
+        );
+        let snap = s.frozen();
+        assert_eq!(snap.view.layer_count(), 2, "the old stack keeps serving");
+        assert_eq!(snap.view.live_edge_count(), 2);
+        assert!(snap.view.vertex_id("P1b").is_some());
+
+        // The next publish past the threshold folds and installs.
+        add_fact(2);
+        wait_for("nous_compactions_total", 1);
+        assert_eq!(counter("nous_compactions_failed_total"), 1);
+        let snap = s.frozen();
+        assert!(snap.view.is_compacted());
+        assert_eq!(snap.view.live_edge_count(), 3);
     }
 
     #[test]

@@ -481,7 +481,6 @@ fn compaction_fault_keeps_layered_serving_and_loses_nothing() {
     session.set_compaction_config(CompactionConfig {
         max_layers: usize::MAX,
         min_delta_edges: usize::MAX,
-        background: false,
         ..Default::default()
     });
     session.set_faults(faults);

@@ -207,12 +207,11 @@ fn compaction_under_query_stress_preserves_reference_answers() {
         max_layers: 2,
         max_delta_fraction: 0.0,
         min_delta_edges: 0,
-        background: true,
     });
     let done = Arc::new(AtomicBool::new(false));
 
-    // A dedicated compactor thread on top of the threshold-triggered
-    // background ones, to maximise install/read interleavings.
+    // A dedicated compactor thread on top of the session's own
+    // threshold-triggered one, to maximise install/read interleavings.
     let compactor = {
         let session = session.clone();
         let done = done.clone();
@@ -279,6 +278,18 @@ fn compaction_under_query_stress_preserves_reference_answers() {
     assert!(session.compact_now());
     let last = session.frozen();
     assert!(last.view.is_compacted(), "final snapshot must be one layer");
+    // The snapshot gauges describe the served snapshot, not one a racing
+    // publish or fold overwrote it with.
+    let gauge = |name: &str| session.metrics().gauge_value(name, &[]);
+    assert_eq!(gauge("nous_snapshot_epoch"), Some(last.epoch as i64));
+    assert_eq!(
+        gauge("nous_snapshot_layers"),
+        Some(1 + last.view.layer_count() as i64)
+    );
+    assert_eq!(
+        gauge("nous_snapshot_delta_permille"),
+        Some((last.view.delta_fraction() * 1000.0) as i64)
+    );
     assert_eq!(
         &answers(&qs, &last.view, &last.disambiguator, &last.topics),
         reference.get(&last.view.source_log_len()).unwrap()
@@ -356,7 +367,6 @@ fn served_resolver_matches_live_at_every_epoch_and_held_epochs_never_move() {
     let session = SharedSession::new(kg, TopicIndex::new(2), trend_monitor());
     session.set_compaction_config(nous_core::CompactionConfig {
         max_layers: 3,
-        background: false,
         ..Default::default()
     });
     let mut pipe = pipeline();

@@ -252,7 +252,6 @@ fn assert_drivers_agree(base: PipelineConfig) {
         session.set_compaction_config(CompactionConfig {
             max_layers: usize::MAX,
             min_delta_edges: usize::MAX,
-            background: false,
             ..CompactionConfig::default()
         });
         let by_session = record(&cfg, |pipe, checkpoint| {
