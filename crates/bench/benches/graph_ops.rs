@@ -1,12 +1,12 @@
 //! Substrate bench: the dynamic property-graph engine underneath every
 //! experiment (the GraphX stand-in). Measures edge-append throughput,
-//! traversal, PageRank, snapshot round trips and the parallel-scan
-//! speedup, and prints the compact snapshot's size on the demo graph.
+//! BFS over a published snapshot and compact-snapshot round trips, and
+//! prints the compact snapshot's size on the demo graph.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nous_bench::build_system;
 use nous_corpus::Preset;
-use nous_graph::{algo, parallel, snapshot, DynamicGraph, Provenance, VertexId};
+use nous_graph::{algo, snapshot, DynamicGraph, LayeredSnapshot, Provenance, VertexId};
 
 /// A synthetic scale-free-ish graph: preferential chains plus random
 /// shortcuts.
@@ -63,29 +63,12 @@ fn bench(c: &mut Criterion) {
     }
 
     let g = synth_graph(5_000, 50_000);
+    let view = LayeredSnapshot::freeze(&g);
 
-    // Traversals.
+    // Traversal over the published snapshot.
     group.throughput(Throughput::Elements(1));
     group.bench_function("bfs_4hop_from_hub", |b| {
-        b.iter(|| algo::bfs_distances(&g, VertexId(0), algo::Direction::Both, 4).len())
-    });
-    group.bench_function("connected_components", |b| {
-        b.iter(|| algo::connected_components(&g).len())
-    });
-    group.bench_function("pagerank_50iter", |b| {
-        b.iter(|| algo::pagerank(&g, &algo::PageRankConfig::default()).len())
-    });
-
-    // Parallel vs sequential degree scan.
-    group.bench_function("degree_scan_sequential", |b| {
-        b.iter(|| g.iter_vertices().map(|v| g.degree(v)).sum::<usize>())
-    });
-    group.bench_function("degree_scan_parallel", |b| {
-        b.iter(|| {
-            parallel::par_map_vertices(&g, |v| g.degree(v))
-                .into_iter()
-                .sum::<usize>()
-        })
+        b.iter(|| algo::bfs_distances(&view, VertexId(0), algo::Direction::Both, 4).len())
     });
 
     // Snapshot round trips.

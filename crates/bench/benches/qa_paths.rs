@@ -6,13 +6,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nous_bench::{row, table_header};
 use nous_core::KnowledgeGraph;
 use nous_corpus::{plant_explanations, CuratedKb, Explanation, Preset, World, WorldConfig};
-use nous_graph::VertexId;
+use nous_graph::{LayeredSnapshot, VertexId};
 use nous_qa::baselines::{degree_salience_paths, random_walk_paths, shortest_paths_with_stats};
 use nous_qa::{coherent_paths_with_stats, PathConstraint, QaConfig, RankedPath, TopicIndex};
 use nous_topics::LdaConfig;
 
 struct Instance {
     kg: KnowledgeGraph,
+    /// The snapshot the path searches read.
+    view: LayeredSnapshot,
     topics: TopicIndex,
     explanations: Vec<Explanation>,
 }
@@ -27,6 +29,7 @@ fn build(companies: usize) -> Instance {
     let kg = KnowledgeGraph::from_curated(&world, &kb);
     let topics = kg.build_topic_index(&LdaConfig::default());
     Instance {
+        view: LayeredSnapshot::freeze(&kg.graph),
         kg,
         topics,
         explanations,
@@ -75,7 +78,7 @@ fn quality(inst: &Instance) {
             "coherence (paper)",
             Box::new(move |i: &Instance, s, d| {
                 coherent_paths_with_stats(
-                    &i.kg.graph,
+                    &i.view,
                     &i.topics,
                     s,
                     d,
@@ -89,7 +92,7 @@ fn quality(inst: &Instance) {
             "coherence no-lookahead",
             Box::new(move |i: &Instance, s, d| {
                 coherent_paths_with_stats(
-                    &i.kg.graph,
+                    &i.view,
                     &i.topics,
                     s,
                     d,
@@ -103,7 +106,7 @@ fn quality(inst: &Instance) {
             "shortest (BFS ties)",
             Box::new(|i: &Instance, s, d| {
                 shortest_paths_with_stats(
-                    &i.kg.graph,
+                    &i.view,
                     s,
                     d,
                     &PathConstraint::default(),
@@ -120,7 +123,7 @@ fn quality(inst: &Instance) {
             "degree salience",
             Box::new(|i: &Instance, s, d| {
                 degree_salience_paths(
-                    &i.kg.graph,
+                    &i.view,
                     s,
                     d,
                     &PathConstraint::default(),
@@ -136,7 +139,7 @@ fn quality(inst: &Instance) {
             "random walk (PRA)",
             Box::new(|i: &Instance, s, d| {
                 random_walk_paths(
-                    &i.kg.graph,
+                    &i.view,
                     s,
                     d,
                     &PathConstraint::default(),
@@ -194,7 +197,7 @@ fn bench(c: &mut Criterion) {
                 };
                 b.iter(|| {
                     coherent_paths_with_stats(
-                        &inst.kg.graph,
+                        &inst.view,
                         &inst.topics,
                         src,
                         dst,
@@ -216,7 +219,7 @@ fn bench(c: &mut Criterion) {
                 };
                 b.iter(|| {
                     shortest_paths_with_stats(
-                        &inst.kg.graph,
+                        &inst.view,
                         src,
                         dst,
                         &PathConstraint::default(),

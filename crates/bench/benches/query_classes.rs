@@ -6,6 +6,7 @@ use nous_bench::{build_system, table_header};
 use nous_core::TrendMonitor;
 use nous_corpus::Preset;
 use nous_graph::window::WindowKind;
+use nous_graph::LayeredSnapshot;
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_query::{execute, parse, QueryOptions, QueryResult};
 use nous_topics::LdaConfig;
@@ -23,10 +24,11 @@ fn bench(c: &mut Criterion) {
         },
     );
     trends.observe(&kg);
+    let view = LayeredSnapshot::freeze(&kg.graph);
     let run = |q: &nous_query::Query, trends: &mut TrendMonitor| {
         let resolver = kg.disambiguator.served();
         let opts = QueryOptions::default();
-        execute(q, &kg.graph, resolver, &topics, Some(trends), &opts).result
+        execute(q, &view, resolver, &topics, Some(trends), &opts).result
     };
 
     let a = system.world.entities[system.world.companies[0]]

@@ -12,7 +12,9 @@
 use crate::revision::{self, RevisionCounters, RevisionPolicy};
 use nous_corpus::{CuratedKb, World};
 use nous_embed::{BprConfig, LinkPredictor, PredictorMode};
-use nous_graph::{Adj, DeltaWatermark, DynamicGraph, GraphView, Provenance, Timestamp, VertexId};
+use nous_graph::{
+    Adj, DeltaWatermark, DynamicGraph, GraphView, LayeredSnapshot, Provenance, Timestamp, VertexId,
+};
 use nous_link::{AliasResolver, Disambiguator, EntityRecord, MapperExpansion, PredicateMapper};
 use nous_qa::TopicIndex;
 use nous_text::bow::BagOfWords;
@@ -277,7 +279,7 @@ impl KnowledgeGraph {
         let functional = self.revision.is_functional(predicate);
         // Snapshot the live candidates first: the loop below mutates the
         // graph, and `find` borrows its indexes.
-        let priors: Vec<nous_graph::EdgeId> = self.graph.find(Some(s), Some(p), None);
+        let priors: Vec<nous_graph::EdgeId> = self.graph.find(s, p, None);
         let mut admitted = confidence;
         for id in priors {
             let e = self.graph.edge(id);
@@ -799,21 +801,16 @@ impl KnowledgeGraph {
         }
         Ok(kg)
     }
-
-    /// Entity summary for "tell me about X" queries (Figure 6): type,
-    /// highest-confidence facts, most recent facts, top neighbours.
-    pub fn entity_summary(&self, name: &str) -> Option<EntitySummary> {
-        entity_summary_view(&self.graph, self.disambiguator.served(), name)
-    }
 }
 
-/// [`KnowledgeGraph::entity_summary`] against any [`GraphView`] — the form
-/// the lock-free query path calls with a [`nous_graph::FrozenView`] and
-/// the snapshot's published resolver. Byte-identical to the locked path: each
-/// direction's adjacency is normalised to edge-log order before the stable
-/// confidence sort, so tie order does not depend on the view's layout.
-pub fn entity_summary_view<G: GraphView>(
-    g: &G,
+/// Entity summary for "tell me about X" queries (Figure 6): type,
+/// highest-confidence facts, most recent facts, top neighbours, read from
+/// a published snapshot and the alias resolver published with it. Each
+/// direction's adjacency is normalised to edge-log order before the
+/// stable confidence sort, so tie order does not depend on how the
+/// snapshot's layers are stacked.
+pub fn entity_summary_view(
+    g: &LayeredSnapshot,
     resolver: &AliasResolver,
     name: &str,
 ) -> Option<EntitySummary> {
@@ -1340,7 +1337,7 @@ mod tests {
         kg.add_extracted_fact(s, "isLocatedIn", b, 30, 0.9, 3);
         // Pure append: both objects live, the duplicate too.
         let p = kg.graph.predicate_id("isLocatedIn").unwrap();
-        assert_eq!(kg.graph.find(Some(s), Some(p), Some(b)).len(), 2);
+        assert_eq!(kg.graph.find(s, p, Some(b)).len(), 2);
         assert!(kg.graph.has_triple(s, p, a));
         assert_eq!(kg.revision_counters(), RevisionCounters::default());
     }
@@ -1362,14 +1359,14 @@ mod tests {
         // The old fact is tombstoned; it survives once at decayed score
         // (0.9 * 0.4 = 0.36 >= floor 0.3).
         assert!(!kg.graph.is_live(first));
-        let old = kg.graph.find(Some(s), Some(p), Some(a));
+        let old = kg.graph.find(s, p, Some(a));
         assert_eq!(old.len(), 1);
         assert!((kg.graph.edge(old[0]).confidence - 0.36).abs() < 1e-6);
         assert_eq!(kg.revision_counters().superseded, 1);
         assert_eq!(kg.revision_counters().decayed, 1);
         // A further contradiction pushes it below the floor: gone.
         kg.add_extracted_fact(s, "isLocatedIn", c, 30, 0.9, 3);
-        assert!(kg.graph.find(Some(s), Some(p), Some(a)).is_empty());
+        assert!(kg.graph.find(s, p, Some(a)).is_empty());
         assert_eq!(kg.revision_counters().superseded, 3, "b superseded too");
     }
 
@@ -1388,7 +1385,7 @@ mod tests {
         kg.add_extracted_fact(s, "acquired", o, 10, 0.6, 1);
         kg.add_extracted_fact(s, "acquired", o, 20, 0.5, 2);
         let p = kg.graph.predicate_id("acquired").unwrap();
-        let live = kg.graph.find(Some(s), Some(p), Some(o));
+        let live = kg.graph.find(s, p, Some(o));
         // One surviving edge at reinforce(max(0.5, 0.6)) = 0.6 + 0.3*0.4.
         assert_eq!(live.len(), 1);
         assert!((kg.graph.edge(live[0]).confidence - 0.72).abs() < 1e-6);
@@ -1397,7 +1394,7 @@ mod tests {
         for i in 0..50 {
             kg.add_extracted_fact(s, "acquired", o, 30 + i, 0.5, 3 + i);
         }
-        let live = kg.graph.find(Some(s), Some(p), Some(o));
+        let live = kg.graph.find(s, p, Some(o));
         assert_eq!(live.len(), 1);
         let c = kg.graph.edge(live[0]).confidence;
         assert!((0.0..=1.0).contains(&c) && c > 0.99);
@@ -1443,24 +1440,30 @@ mod tests {
         assert_eq!(back.encode_checkpoint(), bytes);
     }
 
+    /// [`entity_summary_view`] on a fresh snapshot of `kg`.
+    fn summary(kg: &KnowledgeGraph, name: &str) -> Option<EntitySummary> {
+        let view = LayeredSnapshot::freeze(&kg.graph);
+        entity_summary_view(&view, kg.disambiguator.served(), name)
+    }
+
     #[test]
     fn entity_summary_reports_facts() {
         let (world, _, kg) = smoke_kg();
         let company = &world.entities[world.companies[0]];
-        let s = kg.entity_summary(&company.name).unwrap();
+        let s = summary(&kg, &company.name).unwrap();
         assert_eq!(s.name, company.name);
         assert_eq!(s.entity_type.as_deref(), Some("Company"));
         assert!(!s.facts.is_empty(), "every company has curated facts");
         assert!(s.facts.iter().all(|(_, c, _, _)| (0.0..=1.0).contains(c)));
         assert!(!s.neighbors.is_empty());
-        assert!(kg.entity_summary("Absolutely Unknown XYZ").is_none());
+        assert!(summary(&kg, "Absolutely Unknown XYZ").is_none());
     }
 
     #[test]
     fn summary_resolves_aliases() {
         let (world, _, kg) = smoke_kg();
         let company = &world.entities[world.companies[0]];
-        let via_alias = kg.entity_summary(&company.aliases[1]);
+        let via_alias = summary(&kg, &company.aliases[1]);
         assert!(
             via_alias.is_some(),
             "alias {} should resolve",

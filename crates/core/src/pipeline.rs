@@ -1179,8 +1179,7 @@ mod tests {
         assert_eq!(vetoes, report.gated);
         // Type-correctness of everything admitted: spot-check acquired.
         if let Some(p) = kg.graph.predicate_id("acquired") {
-            for id in kg.graph.find(None, Some(p), None) {
-                let e = kg.graph.edge(id);
+            for (_, e) in kg.graph.iter_edges().filter(|(_, e)| e.pred == p) {
                 for v in [e.src, e.dst] {
                     // The gate deliberately passes unlabelled endpoints
                     // (no type, nothing to veto) — only labelled ones

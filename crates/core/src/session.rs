@@ -41,7 +41,7 @@ use nous_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceContext};
 use nous_qa::TopicIndex;
 use parking_lot::{Mutex, RwLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{mpsc, Arc, OnceLock, Weak};
 use std::thread::Thread;
 
 /// One published epoch of the session: everything the lock-free query
@@ -51,7 +51,8 @@ pub struct FrozenSnapshot {
     /// Monotonic publish counter (0 = the construction-time snapshot).
     pub epoch: u64,
     /// Layered graph view: immutable base + delta overlays, merged on
-    /// read behind [`nous_graph::GraphView`].
+    /// read. The one view every query reads; the graph behind the lock
+    /// keeps only what writes need.
     pub view: LayeredSnapshot,
     /// Topic distributions at publish time (coherence scoring). Shared:
     /// epochs between LDA refreshes all point at the same index.
@@ -286,8 +287,11 @@ impl Drop for Session {
 /// The compactor thread: on each wake (`park` may also return on its
 /// own) fold if what is published is past the thresholds. A fold that
 /// panics is counted as failed and fires the black-box hook; the stack
-/// it read keeps serving and the thread lives on.
-fn run_compactor(session: Weak<Session>) {
+/// it read keeps serving and the thread lives on. Its first act is to
+/// send on `started`: std names the OS thread before running this, so
+/// once the send lands the thread is visible under its name.
+fn run_compactor(session: Weak<Session>, started: mpsc::SyncSender<()>) {
+    let _ = started.send(());
     loop {
         std::thread::park();
         let Some(s) = session.upgrade().map(SharedSession) else {
@@ -341,12 +345,17 @@ impl SharedSession {
             compactor: OnceLock::new(),
         });
         // Started only once the `Arc` exists, so a failed upgrade in its
-        // loop always means the session is gone.
+        // loop always means the session is gone. The session is returned
+        // only once the thread runs, so it exists from construction on.
         let weak = Arc::downgrade(&session);
+        let (started, running) = mpsc::sync_channel(1);
         let compactor = std::thread::Builder::new()
             .name("nous-compactor".into())
-            .spawn(move || run_compactor(weak))
+            .spawn(move || run_compactor(weak, started))
             .expect("start the session's compactor thread");
+        running
+            .recv()
+            .expect("the compactor thread signals before anything else");
         let _ = session.compactor.set(compactor.thread().clone());
         Self(session)
     }

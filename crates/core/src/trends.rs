@@ -11,7 +11,7 @@
 use crate::kg::KnowledgeGraph;
 use nous_graph::ids::Interner;
 use nous_graph::window::{SlidingWindow, WindowEvent, WindowKind};
-use nous_graph::Timestamp;
+use nous_graph::{GraphView, LayeredSnapshot, Timestamp};
 use nous_mining::{MinerConfig, MinerEdge, Pattern, StreamingMiner};
 
 /// A discovered pattern rendered for humans, with its support.
@@ -124,16 +124,16 @@ impl TrendMonitor {
     }
 
     /// Current closed frequent patterns, rendered with type and predicate
-    /// names (Figure 7's output).
+    /// names (Figure 7's output) from a fresh snapshot of `kg`.
     pub fn trending(&mut self, kg: &KnowledgeGraph) -> Vec<Trend> {
-        self.trending_on(&kg.graph)
+        self.trending_on(&LayeredSnapshot::freeze(&kg.graph))
     }
 
-    /// [`TrendMonitor::trending`] rendered against any [`nous_graph::GraphView`] —
-    /// the lock-free query path passes a frozen snapshot. The miner may
-    /// have observed edges newer than the snapshot, so a predicate minted
-    /// after the freeze renders as a placeholder instead of panicking.
-    pub fn trending_on<G: nous_graph::GraphView>(&mut self, g: &G) -> Vec<Trend> {
+    /// [`TrendMonitor::trending`] rendered against a published snapshot.
+    /// The miner may have observed edges newer than the snapshot, so a
+    /// predicate minted after it renders as a placeholder instead of
+    /// panicking.
+    pub fn trending_on(&mut self, g: &LayeredSnapshot) -> Vec<Trend> {
         self.trending_on_deadline(g, &nous_fault::Deadline::none())
             .0
     }
@@ -144,9 +144,9 @@ impl TrendMonitor {
     /// (or stays empty if it expired before the miner was consulted)
     /// and `partial` is `true`. An unbounded deadline always returns
     /// the complete list.
-    pub fn trending_on_deadline<G: nous_graph::GraphView>(
+    pub fn trending_on_deadline(
         &mut self,
-        g: &G,
+        g: &LayeredSnapshot,
         deadline: &nous_fault::Deadline,
     ) -> (Vec<Trend>, bool) {
         if deadline.expired() {
@@ -314,11 +314,12 @@ mod tests {
             },
         );
         tm.observe(&kg);
+        let view = LayeredSnapshot::freeze(&kg.graph);
         let (trends, partial) =
-            tm.trending_on_deadline(&kg.graph, &nous_fault::Deadline::expired_now());
+            tm.trending_on_deadline(&view, &nous_fault::Deadline::expired_now());
         assert!(partial);
         assert!(trends.is_empty(), "expired before mining: {trends:?}");
-        let (full, partial) = tm.trending_on_deadline(&kg.graph, &nous_fault::Deadline::none());
+        let (full, partial) = tm.trending_on_deadline(&view, &nous_fault::Deadline::none());
         assert!(!partial);
         assert_eq!(full, tm.trending(&kg));
     }

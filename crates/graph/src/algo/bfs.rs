@@ -1,9 +1,9 @@
-//! Breadth-first traversal, k-hop neighbourhoods and unweighted shortest
-//! paths.
+//! Breadth-first distances over a published snapshot.
 
-use crate::graph::DynamicGraph;
 use crate::hash::FxHashMap;
 use crate::ids::VertexId;
+use crate::layered::LayeredSnapshot;
+use crate::view::GraphView;
 use std::collections::VecDeque;
 
 /// Which edges a traversal may follow.
@@ -16,21 +16,19 @@ pub enum Direction {
     Both,
 }
 
-fn push_neighbors(g: &DynamicGraph, v: VertexId, dir: Direction, mut f: impl FnMut(VertexId)) {
-    match dir {
-        Direction::Out => g.out_edges(v).for_each(|a| f(a.other)),
-        Direction::In => g.in_edges(v).for_each(|a| f(a.other)),
-        Direction::Both => {
-            g.out_edges(v).for_each(|a| f(a.other));
-            g.in_edges(v).for_each(|a| f(a.other));
-        }
+fn push_neighbors(g: &LayeredSnapshot, v: VertexId, dir: Direction, mut f: impl FnMut(VertexId)) {
+    if dir != Direction::In {
+        g.for_each_out(v, |a| f(a.other));
+    }
+    if dir != Direction::Out {
+        g.for_each_in(v, |a| f(a.other));
     }
 }
 
 /// BFS distances from `start`, up to `max_depth` hops (inclusive).
 /// Unreachable vertices are absent from the map.
 pub fn bfs_distances(
-    g: &DynamicGraph,
+    g: &LayeredSnapshot,
     start: VertexId,
     dir: Direction,
     max_depth: usize,
@@ -53,71 +51,11 @@ pub fn bfs_distances(
     dist
 }
 
-/// The set of vertices within `k` hops of `start` (excluding `start`),
-/// sorted by id. This is the "entity neighbourhood" NOUS substitutes for
-/// Wikipedia context in its AIDA adaptation (§3.3).
-pub fn k_hop_neighborhood(
-    g: &DynamicGraph,
-    start: VertexId,
-    dir: Direction,
-    k: usize,
-) -> Vec<VertexId> {
-    let mut ids: Vec<VertexId> = bfs_distances(g, start, dir, k)
-        .into_iter()
-        .filter(|(v, d)| *d > 0 && *v != start)
-        .map(|(v, _)| v)
-        .collect();
-    ids.sort_unstable();
-    ids
-}
-
-/// Unweighted shortest path from `src` to `dst` as a vertex sequence
-/// (inclusive of both endpoints), or `None` when unreachable.
-pub fn shortest_path(
-    g: &DynamicGraph,
-    src: VertexId,
-    dst: VertexId,
-    dir: Direction,
-) -> Option<Vec<VertexId>> {
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let mut parent: FxHashMap<VertexId, VertexId> = FxHashMap::default();
-    parent.insert(src, src);
-    let mut queue = VecDeque::from([src]);
-    'bfs: while let Some(v) = queue.pop_front() {
-        let mut found = false;
-        push_neighbors(g, v, dir, |n| {
-            if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(n) {
-                e.insert(v);
-                if n == dst {
-                    found = true;
-                } else {
-                    queue.push_back(n);
-                }
-            }
-        });
-        if found {
-            break 'bfs;
-        }
-    }
-    if !parent.contains_key(&dst) {
-        return None;
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = parent[&cur];
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edge::Provenance;
+    use crate::graph::DynamicGraph;
 
     /// a -> b -> c -> d, plus a -> c shortcut.
     fn diamond() -> (DynamicGraph, Vec<VertexId>) {
@@ -137,67 +75,38 @@ mod tests {
     #[test]
     fn distances_follow_direction() {
         let (g, v) = diamond();
-        let d = bfs_distances(&g, v[0], Direction::Out, 10);
+        let s = LayeredSnapshot::freeze(&g);
+        let d = bfs_distances(&s, v[0], Direction::Out, 10);
         assert_eq!(d[&v[0]], 0);
         assert_eq!(d[&v[1]], 1);
         assert_eq!(d[&v[2]], 1, "shortcut wins");
         assert_eq!(d[&v[3]], 2);
         // Nothing reaches `a` along in-edges from a.
-        let din = bfs_distances(&g, v[0], Direction::In, 10);
+        let din = bfs_distances(&s, v[0], Direction::In, 10);
         assert_eq!(din.len(), 1);
+        // d reaches a only against edge direction.
+        let back = bfs_distances(&s, v[3], Direction::Both, 10);
+        assert_eq!(back[&v[0]], 2);
     }
 
     #[test]
     fn max_depth_truncates() {
         let (g, v) = diamond();
-        let d = bfs_distances(&g, v[0], Direction::Out, 1);
+        let d = bfs_distances(&LayeredSnapshot::freeze(&g), v[0], Direction::Out, 1);
         assert!(!d.contains_key(&v[3]));
         assert_eq!(d.len(), 3);
     }
 
     #[test]
-    fn k_hop_excludes_start_and_sorts() {
-        let (g, v) = diamond();
-        let hood = k_hop_neighborhood(&g, v[0], Direction::Out, 2);
-        assert_eq!(hood, vec![v[1], v[2], v[3]]);
-        let hood1 = k_hop_neighborhood(&g, v[0], Direction::Out, 1);
-        assert_eq!(hood1, vec![v[1], v[2]]);
-    }
-
-    #[test]
-    fn shortest_path_prefers_fewer_hops() {
-        let (g, v) = diamond();
-        let p = shortest_path(&g, v[0], v[3], Direction::Out).unwrap();
-        assert_eq!(p, vec![v[0], v[2], v[3]]);
-    }
-
-    #[test]
-    fn shortest_path_same_vertex_and_unreachable() {
-        let (mut g, v) = diamond();
-        assert_eq!(
-            shortest_path(&g, v[1], v[1], Direction::Out),
-            Some(vec![v[1]])
-        );
-        let lonely = g.ensure_vertex("lonely");
-        assert_eq!(shortest_path(&g, v[0], lonely, Direction::Both), None);
-    }
-
-    #[test]
-    fn both_direction_ignores_orientation() {
-        let (g, v) = diamond();
-        // d -> a exists only against edge direction.
-        assert!(shortest_path(&g, v[3], v[0], Direction::Out).is_none());
-        let p = shortest_path(&g, v[3], v[0], Direction::Both).unwrap();
-        assert_eq!(p.len(), 3);
-    }
-
-    #[test]
     fn tombstoned_edges_are_invisible() {
         let (mut g, v) = diamond();
+        let before = LayeredSnapshot::freeze(&g);
         let p = g.predicate_id("p").unwrap();
-        let shortcut = g.edges_matching(v[0], p, v[2]).next().unwrap();
+        let shortcut = g.find(v[0], p, Some(v[2]))[0];
         g.remove_edge(shortcut);
-        let path = shortest_path(&g, v[0], v[3], Direction::Out).unwrap();
-        assert_eq!(path, vec![v[0], v[1], v[2], v[3]]);
+        let after = before.with_overlay(before.capture_delta(&g));
+        let d = bfs_distances(&after, v[0], Direction::Out, 10);
+        assert_eq!(d[&v[2]], 2);
+        assert_eq!(d[&v[3]], 3);
     }
 }

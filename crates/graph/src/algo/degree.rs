@@ -2,8 +2,9 @@
 //! "summarization of quality-related statistics … how the structure of the
 //! underlying data influence the output quality").
 
-use crate::graph::DynamicGraph;
 use crate::ids::VertexId;
+use crate::layered::LayeredSnapshot;
+use crate::view::GraphView;
 
 /// Summary of a graph's (total) degree distribution.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,24 +20,16 @@ pub struct DegreeSummary {
     pub hub: Option<VertexId>,
 }
 
-/// Histogram of total degree -> vertex count, as sorted `(degree, count)`
-/// pairs.
-pub fn degree_histogram(g: &DynamicGraph) -> Vec<(usize, usize)> {
-    let mut counts: std::collections::BTreeMap<usize, usize> = Default::default();
-    for v in g.iter_vertices() {
-        *counts.entry(g.degree(v)).or_default() += 1;
-    }
-    counts.into_iter().collect()
-}
-
 impl DegreeSummary {
     /// Compute the summary over all vertices of `g`.
-    pub fn of(g: &DynamicGraph) -> Option<DegreeSummary> {
+    pub fn of(g: &LayeredSnapshot) -> Option<DegreeSummary> {
         if g.vertex_count() == 0 {
             return None;
         }
-        let mut degrees: Vec<(usize, VertexId)> =
-            g.iter_vertices().map(|v| (g.degree(v), v)).collect();
+        let mut degrees: Vec<(usize, VertexId)> = (0..g.vertex_count() as u32)
+            .map(VertexId)
+            .map(|v| (g.degree(v), v))
+            .collect();
         degrees.sort_unstable_by_key(|(d, v)| (*d, v.0));
         let n = degrees.len();
         let sum: usize = degrees.iter().map(|(d, _)| d).sum();
@@ -55,6 +48,7 @@ impl DegreeSummary {
 mod tests {
     use super::*;
     use crate::edge::Provenance;
+    use crate::graph::DynamicGraph;
 
     fn star(n: usize) -> DynamicGraph {
         let mut g = DynamicGraph::new();
@@ -70,7 +64,7 @@ mod tests {
     #[test]
     fn star_summary() {
         let g = star(4);
-        let s = DegreeSummary::of(&g).unwrap();
+        let s = DegreeSummary::of(&LayeredSnapshot::freeze(&g)).unwrap();
         assert_eq!(s.max, 4);
         assert_eq!(s.min, 1);
         assert_eq!(s.hub, g.vertex_id("hub"));
@@ -79,19 +73,8 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_match_vertices() {
-        let mut g = star(3);
-        g.ensure_vertex("isolated");
-        let h = degree_histogram(&g);
-        assert_eq!(h, vec![(0, 1), (1, 3), (3, 1)]);
-        let total: usize = h.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, g.vertex_count());
-    }
-
-    #[test]
     fn empty_graph_has_no_summary() {
-        assert!(DegreeSummary::of(&DynamicGraph::new()).is_none());
-        assert!(degree_histogram(&DynamicGraph::new()).is_empty());
+        assert!(DegreeSummary::of(&LayeredSnapshot::freeze(&DynamicGraph::new())).is_none());
     }
 
     #[test]
@@ -99,7 +82,7 @@ mod tests {
         let mut g = DynamicGraph::new();
         g.ensure_vertex("a");
         g.ensure_vertex("b");
-        let s = DegreeSummary::of(&g).unwrap();
+        let s = DegreeSummary::of(&LayeredSnapshot::freeze(&g)).unwrap();
         assert_eq!(s.isolated, 2);
         assert_eq!(s.max, 0);
     }

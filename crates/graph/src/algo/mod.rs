@@ -1,16 +1,10 @@
-//! Graph algorithms over [`crate::DynamicGraph`].
+//! Graph algorithms over a published [`crate::LayeredSnapshot`].
 //!
-//! These are the traversal primitives the higher layers build on: BFS /
-//! k-hop neighbourhoods (entity disambiguation context, §3.3), shortest
-//! paths (the QA baselines, §3.6), connected components and degree
-//! statistics (the quality dashboard, demo feature 2).
+//! BFS distances bound the neighbourhood the DOT / JSON exports render;
+//! degree statistics feed the quality dashboard (demo feature 2).
 
 mod bfs;
-mod components;
 mod degree;
-mod pagerank;
 
-pub use bfs::{bfs_distances, k_hop_neighborhood, shortest_path, Direction};
-pub use components::{connected_components, largest_component};
-pub use degree::{degree_histogram, DegreeSummary};
-pub use pagerank::{pagerank, top_ranked, PageRankConfig};
+pub use bfs::{bfs_distances, Direction};
+pub use degree::DegreeSummary;

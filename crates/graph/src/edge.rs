@@ -67,37 +67,11 @@ impl Edge {
             props: PropMap::new(),
         }
     }
-
-    /// The `(src, pred, dst)` triple key, ignoring time and score.
-    #[inline]
-    pub fn triple(&self) -> (VertexId, PredicateId, VertexId) {
-        (self.src, self.pred, self.dst)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Edge {
-        Edge::new(
-            VertexId(1),
-            PredicateId(2),
-            VertexId(3),
-            42,
-            0.75,
-            Provenance::Extracted { doc_id: 99 },
-        )
-    }
-
-    #[test]
-    fn triple_key_ignores_metadata() {
-        let mut a = sample();
-        let mut b = sample();
-        a.confidence = 0.1;
-        b.at = 7;
-        assert_eq!(a.triple(), b.triple());
-    }
 
     #[test]
     fn provenance_tags() {

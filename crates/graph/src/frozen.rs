@@ -4,10 +4,10 @@
 //! state: tombstoned edges are dropped, per-vertex adjacency is packed
 //! into two contiguous arrays (out/in) segmented and sorted by predicate,
 //! every predicate gets a postings list in log order, and the live edges
-//! get a time-sorted index for range queries. A frozen view answers every
-//! read the query layer needs (it implements [`GraphView`]) without any
-//! lock or tombstone check — the structure the epoch-swapped query-serving
-//! path publishes after each ingest batch.
+//! get a time-sorted index for range queries. It is the base layer of a
+//! [`LayeredSnapshot`], which answers every query-side read by merging
+//! these lookups with its overlays; a frozen view needs no lock or
+//! tombstone check of its own.
 //!
 //! Freezing is O(V + E log E) and allocation-heavy by design: it runs on
 //! the write side so that the read side never pays again. Folding a
@@ -190,13 +190,10 @@ impl FrozenView {
         let mut ids = Vec::with_capacity(live);
         let mut edges = Vec::with_capacity(live);
         let mut post_counts = vec![0u32; pred_count];
-        let base_edges = base.ids.iter().copied().zip(&base.edges);
-        for (id, e) in base_edges.chain(overlays.iter().flat_map(|o| o.added())) {
-            if !layers.is_tombstoned(id) {
-                ids.push(id);
-                post_counts[e.pred.index()] += 1;
-                edges.push(e.clone());
-            }
+        for (id, e) in layers.iter_edges() {
+            ids.push(id);
+            post_counts[e.pred.index()] += 1;
+            edges.push(e.clone());
         }
         let (post_off, postings) = build_postings(&post_counts, &ids, &edges);
 
@@ -251,23 +248,6 @@ impl FrozenView {
         &self.in_csr[self.in_off[v.index()] as usize..self.in_off[v.index() + 1] as usize]
     }
 
-    /// The out-adjacency of `v` restricted to predicate `p`: a binary
-    /// search for the predicate's contiguous segment, not a filter.
-    pub fn out_with_pred(&self, v: VertexId, p: PredicateId) -> &[Adj] {
-        let s = self.out_slice(v);
-        let lo = s.partition_point(|a| a.pred < p);
-        let hi = s.partition_point(|a| a.pred <= p);
-        &s[lo..hi]
-    }
-
-    /// The in-adjacency of `v` restricted to predicate `p`.
-    pub fn in_with_pred(&self, v: VertexId, p: PredicateId) -> &[Adj] {
-        let s = self.in_slice(v);
-        let lo = s.partition_point(|a| a.pred < p);
-        let hi = s.partition_point(|a| a.pred <= p);
-        &s[lo..hi]
-    }
-
     /// All live edges with predicate `p`, log order.
     pub fn pred_postings(&self, p: PredicateId) -> &[EdgeId] {
         if p.index() + 1 >= self.post_off.len() {
@@ -287,7 +267,7 @@ impl FrozenView {
         let hi = self.time_index.partition_point(|(at, _)| *at <= to).max(lo);
         self.time_index[lo..hi]
             .iter()
-            .map(move |(_, id)| (*id, GraphView::edge(self, *id)))
+            .map(move |(_, id)| (*id, self.edge(*id)))
     }
 
     /// Largest timestamp in the source graph at freeze time.
@@ -307,70 +287,48 @@ impl FrozenView {
             .binary_search(&id)
             .unwrap_or_else(|_| panic!("{id} is not a live edge of this frozen view"))
     }
-}
 
-impl GraphView for FrozenView {
-    fn vertex_count(&self) -> usize {
+    pub fn vertex_count(&self) -> usize {
         self.labels.len()
     }
 
-    fn vertex_id(&self, name: &str) -> Option<VertexId> {
+    pub fn vertex_id(&self, name: &str) -> Option<VertexId> {
         self.vertex_names.get(name).map(VertexId)
     }
 
-    fn vertex_name(&self, v: VertexId) -> &str {
+    pub fn vertex_name(&self, v: VertexId) -> &str {
         self.vertex_names.resolve(v.0)
     }
 
-    fn label(&self, v: VertexId) -> Option<&str> {
+    pub fn label(&self, v: VertexId) -> Option<&str> {
         self.labels[v.index()].as_deref()
     }
 
-    fn predicate_count(&self) -> usize {
+    pub fn predicate_count(&self) -> usize {
         self.predicates.len()
     }
 
-    fn predicate_id(&self, name: &str) -> Option<PredicateId> {
+    pub fn predicate_id(&self, name: &str) -> Option<PredicateId> {
         self.predicates.get(name).map(PredicateId)
     }
 
-    fn predicate_name(&self, p: PredicateId) -> &str {
+    pub fn predicate_name(&self, p: PredicateId) -> &str {
         self.predicates.resolve(p.0)
     }
 
-    fn edge(&self, id: EdgeId) -> &Edge {
+    /// The live edge `id`. Panics if `id` is not a live edge of this view.
+    pub fn edge(&self, id: EdgeId) -> &Edge {
         &self.edges[self.edge_idx(id)]
     }
 
-    fn live_edge_count(&self) -> usize {
+    /// Number of live edges.
+    pub fn live_edge_count(&self) -> usize {
         self.edges.len()
     }
 
-    fn for_each_out(&self, v: VertexId, mut f: impl FnMut(Adj)) {
-        self.out_slice(v).iter().copied().for_each(&mut f);
-    }
-
-    fn for_each_in(&self, v: VertexId, mut f: impl FnMut(Adj)) {
-        self.in_slice(v).iter().copied().for_each(&mut f);
-    }
-
-    fn for_each_with_pred(
-        &self,
-        p: PredicateId,
-        mut f: impl FnMut(EdgeId, &Edge) -> std::ops::ControlFlow<()>,
-    ) -> std::ops::ControlFlow<()> {
-        for id in self.pred_postings(p) {
-            f(*id, GraphView::edge(self, *id))?;
-        }
-        std::ops::ControlFlow::Continue(())
-    }
-
-    fn out_degree(&self, v: VertexId) -> usize {
-        self.out_slice(v).len()
-    }
-
-    fn in_degree(&self, v: VertexId) -> usize {
-        self.in_slice(v).len()
+    /// Live edges in log order, with their ids.
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (EdgeId, &Edge)> {
+        self.ids.iter().copied().zip(&self.edges)
     }
 }
 
@@ -415,41 +373,24 @@ mod tests {
         let g = sample();
         let f = FrozenView::freeze(&g);
         let (a, c) = (VertexId(0), VertexId(2));
-        let owns = f.predicate_id("owns").unwrap();
-        let near = f.predicate_id("near").unwrap();
         let out = f.out_slice(a);
         assert_eq!(out.len(), 3);
-        assert!(out.windows(2).all(|w| w[0].pred <= w[1].pred));
-        assert_eq!(f.out_with_pred(a, owns).len(), 2);
-        assert_eq!(f.out_with_pred(a, near).len(), 1);
-        assert_eq!(f.in_with_pred(c, near).len(), 2);
-        assert_eq!(f.out_degree(a), 3);
-        assert_eq!(f.in_degree(c), 3);
-        assert_eq!(f.degree(a), 3);
+        assert!(out
+            .windows(2)
+            .all(|w| (w[0].pred, w[0].other) <= (w[1].pred, w[1].other)));
+        assert_eq!(f.in_slice(c).len(), 3);
+        assert!(f.in_slice(a).is_empty());
     }
 
     #[test]
-    fn postings_match_mutable_find() {
+    fn postings_list_live_edges_in_log_order() {
         let mut g = sample();
         g.remove_edge(EdgeId(2));
         let f = FrozenView::freeze(&g);
         let near = g.predicate_id("near").unwrap();
-        assert_eq!(f.pred_postings(near), g.find(None, Some(near), None));
-        let mut via_trait = Vec::new();
-        let _ = f.for_each_with_pred(near, |id, e| {
-            via_trait.push((id, e.at));
-            std::ops::ControlFlow::Continue(())
-        });
-        assert_eq!(via_trait, vec![(EdgeId(1), 2)]);
-        // Break stops the scan at the first posting.
         let owns = g.predicate_id("owns").unwrap();
-        let mut first_only = Vec::new();
-        let flow = f.for_each_with_pred(owns, |id, _| {
-            first_only.push(id);
-            std::ops::ControlFlow::Break(())
-        });
-        assert_eq!(first_only.len(), 1.min(f.pred_postings(owns).len()));
-        assert!(flow.is_break() || f.pred_postings(owns).is_empty());
+        assert_eq!(f.pred_postings(near), &[EdgeId(1)]);
+        assert_eq!(f.pred_postings(owns), &[EdgeId(0), EdgeId(3)]);
         // Unknown predicate id (interned later in the source): empty.
         assert_eq!(f.pred_postings(PredicateId(99)), &[] as &[EdgeId]);
     }
@@ -460,9 +401,13 @@ mod tests {
         g.remove_edge(EdgeId(1));
         let f = FrozenView::freeze(&g);
         let expect = |from, to| {
-            g.edges_in_range(from, to)
-                .map(|(id, _)| id)
-                .collect::<Vec<_>>()
+            let mut hits: Vec<(u64, EdgeId)> = g
+                .iter_edges()
+                .filter(|(_, e)| e.at >= from && e.at <= to)
+                .map(|(id, e)| (e.at, id))
+                .collect();
+            hits.sort_unstable();
+            hits.into_iter().map(|(_, id)| id).collect::<Vec<_>>()
         };
         for (from, to) in [(0, 100), (2, 3), (1, 1), (5, 9), (3, 2)] {
             let got: Vec<EdgeId> = f.edges_in_range(from, to).map(|(id, _)| id).collect();
@@ -475,8 +420,8 @@ mod tests {
         let mut g = sample();
         g.remove_edge(EdgeId(0));
         let f = FrozenView::freeze(&g);
-        assert_eq!(GraphView::edge(&f, EdgeId(3)).at, 4);
-        assert_eq!(GraphView::edge(&f, EdgeId(1)).confidence, 0.5);
+        assert_eq!(f.edge(EdgeId(3)).at, 4);
+        assert_eq!(f.edge(EdgeId(1)).confidence, 0.5);
     }
 
     #[test]
@@ -485,7 +430,7 @@ mod tests {
         let mut g = sample();
         g.remove_edge(EdgeId(0));
         let f = FrozenView::freeze(&g);
-        GraphView::edge(&f, EdgeId(0));
+        f.edge(EdgeId(0));
     }
 
     #[test]
@@ -502,16 +447,5 @@ mod tests {
         assert_eq!(f.live_edge_count(), 4);
         assert_eq!(f.pred_postings(f.predicate_id("owns").unwrap()), before);
         assert!(f.vertex_id("d").is_none());
-    }
-
-    #[test]
-    fn neighbors_match_mutable_graph() {
-        let g = sample();
-        let f = FrozenView::freeze(&g);
-        let mut scratch = Vec::new();
-        for v in 0..3u32 {
-            f.neighbors_into(VertexId(v), &mut scratch);
-            assert_eq!(scratch, g.neighbors(VertexId(v)), "vertex {v}");
-        }
     }
 }

@@ -1,17 +1,20 @@
-//! The dynamic property graph.
+//! The dynamic property graph: the write side of the knowledge graph.
 //!
 //! [`DynamicGraph`] is an append-oriented temporal graph: edges are written
-//! to a time-ordered log and indexed into per-vertex adjacency lists; removal
-//! (used by windowed views and quality-control retraction) is a tombstone,
-//! so `EdgeId`s stay stable and the log can be replayed. This mirrors how
-//! NOUS treats knowledge-graph construction as an *incremental* process
-//! (§1.1 contribution 1).
+//! to a time-ordered log and indexed into per-vertex out-adjacency lists;
+//! removal (used by windowed views and quality-control retraction) is a
+//! tombstone, so `EdgeId`s stay stable and the log can be replayed. This
+//! mirrors how NOUS treats knowledge-graph construction as an
+//! *incremental* process (§1.1 contribution 1).
+//!
+//! It keeps only what writes read: the log, the tombstones, the
+//! out-adjacency revision supersession scans, and the removal and label
+//! logs incremental publication consumes. Every query reads a
+//! [`crate::LayeredSnapshot`] of it instead.
 
 use crate::edge::{Edge, Provenance};
-use crate::hash::FxHashMap;
 use crate::ids::{EdgeId, Interner, PredicateId, Timestamp, VertexId};
 use crate::props::PropMap;
-use crate::view::GraphView;
 
 /// Per-vertex payload: everything except the interned name.
 #[derive(Debug, Clone, Default)]
@@ -51,18 +54,6 @@ pub struct DynamicGraph {
     edges: Vec<Edge>,
     dead: Vec<bool>,
     out_adj: Vec<Vec<Adj>>,
-    in_adj: Vec<Vec<Adj>>,
-    /// `(src, pred, dst) -> edge ids` exact-triple index, used for dedup and
-    /// the triple-pattern query primitives.
-    triple_index: FxHashMap<(VertexId, PredicateId, VertexId), Vec<EdgeId>>,
-    /// Per-predicate edge postings in log order (dead ids retained and
-    /// filtered on read, like `triple_index`), so predicate-only patterns
-    /// stop scanning the whole log.
-    pred_postings: Vec<Vec<EdgeId>>,
-    /// Set once an edge arrives with a timestamp below the running
-    /// maximum. While false, the log is monotone in `at` and
-    /// [`DynamicGraph::edges_in_range`] can binary-search its bounds.
-    saw_out_of_order: bool,
     /// Removal log: every id successfully tombstoned, in removal order.
     /// Incremental snapshot publication ([`crate::DeltaOverlay::capture`])
     /// reads the suffix since its watermark to learn which previously
@@ -106,7 +97,6 @@ impl DynamicGraph {
         if self.vertex_names.len() > before {
             self.vertices.push(VertexData::default());
             self.out_adj.push(Vec::new());
-            self.in_adj.push(Vec::new());
         }
         VertexId(id)
     }
@@ -124,13 +114,15 @@ impl DynamicGraph {
         &self.vertices[v.index()]
     }
 
-    pub fn vertex_data_mut(&mut self, v: VertexId) -> &mut VertexData {
+    /// Crate-private: a label written through it would bypass the label
+    /// log, so a published snapshot would keep serving the old one.
+    /// Checkpoint decode uses it for properties only.
+    pub(crate) fn vertex_data_mut(&mut self, v: VertexId) -> &mut VertexData {
         &mut self.vertices[v.index()]
     }
 
-    /// Convenience: set the ontology type label of a vertex. The only
-    /// label-mutation path the incremental snapshot layer tracks — direct
-    /// `vertex_data_mut().label` writes bypass the label log.
+    /// Set the ontology type label of a vertex: the only label-mutation
+    /// path, and the one the incremental snapshot layer tracks.
     pub fn set_label(&mut self, v: VertexId, label: &str) {
         self.vertices[v.index()].label = Some(label.to_owned());
         self.label_log.push(v);
@@ -198,19 +190,6 @@ impl DynamicGraph {
             other: edge.dst,
             edge: id,
         });
-        self.in_adj[edge.dst.index()].push(Adj {
-            pred: edge.pred,
-            other: edge.src,
-            edge: id,
-        });
-        self.triple_index.entry(edge.triple()).or_default().push(id);
-        if edge.pred.index() >= self.pred_postings.len() {
-            self.pred_postings.resize(edge.pred.index() + 1, Vec::new());
-        }
-        self.pred_postings[edge.pred.index()].push(id);
-        if edge.at < self.max_timestamp {
-            self.saw_out_of_order = true;
-        }
         self.max_timestamp = self.max_timestamp.max(edge.at);
         self.edges.push(edge);
         self.dead.push(false);
@@ -299,154 +278,20 @@ impl DynamicGraph {
             .filter(|a| !self.dead[a.edge.index()])
     }
 
-    /// Live incoming adjacency of `v` (`other` is the source vertex).
-    pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = Adj> + '_ {
-        self.in_adj[v.index()]
-            .iter()
-            .copied()
-            .filter(|a| !self.dead[a.edge.index()])
-    }
-
-    /// Distinct neighbours of `v` in either direction.
-    pub fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        self.neighbors_into(v, &mut out);
-        out
-    }
-
-    /// [`DynamicGraph::neighbors`] into a caller-owned scratch buffer
-    /// (cleared first): the allocation-free variant for search hot loops.
-    pub fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
-        out.clear();
-        out.extend(self.out_edges(v).map(|a| a.other));
-        out.extend(self.in_edges(v).map(|a| a.other));
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Live edges with predicate `p`, in log (time) order — served from
-    /// the per-predicate postings, not a log scan.
-    pub fn edges_with_pred(&self, p: PredicateId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.pred_postings
-            .get(p.index())
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(|id| !self.dead[id.index()])
-    }
-
-    pub fn out_degree(&self, v: VertexId) -> usize {
-        self.out_edges(v).count()
-    }
-
-    pub fn in_degree(&self, v: VertexId) -> usize {
-        self.in_edges(v).count()
-    }
-
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.out_degree(v) + self.in_degree(v)
-    }
-
-    // ---- triple lookups -------------------------------------------------
-
-    /// Live edges matching the exact triple `(src, pred, dst)`.
-    pub fn edges_matching(
-        &self,
-        src: VertexId,
-        pred: PredicateId,
-        dst: VertexId,
-    ) -> impl Iterator<Item = EdgeId> + '_ {
-        self.triple_index
-            .get(&(src, pred, dst))
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(|id| !self.dead[id.index()])
-    }
-
     /// Does a live `(src, pred, dst)` fact exist?
     pub fn has_triple(&self, src: VertexId, pred: PredicateId, dst: VertexId) -> bool {
-        self.edges_matching(src, pred, dst).next().is_some()
+        self.out_edges(src)
+            .any(|a| a.pred == pred && a.other == dst)
     }
 
-    /// Live edges matching a partial triple pattern: `None` is a wildcard.
-    /// Chooses the cheapest available index (src adjacency, dst adjacency,
-    /// exact triple, or full scan).
-    pub fn find(
-        &self,
-        src: Option<VertexId>,
-        pred: Option<PredicateId>,
-        dst: Option<VertexId>,
-    ) -> Vec<EdgeId> {
-        match (src, pred, dst) {
-            (Some(s), Some(p), Some(d)) => self.edges_matching(s, p, d).collect(),
-            (Some(s), p, d) => self
-                .out_edges(s)
-                .filter(|a| p.is_none_or(|p| a.pred == p) && d.is_none_or(|d| a.other == d))
-                .map(|a| a.edge)
-                .collect(),
-            (None, p, Some(d)) => self
-                .in_edges(d)
-                .filter(|a| p.is_none_or(|p| a.pred == p))
-                .map(|a| a.edge)
-                .collect(),
-            (None, Some(p), None) => self.edges_with_pred(p).collect(),
-            (None, None, None) => self.iter_edges().map(|(id, _)| id).collect(),
-        }
-    }
-
-    /// Live edges with `at` in `[from, to]`. While the log has only seen
-    /// in-order appends (the pipeline's arrival-order contract), the scan
-    /// bounds are found by binary search; one out-of-order insert flips
-    /// the monotonicity flag and this degrades to the full filter scan.
-    pub fn edges_in_range(
-        &self,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> impl Iterator<Item = (EdgeId, &Edge)> {
-        let (lo, hi) = if self.saw_out_of_order {
-            (0, self.edges.len())
-        } else {
-            let lo = self.edges.partition_point(|e| e.at < from);
-            let hi = self.edges.partition_point(|e| e.at <= to).max(lo);
-            (lo, hi)
-        };
-        self.edges[lo..hi]
-            .iter()
-            .enumerate()
-            .filter(move |(i, e)| !self.dead[lo + i] && e.at >= from && e.at <= to)
-            .map(move |(i, e)| (EdgeId((lo + i) as u32), e))
-    }
-
-    /// Has the log only ever seen monotone (non-decreasing) timestamps?
-    /// Governs whether [`DynamicGraph::edges_in_range`] may binary-search.
-    pub fn time_monotone(&self) -> bool {
-        !self.saw_out_of_order
-    }
-
-    /// Materialise the knowledge graph *as it was known* at logical time
-    /// `t`: every vertex (entity identity is stable) but only live edges
-    /// with `at <= t`. This is the dynamic-KG time-travel primitive: "what
-    /// did the graph say before the acquisition wave?"
-    pub fn as_of(&self, t: Timestamp) -> DynamicGraph {
-        let mut g = DynamicGraph::new();
-        for v in self.iter_vertices() {
-            let nv = g.ensure_vertex(self.vertex_name(v));
-            debug_assert_eq!(nv, v, "dense ids are insertion-ordered");
-            if let Some(label) = self.label(v) {
-                g.set_label(nv, label);
-            }
-            g.vertex_data_mut(nv).props = self.vertex_data(v).props.clone();
-        }
-        for (_, name) in self.predicates.iter() {
-            g.intern_predicate(name);
-        }
-        for (_, e) in self.iter_edges() {
-            if e.at <= t {
-                g.add_edge(e.clone());
-            }
-        }
-        g
+    /// Live edges out of `src` with predicate `pred` (and to `dst` when
+    /// given), in log order. Revision supersession reads a subject's prior
+    /// facts this way.
+    pub fn find(&self, src: VertexId, pred: PredicateId, dst: Option<VertexId>) -> Vec<EdgeId> {
+        self.out_edges(src)
+            .filter(|a| a.pred == pred && dst.is_none_or(|d| a.other == d))
+            .map(|a| a.edge)
+            .collect()
     }
 
     /// Interner access for [`crate::FrozenView`] construction (cloning the
@@ -480,75 +325,6 @@ impl DynamicGraph {
                 conf_sum / self.live_edges as f64
             },
         }
-    }
-}
-
-impl GraphView for DynamicGraph {
-    fn vertex_count(&self) -> usize {
-        DynamicGraph::vertex_count(self)
-    }
-
-    fn vertex_id(&self, name: &str) -> Option<VertexId> {
-        DynamicGraph::vertex_id(self, name)
-    }
-
-    fn vertex_name(&self, v: VertexId) -> &str {
-        DynamicGraph::vertex_name(self, v)
-    }
-
-    fn label(&self, v: VertexId) -> Option<&str> {
-        DynamicGraph::label(self, v)
-    }
-
-    fn predicate_count(&self) -> usize {
-        DynamicGraph::predicate_count(self)
-    }
-
-    fn predicate_id(&self, name: &str) -> Option<PredicateId> {
-        DynamicGraph::predicate_id(self, name)
-    }
-
-    fn predicate_name(&self, p: PredicateId) -> &str {
-        DynamicGraph::predicate_name(self, p)
-    }
-
-    fn edge(&self, id: EdgeId) -> &Edge {
-        DynamicGraph::edge(self, id)
-    }
-
-    fn live_edge_count(&self) -> usize {
-        self.edge_count()
-    }
-
-    fn for_each_out(&self, v: VertexId, mut f: impl FnMut(Adj)) {
-        self.out_edges(v).for_each(&mut f);
-    }
-
-    fn for_each_in(&self, v: VertexId, mut f: impl FnMut(Adj)) {
-        self.in_edges(v).for_each(&mut f);
-    }
-
-    fn for_each_with_pred(
-        &self,
-        p: PredicateId,
-        mut f: impl FnMut(EdgeId, &Edge) -> std::ops::ControlFlow<()>,
-    ) -> std::ops::ControlFlow<()> {
-        for id in self.edges_with_pred(p) {
-            f(id, DynamicGraph::edge(self, id))?;
-        }
-        std::ops::ControlFlow::Continue(())
-    }
-
-    fn out_degree(&self, v: VertexId) -> usize {
-        DynamicGraph::out_degree(self, v)
-    }
-
-    fn in_degree(&self, v: VertexId) -> usize {
-        DynamicGraph::in_degree(self, v)
-    }
-
-    fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
-        DynamicGraph::neighbors_into(self, v, out);
     }
 }
 
@@ -595,33 +371,34 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(out.iter().any(|adj| adj.pred == owns && adj.other == b));
         assert!(out.iter().any(|adj| adj.pred == near && adj.other == c));
-        assert_eq!(g.in_degree(c), 2);
-        assert_eq!(g.neighbors(b), vec![a, c]);
+        assert_eq!(g.out_edges(b).count(), 1);
+        assert_eq!(g.out_edges(c).count(), 0);
     }
 
     #[test]
     fn tombstone_removes_from_all_views() {
         let (mut g, a, b, _c, owns, _near) = tiny();
-        let id = g.edges_matching(a, owns, b).next().unwrap();
+        let id = g.find(a, owns, Some(b))[0];
         assert!(g.remove_edge(id));
         assert!(!g.remove_edge(id), "double-remove must report false");
         assert!(!g.is_live(id));
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.log_len(), 3, "log keeps tombstoned entries");
         assert!(!g.has_triple(a, owns, b));
-        assert_eq!(g.out_degree(a), 1);
+        assert_eq!(g.out_edges(a).count(), 1);
         assert!(g.iter_edges().all(|(eid, _)| eid != id));
     }
 
     #[test]
-    fn find_uses_wildcards() {
-        let (g, a, _b, c, _owns, near) = tiny();
-        assert_eq!(g.find(None, None, None).len(), 3);
-        assert_eq!(g.find(Some(a), None, None).len(), 2);
-        assert_eq!(g.find(None, Some(near), None).len(), 2);
-        assert_eq!(g.find(None, None, Some(c)).len(), 2);
-        assert_eq!(g.find(Some(a), Some(near), Some(c)).len(), 1);
-        assert_eq!(g.find(Some(c), None, None).len(), 0);
+    fn find_anchors_on_subject_and_predicate() {
+        let (mut g, a, b, c, owns, near) = tiny();
+        assert_eq!(g.find(a, near, None), vec![EdgeId(2)]);
+        assert_eq!(g.find(a, owns, Some(b)), vec![EdgeId(0)]);
+        assert_eq!(g.find(a, near, Some(b)), vec![]);
+        assert_eq!(g.find(c, near, None), vec![]);
+        g.remove_edge(EdgeId(2));
+        assert_eq!(g.find(a, near, None), vec![]);
+        assert_eq!(g.find(a, near, Some(c)), vec![]);
     }
 
     #[test]
@@ -633,9 +410,9 @@ mod tests {
         let e1 = g.add_edge_at(a, p, b, 1, 0.5, Provenance::Curated);
         let e2 = g.add_edge_at(a, p, b, 9, 0.6, Provenance::Curated);
         assert_ne!(e1, e2);
-        assert_eq!(g.edges_matching(a, p, b).count(), 2);
+        assert_eq!(g.find(a, p, Some(b)), vec![e1, e2]);
         g.remove_edge(e1);
-        assert_eq!(g.edges_matching(a, p, b).count(), 1);
+        assert_eq!(g.find(a, p, Some(b)), vec![e2]);
         assert!(g.has_triple(a, p, b));
     }
 
@@ -671,96 +448,12 @@ mod tests {
     }
 
     #[test]
-    fn as_of_travels_back_in_time() {
-        let (g, a, b, c, owns, near) = tiny(); // edges at t = 1, 2, 3
-        let past = g.as_of(2);
-        assert_eq!(past.vertex_count(), g.vertex_count(), "entities persist");
-        assert_eq!(past.edge_count(), 2);
-        assert!(past.has_triple(a, owns, b));
-        assert!(past.has_triple(b, near, c));
-        assert!(!past.has_triple(a, near, c), "t=3 fact not yet known");
-        // Full history at the frontier; empty before the first fact.
-        assert_eq!(g.as_of(g.now()).edge_count(), g.edge_count());
-        assert_eq!(g.as_of(0).edge_count(), 0);
-    }
-
-    #[test]
-    fn as_of_respects_tombstones_and_labels() {
-        let (mut g, a, b, _c, owns, _near) = tiny();
-        g.set_label(a, "Company");
-        let id = g.edges_matching(a, owns, b).next().unwrap();
-        g.remove_edge(id);
-        let past = g.as_of(10);
-        assert!(
-            !past.has_triple(a, owns, b),
-            "retracted facts stay retracted"
-        );
-        assert_eq!(past.label(a), Some("Company"));
-        assert_eq!(past.predicate_count(), g.predicate_count());
-    }
-
-    #[test]
-    fn edges_in_range_scopes_by_time() {
-        let (g, ..) = tiny(); // timestamps 1, 2, 3
-        assert_eq!(g.edges_in_range(2, 3).count(), 2);
-        assert_eq!(g.edges_in_range(0, 0).count(), 0);
-        assert_eq!(g.edges_in_range(1, 1).count(), 1);
-        assert_eq!(g.edges_in_range(0, 100).count(), 3);
-    }
-
-    #[test]
-    fn predicate_postings_serve_find_in_log_order() {
-        let (mut g, .., near) = tiny();
-        // Log order, filtered to `near`: edge 1 (b→c), edge 2 (a→c).
-        assert_eq!(g.find(None, Some(near), None), vec![EdgeId(1), EdgeId(2)]);
-        g.remove_edge(EdgeId(1));
-        assert_eq!(g.find(None, Some(near), None), vec![EdgeId(2)]);
-    }
-
-    #[test]
-    fn out_of_order_inserts_flip_monotone_flag() {
-        let (mut g, a, _b, c, owns, _near) = tiny(); // timestamps 1, 2, 3
-        assert!(g.time_monotone());
-        assert_eq!(g.edges_in_range(2, 3).count(), 2);
-        // A late edge with an old timestamp: the binary-search bounds are
-        // no longer valid, so the flag must flip and the scan fallback
-        // must still find it.
-        g.add_edge_at(a, owns, c, 1, 0.5, Provenance::Curated);
-        assert!(!g.time_monotone());
-        assert_eq!(g.edges_in_range(1, 1).count(), 2);
-        assert_eq!(g.edges_in_range(2, 3).count(), 2);
-    }
-
-    #[test]
-    fn monotone_range_matches_scan_semantics() {
-        let (mut g, a, b, _c, owns, _near) = tiny();
-        // Inverted range is empty, not a panic.
-        assert_eq!(g.edges_in_range(3, 2).count(), 0);
-        // Tombstones are filtered inside the binary-searched bounds.
-        let id = g.edges_matching(a, owns, b).next().unwrap();
-        g.remove_edge(id);
-        assert!(g.time_monotone());
-        assert_eq!(g.edges_in_range(0, 100).count(), 2);
-    }
-
-    #[test]
-    fn neighbors_into_reuses_scratch() {
-        let (g, a, b, c, ..) = tiny();
-        let mut scratch = vec![VertexId(99)]; // stale content must be cleared
-        g.neighbors_into(b, &mut scratch);
-        assert_eq!(scratch, vec![a, c]);
-        g.neighbors_into(a, &mut scratch);
-        assert_eq!(scratch, vec![b, c]);
-        assert_eq!(g.neighbors(a), scratch);
-    }
-
-    #[test]
     fn mutation_logs_feed_delta_watermarks() {
         let (mut g, a, b, _c, owns, _near) = tiny();
         let w0 = g.watermark();
         assert_eq!(w0.log_len, 3);
         assert_eq!(w0.removal_log_len, 0);
-        let id = g.edges_matching(a, owns, b).next().unwrap();
+        let id = g.find(a, owns, Some(b))[0];
         g.remove_edge(id);
         g.remove_edge(id); // double-remove must not log twice
         g.set_label(b, "Company");

@@ -1,11 +1,15 @@
 //! Layered snapshots: a frozen base plus delta overlays, merged on read.
 //!
 //! [`LayeredSnapshot`] is the LSM-style publication unit of the serving
-//! path: an immutable CSR base ([`FrozenView`]) with a short stack of
-//! [`DeltaOverlay`]s on top, each covering one contiguous window of the
-//! source graph's edge log. Publishing a new epoch is O(window) — capture
-//! an overlay, push, swap — while every read merges the layers behind the
-//! [`GraphView`] trait, preserving the exact orders consumers rely on:
+//! path, and the one type that answers reads: the query executor, the
+//! path searches, entity summaries, trend rendering, the graph
+//! algorithms and the exports all take one. It is an immutable CSR base
+//! ([`FrozenView`]) with a short stack of [`DeltaOverlay`]s on top, each
+//! covering one contiguous window of the source graph's edge log; the
+//! mutable [`DynamicGraph`] keeps only what writes need. Publishing a new
+//! epoch is O(window) — capture an overlay, push, swap — while every read
+//! merges the layers behind the [`GraphView`] trait, preserving the exact
+//! orders consumers rely on:
 //!
 //! - `for_each_out` / `for_each_in`: `(pred, other, edge)` order, the
 //!   same a fresh [`FrozenView::freeze`] of the source graph would yield
@@ -14,6 +18,8 @@
 //!   then overlays oldest to newest; id ranges are disjoint and
 //!   ascending, so concatenation *is* log order.
 //! - [`LayeredSnapshot::edges_in_range`]: ascending `(at, id)`.
+//! - [`LayeredSnapshot::iter_edges`]: edge-log order, which is
+//!   ascending `EdgeId` (the exports' order).
 //!
 //! Tombstones recorded by any overlay hide edges of every older layer,
 //! checked on read against one sorted union. A background compactor folds
@@ -244,6 +250,16 @@ impl LayeredSnapshot {
     /// Is `id` hidden by a tombstone recorded in any overlay?
     pub(crate) fn is_tombstoned(&self, id: EdgeId) -> bool {
         self.tombstones.binary_search(&id).is_ok()
+    }
+
+    /// Live edges in edge-log order (ascending `EdgeId`): the base's
+    /// edges, then each overlay's window, oldest first.
+    pub fn iter_edges(&self) -> impl Iterator<Item = (EdgeId, &Edge)> {
+        let overlaid = self.overlays.iter().flat_map(|o| o.added());
+        self.base
+            .edges()
+            .chain(overlaid)
+            .filter(|(id, _)| !self.is_tombstoned(*id))
     }
 
     /// Live edges with `at` in `[from, to]`, ascending `(at, id)` — the
@@ -481,8 +497,9 @@ mod tests {
         g
     }
 
-    /// Every `GraphView` answer (plus `edges_in_range`) must match a
-    /// fresh full freeze of the same graph.
+    /// Every `GraphView` answer (plus `edges_in_range` and
+    /// `iter_edges`) must match the lookups of a fresh full freeze of
+    /// the same graph.
     fn assert_equivalent(snap: &LayeredSnapshot, g: &DynamicGraph) {
         let fresh = FrozenView::freeze(g);
         assert_eq!(snap.vertex_count(), fresh.vertex_count());
@@ -494,23 +511,20 @@ mod tests {
             assert_eq!(snap.vertex_name(v), fresh.vertex_name(v));
             assert_eq!(snap.vertex_id(snap.vertex_name(v)), Some(v));
             assert_eq!(snap.label(v), fresh.label(v), "label of {v}");
-            let collect = |view: &dyn Fn(&mut Vec<Adj>)| {
-                let mut out = Vec::new();
-                view(&mut out);
-                out
-            };
-            let snap_out = collect(&|out| snap.for_each_out(v, |a| out.push(a)));
-            let fresh_out = collect(&|out| fresh.for_each_out(v, |a| out.push(a)));
-            assert_eq!(snap_out, fresh_out, "out adjacency of {v}");
-            let snap_in = collect(&|out| snap.for_each_in(v, |a| out.push(a)));
-            let fresh_in = collect(&|out| fresh.for_each_in(v, |a| out.push(a)));
-            assert_eq!(snap_in, fresh_in, "in adjacency of {v}");
-            assert_eq!(snap.out_degree(v), fresh.out_degree(v));
-            assert_eq!(snap.in_degree(v), fresh.in_degree(v));
+            let mut snap_out = Vec::new();
+            snap.for_each_out(v, |a| snap_out.push(a));
+            assert_eq!(snap_out, fresh.out_slice(v), "out adjacency of {v}");
+            let mut snap_in = Vec::new();
+            snap.for_each_in(v, |a| snap_in.push(a));
+            assert_eq!(snap_in, fresh.in_slice(v), "in adjacency of {v}");
+            assert_eq!(snap.out_degree(v), fresh.out_slice(v).len());
+            assert_eq!(snap.in_degree(v), fresh.in_slice(v).len());
             let mut sn = Vec::new();
-            let mut fr = Vec::new();
             snap.neighbors_into(v, &mut sn);
-            fresh.neighbors_into(v, &mut fr);
+            let mut fr: Vec<VertexId> = fresh.out_slice(v).iter().map(|a| a.other).collect();
+            fr.extend(fresh.in_slice(v).iter().map(|a| a.other));
+            fr.sort_unstable();
+            fr.dedup();
             assert_eq!(sn, fr, "neighbors of {v}");
         }
         for p in (0..g.predicate_count() as u32).map(PredicateId) {
@@ -518,15 +532,11 @@ mod tests {
             assert_eq!(snap.predicate_id(snap.predicate_name(p)), Some(p));
             let mut sn = Vec::new();
             let _ = snap.for_each_with_pred(p, |id, e| {
-                sn.push((id, e.at));
+                assert_eq!(e.pred, p);
+                sn.push(id);
                 std::ops::ControlFlow::Continue(())
             });
-            let mut fr = Vec::new();
-            let _ = fresh.for_each_with_pred(p, |id, e| {
-                fr.push((id, e.at));
-                std::ops::ControlFlow::Continue(())
-            });
-            assert_eq!(sn, fr, "postings of {p}");
+            assert_eq!(sn, fresh.pred_postings(p), "postings of {p}");
         }
         let sn: Vec<_> = snap.edges_in_range(0, u64::MAX).map(|(id, _)| id).collect();
         let fr: Vec<_> = fresh
@@ -537,6 +547,9 @@ mod tests {
         for (id, e) in snap.edges_in_range(0, u64::MAX) {
             assert_eq!(GraphView::edge(snap, id).at, e.at);
         }
+        let sn: Vec<_> = snap.iter_edges().collect();
+        let fr: Vec<_> = fresh.edges().collect();
+        assert_eq!(sn, fr, "live edges in log order");
     }
 
     #[test]
@@ -659,5 +672,21 @@ mod tests {
         g.remove_edge(EdgeId(0));
         let snap1 = snap0.with_overlay(snap0.capture_delta(&g));
         GraphView::edge(&snap1, EdgeId(0));
+    }
+
+    #[test]
+    fn predicate_scan_stops_at_the_first_break() {
+        let mut g = seeded();
+        let snap0 = LayeredSnapshot::freeze(&g);
+        let near = g.predicate_id("near").unwrap();
+        g.add_edge_at(VertexId(2), near, VertexId(0), 4, 0.5, Provenance::Curated);
+        let snap1 = snap0.with_overlay(snap0.capture_delta(&g));
+        let mut seen = Vec::new();
+        let flow = snap1.for_each_with_pred(near, |id, _| {
+            seen.push(id);
+            std::ops::ControlFlow::Break(())
+        });
+        assert!(flow.is_break());
+        assert_eq!(seen, vec![EdgeId(1)], "base posting first, then stop");
     }
 }

@@ -6,30 +6,35 @@
 //! every NOUS algorithm is expressed against a property-graph API (arbitrary
 //! properties on vertices and edges, timestamped edge insertions, windowed
 //! views over the edge stream). This crate provides that API as a fast
-//! in-memory engine:
+//! in-memory engine with one write side and one read view:
 //!
-//! - [`DynamicGraph`] — append-oriented property graph with interned vertex
-//!   names and predicates, per-edge timestamps, confidence and provenance.
+//! - [`DynamicGraph`] — the write side: an append-oriented property graph
+//!   with interned vertex names and predicates, per-edge timestamps,
+//!   confidence and provenance. It keeps only what writes need.
+//! - [`LayeredSnapshot`] — the read view, and the one [`GraphView`]: a
+//!   frozen CSR base ([`FrozenView`]) plus delta overlays
+//!   ([`DeltaOverlay`]), published after each write batch.
 //! - [`window::SlidingWindow`] — a windowed view over the temporal edge log,
 //!   the structure the streaming frequent-graph miner (§3.5 of the paper)
 //!   operates on.
-//! - [`algo`] — BFS, connected components, degree statistics and k-hop
-//!   neighbourhoods used by the question-answering and disambiguation layers.
+//! - [`algo`] — BFS distances and degree statistics over a snapshot.
 //! - [`snapshot`] — the compact snapshot (the graph's one state format)
 //!   plus DOT / JSON exports (the paper's visualisation figures 2, 4 and 6
 //!   correspond to these exports).
-//! - [`parallel`] — `std` scoped-thread parallel scans standing in for
+//! - [`parallel`] — a `std` scoped-thread parallel map standing in for
 //!   the "distributed" axis of GraphX at laptop scale.
 //!
 //! ```
-//! use nous_graph::{DynamicGraph, Provenance};
+//! use nous_graph::{DynamicGraph, GraphView, LayeredSnapshot, Provenance};
 //!
 //! let mut g = DynamicGraph::new();
 //! let dji = g.ensure_vertex("DJI");
 //! let shenzhen = g.ensure_vertex("Shenzhen");
 //! let pred = g.intern_predicate("isLocatedIn");
 //! g.add_edge_at(dji, pred, shenzhen, 100, 0.97, Provenance::Curated);
-//! assert_eq!(g.out_degree(dji), 1);
+//! let view = LayeredSnapshot::freeze(&g);
+//! assert_eq!(view.out_degree(dji), 1);
+//! assert_eq!(view.in_degree(shenzhen), 1);
 //! ```
 
 pub mod algo;

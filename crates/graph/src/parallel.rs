@@ -1,13 +1,9 @@
-//! Parallel scans over vertices and edges.
+//! Parallel fan-out over a slice.
 //!
-//! NOUS ran on a Spark cluster; its algorithms are expressed as data-parallel
-//! scans (score every candidate entity, update every pattern counter). At
-//! laptop scale the equivalent is a chunked scan over dense id ranges on
-//! `std` scoped threads. These helpers keep that parallelism in one
-//! place so callers never spawn threads themselves.
-
-use crate::graph::DynamicGraph;
-use crate::ids::VertexId;
+//! NOUS ran on a Spark cluster; its extraction is a data-parallel map
+//! over documents. At laptop scale the equivalent is a chunked map on
+//! `std` scoped threads. This helper keeps that parallelism in one place
+//! so callers never spawn threads themselves.
 
 /// Worker threads available to parallel scans and batch fan-outs: the
 /// `NOUS_THREADS` environment variable when set to a positive integer,
@@ -22,15 +18,6 @@ pub fn available_workers() -> usize {
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-}
-
-/// Number of worker threads used by the fine-grained parallel scans: the
-/// available parallelism, capped so tiny inputs do not pay spawn overhead.
-/// Scan items (vertices, edges) are cheap, hence the per-1024 cap; for
-/// coarse items (whole documents) pass an explicit count to
-/// [`par_map_chunks`] instead.
-pub fn workers_for(len: usize) -> usize {
-    available_workers().min(len.div_ceil(1024)).max(1)
 }
 
 /// Map `f` over `items` on `workers` scoped threads, collecting results in
@@ -87,116 +74,9 @@ where
     (out, counts)
 }
 
-/// Map `f` over every vertex in parallel, collecting results in vertex-id
-/// order. `f` must be pure with respect to the graph (read-only access).
-pub fn par_map_vertices<T, F>(g: &DynamicGraph, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(VertexId) -> T + Sync,
-{
-    let n = g.vertex_count();
-    let ids: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
-    par_map_chunks(&ids, workers_for(n), |v| f(*v)).0
-}
-
-/// Fold over the live edge log in parallel: each worker folds a chunk with
-/// `fold`, then the per-worker accumulators are combined with `merge`.
-#[allow(clippy::needless_range_loop)] // chunk workers index a shared slice
-pub fn par_fold_edges<A, F, M>(g: &DynamicGraph, init: A, fold: F, merge: M) -> A
-where
-    A: Send + Clone,
-    F: Fn(A, &crate::edge::Edge) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    let log = g.edge_log();
-    if log.is_empty() {
-        return init;
-    }
-    let workers = workers_for(log.len());
-    if workers == 1 {
-        return g.iter_edges().fold(init, |acc, (_, e)| fold(acc, e));
-    }
-    let chunk = log.len().div_ceil(workers);
-    let results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let start = w * chunk;
-            let end = (start + chunk).min(log.len());
-            let init = init.clone();
-            let fold = &fold;
-            handles.push(scope.spawn(move || {
-                let mut acc = init;
-                for i in start..end {
-                    if g.is_live(crate::ids::EdgeId(i as u32)) {
-                        acc = fold(acc, &log[i]);
-                    }
-                }
-                acc
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("edge fold worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    results.into_iter().fold(init, merge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge::Provenance;
-
-    fn big_chain(n: usize) -> DynamicGraph {
-        let mut g = DynamicGraph::new();
-        let p = g.intern_predicate("p");
-        let mut prev = g.ensure_vertex("v0");
-        for i in 1..=n {
-            let cur = g.ensure_vertex(&format!("v{i}"));
-            g.add_edge_at(prev, p, cur, i as u64, 1.0, Provenance::Curated);
-            prev = cur;
-        }
-        g
-    }
-
-    #[test]
-    fn par_map_matches_sequential_order() {
-        let g = big_chain(5000);
-        let par = par_map_vertices(&g, |v| g.degree(v));
-        let seq: Vec<usize> = g.iter_vertices().map(|v| g.degree(v)).collect();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn par_map_empty_graph() {
-        let g = DynamicGraph::new();
-        let out: Vec<usize> = par_map_vertices(&g, |v| v.index());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_fold_counts_edges() {
-        let g = big_chain(5000);
-        let count = par_fold_edges(&g, 0usize, |acc, _| acc + 1, |a, b| a + b);
-        assert_eq!(count, 5000);
-    }
-
-    #[test]
-    fn par_fold_skips_tombstones() {
-        let mut g = big_chain(3000);
-        for i in (0..3000).step_by(3) {
-            g.remove_edge(crate::ids::EdgeId(i as u32));
-        }
-        let count = par_fold_edges(&g, 0usize, |acc, _| acc + 1, |a, b| a + b);
-        assert_eq!(count, 2000);
-    }
-
-    #[test]
-    fn par_fold_sums_timestamps() {
-        let g = big_chain(2048);
-        let sum = par_fold_edges(&g, 0u64, |acc, e| acc + e.at, |a, b| a + b);
-        assert_eq!(sum, (1..=2048u64).sum::<u64>());
-    }
 
     #[test]
     fn par_map_chunks_preserves_input_order() {
@@ -233,8 +113,6 @@ mod tests {
 
     #[test]
     fn workers_never_zero() {
-        assert!(workers_for(0) >= 1);
-        assert!(workers_for(1) >= 1);
         assert!(available_workers() >= 1);
     }
 }

@@ -7,13 +7,19 @@
 //! - **DOT / JSON-graph export** ([`to_dot`]/[`to_json_graph`]) — the
 //!   visualisation feeds behind the paper's Figures 2, 4 and 6: curated
 //!   edges render red, extracted edges blue, each labelled with predicate
-//!   and confidence. Exports are one-way; nothing reads them back.
+//!   and confidence. They read a [`LayeredSnapshot`] and emit vertices in
+//!   id order and edges in edge-log order. Exports are one-way; nothing
+//!   reads them back.
 
+use crate::algo::{bfs_distances, Direction};
 use crate::codec::{self, Reader};
 use crate::edge::{Edge, Provenance};
 use crate::graph::DynamicGraph;
+use crate::hash::FxHashSet;
 use crate::ids::{PredicateId, VertexId};
+use crate::layered::LayeredSnapshot;
 use crate::props::{PropMap, PropValue};
+use crate::view::GraphView;
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -261,37 +267,59 @@ fn escape_dot(s: &str) -> String {
     s.replace('"', "\\\"")
 }
 
+/// The vertices within `max_hops` of any root, either direction; `None`
+/// (every vertex) when `roots` is empty.
+fn neighbourhood(
+    g: &LayeredSnapshot,
+    roots: &[VertexId],
+    max_hops: usize,
+) -> Option<FxHashSet<VertexId>> {
+    if roots.is_empty() {
+        return None;
+    }
+    let mut keep = FxHashSet::default();
+    for &r in roots {
+        keep.extend(bfs_distances(g, r, Direction::Both, max_hops).into_keys());
+    }
+    Some(keep)
+}
+
+/// The exported vertices, ascending id, and the live edges between them
+/// in edge-log order.
+fn export_scope<'g>(
+    g: &'g LayeredSnapshot,
+    roots: &[VertexId],
+    max_hops: usize,
+) -> (Vec<VertexId>, Vec<&'g Edge>) {
+    let include = neighbourhood(g, roots, max_hops);
+    let wanted = |v: VertexId| include.as_ref().is_none_or(|s| s.contains(&v));
+    let vertices = (0..g.vertex_count() as u32)
+        .map(VertexId)
+        .filter(|&v| wanted(v))
+        .collect();
+    let edges = g
+        .iter_edges()
+        .map(|(_, e)| e)
+        .filter(|e| wanted(e.src) && wanted(e.dst))
+        .collect();
+    (vertices, edges)
+}
+
 /// Render the neighbourhood (or whole graph when `roots` is empty) to
 /// Graphviz DOT. Curated facts are red, extracted facts blue — matching the
 /// colour code described for Figure 2 of the paper.
-pub fn to_dot(g: &DynamicGraph, roots: &[VertexId], max_hops: usize) -> String {
-    let include: Option<crate::hash::FxHashSet<VertexId>> = if roots.is_empty() {
-        None
-    } else {
-        let mut keep = crate::hash::FxHashSet::default();
-        for &r in roots {
-            keep.insert(r);
-            for (v, _) in crate::algo::bfs_distances(g, r, crate::algo::Direction::Both, max_hops) {
-                keep.insert(v);
-            }
-        }
-        Some(keep)
-    };
-    let wanted = |v: VertexId| include.as_ref().is_none_or(|s| s.contains(&v));
-
+pub fn to_dot(g: &LayeredSnapshot, roots: &[VertexId], max_hops: usize) -> String {
+    let (vertices, edges) = export_scope(g, roots, max_hops);
     let mut out =
         String::from("digraph nous {\n  rankdir=LR;\n  node [shape=box, style=rounded];\n");
-    for v in g.iter_vertices().filter(|&v| wanted(v)) {
+    for v in vertices {
         let label = match g.label(v) {
             Some(t) => format!("{}\\n({t})", escape_dot(g.vertex_name(v))),
             None => escape_dot(g.vertex_name(v)),
         };
         let _ = writeln!(out, "  v{} [label=\"{label}\"];", v.0);
     }
-    for (_, e) in g.iter_edges() {
-        if !wanted(e.src) || !wanted(e.dst) {
-            continue;
-        }
+    for e in edges {
         let color = if e.provenance.is_curated() {
             "red"
         } else {
@@ -312,7 +340,7 @@ pub fn to_dot(g: &DynamicGraph, roots: &[VertexId], max_hops: usize) -> String {
 
 /// JSON node-link export (the shape a web front-end like the paper's Figure 6
 /// UI would consume): `{"nodes": [...], "links": [...]}`.
-pub fn to_json_graph(g: &DynamicGraph, roots: &[VertexId], max_hops: usize) -> String {
+pub fn to_json_graph(g: &LayeredSnapshot, roots: &[VertexId], max_hops: usize) -> String {
     #[derive(Serialize)]
     struct Node<'a> {
         id: u32,
@@ -334,34 +362,19 @@ pub fn to_json_graph(g: &DynamicGraph, roots: &[VertexId], max_hops: usize) -> S
         links: Vec<Link<'a>>,
     }
 
-    let include: Option<crate::hash::FxHashSet<VertexId>> = if roots.is_empty() {
-        None
-    } else {
-        let mut keep = crate::hash::FxHashSet::default();
-        for &r in roots {
-            keep.insert(r);
-            for (v, _) in crate::algo::bfs_distances(g, r, crate::algo::Direction::Both, max_hops) {
-                keep.insert(v);
-            }
-        }
-        Some(keep)
-    };
-    let wanted = |v: VertexId| include.as_ref().is_none_or(|s| s.contains(&v));
-
+    let (vertices, edges) = export_scope(g, roots, max_hops);
     let doc = Doc {
-        nodes: g
-            .iter_vertices()
-            .filter(|&v| wanted(v))
+        nodes: vertices
+            .into_iter()
             .map(|v| Node {
                 id: v.0,
                 name: g.vertex_name(v),
                 label: g.label(v),
             })
             .collect(),
-        links: g
-            .iter_edges()
-            .filter(|(_, e)| wanted(e.src) && wanted(e.dst))
-            .map(|(_, e)| Link {
+        links: edges
+            .into_iter()
+            .map(|e| Link {
                 source: e.src.0,
                 target: e.dst.0,
                 predicate: g.predicate_name(e.pred),
@@ -407,11 +420,11 @@ mod tests {
         g.vertex_data_mut(dji).props.set("hq", "Shenzhen");
         let loc = g.predicate_id("isLocatedIn").unwrap();
         let sz = g.vertex_id("Shenzhen").unwrap();
-        let dead = g.edges_matching(dji, loc, sz).next().unwrap();
+        let dead = g.find(dji, loc, Some(sz))[0];
         g.remove_edge(dead);
         let makes = g.predicate_id("manufactures").unwrap();
         let drone = g.vertex_id("Phantom 4").unwrap();
-        let live = g.edges_matching(dji, makes, drone).next().unwrap();
+        let live = g.find(dji, makes, Some(drone))[0];
         let mut rich = Edge::new(drone, loc, sz, 30, 0.5, Provenance::Extracted { doc_id: 8 });
         rich.props
             .set("args", PropValue::List(vec!["in:March".into()]));
@@ -464,7 +477,7 @@ mod tests {
     #[test]
     fn dot_marks_provenance_colours() {
         let g = sample();
-        let dot = to_dot(&g, &[], 0);
+        let dot = to_dot(&LayeredSnapshot::freeze(&g), &[], 0);
         assert!(dot.contains("color=red"));
         assert!(dot.contains("color=blue"));
         assert!(dot.contains("isLocatedIn (0.95)"));
@@ -476,7 +489,7 @@ mod tests {
         let mut g = sample();
         g.ensure_vertex("unrelated island");
         let dji = g.vertex_id("DJI").unwrap();
-        let dot = to_dot(&g, &[dji], 1);
+        let dot = to_dot(&LayeredSnapshot::freeze(&g), &[dji], 1);
         assert!(dot.contains("Shenzhen"));
         assert!(!dot.contains("unrelated island"));
     }
@@ -486,7 +499,8 @@ mod tests {
         let mut g = sample();
         g.ensure_vertex("unrelated island");
         let dji = g.vertex_id("DJI").unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&to_json_graph(&g, &[dji], 2)).unwrap();
+        let json = to_json_graph(&LayeredSnapshot::freeze(&g), &[dji], 2);
+        let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
         let nodes = doc["nodes"].as_array().unwrap();
         assert_eq!(nodes.len(), 3);
         let links = doc["links"].as_array().unwrap();

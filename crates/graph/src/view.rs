@@ -1,21 +1,17 @@
-//! Read-only graph abstraction shared by the mutable and frozen engines.
+//! The read surface of a published graph.
 //!
-//! Every query-side consumer (the QA path search, the query executor, the
-//! entity summariser, trend rendering) is generic over [`GraphView`], so
-//! the same code runs against the live [`crate::DynamicGraph`] under a
-//! lock *and* against an immutable [`crate::FrozenView`] snapshot without
-//! any lock at all. The trait is deliberately not object-safe: callbacks
-//! take `impl FnMut` so adjacency iteration monomorphises to the same
-//! tight loops the concrete types expose.
+//! [`crate::LayeredSnapshot`] is the one implementation: every query-side
+//! consumer (the QA path search, the query executor, the entity
+//! summariser, trend rendering, the graph algorithms and the exports)
+//! reads a snapshot, never the mutable [`crate::DynamicGraph`], which keeps
+//! only what writes need. The trait is deliberately not object-safe:
+//! callbacks take `impl FnMut` so adjacency iteration monomorphises to
+//! tight loops.
 //!
 //! **Iteration-order contract**: `for_each_out` / `for_each_in` visit each
-//! live adjacency entry exactly once in an *implementation-defined* order
-//! (the mutable graph yields insertion order, the frozen view yields
-//! predicate-segmented order). Consumers needing a deterministic order
-//! must sort by edge id themselves. `for_each_with_pred` is the exception:
-//! both implementations yield edge-log (time) order, because the `MATCH`
-//! class samples the first `limit` hits and must sample the same facts on
-//! either path.
+//! live adjacency entry exactly once in `(pred, other, edge)` order.
+//! `for_each_with_pred` yields edge-log (time) order, because the `MATCH`
+//! class samples the first `limit` hits.
 
 use crate::edge::Edge;
 use crate::graph::Adj;
@@ -23,7 +19,7 @@ use crate::ids::{EdgeId, PredicateId, VertexId};
 use std::ops::ControlFlow;
 
 /// Read-only view of a property graph: the query-side surface of
-/// [`crate::DynamicGraph`] and [`crate::FrozenView`].
+/// [`crate::LayeredSnapshot`].
 pub trait GraphView {
     fn vertex_count(&self) -> usize;
     fn vertex_id(&self, name: &str) -> Option<VertexId>;
@@ -35,8 +31,7 @@ pub trait GraphView {
     fn predicate_name(&self, p: PredicateId) -> &str;
 
     /// The edge record behind a live adjacency entry. Panics if `id` does
-    /// not refer to a live edge of this view (frozen views drop dead
-    /// edges; the mutable graph keeps tombstones addressable).
+    /// not refer to a live edge of this view.
     fn edge(&self, id: EdgeId) -> &Edge;
 
     /// Number of live (non-tombstoned) edges.
@@ -80,8 +75,8 @@ pub trait GraphView {
     }
 
     /// Distinct neighbours of `v` in either direction, written into `out`
-    /// (cleared first) — the scratch-reusing variant of
-    /// [`crate::DynamicGraph::neighbors`], sorted ascending and deduped.
+    /// (cleared first; the caller reuses it as scratch), sorted ascending
+    /// and deduped.
     fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
         out.clear();
         self.for_each_out(v, |a| out.push(a.other));

@@ -2,8 +2,10 @@
 //!
 //! A [`LayeredSnapshot`] — base plus however many delta overlays a random
 //! publish/compact interleaving left stacked — must be observationally
-//! identical to a fresh [`FrozenView::freeze`] of the same graph, across
-//! the whole [`GraphView`] surface plus the time-range scan. The scripts
+//! identical to a fresh [`LayeredSnapshot::freeze`] of the same graph,
+//! across the whole [`GraphView`] surface, the time-range scan, the
+//! log-order edge scan, BFS distances in every direction and the degree
+//! summary. The scripts
 //! interleave every mutation the live graph supports (edge adds, edge
 //! removals, vertex minting, label rewrites, predicate minting) with the
 //! publication events the session triggers: delta capture, and a
@@ -12,6 +14,7 @@
 //! them onto the folded base ([`LayeredSnapshot::rebase`]). As in the
 //! session, one fold is in flight at a time, so every install lands.
 
+use nous_graph::algo::{bfs_distances, DegreeSummary, Direction};
 use nous_graph::{DynamicGraph, Edge, FrozenView, GraphView, LayeredSnapshot, Provenance};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -26,7 +29,7 @@ fn script() -> impl Strategy<Value = Vec<(u8, u8, u8, u8, u8)>> {
 /// Compare every observable the read path uses. Returns `Err` (not a
 /// panic) so proptest can report the failing case and seed.
 fn check_equiv(layered: &LayeredSnapshot, g: &DynamicGraph) -> Result<(), TestCaseError> {
-    let fresh = FrozenView::freeze(g);
+    let fresh = LayeredSnapshot::freeze(g);
     prop_assert_eq!(layered.vertex_count(), fresh.vertex_count());
     prop_assert_eq!(layered.live_edge_count(), fresh.live_edge_count());
     prop_assert_eq!(layered.predicate_count(), fresh.predicate_count());
@@ -102,6 +105,26 @@ fn check_equiv(layered: &LayeredSnapshot, g: &DynamicGraph) -> Result<(), TestCa
             .collect();
         prop_assert_eq!(l, f, "edges_in_range({}, {})", from, to);
     }
+
+    // The log-order scan the exports read.
+    let l: Vec<_> = layered.iter_edges().collect();
+    let f: Vec<_> = fresh.iter_edges().collect();
+    prop_assert_eq!(l, f, "live edges in log order");
+
+    // The graph algorithms read the merged adjacency.
+    for v in (0..fresh.vertex_count()).step_by(5) {
+        let v = nous_graph::VertexId(v as u32);
+        for dir in [Direction::Out, Direction::In, Direction::Both] {
+            prop_assert_eq!(
+                bfs_distances(layered, v, dir, 3),
+                bfs_distances(&fresh, v, dir, 3),
+                "bfs_distances from {:?} {:?}",
+                v,
+                dir
+            );
+        }
+    }
+    prop_assert_eq!(DegreeSummary::of(layered), DegreeSummary::of(&fresh));
     Ok(())
 }
 

@@ -1,6 +1,10 @@
 //! Property-based tests for the dynamic graph engine invariants.
 
-use nous_graph::{window::WindowEvent, DynamicGraph, EdgeId, Provenance, SlidingWindow, VertexId};
+use nous_graph::algo::{bfs_distances, Direction};
+use nous_graph::{
+    window::WindowEvent, DynamicGraph, EdgeId, GraphView, LayeredSnapshot, Provenance,
+    SlidingWindow, VertexId,
+};
 use proptest::prelude::*;
 
 /// A random edge script: (src, dst, pred, timestamp-delta).
@@ -21,22 +25,52 @@ fn build(script: &[(u8, u8, u8, u8)]) -> DynamicGraph {
     g
 }
 
+/// A snapshot of `g` published the way the session does it: a base
+/// frozen at the first `split` edges, the rest (and every later removal
+/// or label) on an overlay captured against it.
+fn publish_split(g: &DynamicGraph, split: usize) -> LayeredSnapshot {
+    let mut prefix = DynamicGraph::new();
+    for v in g.iter_vertices() {
+        prefix.ensure_vertex(g.vertex_name(v));
+    }
+    for (_, name) in g.iter_predicates() {
+        prefix.intern_predicate(name);
+    }
+    let mut at = 0;
+    for e in &g.edge_log()[..split.min(g.log_len())] {
+        prefix.add_edge(e.clone());
+        at += 1;
+    }
+    let base = LayeredSnapshot::freeze(&prefix);
+    for e in &g.edge_log()[at..] {
+        prefix.add_edge(e.clone());
+    }
+    for id in (0..g.log_len() as u32).map(EdgeId) {
+        if !g.is_live(id) {
+            prefix.remove_edge(id);
+        }
+    }
+    base.with_overlay(base.capture_delta(&prefix))
+}
+
 proptest! {
-    /// Out-adjacency and in-adjacency must describe the same edge set.
+    /// Out-adjacency and in-adjacency of the published snapshot must
+    /// describe the same edge set: the live edges of the log.
     #[test]
-    fn adjacency_views_agree(script in edge_script()) {
+    fn adjacency_views_agree(script in edge_script(), split in 0usize..200) {
         let g = build(&script);
-        let mut from_out: Vec<_> = g
-            .iter_vertices()
-            .flat_map(|v| g.out_edges(v).map(move |a| (v, a.pred, a.other, a.edge)))
-            .collect();
-        let mut from_in: Vec<_> = g
-            .iter_vertices()
-            .flat_map(|v| g.in_edges(v).map(move |a| (a.other, a.pred, v, a.edge)))
-            .collect();
+        let view = publish_split(&g, split);
+        let mut from_out = Vec::new();
+        let mut from_in = Vec::new();
+        for v in g.iter_vertices() {
+            view.for_each_out(v, |a| from_out.push((v, a.pred, a.other, a.edge)));
+            view.for_each_in(v, |a| from_in.push((a.other, a.pred, v, a.edge)));
+        }
         from_out.sort_by_key(|x| x.3);
         from_in.sort_by_key(|x| x.3);
-        prop_assert_eq!(from_out, from_in);
+        prop_assert_eq!(&from_out, &from_in);
+        let brute: Vec<_> = g.iter_edges().map(|(id, e)| (e.src, e.pred, e.dst, id)).collect();
+        prop_assert_eq!(from_out, brute);
     }
 
     /// `find` with wildcards must agree with a brute-force scan of the log.
@@ -47,7 +81,7 @@ proptest! {
             (Some(src), Some(pred)) => (src, pred),
             _ => return Ok(()),
         };
-        let mut fast = g.find(Some(src), Some(pred), None);
+        let mut fast = g.find(src, pred, None);
         fast.sort();
         let mut brute: Vec<_> = g
             .iter_edges()
@@ -90,7 +124,7 @@ proptest! {
 
     /// Removing every edge empties all live views but preserves the log.
     #[test]
-    fn full_tombstone_empties_views(script in edge_script()) {
+    fn full_tombstone_empties_views(script in edge_script(), split in 0usize..200) {
         let mut g = build(&script);
         let ids: Vec<_> = g.iter_edges().map(|(id, _)| id).collect();
         for id in ids {
@@ -98,17 +132,21 @@ proptest! {
         }
         prop_assert_eq!(g.edge_count(), 0);
         prop_assert_eq!(g.log_len(), script.len());
+        let view = publish_split(&g, split);
+        prop_assert_eq!(view.live_edge_count(), 0);
         for v in g.iter_vertices().collect::<Vec<_>>() {
-            prop_assert_eq!(g.degree(v), 0);
+            prop_assert_eq!(view.degree(v), 0);
         }
     }
 
-    /// Tombstoned edges leave every vertex's out-degree equal to its live
-    /// out-edges in the log.
+    /// Tombstoned edges leave every vertex's out-degree (on the graph and
+    /// on its published snapshot) and in-degree (on the snapshot) equal
+    /// to its live edges in the log.
     #[test]
     fn tombstones_keep_degrees_live(
         script in edge_script(),
         evict_mask in prop::collection::vec(any::<bool>(), 200),
+        split in 0usize..200,
     ) {
         let mut g = build(&script);
         let ids: Vec<_> = g.iter_edges().map(|(id, _)| id).collect();
@@ -117,10 +155,15 @@ proptest! {
                 g.remove_edge(*id);
             }
         }
+        let view = publish_split(&g, split);
         for v in g.iter_vertices().collect::<Vec<_>>() {
             let out = g.out_edges(v).count();
             let brute = g.iter_edges().filter(|(_, e)| e.src == v).count();
             prop_assert_eq!(out, brute);
+            prop_assert_eq!(view.out_degree(v), brute);
+            let brute_in = g.iter_edges().filter(|(_, e)| e.dst == v).count();
+            prop_assert_eq!(view.in_degree(v), brute_in);
+            prop_assert_eq!(view.degree(v), brute + brute_in);
         }
     }
 
@@ -153,7 +196,10 @@ proptest! {
         prop_assert_eq!(dead(&back), dead(&g));
     }
 
-    /// BFS distance k means there is a path of exactly k hops and none shorter.
+    /// BFS distance k means there is a path of exactly k hops and none
+    /// shorter: every reached vertex but the start has a live in-edge
+    /// from a vertex at k - 1, and no live edge leaving a vertex inside
+    /// the depth bound skips a level.
     #[test]
     fn bfs_distances_are_tight(script in edge_script()) {
         let g = build(&script);
@@ -161,14 +207,17 @@ proptest! {
             return Ok(());
         }
         let start = VertexId(0);
-        let dist = nous_graph::algo::bfs_distances(&g, start, nous_graph::algo::Direction::Out, 6);
-        for (&v, &d) in dist.iter() {
-            if let Some(path) =
-                nous_graph::algo::shortest_path(&g, start, v, nous_graph::algo::Direction::Out)
-            {
-                prop_assert_eq!(path.len() - 1, d);
-            } else {
-                prop_assert!(false, "distance recorded but no path found");
+        let dist = bfs_distances(&LayeredSnapshot::freeze(&g), start, Direction::Out, 6);
+        prop_assert_eq!(dist.get(&start), Some(&0));
+        for (&v, &d) in dist.iter().filter(|(&v, _)| v != start) {
+            let reached = g
+                .iter_edges()
+                .any(|(_, e)| e.dst == v && dist.get(&e.src) == Some(&(d - 1)));
+            prop_assert!(reached, "distance recorded but no path found");
+        }
+        for (_, e) in g.iter_edges() {
+            if let Some(&d) = dist.get(&e.src).filter(|&&d| d < 6) {
+                prop_assert!(dist.get(&e.dst).is_some_and(|&x| x <= d + 1));
             }
         }
     }

@@ -20,12 +20,12 @@ use crate::path::{
 };
 use crate::QaConfig;
 use nous_fault::Deadline;
-use nous_graph::{FxHashMap, GraphView, VertexId};
+use nous_graph::{FxHashMap, GraphView, LayeredSnapshot, VertexId};
 use std::collections::hash_map::Entry;
 use std::ops::Range;
 
-fn candidates<G: GraphView>(
-    g: &G,
+fn candidates(
+    g: &LayeredSnapshot,
     src: VertexId,
     dst: VertexId,
     constraint: &PathConstraint,
@@ -72,8 +72,8 @@ fn candidates<G: GraphView>(
 /// that charge nothing, such as re-walking a prefix on a later level. On
 /// expiry the search stops and the paths found so far — a prefix of the
 /// complete ranking — are returned with `stats.truncated` set.
-pub fn shortest_paths_with_stats<G: GraphView>(
-    g: &G,
+pub fn shortest_paths_with_stats(
+    g: &LayeredSnapshot,
     src: VertexId,
     dst: VertexId,
     constraint: &PathConstraint,
@@ -110,8 +110,8 @@ pub fn shortest_paths_with_stats<G: GraphView>(
 }
 
 /// State of one length-ordered `PATHS` search.
-struct ByLength<'a, G> {
-    g: &'a G,
+struct ByLength<'a> {
+    g: &'a LayeredSnapshot,
     src: VertexId,
     dst: VertexId,
     constraint: &'a PathConstraint,
@@ -151,7 +151,7 @@ struct ByLength<'a, G> {
     out: Vec<RankedPath>,
 }
 
-impl<G: GraphView> ByLength<'_, G> {
+impl ByLength<'_> {
     fn done(&self) -> bool {
         self.stopped || self.out.len() >= self.k
     }
@@ -407,8 +407,8 @@ impl<G: GraphView> ByLength<'_, G> {
 }
 
 /// Rank by mean degree of intermediate vertices, descending (salience).
-pub fn degree_salience_paths<G: GraphView>(
-    g: &G,
+pub fn degree_salience_paths(
+    g: &LayeredSnapshot,
     src: VertexId,
     dst: VertexId,
     constraint: &PathConstraint,
@@ -436,8 +436,8 @@ pub fn degree_salience_paths<G: GraphView>(
 
 /// Rank by random-walk probability `∏ 1/degree(v_i)` over non-target
 /// vertices, descending (PRA-style path probability).
-pub fn random_walk_paths<G: GraphView>(
-    g: &G,
+pub fn random_walk_paths(
+    g: &LayeredSnapshot,
     src: VertexId,
     dst: VertexId,
     constraint: &PathConstraint,
@@ -474,7 +474,7 @@ mod tests {
         constraint: &PathConstraint,
         cfg: &QaConfig,
     ) -> Vec<RankedPath> {
-        shortest_paths_with_stats(g, src, dst, constraint, cfg).0
+        shortest_paths_with_stats(&LayeredSnapshot::freeze(g), src, dst, constraint, cfg).0
     }
 
     /// a→b→d (quiet intermediate) and a→h→d (fat hub), same length.
@@ -519,6 +519,7 @@ mod tests {
     #[test]
     fn degree_salience_is_drawn_to_the_hub() {
         let (g, a, _b, h, d) = hubbed();
+        let g = LayeredSnapshot::freeze(&g);
         let paths =
             degree_salience_paths(&g, a, d, &PathConstraint::default(), &QaConfig::default());
         assert_eq!(paths[0].vertices[1], h, "hub ranks first by salience");
@@ -527,6 +528,7 @@ mod tests {
     #[test]
     fn random_walk_prefers_quiet_intermediates() {
         let (g, a, b, _h, d) = hubbed();
+        let g = LayeredSnapshot::freeze(&g);
         let paths = random_walk_paths(&g, a, d, &PathConstraint::default(), &QaConfig::default());
         assert_eq!(
             paths[0].vertices[1], b,
@@ -543,10 +545,11 @@ mod tests {
         let c = PathConstraint {
             require_predicate: Some(q),
         };
+        let view = LayeredSnapshot::freeze(&g);
         for paths in [
             shortest_paths(&g, a, d, &c, &QaConfig::default()),
-            degree_salience_paths(&g, a, d, &c, &QaConfig::default()),
-            random_walk_paths(&g, a, d, &c, &QaConfig::default()),
+            degree_salience_paths(&view, a, d, &c, &QaConfig::default()),
+            random_walk_paths(&view, a, d, &c, &QaConfig::default()),
         ] {
             assert!(!paths.is_empty());
             assert!(paths.iter().all(|p| p.hops.iter().any(|h| h.pred == q)));
@@ -556,6 +559,7 @@ mod tests {
     #[test]
     fn expired_deadline_flags_truncation() {
         let (g, a, _b, _h, d) = hubbed();
+        let g = LayeredSnapshot::freeze(&g);
         let expired = QaConfig {
             deadline: Deadline::expired_now(),
             ..Default::default()
@@ -647,6 +651,7 @@ mod tests {
         for &w in &ws {
             g.add_edge_at(w, p, d, 0, 1.0, Provenance::Curated);
         }
+        let g = LayeredSnapshot::freeze(&g);
         let cfg = QaConfig {
             max_hops: 3,
             beam: usize::MAX,
@@ -691,6 +696,7 @@ mod tests {
         // Different components: the distance search exhausts `b`'s side
         // and rules out every step, so nothing is extended.
         let (g, a, b) = dense_pair(16, false);
+        let g = LayeredSnapshot::freeze(&g);
         let (paths, stats) = shortest_paths_with_stats(&g, a, b, &none, &cfg);
         assert!(paths.is_empty());
         assert!(stats.nodes_expanded <= 16, "{stats:?}");
@@ -700,7 +706,8 @@ mod tests {
 
         // One bridge: millions of simple paths up to 8 hops, cut by the
         // budget (and by an expired deadline) to a ranked prefix.
-        let (g, a, b) = dense_pair(16, true);
+        let (mut graph, a, b) = dense_pair(16, true);
+        let g = LayeredSnapshot::freeze(&graph);
         let (paths, stats) = shortest_paths_with_stats(&g, a, b, &none, &cfg);
         assert!(stats.nodes_expanded <= 2 * cfg.budget, "{stats:?}");
         assert!(!paths.is_empty() && paths.len() < cfg.k, "{}", paths.len());
@@ -708,8 +715,8 @@ mod tests {
         let (cut, cut_stats) = shortest_paths_with_stats(&g, a, b, &none, &expired);
         assert!(cut_stats.truncated && cut.is_empty(), "{cut_stats:?}");
         // A predicate no edge carries: still bounded.
-        let mut g = g;
-        let never = g.intern_predicate("never");
+        let never = graph.intern_predicate("never");
+        let g = LayeredSnapshot::freeze(&graph);
         let only = PathConstraint {
             require_predicate: Some(never),
         };

@@ -31,16 +31,16 @@
 //!   off the two trees only for scoring and, for the top `k` alone,
 //!   materialised as a [`RankedPath`].
 //!
-//! The search is generic over [`GraphView`], so it runs against the live
-//! locked graph and against a lock-free [`nous_graph::FrozenView`]
-//! snapshot with identical results.
+//! The search reads a published [`LayeredSnapshot`], the one read view:
+//! however many overlays are stacked on its base, the answer equals the
+//! one on a fresh freeze of the same graph.
 
 use crate::path::{
     neighbor_steps_into, Hop, PathConstraint, RankedPath, SearchStats, DEADLINE_POLL,
 };
 use crate::topic_index::TopicIndex;
 use nous_fault::Deadline;
-use nous_graph::{FxHashMap, GraphView, VertexId};
+use nous_graph::{FxHashMap, LayeredSnapshot, VertexId};
 use nous_obs::MetricsRegistry;
 use nous_topics::js_divergence;
 use std::cmp::Ordering;
@@ -254,8 +254,8 @@ impl Lookahead {
 ///
 /// For `max_hops < 2` the backward sweep is empty and the forward sweep's
 /// direct hops are the whole answer — what the unidirectional DFS finds.
-pub fn coherent_paths_with_stats<G: GraphView>(
-    g: &G,
+pub fn coherent_paths_with_stats(
+    g: &LayeredSnapshot,
     topics: &TopicIndex,
     src: VertexId,
     dst: VertexId,
@@ -358,8 +358,8 @@ impl Halves {
 
 /// One sweep's borrowed search state; `expansions` is the budget counter
 /// the two sweeps share.
-struct Sweep<'s, 'a, G> {
-    g: &'s G,
+struct Sweep<'s, 'a> {
+    g: &'s LayeredSnapshot,
     cfg: &'s QaConfig,
     expansions: usize,
     div: &'s mut Divergences<'a>,
@@ -367,7 +367,7 @@ struct Sweep<'s, 'a, G> {
     stats: &'s mut SearchStats,
 }
 
-impl<G: GraphView> Sweep<'_, '_, G> {
+impl Sweep<'_, '_> {
     /// Collect every simple half-path of 1..=`depth_max` hops from `root`,
     /// beam-pruned by topic divergence to `guide` (the far endpoint)
     /// exactly like the unidirectional look-ahead.
@@ -550,8 +550,8 @@ impl Joined {
 
     /// Ascending by (divergence, length, vertex sequence, edge sequence).
     /// The edge-id tiebreak makes the order total even between
-    /// parallel-edge paths, so the result is identical on every
-    /// [`GraphView`] implementation.
+    /// parallel-edge paths, so the result does not depend on how the
+    /// snapshot's layers are stacked.
     fn order(&self, a: &Candidate, b: &Candidate) -> Ordering {
         a.score
             .partial_cmp(&b.score)
@@ -618,7 +618,7 @@ pub fn record_search(registry: &MetricsRegistry, stats: &SearchStats) {
 mod tests {
     use super::*;
     use crate::path::enumerate_paths_with_stats;
-    use nous_graph::{DynamicGraph, FrozenView, Provenance};
+    use nous_graph::{DynamicGraph, GraphView, Provenance};
 
     /// Two same-length paths a→b→d (coherent: same topic) and a→h→d
     /// (incoherent hub).
@@ -649,6 +649,7 @@ mod tests {
     #[test]
     fn coherent_path_wins() {
         let (g, t, a, d) = planted();
+        let g = LayeredSnapshot::freeze(&g);
         let paths = coherent_paths_with_stats(
             &g,
             &t,
@@ -671,6 +672,7 @@ mod tests {
     #[test]
     fn scores_are_ascending() {
         let (g, t, a, d) = planted();
+        let g = LayeredSnapshot::freeze(&g);
         let paths = coherent_paths_with_stats(
             &g,
             &t,
@@ -686,6 +688,7 @@ mod tests {
     #[test]
     fn k_truncates() {
         let (g, t, a, d) = planted();
+        let g = LayeredSnapshot::freeze(&g);
         let cfg = QaConfig {
             k: 1,
             ..Default::default()
@@ -697,6 +700,7 @@ mod tests {
     #[test]
     fn tight_beam_still_reaches_target() {
         let (g, t, a, d) = planted();
+        let g = LayeredSnapshot::freeze(&g);
         let cfg = QaConfig {
             beam: 1,
             ..Default::default()
@@ -722,6 +726,7 @@ mod tests {
     #[test]
     fn stats_account_search_effort() {
         let (g, t, a, d) = planted();
+        let g = LayeredSnapshot::freeze(&g);
         let (paths, stats) = coherent_paths_with_stats(
             &g,
             &t,
@@ -769,7 +774,7 @@ mod tests {
                     },
                 );
             }
-            (g, t, a, d)
+            (LayeredSnapshot::freeze(&g), t, a, d)
         };
         let cfg = QaConfig {
             max_hops: 2,
@@ -809,14 +814,17 @@ mod tests {
         // Widen the planted graph with longer detours: a-h-x0-d (3 hops)
         // and a-h-x1-x0-d (4 hops). With the beam disabled both searches
         // must produce the identical ranked candidate set — same vertices,
-        // same hop orientations — at every depth and on both graph views.
+        // same hop orientations — at every depth, and on the detours'
+        // overlay stacked on a base as on a fresh freeze.
         let (mut g, t, a, d) = planted();
+        let base = LayeredSnapshot::freeze(&g);
         let p = g.predicate_id("rel").unwrap();
         let x0 = g.vertex_id("x0").unwrap();
         let x1 = g.vertex_id("x1").unwrap();
         g.add_edge_at(x0, p, d, 0, 1.0, Provenance::Curated);
         g.add_edge_at(x1, p, x0, 0, 1.0, Provenance::Curated);
-        let frozen = FrozenView::freeze(&g);
+        let stacked = base.with_overlay(base.capture_delta(&g));
+        let g = LayeredSnapshot::freeze(&g);
         for max_hops in [2, 3, 4, 5] {
             let cfg = QaConfig {
                 max_hops,
@@ -847,15 +855,19 @@ mod tests {
                     .then_with(|| x.vertices.cmp(&y.vertices))
             });
             assert_eq!(bidi, dfs, "max_hops={max_hops}");
-            let (on_frozen, _) =
-                coherent_paths_with_stats(&frozen, &t, a, d, &PathConstraint::default(), &cfg);
-            assert_eq!(bidi, on_frozen, "max_hops={max_hops} on FrozenView");
+            let (on_stacked, _) =
+                coherent_paths_with_stats(&stacked, &t, a, d, &PathConstraint::default(), &cfg);
+            assert_eq!(
+                bidi, on_stacked,
+                "max_hops={max_hops} on the overlaid stack"
+            );
         }
     }
 
     #[test]
     fn record_search_fills_the_qa_family() {
         let (g, t, a, d) = planted();
+        let g = LayeredSnapshot::freeze(&g);
         let registry = MetricsRegistry::new();
         let (paths, stats) = coherent_paths_with_stats(
             &g,
@@ -884,6 +896,7 @@ mod tests {
     #[test]
     fn expired_deadline_returns_best_so_far_and_flags_truncation() {
         let (g, t, a, d) = planted();
+        let g = LayeredSnapshot::freeze(&g);
         let cfg = QaConfig {
             deadline: Deadline::expired_now(),
             ..Default::default()
@@ -903,6 +916,7 @@ mod tests {
     #[test]
     fn unexpired_deadline_matches_unbounded_search_exactly() {
         let (g, t, a, d) = planted();
+        let g = LayeredSnapshot::freeze(&g);
         let none = PathConstraint::default();
         let (plain, plain_stats) =
             coherent_paths_with_stats(&g, &t, a, d, &none, &QaConfig::default());
@@ -920,6 +934,7 @@ mod tests {
     fn disconnected_returns_empty() {
         let (mut g, t, a, _) = planted();
         let lonely = g.ensure_vertex("lonely");
+        let g = LayeredSnapshot::freeze(&g);
         let paths = coherent_paths_with_stats(
             &g,
             &t,

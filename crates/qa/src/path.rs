@@ -7,7 +7,7 @@
 //! neighbour expander — the coherence search plugs its look-ahead in here;
 //! baselines use the identity expander.
 
-use nous_graph::{EdgeId, GraphView, PredicateId, VertexId};
+use nous_graph::{EdgeId, GraphView, LayeredSnapshot, PredicateId, VertexId};
 
 /// How many expansions pass between deadline polls in the serving
 /// searches. Expiry is detected
@@ -46,7 +46,7 @@ impl RankedPath {
     }
 
     /// Render as `A -[p]-> B <-[q]- C`.
-    pub fn render<G: GraphView>(&self, g: &G) -> String {
+    pub fn render(&self, g: &LayeredSnapshot) -> String {
         let mut s = g.vertex_name(self.vertices[0]).to_owned();
         for (i, h) in self.hops.iter().enumerate() {
             let (open, close) = if h.forward {
@@ -110,8 +110,8 @@ pub struct SearchStats {
 /// Undirected neighbour steps of `v` written into `out` (cleared first):
 /// the scratch-reusing expansion primitive — the search hot loop recycles
 /// one buffer per stack depth instead of allocating per visit.
-pub(crate) fn neighbor_steps_into<G: GraphView>(
-    g: &G,
+pub(crate) fn neighbor_steps_into(
+    g: &LayeredSnapshot,
     v: VertexId,
     out: &mut Vec<(VertexId, Hop)>,
 ) {
@@ -121,8 +121,8 @@ pub(crate) fn neighbor_steps_into<G: GraphView>(
 
 /// [`neighbor_steps_into`] without the clear: `v`'s steps are appended
 /// after whatever `out` already holds, and only they are sorted.
-pub(crate) fn append_neighbor_steps<G: GraphView>(
-    g: &G,
+pub(crate) fn append_neighbor_steps(
+    g: &LayeredSnapshot,
     v: VertexId,
     out: &mut Vec<(VertexId, Hop)>,
 ) {
@@ -164,8 +164,8 @@ pub(crate) fn append_neighbor_steps<G: GraphView>(
 /// and the candidate generator of the E9 ranking baselines; it takes no
 /// deadline.
 #[allow(clippy::too_many_arguments)] // the stats sink rides on the enumeration signature
-pub fn enumerate_paths_with_stats<G: GraphView>(
-    g: &G,
+pub fn enumerate_paths_with_stats(
+    g: &LayeredSnapshot,
     src: VertexId,
     dst: VertexId,
     max_hops: usize,
@@ -267,7 +267,8 @@ mod tests {
         expand: impl FnMut(VertexId, Vec<(VertexId, Hop)>) -> Vec<(VertexId, Hop)>,
     ) -> Vec<RankedPath> {
         let mut stats = SearchStats::default();
-        enumerate_paths_with_stats(g, s, t, h, budget, constraint, expand, &mut stats)
+        let view = LayeredSnapshot::freeze(g);
+        enumerate_paths_with_stats(&view, s, t, h, budget, constraint, expand, &mut stats)
     }
 
     fn all(g: &DynamicGraph, s: VertexId, t: VertexId, h: usize) -> Vec<RankedPath> {
@@ -387,6 +388,7 @@ mod tests {
         g.add_edge_at(a, p, b, 0, 1.0, Provenance::Curated);
         g.add_edge_at(c, p, b, 0, 1.0, Provenance::Curated);
         let paths = all(&g, a, c, 2);
-        assert_eq!(paths[0].render(&g), "A -[owns]-> B <-[owns]- C");
+        let view = LayeredSnapshot::freeze(&g);
+        assert_eq!(paths[0].render(&view), "A -[owns]-> B <-[owns]- C");
     }
 }

@@ -15,14 +15,16 @@
 //! The graphs carry parallel edges under the same and under different
 //! predicates, reversed edges, self-loops and tombstones; topic rows are
 //! drawn from a small palette with unassigned (uniform) vertices, so
-//! divergence ties are everywhere. Each graph is served as a
-//! [`DynamicGraph`], a [`FrozenView`] and a [`LayeredSnapshot`] with two
-//! overlays, and all three must answer alike.
+//! divergence ties are everywhere. Each graph is served as a fresh
+//! [`LayeredSnapshot::freeze`], as a snapshot with two overlays, and as
+//! that stack folded into one base ([`FrozenView::from_layers`], the
+//! compactor's install), and all three must answer alike. The oracles
+//! read the fresh freeze.
 
 mod support;
 
 use nous_graph::{
-    DynamicGraph, EdgeId, FrozenView, LayeredSnapshot, PredicateId, Provenance, VertexId,
+    DynamicGraph, EdgeId, FrozenView, GraphView, LayeredSnapshot, PredicateId, Provenance, VertexId,
 };
 use nous_qa::baselines::shortest_paths_with_stats;
 use nous_qa::{
@@ -30,6 +32,7 @@ use nous_qa::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 const GRAPHS: u64 = 160;
 const BEAMS: [usize; 4] = [1, 2, 8, usize::MAX];
@@ -38,8 +41,8 @@ const BUDGETS: [usize; 3] = [2, 6, 20_000];
 
 /// A generated case: the graph in its three served forms plus topics.
 struct Case {
-    live: DynamicGraph,
-    frozen: FrozenView,
+    fresh: LayeredSnapshot,
+    folded: LayeredSnapshot,
     layered: LayeredSnapshot,
     topics: TopicIndex,
     preds: Vec<PredicateId>,
@@ -118,8 +121,8 @@ fn case(seed: u64) -> Case {
         }
     }
     Case {
-        frozen: FrozenView::freeze(&g),
-        live: g,
+        fresh: LayeredSnapshot::freeze(&g),
+        folded: layered.rebase(&layered, Arc::new(FrozenView::from_layers(&layered))),
         layered,
         topics,
         preds,
@@ -163,7 +166,7 @@ fn in_paths_order(paths: &[RankedPath]) -> bool {
 fn for_each_query(mut check: impl FnMut(&Case, VertexId, VertexId, &PathConstraint, &QaConfig)) {
     for seed in 0..GRAPHS {
         let c = case(seed);
-        let n = c.live.vertex_count() as u32;
+        let n = c.fresh.vertex_count() as u32;
         let mut rng = StdRng::seed_from_u64(!seed);
         for _ in 0..2 {
             let src = VertexId(rng.gen_range(0..n));
@@ -187,16 +190,17 @@ fn for_each_query(mut check: impl FnMut(&Case, VertexId, VertexId, &PathConstrai
 fn why_equals_the_join_then_rank_oracle_on_every_view() {
     let (mut searches, mut ranked) = (0usize, 0usize);
     for_each_query(|c, src, dst, constraint, cfg| {
-        let (want, want_stats) = support::why(&c.live, &c.topics, src, dst, constraint, cfg);
+        let (want, want_stats) = support::why(&c.fresh, &c.topics, src, dst, constraint, cfg);
         ranked += usize::from(want.len() > 1);
         let ctx = || format!("{src:?}->{dst:?} {cfg:?} {constraint:?}");
-        let (got, stats) = coherent_paths_with_stats(&c.live, &c.topics, src, dst, constraint, cfg);
-        assert_eq!(got, want, "DynamicGraph {}", ctx());
+        let (got, stats) =
+            coherent_paths_with_stats(&c.fresh, &c.topics, src, dst, constraint, cfg);
+        assert_eq!(got, want, "fresh freeze {}", ctx());
         assert_eq!(without_evals(stats), want_stats, "stats {}", ctx());
-        let (frozen, frozen_stats) =
-            coherent_paths_with_stats(&c.frozen, &c.topics, src, dst, constraint, cfg);
-        assert_eq!(frozen, want, "FrozenView {}", ctx());
-        assert_eq!(frozen_stats, stats, "FrozenView stats {}", ctx());
+        let (folded, folded_stats) =
+            coherent_paths_with_stats(&c.folded, &c.topics, src, dst, constraint, cfg);
+        assert_eq!(folded, want, "folded stack {}", ctx());
+        assert_eq!(folded_stats, stats, "folded stack stats {}", ctx());
         let (layered, layered_stats) =
             coherent_paths_with_stats(&c.layered, &c.topics, src, dst, constraint, cfg);
         assert_eq!(layered, want, "LayeredSnapshot {}", ctx());
@@ -217,12 +221,12 @@ fn paths_equal_exhaustive_enumeration_within_budget_on_every_view() {
             return; // PATHS has no look-ahead; one beam value is enough
         }
         let ctx = || format!("{src:?}->{dst:?} {cfg:?} {constraint:?}");
-        let (want, want_stats) = support::paths(&c.live, src, dst, constraint, cfg);
-        let (got, stats) = shortest_paths_with_stats(&c.live, src, dst, constraint, cfg);
+        let (want, want_stats) = support::paths(&c.fresh, src, dst, constraint, cfg);
+        let (got, stats) = shortest_paths_with_stats(&c.fresh, src, dst, constraint, cfg);
         assert!(!stats.truncated);
         assert!(got.len() <= cfg.k && in_paths_order(&got), "{}", ctx());
         if want_stats.nodes_expanded < cfg.budget {
-            assert_eq!(got, want, "DynamicGraph {}", ctx());
+            assert_eq!(got, want, "fresh freeze {}", ctx());
             compared += 1;
             // The tightest budget the enumeration finishes in: the search
             // must never charge more than the enumeration expands.
@@ -230,7 +234,7 @@ fn paths_equal_exhaustive_enumeration_within_budget_on_every_view() {
                 budget: want_stats.nodes_expanded + 1,
                 ..cfg.clone()
             };
-            let (at_tight, _) = shortest_paths_with_stats(&c.live, src, dst, constraint, &tight);
+            let (at_tight, _) = shortest_paths_with_stats(&c.fresh, src, dst, constraint, &tight);
             assert_eq!(at_tight, want, "tight budget {}", ctx());
         } else {
             // The enumeration was cut; the length-ordered search must
@@ -239,14 +243,14 @@ fn paths_equal_exhaustive_enumeration_within_budget_on_every_view() {
                 budget: usize::MAX,
                 ..cfg.clone()
             };
-            let (all, _) = support::paths(&c.live, src, dst, constraint, &unbounded);
+            let (all, _) = support::paths(&c.fresh, src, dst, constraint, &unbounded);
             assert_eq!(got[..], all[..got.len()], "prefix {}", ctx());
             cut += 1;
         }
         for (view, (other, other_stats)) in [
             (
-                "FrozenView",
-                shortest_paths_with_stats(&c.frozen, src, dst, constraint, cfg),
+                "folded stack",
+                shortest_paths_with_stats(&c.folded, src, dst, constraint, cfg),
             ),
             (
                 "LayeredSnapshot",

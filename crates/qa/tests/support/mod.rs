@@ -4,7 +4,7 @@
 //! scored, the whole list sorted — so the rewrites can be checked against
 //! them on generated graphs.
 
-use nous_graph::{FxHashMap, GraphView, VertexId};
+use nous_graph::{FxHashMap, GraphView, LayeredSnapshot, VertexId};
 use nous_qa::path::{enumerate_paths_with_stats, Hop};
 use nous_qa::{PathConstraint, QaConfig, RankedPath, SearchStats, TopicIndex};
 use nous_topics::kl_divergence;
@@ -16,7 +16,7 @@ fn js(p: &[f64], q: &[f64]) -> f64 {
 }
 
 /// Undirected steps of `v`, by (neighbour, edge id).
-fn neighbor_steps<G: GraphView>(g: &G, v: VertexId) -> Vec<(VertexId, Hop)> {
+fn neighbor_steps(g: &LayeredSnapshot, v: VertexId) -> Vec<(VertexId, Hop)> {
     let mut out = Vec::new();
     g.for_each_out(v, |a| {
         out.push((
@@ -107,8 +107,8 @@ enum HalfRule {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn collect_halves<G: GraphView>(
-    g: &G,
+fn collect_halves(
+    g: &LayeredSnapshot,
     topics: &TopicIndex,
     root: VertexId,
     rule: HalfRule,
@@ -176,8 +176,8 @@ fn collect_halves<G: GraphView>(
 /// both sweeps' halves cloned, every compatible pair joined, every
 /// candidate scored and the full list sorted. `coherence_evals` is left
 /// at zero: the old accounting counted differently.
-pub fn why<G: GraphView>(
-    g: &G,
+pub fn why(
+    g: &LayeredSnapshot,
     topics: &TopicIndex,
     src: VertexId,
     dst: VertexId,
@@ -276,8 +276,8 @@ pub fn why<G: GraphView>(
 /// The PATHS search as it was: every simple path by exhaustive DFS, a
 /// stable sort by (length, vertices) — parallel-edge ties left in DFS
 /// emission order — cut to `k`.
-pub fn paths<G: GraphView>(
-    g: &G,
+pub fn paths(
+    g: &LayeredSnapshot,
     src: VertexId,
     dst: VertexId,
     constraint: &PathConstraint,

@@ -1,8 +1,9 @@
 //! Query execution against the live system state.
 //!
-//! One executor, [`execute`], answers every query class against any
-//! [`GraphView`]; [`QueryOptions`] switches on a deadline, telemetry and a
-//! parent trace, each off by default. [`execute_shared`] and
+//! One executor, [`execute`], answers every query class against a
+//! published [`LayeredSnapshot`]; [`QueryOptions`] switches on a
+//! deadline, telemetry and a parent trace, each off by default.
+//! [`execute_shared`] and
 //! [`execute_shared_with`] serve a [`SharedSession`] through it on the
 //! lock-free path: every class reads the session's epoch-swapped
 //! [`nous_core::FrozenSnapshot`], so no KG lock is touched and ingestion
@@ -13,7 +14,7 @@
 use crate::ast::{Endpoint, Query, QueryResponse, QueryResult};
 use nous_core::{entity_summary_view, SharedSession, TrendMonitor};
 use nous_fault::Deadline;
-use nous_graph::{GraphView, VertexId};
+use nous_graph::{GraphView, LayeredSnapshot, VertexId};
 use nous_link::AliasResolver;
 use nous_obs::{ActiveSpan, MetricsRegistry, TraceContext};
 use nous_qa::baselines::shortest_paths_with_stats;
@@ -39,12 +40,12 @@ pub struct QueryOptions<'a> {
     pub trace: Option<&'a TraceContext>,
 }
 
-fn resolve<G: GraphView>(g: &G, resolver: &AliasResolver, name: &str) -> Option<VertexId> {
+fn resolve(g: &LayeredSnapshot, resolver: &AliasResolver, name: &str) -> Option<VertexId> {
     g.vertex_id(name)
         .or_else(|| resolver.resolve(name).map(|r| VertexId(r.id)))
 }
 
-fn endpoint_matches<G: GraphView>(g: &G, ep: &Endpoint, v: VertexId) -> bool {
+fn endpoint_matches(g: &LayeredSnapshot, ep: &Endpoint, v: VertexId) -> bool {
     match ep {
         Endpoint::Any => true,
         Endpoint::Type(t) => g.label(v).is_some_and(|l| l.eq_ignore_ascii_case(t)),
@@ -55,8 +56,8 @@ fn endpoint_matches<G: GraphView>(g: &G, ep: &Endpoint, v: VertexId) -> bool {
 /// The answer of a path class: its search accounting as typed span
 /// attributes (pushed directly, so the tracing hot path formats nothing)
 /// and into the `nous_qa_*` family, and the paths rendered.
-fn path_answer<G: GraphView>(
-    g: &G,
+fn path_answer(
+    g: &LayeredSnapshot,
     paths: Vec<RankedPath>,
     stats: SearchStats,
     mut span: ActiveSpan,
@@ -89,11 +90,11 @@ pub fn query_class(q: &Query) -> &'static str {
     }
 }
 
-/// Execute a parsed query against any [`GraphView`] — the mutable graph
-/// under a lock, or a published snapshot. `resolver` is the entity-name
-/// fallback, `topics` feeds `WHY`, and `trends` feeds `TRENDING`: passing
-/// `None` makes that class answer empty, so lock-free callers route it
-/// through the trend-monitor mutex themselves.
+/// Execute a parsed query against a published snapshot: the session's
+/// served one, or [`LayeredSnapshot::freeze`] of a graph. `resolver` is
+/// the entity-name fallback, `topics` feeds `WHY`, and `trends` feeds
+/// `TRENDING`: passing `None` makes that class answer empty, so lock-free
+/// callers route it through the trend-monitor mutex themselves.
 ///
 /// Per-class degradation when `opts.deadline` expires mid-execution:
 ///
@@ -104,9 +105,9 @@ pub fn query_class(q: &Query) -> &'static str {
 ///   may be short.
 /// - `ENTITY` / `TIMELINE` — never partial: their work is bounded by
 ///   one entity's degree, so they always run to completion.
-pub fn execute<G: GraphView>(
+pub fn execute(
     query: &Query,
-    g: &G,
+    g: &LayeredSnapshot,
     resolver: &AliasResolver,
     topics: &TopicIndex,
     trends: Option<&mut TrendMonitor>,
@@ -211,9 +212,9 @@ pub fn execute_shared_with(
 }
 
 /// Every class's answer and whether the deadline cut it short.
-fn answer<G: GraphView>(
+fn answer(
     query: &Query,
-    g: &G,
+    g: &LayeredSnapshot,
     resolver: &AliasResolver,
     topics: &TopicIndex,
     trends: Option<&mut TrendMonitor>,
@@ -315,12 +316,12 @@ fn answer<G: GraphView>(
             let mut sample = Vec::new();
             let mut partial = false;
             let mut seen = 0usize;
-            // Predicate postings serve the scan in edge-log order on both
-            // the mutable graph and the frozen view, so the sample is
-            // identical across serving paths. The deadline is polled every
-            // 1024 postings (starting at the first, so an already-expired
-            // budget stops immediately); on expiry the scan breaks out of
-            // the postings walk at once and `total` becomes a lower bound.
+            // Predicate postings serve the scan in edge-log order however
+            // the snapshot's layers are stacked, so the sample does not
+            // depend on them. The deadline is polled every 1024 postings
+            // (starting at the first, so an already-expired budget stops
+            // immediately); on expiry the scan breaks out of the postings
+            // walk at once and `total` becomes a lower bound.
             let _ = g.for_each_with_pred(pred, |_, e| {
                 seen += 1;
                 if seen & 1023 == 1 && deadline.expired() {
@@ -359,10 +360,9 @@ fn answer<G: GraphView>(
                 return (QueryResult::NotFound(name.clone()), false);
             };
             // Collect both directions, then order by (direction, edge id)
-            // so the stable (at, text) sort below resolves exact ties the
-            // same way on every graph implementation (the mutable graph
-            // stores adjacency in insertion order, the frozen view in
-            // predicate-segmented order).
+            // so the stable (at, text) sort below resolves exact ties in
+            // log order rather than the snapshot's predicate-segmented
+            // adjacency order.
             let mut adjs: Vec<(nous_graph::Adj, bool)> = Vec::new();
             g.for_each_out(v, |adj| adjs.push((adj, true)));
             g.for_each_in(v, |adj| adjs.push((adj, false)));
@@ -427,7 +427,6 @@ mod tests {
     use crate::parse::parse;
     use nous_core::KnowledgeGraph;
     use nous_graph::window::WindowKind;
-    use nous_graph::LayeredSnapshot;
     use nous_mining::{EvictionStrategy, MinerConfig};
     use nous_text::ner::EntityType;
 
@@ -470,14 +469,15 @@ mod tests {
         (kg, topics, trends)
     }
 
-    /// [`execute`] on the mutable graph under `opts`.
+    /// [`execute`] on a fresh snapshot of the graph under `opts`.
     fn exec(
         q: &Query,
         (kg, topics, trends): &mut (KnowledgeGraph, TopicIndex, TrendMonitor),
         opts: &QueryOptions,
     ) -> QueryResponse {
         let resolver = kg.disambiguator.served();
-        execute(q, &kg.graph, resolver, topics, Some(trends), opts)
+        let view = LayeredSnapshot::freeze(&kg.graph);
+        execute(q, &view, resolver, topics, Some(trends), opts)
     }
 
     fn run(q: &str) -> QueryResult {
@@ -699,8 +699,8 @@ mod tests {
     /// Every class under an expired deadline on `g`: the cut classes are
     /// partial, valid and counted once each; the degree-bounded ones are
     /// complete.
-    fn check_expired_deadline<G: GraphView>(
-        g: &G,
+    fn check_expired_deadline(
+        g: &LayeredSnapshot,
         resolver: &AliasResolver,
         topics: &TopicIndex,
         trends: &mut TrendMonitor,
@@ -756,7 +756,8 @@ mod tests {
         let layered = base.with_overlay(base.capture_delta(&kg.graph));
         assert_eq!(layered.layer_count(), 1, "one overlay on the base");
         let resolver = kg.disambiguator.served();
-        check_expired_deadline(&kg.graph, resolver, &topics, &mut trends);
+        let fresh = LayeredSnapshot::freeze(&kg.graph);
+        check_expired_deadline(&fresh, resolver, &topics, &mut trends);
         check_expired_deadline(&layered, resolver, &topics, &mut trends);
     }
 
@@ -788,7 +789,7 @@ mod tests {
         };
         let resp = execute(
             &parsed,
-            &kg.graph,
+            &LayeredSnapshot::freeze(&kg.graph),
             kg.disambiguator.served(),
             &topics,
             None,

@@ -15,8 +15,8 @@
 //! | Path | `PATHS <a> TO <b> [MAX h] [LIMIT k]` | budgeted path enumeration |
 //!
 //! [`parse()`](parse::parse) produces a [`Query`]; [`execute`] runs it against
-//! any [`nous_graph::GraphView`] (+ alias resolver, topic index and trend
-//! monitor), and [`execute_shared`] against a live
+//! a published [`nous_graph::LayeredSnapshot`] (+ alias resolver, topic
+//! index and trend monitor), and [`execute_shared`] against a live
 //! [`nous_core::SharedSession`]'s published snapshot.
 
 pub mod ast;

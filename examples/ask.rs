@@ -11,6 +11,7 @@
 use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig, TrendMonitor};
 use nous_corpus::Preset;
 use nous_graph::window::WindowKind;
+use nous_graph::LayeredSnapshot;
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_query::{execute, parse, QueryOptions};
 use nous_topics::LdaConfig;
@@ -40,6 +41,7 @@ fn main() {
         world.entities[world.companies[1]].name,
     );
 
+    let view = LayeredSnapshot::freeze(&kg.graph);
     let mut run = |line: &str| {
         let line = line.trim();
         if line.is_empty() {
@@ -49,7 +51,7 @@ fn main() {
             Ok(q) => {
                 let resolver = kg.disambiguator.served();
                 let opts = QueryOptions::default();
-                let r = execute(&q, &kg.graph, resolver, &topics, Some(&mut trends), &opts);
+                let r = execute(&q, &view, resolver, &topics, Some(&mut trends), &opts);
                 println!("{}", r.result.render())
             }
             Err(e) => println!("{e}"),

@@ -10,6 +10,7 @@
 use nous_core::{KnowledgeGraph, TrendMonitor};
 use nous_corpus::citations::{self, CitationConfig, CitePredicate};
 use nous_graph::window::WindowKind;
+use nous_graph::{GraphView, LayeredSnapshot};
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_qa::{coherent_paths_with_stats, PathConstraint, QaConfig, TopicIndex};
 use nous_text::ner::EntityType;
@@ -84,13 +85,11 @@ fn main() {
     }
 
     // Who cites the seminal paper?
+    let view = LayeredSnapshot::freeze(&kg.graph);
     let seminal_v = kg.graph.vertex_id(&scenario.seminal).unwrap();
     let cites = kg.graph.predicate_id(CitePredicate::Cites.name()).unwrap();
-    let in_citations = kg
-        .graph
-        .in_edges(seminal_v)
-        .filter(|a| a.pred == cites)
-        .count();
+    let mut in_citations = 0;
+    view.for_each_in(seminal_v, |a| in_citations += usize::from(a.pred == cites));
     println!(
         "\nseminal paper {} accumulated {} citations (burst cluster: {} papers)",
         scenario.seminal,
@@ -102,7 +101,7 @@ fn main() {
     if let Some(last) = scenario.burst_papers.last() {
         let src = kg.graph.vertex_id(last).unwrap();
         let paths = coherent_paths_with_stats(
-            &kg.graph,
+            &view,
             &topics,
             src,
             seminal_v,
@@ -116,7 +115,7 @@ fn main() {
         .0;
         println!("\nwhy is {last} related to {}?", scenario.seminal);
         for p in paths {
-            println!("  [{:.4}] {}", p.score, p.render(&kg.graph));
+            println!("  [{:.4}] {}", p.score, p.render(&view));
         }
     }
 }

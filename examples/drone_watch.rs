@@ -9,9 +9,9 @@
 //! cargo run --release --example drone_watch [entity name]
 //! ```
 
-use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig};
+use nous_core::{entity_summary_view, IngestPipeline, KnowledgeGraph, PipelineConfig};
 use nous_corpus::Preset;
-use nous_graph::snapshot;
+use nous_graph::{snapshot, GraphView, LayeredSnapshot};
 
 fn main() {
     let (world, kb, articles) = Preset::Demo.build();
@@ -20,6 +20,7 @@ fn main() {
     let mut pipeline = IngestPipeline::new(PipelineConfig::default());
     // Micro-batched ingestion: parallel extraction, sequential KG updates.
     pipeline.ingest_batch(&mut kg, &articles);
+    let view = LayeredSnapshot::freeze(&kg.graph);
 
     // The watched entity: argv override, else the busiest company.
     let watched = std::env::args().nth(1).unwrap_or_else(|| {
@@ -27,12 +28,7 @@ fn main() {
             .companies
             .iter()
             .map(|&c| &world.entities[c].name)
-            .max_by_key(|n| {
-                kg.graph
-                    .vertex_id(n)
-                    .map(|v| kg.graph.degree(v))
-                    .unwrap_or(0)
-            })
+            .max_by_key(|n| view.vertex_id(n).map(|v| view.degree(v)).unwrap_or(0))
             .expect("non-empty world")
             .clone()
     });
@@ -42,7 +38,8 @@ fn main() {
     };
 
     println!("== {watched} ==");
-    let summary = kg.entity_summary(&watched).expect("vertex exists");
+    let summary =
+        entity_summary_view(&view, kg.disambiguator.served(), &watched).expect("vertex exists");
     println!(
         "type: {}, degree: {}",
         summary.entity_type.as_deref().unwrap_or("?"),
@@ -55,8 +52,8 @@ fn main() {
     }
 
     // Figure 2/4: graph visualisation exports of the 2-hop neighbourhood.
-    let dot = snapshot::to_dot(&kg.graph, &[v], 2);
-    let json = snapshot::to_json_graph(&kg.graph, &[v], 2);
+    let dot = snapshot::to_dot(&view, &[v], 2);
+    let json = snapshot::to_json_graph(&view, &[v], 2);
     let dot_path = std::env::temp_dir().join("drone_watch.dot");
     let json_path = std::env::temp_dir().join("drone_watch.json");
     std::fs::write(&dot_path, &dot).expect("writable temp dir");

@@ -14,6 +14,7 @@
 use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig};
 use nous_corpus::{ArticleStream, CuratedKb, Preset, World, WorldConfig};
 use nous_graph::algo::DegreeSummary;
+use nous_graph::LayeredSnapshot;
 
 fn histogram(label: &str, values: &[f32]) {
     println!("\n{label} ({} facts):", values.len());
@@ -85,7 +86,7 @@ fn main() {
     );
 
     println!("\n== graph structure ==");
-    if let Some(d) = DegreeSummary::of(&kg.graph) {
+    if let Some(d) = DegreeSummary::of(&LayeredSnapshot::freeze(&kg.graph)) {
         println!(
             "degree: min {} / median {} / mean {:.1} / max {} (hub: {}), {} isolated",
             d.min,

@@ -9,6 +9,7 @@
 use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig, TrendMonitor};
 use nous_corpus::Preset;
 use nous_graph::window::WindowKind;
+use nous_graph::LayeredSnapshot;
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_query::{execute, parse, QueryOptions};
 use nous_topics::LdaConfig;
@@ -106,18 +107,12 @@ fn main() {
     ];
     let resolver = kg.disambiguator.served();
     let opts = QueryOptions::default();
+    let view = LayeredSnapshot::freeze(&kg.graph);
     for q in &queries {
         println!("\n>> {q}");
         match parse(q) {
             Ok(query) => {
-                let r = execute(
-                    &query,
-                    &kg.graph,
-                    resolver,
-                    &topics,
-                    Some(&mut trends),
-                    &opts,
-                );
+                let r = execute(&query, &view, resolver, &topics, Some(&mut trends), &opts);
                 println!("{}", r.result.render())
             }
             Err(e) => println!("{e}"),

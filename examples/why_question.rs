@@ -9,6 +9,7 @@
 
 use nous_core::KnowledgeGraph;
 use nous_corpus::{plant_explanations, CuratedKb, Preset, World};
+use nous_graph::LayeredSnapshot;
 use nous_qa::baselines::{degree_salience_paths, random_walk_paths, shortest_paths_with_stats};
 use nous_qa::{coherent_paths_with_stats, PathConstraint, QaConfig, RankedPath};
 use nous_topics::LdaConfig;
@@ -19,6 +20,7 @@ fn main() {
     let explanations = plant_explanations(&world, &mut kb, 6, 99);
     let kg = KnowledgeGraph::from_curated(&world, &kb);
     let topics = kg.build_topic_index(&LdaConfig::default());
+    let view = LayeredSnapshot::freeze(&kg.graph);
     let cfg = QaConfig {
         max_hops: 2,
         k: 3,
@@ -50,7 +52,7 @@ fn main() {
             (
                 "coherence (paper)",
                 coherent_paths_with_stats(
-                    &kg.graph,
+                    &view,
                     &topics,
                     src,
                     dst,
@@ -61,15 +63,15 @@ fn main() {
             ),
             (
                 "shortest",
-                shortest_paths_with_stats(&kg.graph, src, dst, &PathConstraint::default(), &cfg).0,
+                shortest_paths_with_stats(&view, src, dst, &PathConstraint::default(), &cfg).0,
             ),
             (
                 "degree salience",
-                degree_salience_paths(&kg.graph, src, dst, &PathConstraint::default(), &cfg),
+                degree_salience_paths(&view, src, dst, &PathConstraint::default(), &cfg),
             ),
             (
                 "random walk",
-                random_walk_paths(&kg.graph, src, dst, &PathConstraint::default(), &cfg),
+                random_walk_paths(&view, src, dst, &PathConstraint::default(), &cfg),
             ),
         ];
         for (ri, (name, paths)) in rankings.iter().enumerate() {

@@ -6,6 +6,7 @@
 use nous_core::{KnowledgeGraph, TrendMonitor};
 use nous_corpus::citations::{self, CitationConfig, CitePredicate};
 use nous_graph::window::WindowKind;
+use nous_graph::{GraphView, LayeredSnapshot};
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_qa::baselines::shortest_paths_with_stats;
 use nous_qa::{PathConstraint, QaConfig};
@@ -78,12 +79,14 @@ fn burst_year_dominates_co_citation_support() {
 fn seminal_paper_is_the_most_cited() {
     let (kg, scenario, _) = build();
     let cites = kg.graph.predicate_id(CitePredicate::Cites.name()).unwrap();
+    let view = LayeredSnapshot::freeze(&kg.graph);
     let mut best = (String::new(), 0usize);
     for v in kg.graph.iter_vertices() {
         if kg.graph.label(v) != Some("Paper") {
             continue;
         }
-        let n = kg.graph.in_edges(v).filter(|a| a.pred == cites).count();
+        let mut n = 0;
+        view.for_each_in(v, |a| n += usize::from(a.pred == cites));
         if n > best.1 {
             best = (kg.graph.vertex_name(v).to_owned(), n);
         }
@@ -101,7 +104,7 @@ fn citation_chains_are_searchable() {
     let src = kg.graph.vertex_id(last).unwrap();
     let dst = kg.graph.vertex_id(&scenario.seminal).unwrap();
     let paths = shortest_paths_with_stats(
-        &kg.graph,
+        &LayeredSnapshot::freeze(&kg.graph),
         src,
         dst,
         &PathConstraint {

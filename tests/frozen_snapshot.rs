@@ -14,7 +14,7 @@
 
 use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig, SharedSession, TrendMonitor};
 use nous_corpus::{ArticleStream, CuratedKb, Preset, World};
-use nous_graph::{FrozenView, GraphView};
+use nous_graph::{GraphView, LayeredSnapshot};
 use nous_link::{AliasResolver, EntityRecord, LinkMode, Resolution};
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_qa::TopicIndex;
@@ -70,9 +70,9 @@ fn queries(world: &World) -> Vec<Query> {
     .collect()
 }
 
-fn answers<G: GraphView>(
+fn answers(
     queries: &[Query],
-    view: &G,
+    view: &LayeredSnapshot,
     disamb: &AliasResolver,
     topics: &TopicIndex,
 ) -> Vec<String> {
@@ -98,14 +98,14 @@ fn concurrent_readers_see_reference_answers_at_every_epoch() {
     {
         let (_, mut ref_kg, _) = world_kg();
         let mut pipe = pipeline();
-        let snap = FrozenView::freeze(&ref_kg.graph);
+        let snap = LayeredSnapshot::freeze(&ref_kg.graph);
         reference.insert(
             snap.source_log_len(),
             answers(&qs, &snap, ref_kg.disambiguator.served(), &topics),
         );
         for chunk in articles.chunks(BATCH) {
             pipe.ingest_batch(&mut ref_kg, chunk);
-            let snap = FrozenView::freeze(&ref_kg.graph);
+            let snap = LayeredSnapshot::freeze(&ref_kg.graph);
             reference.insert(
                 snap.source_log_len(),
                 answers(&qs, &snap, ref_kg.disambiguator.served(), &topics),
@@ -186,14 +186,14 @@ fn compaction_under_query_stress_preserves_reference_answers() {
     {
         let (_, mut ref_kg, _) = world_kg();
         let mut pipe = pipeline();
-        let snap = FrozenView::freeze(&ref_kg.graph);
+        let snap = LayeredSnapshot::freeze(&ref_kg.graph);
         reference.insert(
             snap.source_log_len(),
             answers(&qs, &snap, ref_kg.disambiguator.served(), &topics),
         );
         for chunk in articles.chunks(BATCH) {
             pipe.ingest_batch(&mut ref_kg, chunk);
-            let snap = FrozenView::freeze(&ref_kg.graph);
+            let snap = LayeredSnapshot::freeze(&ref_kg.graph);
             reference.insert(
                 snap.source_log_len(),
                 answers(&qs, &snap, ref_kg.disambiguator.served(), &topics),

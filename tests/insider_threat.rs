@@ -119,8 +119,7 @@ fn typed_labels_separate_benign_and_malicious_access() {
             .unwrap();
     let mut benign = 0;
     let mut sensitive = 0;
-    for id in r.kg.graph.find(None, Some(accessed), None) {
-        let e = r.kg.graph.edge(id);
+    for (_, e) in r.kg.graph.iter_edges().filter(|(_, e)| e.pred == accessed) {
         match r.kg.graph.label(e.dst) {
             Some("File") => benign += 1,
             Some("SensitiveFile") => sensitive += 1,

@@ -6,8 +6,9 @@
 //! on exactly that, so the restored predictor scores exactly as the
 //! original's does, with no retraining.
 
-use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig};
+use nous_core::{entity_summary_view, IngestPipeline, KnowledgeGraph, PipelineConfig};
 use nous_corpus::Preset;
+use nous_graph::LayeredSnapshot;
 use nous_link::LinkMode;
 use nous_text::bow::BagOfWords;
 
@@ -103,8 +104,11 @@ fn summaries_survive_roundtrip() {
     let (world, kg, _) = built();
     let back = KnowledgeGraph::decode_checkpoint(&kg.encode_checkpoint()).unwrap();
     let name = &world.entities[world.companies[0]].name;
-    let a = kg.entity_summary(name).unwrap();
-    let b = back.entity_summary(name).unwrap();
+    let summary = |kg: &KnowledgeGraph| {
+        let view = LayeredSnapshot::freeze(&kg.graph);
+        entity_summary_view(&view, kg.disambiguator.served(), name).unwrap()
+    };
+    let (a, b) = (summary(&kg), summary(&back));
     assert_eq!(a.name, b.name);
     assert_eq!(a.degree, b.degree);
     assert_eq!(a.facts.len(), b.facts.len());

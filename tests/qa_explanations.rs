@@ -3,12 +3,15 @@
 
 use nous_core::KnowledgeGraph;
 use nous_corpus::{plant_explanations, CuratedKb, Preset, World};
+use nous_graph::LayeredSnapshot;
 use nous_qa::baselines::{degree_salience_paths, shortest_paths_with_stats};
 use nous_qa::{coherent_paths_with_stats, PathConstraint, QaConfig, TopicIndex};
 use nous_topics::LdaConfig;
 
 struct Instance {
     kg: KnowledgeGraph,
+    /// The snapshot the path searches read.
+    view: LayeredSnapshot,
     topics: TopicIndex,
     explanations: Vec<nous_corpus::Explanation>,
 }
@@ -21,6 +24,7 @@ fn build() -> Instance {
     let kg = KnowledgeGraph::from_curated(&world, &kb);
     let topics = kg.build_topic_index(&LdaConfig::default());
     Instance {
+        view: LayeredSnapshot::freeze(&kg.graph),
         kg,
         topics,
         explanations,
@@ -68,18 +72,10 @@ fn cfg() -> QaConfig {
 fn coherence_beats_degree_salience() {
     let inst = build();
     let coh = accuracy(&inst, |i, s, d| {
-        coherent_paths_with_stats(
-            &i.kg.graph,
-            &i.topics,
-            s,
-            d,
-            &PathConstraint::default(),
-            &cfg(),
-        )
-        .0
+        coherent_paths_with_stats(&i.view, &i.topics, s, d, &PathConstraint::default(), &cfg()).0
     });
     let deg = accuracy(&inst, |i, s, d| {
-        degree_salience_paths(&i.kg.graph, s, d, &PathConstraint::default(), &cfg())
+        degree_salience_paths(&i.view, s, d, &PathConstraint::default(), &cfg())
     });
     assert!(
         coh > deg,
@@ -92,18 +88,10 @@ fn coherence_beats_degree_salience() {
 fn coherence_beats_or_matches_shortest() {
     let inst = build();
     let coh = accuracy(&inst, |i, s, d| {
-        coherent_paths_with_stats(
-            &i.kg.graph,
-            &i.topics,
-            s,
-            d,
-            &PathConstraint::default(),
-            &cfg(),
-        )
-        .0
+        coherent_paths_with_stats(&i.view, &i.topics, s, d, &PathConstraint::default(), &cfg()).0
     });
     let sp = accuracy(&inst, |i, s, d| {
-        shortest_paths_with_stats(&i.kg.graph, s, d, &PathConstraint::default(), &cfg()).0
+        shortest_paths_with_stats(&i.view, s, d, &PathConstraint::default(), &cfg()).0
     });
     // Shortest path ties between expected and decoy; lexicographic
     // tie-break is blind, so it cannot systematically find the answer.
@@ -118,7 +106,7 @@ fn expected_paths_rank_above_decoys_by_coherence() {
         let src = inst.kg.graph.vertex_id(&e.source).unwrap();
         let dst = inst.kg.graph.vertex_id(&e.target).unwrap();
         let paths = coherent_paths_with_stats(
-            &inst.kg.graph,
+            &inst.view,
             &inst.topics,
             src,
             dst,

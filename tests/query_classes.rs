@@ -4,6 +4,7 @@
 use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig, SharedSession, TrendMonitor};
 use nous_corpus::Preset;
 use nous_graph::window::WindowKind;
+use nous_graph::LayeredSnapshot;
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_qa::TopicIndex;
 use nous_query::{execute, execute_shared, parse, Query, QueryOptions, QueryResult};
@@ -48,7 +49,7 @@ fn run(s: &mut Session, q: &str) -> QueryResult {
     let opts = QueryOptions::default();
     execute(
         &query,
-        &s.kg.graph,
+        &LayeredSnapshot::freeze(&s.kg.graph),
         resolver,
         &s.topics,
         Some(&mut s.trends),
@@ -57,9 +58,9 @@ fn run(s: &mut Session, q: &str) -> QueryResult {
     .result
 }
 
-/// The pre-snapshot serving path, kept here as the identity oracle for
-/// the lock-free one: the mutable graph, topics and trend monitor under
-/// one consistent read-lock acquisition, with telemetry on like
+/// The identity oracle for the lock-free serving path: a fresh freeze of
+/// the graph, taken with the topics and trend monitor under one
+/// consistent read-lock acquisition, with telemetry on like
 /// [`execute_shared`].
 fn execute_shared_locked(session: &SharedSession, query: &Query) -> QueryResult {
     let opts = QueryOptions {
@@ -68,7 +69,8 @@ fn execute_shared_locked(session: &SharedSession, query: &Query) -> QueryResult 
     };
     session.with_all(|kg, topics, trends| {
         let resolver = kg.disambiguator.served();
-        execute(query, &kg.graph, resolver, topics, Some(trends), &opts).result
+        let fresh = LayeredSnapshot::freeze(&kg.graph);
+        execute(query, &fresh, resolver, topics, Some(trends), &opts).result
     })
 }
 

@@ -50,11 +50,9 @@ fn extracted_pairs(kg: &KnowledgeGraph, predicate: &str) -> BTreeSet<(String, St
         return BTreeSet::new();
     };
     kg.graph
-        .find(None, Some(p), None)
-        .into_iter()
-        .filter(|&id| !kg.graph.edge(id).provenance.is_curated())
-        .map(|id| {
-            let e = kg.graph.edge(id);
+        .iter_edges()
+        .filter(|(_, e)| e.pred == p && !e.provenance.is_curated())
+        .map(|(_, e)| {
             (
                 kg.graph.vertex_name(e.src).to_owned(),
                 kg.graph.vertex_name(e.dst).to_owned(),

@@ -5,6 +5,7 @@
 use nous_core::{IngestPipeline, KnowledgeGraph, PipelineConfig, TrendMonitor};
 use nous_corpus::Preset;
 use nous_graph::window::WindowKind;
+use nous_graph::LayeredSnapshot;
 use nous_mining::{EvictionStrategy, MinerConfig};
 use nous_qa::TopicIndex;
 use nous_query::{execute, parse, QueryOptions, QueryResult};
@@ -27,7 +28,7 @@ fn built() -> (KnowledgeGraph, TopicIndex, TrendMonitor) {
     (kg, topics, trends)
 }
 
-/// Run `q` on the mutable graph with no options.
+/// Run `q` on a fresh snapshot of the graph with no options.
 fn run(
     kg: &KnowledgeGraph,
     topics: &TopicIndex,
@@ -37,7 +38,8 @@ fn run(
     let resolver = kg.disambiguator.served();
     let opts = QueryOptions::default();
     let q = parse(q).expect("valid query");
-    execute(&q, &kg.graph, resolver, topics, Some(trends), &opts).result
+    let view = LayeredSnapshot::freeze(&kg.graph);
+    execute(&q, &view, resolver, topics, Some(trends), &opts).result
 }
 
 fn matches(kg: &KnowledgeGraph, topics: &TopicIndex, trends: &mut TrendMonitor, q: &str) -> usize {
